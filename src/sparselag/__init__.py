@@ -15,7 +15,7 @@ from .errors import (DegenerateTotal, IllConditioned, ParseError, ResidualImagin
 from .model import (Config, FrequencyGrid, LaggedRegressionFit, MacroPanel, MaturityGrid,
                     SparseYieldPanel)
 from .warp import Warp, build_warp, warp_apply, warp_inverse
-from .smoother import (LocalLinearProblem, epanechnikov, estimate_mean_curve, locallin_fit,
+from .smoother import (epanechnikov, estimate_mean_curve, local_linear_operator,
                        mean_curve_warped)
 from .mv_spectral import (AutocovarianceSet, SpectralDensityField, bartlett_weights,
                           empirical_autocov, empirical_mean, estimate_autocovariances,
@@ -35,15 +35,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisResult", "AutocovarianceSet", "Config", "CrossSpectralField", "DegenerateTotal",
     "Diagnostics", "FrequencyGrid", "FrequencyResponseField", "IllConditioned",
-    "LaggedRegressionFit", "LocalLinearProblem", "MacroPanel", "MaturityGrid", "ParseError",
+    "LaggedRegressionFit", "MacroPanel", "MaturityGrid", "ParseError",
     "RawCrossCovariances", "ResidualImaginary", "ResultBundle", "SimulationTruth",
     "SingularDesign", "SparseYieldPanel", "SpectralDensityField", "SyntheticSpec",
     "US_MATURITIES", "Warp", "analyze", "bartlett_weights", "build_result_bundle",
     "build_warp", "cross_spectral_density", "empirical_autocov", "empirical_mean",
     "epanechnikov", "estimate_autocovariances", "estimate_mean_curve", "evaluation_grid",
     "filter_coefficients", "frequency_response", "load_macro_csv", "load_yields_csv",
-    "locallin_fit", "mean_curve_warped", "naive_cross_spectral_density", "predict_curve",
-    "predict_panel", "r_squared", "raw_cross_cov", "recovery_spec",
+    "local_linear_operator", "mean_curve_warped", "naive_cross_spectral_density",
+    "predict_curve", "predict_panel", "r_squared", "raw_cross_cov", "recovery_spec",
     "simulate_lagged_regression", "simulate_var1", "spectral_density_matrix",
     "var1_spectral_density", "warp_apply", "warp_inverse", "write_macro_csv",
     "write_results", "write_yields_csv",

@@ -176,9 +176,6 @@ def run_simulate(args) -> int:
 
     panel, macro, truth = sim.simulate_lagged_regression(spec)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sio.write_yields_csv(panel, out_dir / "yields.csv")
-    sio.write_macro_csv(macro, out_dir / "macro.csv")
     truth_doc = {
         "maturities": [float(v) for v in spec.maturity_grid.maturities],
         "tau_warped": [float(v) for v in truth.tau_warped],
@@ -192,8 +189,14 @@ def run_simulate(args) -> int:
         "noise_sd": spec.noise_sd,
         "seed": spec.seed,
     }
-    (out_dir / "truth.json").write_text(json.dumps(truth_doc, indent=2, sort_keys=True) + "\n",
-                                        encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        sio.write_yields_csv(panel, out_dir / "yields.csv")
+        sio.write_macro_csv(macro, out_dir / "macro.csv")
+        (out_dir / "truth.json").write_text(json.dumps(truth_doc, indent=2, sort_keys=True) + "\n",
+                                            encoding="utf-8")
+    except OSError as exc:
+        raise StageError("write", exc, 1) from exc
     print(f"wrote yields.csv, macro.csv, truth.json to {out_dir.resolve()}")
     return 0
 
@@ -221,19 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--config", default=None, help="key = value settings file")
     p_an.add_argument("--out", default="results", help="output directory (default: results)")
     p_an.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_an.add_argument("--verbose", action="store_true")
     p_an.set_defaults(func=run_analyze)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic panel pair plus ground truth")
     p_sim.add_argument("--config", required=True, help="synthetic spec (key = value, or preset = recovery|null)")
     p_sim.add_argument("--out", default="simulated", help="output directory (default: simulated)")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sim.add_argument("--verbose", action="store_true")
     p_sim.set_defaults(func=run_simulate)
 
     p_chk = sub.add_parser("check", help="run the built-in oracle suite")
     p_chk.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
-    p_chk.add_argument("--verbose", action="store_true")
     p_chk.set_defaults(func=run_check)
 
     return parser

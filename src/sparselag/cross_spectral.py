@@ -11,10 +11,12 @@ The cross-spectral density at warped point tau~ and frequency omega is
 
     min sum_{h,t,i} W_h K((tau~ - tau~_i)/B_R) |G e^{-i h omega} - c0 - c1 (tau~ - tau~_i)|^2.
 
-Only the response moments depend on omega and only through the factor
-e^{-i h omega}, so the design moments S_p and the per-lag response moments
-M_p(h) are precomputed once per evaluation point; each frequency then costs
-a length-(2Q-1) weighted phase sum and one 2x2 solve.  The naive
+Every product at maturity i sits on the same warped knot, so the fit only
+sees the knot weights sum_h W_h n_{h,i} (n counts the realized products)
+and the knot field Z(omega)_i = sum_h W_h e^{-i h omega} sum_t G.  The
+intercept is then the knot-level local-linear operator of
+:mod:`sparselag.smoother` applied to Z(omega); that operator is real and
+frequency-free, so one matrix product covers every node.  The naive
 per-frequency least-squares path is kept alongside as the correctness
 oracle for this factorization.
 """
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularDesign
 from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, _frozen
 from .mv_spectral import bartlett_weights
-from .smoother import _min_bandwidth_hint, epanechnikov, solve_normal_equations
+from .smoother import epanechnikov, local_linear_operator
 from .warp import Warp, warp_apply
 
 _CONJ_SYM_TOL = 1e-10
@@ -36,11 +37,11 @@ _CONJ_SYM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RawCrossCovariances:
-    """Centered products G addressable per (series, lag); factorized storage.
+    """Centered products G in factorized storage.
 
     The centered curve and regressor factors are stored once;
-    :meth:`entries` materializes the per-(j, h) list over valid (t, i) and
-    :meth:`lag_sums` aggregates over t, which is all the smoother needs.
+    :meth:`lag_sums` aggregates the products over t, which is all the
+    smoother needs.
     """
 
     q: int
@@ -48,7 +49,6 @@ class RawCrossCovariances:
     y_centered: np.ndarray    # (T, I), zero where missing
     observed: np.ndarray      # (T, I)
     x_centered: np.ndarray    # (T, d)
-    tau_warped: np.ndarray    # (I,) equidistant warped maturities
 
     @property
     def n_times(self) -> int:
@@ -66,20 +66,6 @@ class RawCrossCovariances:
         """Valid zero-based t range [start, stop) for lag h."""
         t_len = self.n_times
         return (max(0, -h), min(t_len, t_len - h))
-
-    def count(self, j: int, h: int) -> int:
-        """Number of realized entries for (series j, lag h)."""
-        del j  # same for every series
-        start, stop = self.t_bounds(h)
-        return int(self.observed[start + h: stop + h].sum())
-
-    def entries(self, j: int, h: int):
-        """Realized products for (j, h): (values, warped coordinates, t, i)."""
-        start, stop = self.t_bounds(h)
-        obs = self.observed[start + h: stop + h]
-        t_idx, i_idx = np.nonzero(obs)
-        g = self.y_centered[start + h + t_idx, i_idx] * self.x_centered[start + t_idx, j]
-        return g, self.tau_warped[i_idx], start + t_idx, i_idx
 
     def lag_sums(self):
         """Aggregates over t: sums A[l, i, j] = sum_t G and counts n[l, i]."""
@@ -119,7 +105,6 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
         y_centered=_frozen(y_centered),
         observed=panel.observed,
         x_centered=_frozen(macro.values - macro_means),
-        tau_warped=_frozen(np.linspace(0.0, 1.0, panel.n_maturities)),
     )
 
 
@@ -138,9 +123,7 @@ class CrossSpectralField:
             raise ValueError("values must have shape (n_nodes, n_eval, n_series)")
         if vals.shape[1] != np.asarray(self.eval_warped).size:
             raise ValueError("values must cover every evaluation point")
-        scale = max(1.0, float(np.abs(vals).max()))
-        flipped = vals[(-np.arange(self.grid.n_nodes)) % self.grid.n_nodes]
-        if np.abs(flipped - np.conj(vals)).max() > _CONJ_SYM_TOL * scale:
+        if self.grid.conjugate_asymmetry(vals) > _CONJ_SYM_TOL:
             raise ValueError("cross-spectral field must satisfy f(-omega) = conj(f(omega))")
         object.__setattr__(self, "values", _frozen(vals, dtype=complex))
         object.__setattr__(self, "eval_warped", _frozen(self.eval_warped))
@@ -151,47 +134,20 @@ class CrossSpectralField:
         return self.values.shape[2]
 
 
-def _window_or_raise(x0, tau_tilde, counts_any, b_r):
-    u = x0 - tau_tilde
-    k = epanechnikov(u / b_r)
-    support = (k > 0) & counts_any
-    if np.unique(tau_tilde[support]).size < 2:
-        raise SingularDesign(
-            "cross-covariance smoother window holds fewer than 2 observed maturities",
-            min_bandwidth=_min_bandwidth_hint(x0, tau_tilde, counts_any.astype(float)),
-            eval_point=x0,
-        )
-    return u, k
-
-
 def cross_spectral_density(raw: RawCrossCovariances, warp: Warp, b_r: float, q: int,
                            grid: FrequencyGrid, eval_warped) -> CrossSpectralField:
-    """Smoothed cross-spectral density via the frequency-independent factorization."""
+    """Smoothed cross-spectral density: the knot operator applied to the knot field."""
     if q != raw.q:
         raise ValueError(f"window span {q} does not match the raw cross-covariances (q={raw.q})")
     eval_warped = np.atleast_1d(np.asarray(eval_warped, dtype=float))
     weights = bartlett_weights(q)
     sums, counts = raw.lag_sums()
-    counts_any = counts.sum(axis=0) > 0
-    # (N, L) lag phases, shared by every evaluation point and series
-    wphases = np.exp(-1j * np.outer(grid.nodes, raw.lags)) * weights
-
-    values = np.empty((grid.n_nodes, eval_warped.size, raw.n_series), dtype=complex)
-    for r, x0 in enumerate(eval_warped):
-        u, k = _window_or_raise(x0, raw.tau_warped, counts_any, b_r)
-        ku = (k, k * u, k * u * u)
-        s0, s1, s2 = (float(weights @ (counts @ kp)) for kp in ku)
-        m0 = np.einsum("i,lij->lj", ku[0], sums)
-        m1 = np.einsum("i,lij->lj", ku[1], sums)
-        t0 = wphases @ m0   # (N, d)
-        t1 = wphases @ m1
-        c0, _ = solve_normal_equations(s0, s1, s2, t0, t1,
-                                       context=f" at warped point {x0:.6g}")
-        values[:, r, :] = c0
-    values *= q / (2.0 * np.pi)
+    operator = local_linear_operator(weights @ counts, eval_warped, b_r)
+    # (N, I, d) knot field Z(omega) = sum_l W_l e^{-i h_l omega} A_l
+    knot_field = np.tensordot(np.exp(-1j * np.outer(grid.nodes, raw.lags)) * weights, sums, axes=1)
     return CrossSpectralField(grid=grid, eval_warped=eval_warped,
                               eval_tau=np.asarray(warp_apply(warp, eval_warped), dtype=float),
-                              values=values)
+                              values=(q / (2.0 * np.pi) * operator) @ knot_field)
 
 
 def naive_cross_spectral_density(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,

@@ -45,9 +45,7 @@ class FrequencyResponseField:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 3 or vals.shape[0] != self.grid.n_nodes:
             raise ValueError("values must have shape (n_nodes, n_eval, n_series)")
-        scale = max(1.0, float(np.abs(vals).max()))
-        flipped = vals[(-np.arange(self.grid.n_nodes)) % self.grid.n_nodes]
-        if np.abs(flipped - np.conj(vals)).max() > _CONJ_SYM_TOL * scale:
+        if self.grid.conjugate_asymmetry(vals) > _CONJ_SYM_TOL:
             raise ValueError("frequency response must satisfy B(-omega) = conj(B(omega))")
         object.__setattr__(self, "values", _frozen(vals, dtype=complex))
         object.__setattr__(self, "eval_warped", _frozen(self.eval_warped))

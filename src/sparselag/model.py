@@ -11,6 +11,7 @@ and regressor values in percent, lags in sampling periods (months).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -171,6 +172,15 @@ class FrequencyGrid:
     def quadrature_weight(self) -> float:
         return 2.0 * np.pi / self.n_nodes
 
+    def conjugate_asymmetry(self, values: np.ndarray) -> float:
+        """max |v(-omega) - conj(v(omega))| along axis 0, relative to max(1, max |v|).
+
+        Node k pairs with node (-k) mod N; node 0 (omega = -pi) pairs with itself.
+        """
+        flipped = values[(-np.arange(self.n_nodes)) % self.n_nodes]
+        scale = max(1.0, float(np.abs(values).max()))
+        return float(np.abs(flipped - np.conj(values)).max()) / scale
+
 
 @dataclass(frozen=True)
 class Config:
@@ -197,6 +207,10 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("q", "n_omega", "h_max", "n_eval"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (0.0 < self.b_mu <= 1.0):
             raise ValueError(f"b_mu must lie in (0, 1], got {self.b_mu}")
         if not (0.0 < self.b_r <= 1.0):
@@ -207,8 +221,8 @@ class Config:
             raise ValueError(f"h_max must be nonnegative, got {self.h_max}")
         if self.n_eval < 2:
             raise ValueError(f"n_eval must be at least 2, got {self.n_eval}")
-        if self.cond_threshold <= 1.0:
-            raise ValueError(f"cond_threshold must exceed 1, got {self.cond_threshold}")
+        if not (1.0 < self.cond_threshold < math.inf):
+            raise ValueError(f"cond_threshold must be finite and exceed 1, got {self.cond_threshold}")
         if self.n_omega % 2 != 0 or self.n_omega < 2 * self.h_max + 2:
             raise ValueError(
                 f"n_omega must be even and >= 2*h_max + 2 = {2 * self.h_max + 2}, got {self.n_omega}"

@@ -125,8 +125,7 @@ class SpectralDensityField:
         scale = max(1.0, float(np.abs(mats).max()))
         if np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() > _HERMITIAN_TOL * scale:
             raise ValueError("spectral density matrices must be Hermitian at every node")
-        flipped = mats[(-np.arange(self.grid.n_nodes)) % self.grid.n_nodes]
-        if np.abs(flipped - np.conj(mats)).max() > _CONJ_SYM_TOL * scale:
+        if self.grid.conjugate_asymmetry(mats) > _CONJ_SYM_TOL:
             raise ValueError("spectral density must satisfy F(-omega) = conj(F(omega))")
         object.__setattr__(self, "matrices", _frozen(mats, dtype=complex))
 

@@ -1,20 +1,22 @@
-"""Epanechnikov kernel and closed-form local-linear weighted least squares.
+"""Epanechnikov kernel and the local-linear smoothing operator on the warped knots.
 
-The minimizer of sum_m w_m |z_m - c0 - c1*(x0 - x_m)|^2 follows from the
-2x2 normal equations: with S_p = sum w_m (x0 - x_m)^p and
-T_p = sum w_m (x0 - x_m)^p z_m,
+Both smoothers of the pipeline fit on the I equidistant warped knots
+x_i = i/(I-1).  At evaluation point x_r, with knot weights w_i,
+u_ri = x_r - x_i and K_ri = K(u_ri / b), the weighted local-linear fit
 
-    c0 = (S2*T0 - S1*T1) / (S0*S2 - S1^2)
-    c1 = (S0*T1 - S1*T0) / (S0*S2 - S1^2)
+    min sum_i K_ri w_i |z_i - c0 - c1*u_ri|^2
 
-The same formula serves real and complex responses, because the weights and
-the design are real.  The intercept c0 is the smoothed value.
+has moments S_p = sum_i K_ri w_i u_ri^p and intercept
+
+    c0(x_r) = sum_i L[r, i] * w_i z_i,
+    L[r, i] = K_ri * (S2_r - S1_r*u_ri) / (S0_r*S2_r - S1_r^2).
+
+L depends only on the knot weights, the evaluation points and the bandwidth
+(the "equivalent kernel" of local polynomial smoothing), so one real matrix
+product smooths real and complex knot sums alike.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,84 +35,39 @@ def epanechnikov(v):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class LocalLinearProblem:
-    """One local-linear fit: support x, responses z, outer weights, point x0.
-
-    The effective weight of point m is outer_weights[m] * K((x0 - x_m)/bandwidth);
-    points outside the bandwidth window get exactly zero weight.
-    """
-
-    x: np.ndarray
-    z: np.ndarray
-    x0: float
-    bandwidth: float
-    outer_weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        x = np.asarray(self.x, dtype=float)
-        z = np.asarray(self.z)
-        if x.shape != z.shape or x.ndim != 1:
-            raise ValueError("support and responses must be one-dimensional and equally long")
-        if self.outer_weights is not None:
-            ow = np.asarray(self.outer_weights, dtype=float)
-            if ow.shape != x.shape:
-                raise ValueError("outer weights must match the support")
-            if np.any(ow < 0):
-                raise ValueError("outer weights must be nonnegative")
-
-    def weights(self) -> np.ndarray:
-        w = epanechnikov((self.x0 - np.asarray(self.x, dtype=float)) / self.bandwidth)
-        if self.outer_weights is not None:
-            w = w * np.asarray(self.outer_weights, dtype=float)
-        return w
-
-
-def _min_bandwidth_hint(x0: float, x: np.ndarray, outer: Optional[np.ndarray]) -> Optional[float]:
-    candidates = np.unique(np.abs(x0 - x[outer > 0])) if outer is not None else np.unique(np.abs(x0 - x))
+def _min_bandwidth_hint(x0: float, x: np.ndarray, weights: np.ndarray):
+    candidates = np.unique(np.abs(x0 - x[weights > 0]))
     return float(candidates[1]) if candidates.size >= 2 else None
 
 
-def solve_normal_equations(s0, s1, s2, t0, t1, context=""):
-    """Solve the 2x2 local-linear system; raise SingularDesign if degenerate."""
+def local_linear_operator(knot_weights, eval_warped, bandwidth: float) -> np.ndarray:
+    """Real (R, I) matrix L mapping knot sums w_i*z_i to local-linear intercepts.
+
+    Raises SingularDesign at the first evaluation point whose window holds
+    fewer than 2 knots of positive weight, or whose normal matrix is
+    numerically singular.
+    """
+    if bandwidth <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    w = np.asarray(knot_weights, dtype=float)
+    x0 = np.atleast_1d(np.asarray(eval_warped, dtype=float))
+    knots = np.linspace(0.0, 1.0, w.size)
+    u = x0[:, None] - knots
+    k = epanechnikov(u / bandwidth)
+    kw = k * w
+    s0 = kw.sum(axis=1)
+    s1 = (kw * u).sum(axis=1)
+    s2 = (kw * u * u).sum(axis=1)
     det = s0 * s2 - s1 * s1
-    if det <= _SINGULAR_REL_TOL * s0 * s2:
-        raise SingularDesign("local-linear design is singular" + context)
-    c0 = (s2 * t0 - s1 * t1) / det
-    c1 = (s0 * t1 - s1 * t0) / det
-    return c0, c1
-
-
-def locallin_fit(problem: LocalLinearProblem):
-    """Weighted local-linear fit; returns (c0, c1) in the response's number field."""
-    x = np.asarray(problem.x, dtype=float)
-    z = np.asarray(problem.z)
-    w = problem.weights()
-
-    support = w > 0
-    if np.unique(x[support]).size < 2:
-        raise SingularDesign(
-            "fewer than 2 distinct support points inside the bandwidth window",
-            min_bandwidth=_min_bandwidth_hint(problem.x0, x, problem.outer_weights),
-            eval_point=problem.x0,
-        )
-
-    u = problem.x0 - x
-    s0 = float(np.sum(w))
-    s1 = float(np.sum(w * u))
-    s2 = float(np.sum(w * u * u))
-    t0 = np.sum(w * z)
-    t1 = np.sum(w * u * z)
-    try:
-        return solve_normal_equations(s0, s1, s2, t0, t1)
-    except SingularDesign:
-        raise SingularDesign(
-            "local-linear normal matrix is numerically singular",
-            min_bandwidth=_min_bandwidth_hint(problem.x0, x, problem.outer_weights),
-            eval_point=problem.x0,
-        ) from None
+    thin = (kw > 0).sum(axis=1) < 2
+    failed = np.flatnonzero(thin | (det <= _SINGULAR_REL_TOL * s0 * s2))
+    if failed.size:
+        r = int(failed[0])
+        reason = ("smoothing window holds fewer than 2 observed knots" if thin[r]
+                  else "local-linear normal matrix is numerically singular")
+        raise SingularDesign(reason, min_bandwidth=_min_bandwidth_hint(x0[r], knots, w),
+                             eval_point=float(x0[r]))
+    return k * (s2[:, None] - s1[:, None] * u) / det[:, None]
 
 
 def mean_curve_warped(panel: SparseYieldPanel, b_mu: float, eval_warped) -> np.ndarray:
@@ -120,31 +77,9 @@ def mean_curve_warped(panel: SparseYieldPanel, b_mu: float, eval_warped) -> np.n
     every time point shares the same warped support, the cloud collapses to
     per-maturity counts and sums without changing the fit.
     """
-    eval_warped = np.atleast_1d(np.asarray(eval_warped, dtype=float))
     n_i = panel.observed.sum(axis=0).astype(float)
     sum_i = np.where(panel.observed, panel.values, 0.0).sum(axis=0)
-    tau_tilde = np.linspace(0.0, 1.0, panel.n_maturities)
-
-    out = np.empty(eval_warped.size)
-    for r, x0 in enumerate(eval_warped):
-        u = x0 - tau_tilde
-        k = epanechnikov(u / b_mu)
-        support = (k > 0) & (n_i > 0)
-        if np.unique(tau_tilde[support]).size < 2:
-            raise SingularDesign(
-                "mean smoother window holds fewer than 2 observed maturities",
-                min_bandwidth=_min_bandwidth_hint(x0, tau_tilde, n_i),
-                eval_point=x0,
-            )
-        wk = k * n_i
-        s0 = float(np.sum(wk))
-        s1 = float(np.sum(wk * u))
-        s2 = float(np.sum(wk * u * u))
-        t0 = float(np.sum(k * sum_i))
-        t1 = float(np.sum(k * u * sum_i))
-        c0, _ = solve_normal_equations(s0, s1, s2, t0, t1, context=f" at warped point {x0:.6g}")
-        out[r] = c0
-    return out
+    return local_linear_operator(n_i, eval_warped, b_mu) @ sum_i
 
 
 def estimate_mean_curve(panel: SparseYieldPanel, warp: Warp, b_mu: float, eval_points) -> np.ndarray:

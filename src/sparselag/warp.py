@@ -30,12 +30,6 @@ class Warp:
     knots_y: np.ndarray   # (I,) maturities
     slopes: np.ndarray    # (I,) limited endpoint derivatives per knot
 
-    def apply(self, t):
-        return warp_apply(self, t)
-
-    def inverse(self, tau):
-        return warp_inverse(self, tau)
-
     @property
     def tau_min(self) -> float:
         return float(self.knots_y[0])

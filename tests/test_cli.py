@@ -62,6 +62,14 @@ class TestSimulateCommand:
         cfg.write_text("t = 50\nmaturities = 1,2,5\nar = 0.5\nbogus = 1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_unwritable_out_is_write_stage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("preset = recovery\n")
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        assert main(["simulate", "--config", str(cfg), "--out", str(blocker / "sim")]) == 1
+        assert "error [write]" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_full_run_and_summary(self, sim_dir, tmp_path, capsys):
@@ -129,6 +137,14 @@ class TestAnalyzeCommand:
                      "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["q"] == 20 and summary["config"]["h_max"] == 6
+
+    def test_nan_cond_threshold_exits_2(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("cond_threshold = nan\n")
+        assert main(["analyze", "--yields", str(sim_dir / "yields.csv"),
+                     "--macro", str(sim_dir / "macro.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "[config]" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, sim_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -25,37 +25,41 @@ class TestRawCrossCov:
         flat = SparseYieldPanel(values=np.tile(col_means, (20, 1)), observed=panel.observed,
                                 maturity_grid=panel.maturity_grid)
         raw = raw_cross_cov(flat, macro, col_means, empirical_mean(macro), 3)
-        for h in range(-2, 3):
-            g, _, _, _ = raw.entries(0, h)
-            assert np.all(g == 0.0)
+        sums, _ = raw.lag_sums()
+        assert np.all(sums == 0.0)
 
     def test_hand_computed_three_points(self):
         panel, macro = _toy_setup()
         # single-maturity case padded to the minimum grid size with identical columns
         raw = raw_cross_cov(panel, macro, np.array([2.0, 2.0, 2.0]), np.zeros(1), 2)
-        g0, tau0, t0, i0 = raw.entries(0, 0)
-        assert np.allclose(g0[i0 == 0], [-1.0, 0.0, -1.0])   # t-ordered
-        g1, _, t1, i1 = raw.entries(0, 1)
-        assert np.allclose(g1[i1 == 0], [0.0, 0.0])                   # (y2-2)X1, (y3-2)X2
-        assert np.array_equal(np.unique(t1), [0, 1])
+        sums, counts = raw.lag_sums()
+        assert raw.lags.tolist() == [-1, 0, 1]
+        # centered curve (-1, 0, 1) against X = (1, 0, -1):
+        # h = 0: -1*1 + 0*0 + 1*(-1); h = 1: (y2-2)X1 + (y3-2)X2; h = -1: (y1-2)X2 + (y2-2)X3
+        assert np.allclose(sums[:, :, 0], [[0.0] * 3, [-2.0] * 3, [0.0] * 3])
+        assert np.array_equal(counts, [[2.0] * 3, [3.0] * 3, [2.0] * 3])
 
     def test_t_range_length_at_edge_lag(self, rng):
         panel = random_sparse_panel(rng, 15, 3, missing_frac=0.0)
         macro = random_macro_panel(rng, 15, 1)
         q = 4
         raw = raw_cross_cov(panel, macro, np.zeros(3), np.zeros(1), q)
-        for h in (q - 1, -(q - 1)):
+        _, counts = raw.lag_sums()
+        for l in (0, 2 * q - 2):
+            h = int(raw.lags[l])
             start, stop = raw.t_bounds(h)
+            assert abs(h) == q - 1
             assert stop - start == 15 - (q - 1)
-            assert raw.count(0, h) == (15 - (q - 1)) * 3
+            assert counts[l].sum() == (15 - (q - 1)) * 3
 
     def test_count_excludes_missing(self, rng):
         panel = random_sparse_panel(rng, 12, 4, missing_frac=0.3)
         macro = random_macro_panel(rng, 12, 1)
         raw = raw_cross_cov(panel, macro, np.zeros(4), np.zeros(1), 2)
-        assert raw.count(0, 0) == int(panel.observed.sum())
-        assert raw.count(0, 1) == int(panel.observed[1:].sum())
-        assert raw.count(0, -1) == int(panel.observed[:-1].sum())
+        _, counts = raw.lag_sums()      # lags -1, 0, 1
+        assert np.array_equal(counts[1], panel.observed.sum(axis=0))
+        assert np.array_equal(counts[2], panel.observed[1:].sum(axis=0))
+        assert np.array_equal(counts[0], panel.observed[:-1].sum(axis=0))
 
     def test_horizon_mismatch_rejected(self, rng):
         panel = random_sparse_panel(rng, 10, 3)

@@ -106,6 +106,12 @@ class TestConfig:
         (dict(cond_threshold=1.0), "cond_threshold"),
         (dict(n_omega=25), "n_omega"),
         (dict(n_omega=10), "n_omega"),
+        (dict(cond_threshold=float("nan")), "cond_threshold"),
+        (dict(cond_threshold=float("inf")), "cond_threshold"),
+        (dict(q=4.5), "q must be an integer"),
+        (dict(h_max=2.5), "h_max must be an integer"),
+        (dict(n_omega=64.0), "n_omega must be an integer"),
+        (dict(n_eval=20.5), "n_eval must be an integer"),
     ])
     def test_rejects(self, kwargs, phrase):
         base = dict(b_mu=0.25, b_r=0.25, q=14)

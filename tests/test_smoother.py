@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sparselag import (LocalLinearProblem, SingularDesign, SparseYieldPanel, build_warp,
-                       epanechnikov, estimate_mean_curve, locallin_fit, mean_curve_warped)
+from sparselag import (SingularDesign, SparseYieldPanel, build_warp, epanechnikov,
+                       estimate_mean_curve, local_linear_operator, mean_curve_warped)
 from conftest import random_sparse_panel
 from oracles import lstsq_locallin
 
@@ -23,69 +23,78 @@ class TestEpanechnikov:
 
 
 class TestLocallinFit:
+    """The local-linear fit as the knot-level operator: c0 = L @ (w * z)."""
+
     def test_constant_reproduction(self, rng):
-        x = rng.uniform(size=7)
-        c0, c1 = locallin_fit(LocalLinearProblem(x=x, z=np.full(7, 5.0), x0=0.4, bandwidth=1.0))
-        assert c0 == pytest.approx(5.0, abs=1e-12)
-        assert c1 == pytest.approx(0.0, abs=1e-12)
+        w = rng.uniform(0.5, 2.0, size=7)
+        c0 = local_linear_operator(w, [0.4], 1.0) @ (w * 5.0)
+        assert c0[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_affine_reproduction_with_sign(self, rng):
-        x = np.array([0.1, 0.3, 0.5, 0.7])
-        z = 2.0 + 3.0 * x
-        c0, c1 = locallin_fit(LocalLinearProblem(x=x, z=z, x0=0.45, bandwidth=1.0))
-        assert c0 == pytest.approx(2.0 + 3.0 * 0.45, abs=1e-12)
-        assert c1 == pytest.approx(-3.0, abs=1e-12)  # parametrized in (x0 - x)
+        # u = x0 - x_i; a flipped sign would reproduce 2 + 3*(2*x0 - x) instead
+        w = rng.uniform(0.5, 2.0, size=5)
+        x = np.linspace(0.0, 1.0, 5)
+        x0 = np.array([0.0, 0.45, 0.8, 1.0])
+        c0 = local_linear_operator(w, x0, 1.0) @ (w * (2.0 + 3.0 * x))
+        assert np.abs(c0 - (2.0 + 3.0 * x0)).max() <= 1e-12
 
     def test_constant_complex(self):
-        x = np.array([0.0, 0.5, 1.0])
-        c0, c1 = locallin_fit(LocalLinearProblem(x=x, z=np.full(3, 1j), x0=0.5, bandwidth=2.0))
-        assert c0 == pytest.approx(1j, abs=1e-12)
-        assert abs(c1) <= 1e-12
+        w = np.ones(3)
+        c0 = local_linear_operator(w, [0.5], 2.0) @ (w * np.full(3, 1j))
+        assert c0[0] == pytest.approx(1j, abs=1e-12)
 
     def test_real_responses_in_complex_fit_stay_real(self, rng):
-        x = rng.uniform(size=9)
-        z = rng.standard_normal(9).astype(complex)
-        c0, c1 = locallin_fit(LocalLinearProblem(x=x, z=z, x0=0.5, bandwidth=1.0))
-        assert abs(c0.imag) <= 1e-14 and abs(c1.imag) <= 1e-14
+        w = rng.uniform(0.1, 2.0, size=9)
+        op = local_linear_operator(w, rng.uniform(size=4), 0.5)
+        assert op.dtype == float
+        c0 = op @ (w * rng.standard_normal(9).astype(complex))
+        assert np.all(c0.imag == 0.0)
 
     def test_matches_lstsq_oracle(self, rng):
         for _ in range(25):
             n = int(rng.integers(4, 30))
-            x = rng.uniform(size=n)
+            x = np.linspace(0.0, 1.0, n)
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            outer = rng.uniform(0.1, 2.0, size=n)
             x0 = float(rng.uniform(0.2, 0.8))
-            problem = LocalLinearProblem(x=x, z=z, x0=x0, bandwidth=0.6, outer_weights=outer)
-            c0, c1 = locallin_fit(problem)
-            o0, o1 = lstsq_locallin(x, z, problem.weights(), x0)
-            assert abs(c0 - o0) <= 1e-10 and abs(c1 - o1) <= 1e-10
+            w = rng.uniform(0.1, 2.0, size=n) * (rng.uniform(size=n) > 0.3)
+            w[np.argsort(np.abs(x0 - x))[:2]] = rng.uniform(0.1, 2.0, size=2)
+            c0 = local_linear_operator(w, [x0], 0.6) @ (w * z)
+            o0, _ = lstsq_locallin(x, z, w * epanechnikov((x0 - x) / 0.6), x0)
+            assert abs(c0[0] - o0) <= 1e-10
 
     def test_weight_locality_bit_for_bit(self, rng):
-        x = np.array([0.1, 0.2, 0.3, 0.9])
-        z = rng.standard_normal(4)
-        full = locallin_fit(LocalLinearProblem(x=x, z=z, x0=0.2, bandwidth=0.25))
-        trimmed = locallin_fit(LocalLinearProblem(x=x[:3], z=z[:3], x0=0.2, bandwidth=0.25))
-        assert full == trimmed
+        # knots 0, .25, .5, .75, 1; windows around 0.2 and 0.3 end before 0.75
+        w = rng.uniform(0.5, 2.0, size=5)
+        moved = w.copy()
+        moved[3:] = [0.0, 7.0]
+        eval_warped = np.array([0.2, 0.3])
+        full = local_linear_operator(w, eval_warped, 0.4)
+        assert np.all(full[:, 3:] == 0.0)
+        assert np.array_equal(full, local_linear_operator(moved, eval_warped, 0.4))
 
     def test_linearity_in_responses(self, rng):
-        x = rng.uniform(size=8)
+        w = rng.uniform(0.5, 2.0, size=8)
+        op = local_linear_operator(w, np.linspace(0, 1, 6), 0.5)
         z1 = rng.standard_normal(8)
         z2 = rng.standard_normal(8)
-        fit = lambda z: np.array(locallin_fit(LocalLinearProblem(x=x, z=z, x0=0.5, bandwidth=1.0)))
-        assert np.allclose(fit(z1 + z2), fit(z1) + fit(z2), atol=1e-12)
+        fit = lambda z: op @ (w * z)
+        assert np.allclose(fit(z1 + 1j * z2), fit(z1) + 1j * fit(z2), atol=1e-12)
         assert np.allclose(fit(2.0 * z1), 2.0 * fit(z1), atol=1e-12)
 
     def test_single_support_point_raises_with_hint(self):
-        x = np.array([0.5, 0.5, 2.0])
-        with pytest.raises(SingularDesign) as err:
-            locallin_fit(LocalLinearProblem(x=x, z=np.ones(3), x0=0.5, bandwidth=0.4))
-        assert err.value.min_bandwidth == pytest.approx(1.5)
+        # knots 0, .25, .5, .75, 1: only 0.5 is observed inside the window (0.1, 0.9)
+        w = np.array([0.0, 0.0, 3.0, 0.0, 1.0])
+        with pytest.raises(SingularDesign, match="fewer than 2 observed knots") as err:
+            local_linear_operator(w, [0.5, 0.2], 0.4)   # both rows fail; the first is reported
+        assert err.value.min_bandwidth == pytest.approx(0.5)
+        assert err.value.eval_point == 0.5
         assert "bandwidth above" in str(err.value)
 
     def test_coincident_support_raises(self):
-        x = np.full(5, 0.3)
-        with pytest.raises(SingularDesign):
-            locallin_fit(LocalLinearProblem(x=x, z=np.ones(5), x0=0.3, bandwidth=1.0))
+        # one knot outweighs the other by 1e15: numerically a single support point
+        w = np.array([1e15, 1.0, 0.0])
+        with pytest.raises(SingularDesign, match="numerically singular"):
+            local_linear_operator(w, [0.1], 1.0)
 
 
 class TestMeanCurve:
