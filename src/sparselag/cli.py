@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or validation
 error.  Config files are flat ``key = value`` text; ``#`` starts a comment.
 Flags override file values.  All computation happens before any output file
-is written, so a failing stage leaves no partial results behind.
+is written, and the files of a run appear all or nothing, so a failing stage
+(the write included) leaves no partial results behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -189,12 +191,13 @@ def run_simulate(args) -> int:
         "noise_sd": spec.noise_sd,
         "seed": spec.seed,
     }
+    truth_text = json.dumps(truth_doc, indent=2, sort_keys=True) + "\n"
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        sio.write_yields_csv(panel, out_dir / "yields.csv")
-        sio.write_macro_csv(macro, out_dir / "macro.csv")
-        (out_dir / "truth.json").write_text(json.dumps(truth_doc, indent=2, sort_keys=True) + "\n",
-                                            encoding="utf-8")
+        sio.write_staged(out_dir, {
+            "yields.csv": functools.partial(sio.write_yields_csv, panel),
+            "macro.csv": functools.partial(sio.write_macro_csv, macro),
+            "truth.json": lambda path: path.write_text(truth_text, encoding="utf-8"),
+        })
     except OSError as exc:
         raise StageError("write", exc, 1) from exc
     print(f"wrote yields.csv, macro.csv, truth.json to {out_dir.resolve()}")

@@ -10,16 +10,21 @@ header and admits no missing cells.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import hashlib
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .lagreg import _eval_indices, predict_panel
+from .lagreg import _eval_indices, _predict_columns
 from .model import MacroPanel, MaturityGrid, SparseYieldPanel
 from .pipeline import AnalysisResult
 
@@ -136,49 +141,67 @@ class ResultBundle:
     )
 
 
+def _column(values) -> list[str]:
+    """Shortest round-trip text of every value of a real array, in C order."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _grid_column(labels, inner: int, outer: int) -> list[str]:
+    """Each label repeated ``inner`` times, the whole run repeated ``outer`` times."""
+    return [label for label in labels for _ in range(inner)] * outer
+
+
 def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: MacroPanel,
                         input_digests: dict | None = None) -> ResultBundle:
-    """Flatten an analysis into self-describing long-format tables."""
+    """Flatten an analysis into self-describing long-format tables.
+
+    Tables are built column by column: every grid value (frequency,
+    maturity, lag, series name) is formatted once and its string reused on
+    every row that carries it.
+    """
     fit = result.fit
     names = macro.series_names
-    omegas = result.spectral_density.grid.nodes
+    n_series, n_eval = len(names), fit.eval_tau.size
+    n_nodes = result.spectral_density.grid.n_nodes
+    omegas = _column(result.spectral_density.grid.nodes)
+    taus = _column(fit.eval_tau)
 
-    mean_rows = [(_fmt(tau), _fmt(tw), _fmt(mu))
-                 for tau, tw, mu in zip(fit.eval_tau, fit.eval_warped, fit.mean_curve)]
+    mean_rows = list(zip(taus, _column(fit.eval_warped), _column(fit.mean_curve)))
 
-    filt_rows = [
-        (names[j], str(int(h)), _fmt(tau), _fmt(fit.filter_coef[l, r, j]))
-        for j in range(fit.n_series)
-        for l, h in enumerate(fit.lags)
-        for r, tau in enumerate(fit.eval_tau)
-    ]
+    n_lags = fit.lags.size
+    filt_rows = list(zip(
+        _grid_column(names, n_lags * n_eval, 1),
+        _grid_column([str(int(h)) for h in fit.lags], n_eval, n_series),
+        _grid_column(taus, 1, n_series * n_lags),
+        _column(fit.filter_coef.transpose(2, 0, 1)),
+    ))
 
-    spec_rows = [
-        (_fmt(om), names[a], names[b],
-         _fmt(result.spectral_density.matrices[k, a, b].real),
-         _fmt(result.spectral_density.matrices[k, a, b].imag))
-        for k, om in enumerate(omegas)
-        for a in range(len(names))
-        for b in range(len(names))
-    ]
+    spec = result.spectral_density.matrices
+    spec_rows = list(zip(
+        _grid_column(omegas, n_series * n_series, 1),
+        _grid_column(names, n_series, n_nodes),
+        _grid_column(names, 1, n_nodes * n_series),
+        _column(spec.real),
+        _column(spec.imag),
+    ))
+
+    field_grids = (_grid_column(omegas, n_eval * n_series, 1),
+                   _grid_column(taus, n_series, n_nodes),
+                   _grid_column(names, 1, n_nodes * n_eval))
 
     def field_rows(values):
-        return [
-            (_fmt(om), _fmt(tau), names[j], _fmt(values[k, r, j].real), _fmt(values[k, r, j].imag))
-            for k, om in enumerate(omegas)
-            for r, tau in enumerate(fit.eval_tau)
-            for j in range(len(names))
-        ]
+        return list(zip(*field_grids, _column(values.real), _column(values.imag)))
 
-    cols = _eval_indices(fit, panel.maturity_grid.maturities)
-    pred = predict_panel(fit, macro)[:, cols]
-    fitted_rows = [
-        (str(t + 1), _fmt(tau),
-         _fmt(panel.values[t, i]) if panel.observed[t, i] else "",
-         _fmt(pred[t, i]))
-        for t in range(panel.n_times)
-        for i, tau in enumerate(panel.maturity_grid.maturities)
-    ]
+    maturities = panel.maturity_grid.maturities
+    cols = _eval_indices(fit, maturities)
+    observed = [text if seen else "" for text, seen in
+                zip(_column(panel.values), panel.observed.ravel().tolist())]
+    fitted_rows = list(zip(
+        _grid_column([str(t + 1) for t in range(panel.n_times)], panel.n_maturities, 1),
+        _grid_column(_column(maturities), 1, panel.n_times),
+        observed,
+        _column(_predict_columns(fit, macro, cols)),
+    ))
 
     cfg = result.config
     summary = {
@@ -213,24 +236,52 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
     )
 
 
+def write_staged(out_dir, writers: dict) -> list[Path]:
+    """Write a set of files all or nothing; returns their paths in ``writers`` order.
+
+    ``writers`` maps a file name to a callable that writes that file at the
+    path it is given.  Every file is first written into a temporary sibling
+    of ``out_dir`` and moved into place only after all writes succeeded.  On
+    failure the staged files, and any already moved into ``out_dir``, are
+    removed and the OSError is raised.
+    """
+    out_dir = Path(out_dir)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", suffix=".partial",
+                                  dir=out_dir.parent))
+    moved = []
+    try:
+        for name, write in writers.items():
+            write(stage / name)
+        out_dir.mkdir(exist_ok=True)
+        for name in writers:
+            os.replace(stage / name, out_dir / name)
+            moved.append(out_dir / name)
+    except OSError:
+        for path in moved:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return moved
+
+
+def _write_table(columns, rows, path) -> None:
+    with path.open("w", newline="\n", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
 def write_results(bundle: ResultBundle, out_dir) -> list[Path]:
     """Write one CSV per table plus summary.json; returns the manifest.
 
-    Re-running with identical inputs reproduces byte-identical files.
+    The files appear all or nothing (see ``write_staged``).  Re-running with
+    identical inputs reproduces byte-identical files.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for name in ResultBundle.TABLES:
-        columns, rows = getattr(bundle, name)
-        path = out_dir / f"{name}.csv"
-        with path.open("w", newline="\n", encoding="utf-8") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        manifest.append(path)
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(bundle.summary, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    manifest.append(summary_path)
-    return manifest
+    writers = {f"{name}.csv": functools.partial(_write_table, *getattr(bundle, name))
+               for name in ResultBundle.TABLES}
+    summary = json.dumps(bundle.summary, indent=2, sort_keys=True) + "\n"
+    writers["summary.json"] = lambda path: path.write_text(summary, encoding="utf-8")
+    return write_staged(out_dir, writers)

@@ -97,15 +97,14 @@ def filter_coefficients(resp: FrequencyResponseField, h_max: int):
 
 
 def _eval_indices(fit: LaggedRegressionFit, eval_points) -> np.ndarray:
-    """Locate requested maturities inside the fit's evaluation grid."""
+    """Locate requested maturities inside the fit's evaluation grid (first match wins)."""
     eval_points = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    idx = np.empty(eval_points.size, dtype=int)
-    for k, tau in enumerate(eval_points):
-        hits = np.flatnonzero(np.isclose(fit.eval_tau, tau, rtol=1e-12, atol=1e-12))
-        if hits.size == 0:
-            raise ValueError(f"maturity {tau} is not on the fit's evaluation grid")
-        idx[k] = hits[0]
-    return idx
+    close = np.isclose(fit.eval_tau, eval_points[:, None], rtol=1e-12, atol=1e-12)
+    found = close.any(axis=1)
+    if not found.all():
+        tau = eval_points[np.argmin(found)]
+        raise ValueError(f"maturity {tau} is not on the fit's evaluation grid")
+    return np.argmax(close, axis=1)
 
 
 def _centered_regressor_at(macro: MacroPanel, macro_means, t_one_based: int, h: int) -> np.ndarray:
@@ -135,21 +134,27 @@ def predict_curve(fit: LaggedRegressionFit, macro: MacroPanel, t: int, eval_poin
     return pred
 
 
-def predict_panel(fit: LaggedRegressionFit, macro: MacroPanel) -> np.ndarray:
-    """Predicted curves for every t at the fit's evaluation grid, shape (T, R)."""
+def _predict_columns(fit: LaggedRegressionFit, macro: MacroPanel, cols) -> np.ndarray:
+    """Predicted curves for every t at evaluation points ``cols``, shape (T, len(cols))."""
     if macro.n_series != fit.n_series:
         raise ValueError("fit and regressor panel disagree on the number of series")
     t_len = macro.n_times
     xc = macro.values - fit.macro_means
-    pred = np.tile(fit.mean_curve, (t_len, 1))
+    coef = fit.filter_coef[:, cols]
+    pred = np.tile(fit.mean_curve[cols], (t_len, 1))
     for l, h in enumerate(fit.lags):
         h = int(h)
         # rows t = 1..T pick X_{t-h}; out-of-window rows stay imputed at zero
         lo_t, hi_t = max(0, h), min(t_len, t_len + h)
         if lo_t >= hi_t:
             continue
-        pred[lo_t:hi_t] += xc[lo_t - h: hi_t - h] @ fit.filter_coef[l].T
+        pred[lo_t:hi_t] += xc[lo_t - h: hi_t - h] @ coef[l].T
     return pred
+
+
+def predict_panel(fit: LaggedRegressionFit, macro: MacroPanel) -> np.ndarray:
+    """Predicted curves for every t at the fit's evaluation grid, shape (T, R)."""
+    return _predict_columns(fit, macro, slice(None))
 
 
 def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPanel) -> float:
@@ -162,7 +167,7 @@ def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPan
     if panel.n_times != macro.n_times:
         raise ValueError("panel horizons differ between curves and regressors")
     cols = _eval_indices(fit, panel.maturity_grid.maturities)
-    pred = predict_panel(fit, macro)[:, cols]
+    pred = _predict_columns(fit, macro, cols)
     mean = fit.mean_curve[cols]
     obs = panel.observed
     resid = np.where(obs, panel.values - pred, 0.0)

@@ -175,11 +175,14 @@ class FrequencyGrid:
     def conjugate_asymmetry(self, values: np.ndarray) -> float:
         """max |v(-omega) - conj(v(omega))| along axis 0, relative to max(1, max |v|).
 
-        Node k pairs with node (-k) mod N; node 0 (omega = -pi) pairs with itself.
+        Node k pairs with node (-k) mod N; nodes 0 (omega = -pi) and N/2
+        (omega = 0) pair with themselves.  The two terms of a pair are equal,
+        so each pair is compared once, from its node k <= N/2.
         """
-        flipped = values[(-np.arange(self.n_nodes)) % self.n_nodes]
+        half = np.arange(self.n_nodes // 2 + 1)
+        gap = values[(-half) % self.n_nodes] - np.conj(values[half])
         scale = max(1.0, float(np.abs(values).max()))
-        return float(np.abs(flipped - np.conj(values)).max()) / scale
+        return float(np.abs(gap).max()) / scale
 
 
 @dataclass(frozen=True)

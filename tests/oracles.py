@@ -1,7 +1,10 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately naive (plain loops, library least-squares)
-and shares no code with the production paths it checks.
+and shares no code with the production paths it checks.  The one exception
+is ``naive_result_rows``: it takes its predictions from the full-grid
+``predict_panel`` and its maturity lookup from the library, because its
+subject is the text formatting, which must match bit for bit.
 """
 
 import numpy as np
@@ -59,3 +62,62 @@ def loop_prediction(fit, macro_values, macro_means, t_one_based):
         for j in range(macro_values.shape[1]):
             pred = pred + fit.filter_coef[l, :, j] * xc[j]
     return pred
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def naive_result_rows(result, panel, macro):
+    """Per-element result-table rows, keyed by table name, as strings."""
+    from sparselag.lagreg import _eval_indices, predict_panel
+
+    fit = result.fit
+    names = macro.series_names
+    omegas = result.spectral_density.grid.nodes
+
+    mean_rows = [(_fmt(tau), _fmt(tw), _fmt(mu))
+                 for tau, tw, mu in zip(fit.eval_tau, fit.eval_warped, fit.mean_curve)]
+
+    filt_rows = [
+        (names[j], str(int(h)), _fmt(tau), _fmt(fit.filter_coef[l, r, j]))
+        for j in range(fit.n_series)
+        for l, h in enumerate(fit.lags)
+        for r, tau in enumerate(fit.eval_tau)
+    ]
+
+    spec_rows = [
+        (_fmt(om), names[a], names[b],
+         _fmt(result.spectral_density.matrices[k, a, b].real),
+         _fmt(result.spectral_density.matrices[k, a, b].imag))
+        for k, om in enumerate(omegas)
+        for a in range(len(names))
+        for b in range(len(names))
+    ]
+
+    def field_rows(values):
+        return [
+            (_fmt(om), _fmt(tau), names[j], _fmt(values[k, r, j].real), _fmt(values[k, r, j].imag))
+            for k, om in enumerate(omegas)
+            for r, tau in enumerate(fit.eval_tau)
+            for j in range(len(names))
+        ]
+
+    cols = _eval_indices(fit, panel.maturity_grid.maturities)
+    pred = predict_panel(fit, macro)[:, cols]
+    fitted_rows = [
+        (str(t + 1), _fmt(tau),
+         _fmt(panel.values[t, i]) if panel.observed[t, i] else "",
+         _fmt(pred[t, i]))
+        for t in range(panel.n_times)
+        for i, tau in enumerate(panel.maturity_grid.maturities)
+    ]
+
+    return {
+        "mean_curve": mean_rows,
+        "filter_coefficients": filt_rows,
+        "spectral_density": spec_rows,
+        "cross_spectral": field_rows(result.cross_spectral.values),
+        "frequency_response": field_rows(result.frequency_response.values),
+        "fitted": fitted_rows,
+    }

@@ -70,6 +70,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(blocker / "sim")]) == 1
         assert "error [write]" in capsys.readouterr().err
 
+    def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("preset = recovery\n")
+        out = tmp_path / "sim"
+        (out / "macro.csv").mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error [write]" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["macro.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim", "sim.cfg"]
+
 
 class TestAnalyzeCommand:
     def test_full_run_and_summary(self, sim_dir, tmp_path, capsys):

@@ -4,11 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparselag import (ParseError, analyze, build_result_bundle, load_macro_csv,
-                       load_yields_csv, r_squared, recovery_spec, simulate_lagged_regression,
-                       write_macro_csv, write_results, write_yields_csv)
+from sparselag import (Config, MaturityGrid, ParseError, ResultBundle, SparseYieldPanel,
+                       SyntheticSpec, US_MATURITIES, analyze, build_result_bundle,
+                       load_macro_csv, load_yields_csv, r_squared, recovery_spec,
+                       simulate_lagged_regression, write_macro_csv, write_results,
+                       write_yields_csv)
 from sparselag.io import sha256_digest
 from conftest import random_macro_panel, random_sparse_panel
+from oracles import naive_result_rows
 
 
 class TestLoadYields:
@@ -151,3 +154,73 @@ class TestWriteResults:
         assert first[0] == "series,lag,tau,coefficient"
         spec_head = (tmp_path / "out" / "spectral_density.csv").read_text().splitlines()[0]
         assert spec_head == "omega,row_series,col_series,real,imag"
+
+
+def _sparse_analysis(n_series, seed, missing_frac=0.1):
+    """Analysis of a simulated panel with missing cells, on small grids."""
+    spec = SyntheticSpec(
+        maturity_grid=MaturityGrid(np.array(US_MATURITIES)), n_times=120,
+        ar_coef=np.diag([0.8, 0.7, 0.9][:n_series]), innovation_cov=np.eye(n_series),
+        macro_mean=np.zeros(n_series), filter_fns={(0, n_series - 1): lambda t: 1.0 - t},
+        curve_error_scale=0.3, noise_sd=0.1, seed=seed)
+    panel, macro, _ = simulate_lagged_regression(spec)
+    rng = np.random.default_rng(seed)
+    missing = rng.random(panel.values.shape) < missing_frac
+    missing[:, 0] = False                      # every date keeps an observed cell
+    panel = SparseYieldPanel.from_values(np.where(missing, np.nan, panel.values),
+                                         panel.maturity_grid)
+    config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=64, n_eval=21)
+    return analyze(panel, macro, config), panel, macro
+
+
+def _table_rows(bundle):
+    return {name: list(getattr(bundle, name)[1]) for name in ResultBundle.TABLES}
+
+
+class TestResultRowsMatchOracle:
+    @pytest.mark.parametrize("n_series, seed", [(1, 5), (3, 6)])
+    def test_rows_equal_per_element_oracle(self, n_series, seed):
+        result, panel, macro = _sparse_analysis(n_series, seed)
+        assert not panel.observed.all()
+        rows = _table_rows(build_result_bundle(result, panel, macro))
+        expected = naive_result_rows(result, panel, macro)
+        for name in ResultBundle.TABLES:
+            assert rows[name] == expected[name], name
+        # the tables exercise exponent notation and empty (missing) cells
+        cells = {cell for table in rows.values() for row in table for cell in row}
+        assert any("e-" in cell for cell in cells)
+        assert "" in {row[2] for row in rows["fitted"]}
+
+    def test_signed_zero_and_exponents_format_like_oracle(self):
+        result, panel, macro = _sparse_analysis(3, 7)
+        coef = result.fit.filter_coef.copy()
+        coef[0, :4, 0] = [-0.0, 1e-300, -2.5e300, 5e-324]
+        mean = result.fit.mean_curve.copy()
+        mean[:2] = [-0.0, 1e22]
+        fit = replace(result.fit, filter_coef=coef, mean_curve=mean)
+        edited = replace(result, fit=fit)
+        rows = _table_rows(build_result_bundle(edited, panel, macro))
+        assert rows == naive_result_rows(edited, panel, macro)
+        assert [row[3] for row in rows["filter_coefficients"][:4]] == \
+            ["-0.0", "1e-300", "-2.5e+300", "5e-324"]
+        assert [row[2] for row in rows["mean_curve"][:2]] == ["-0.0", "1e+22"]
+
+
+class TestAllOrNothingWrites:
+    def test_blocked_file_leaves_no_other_results(self, small_analysis, tmp_path):
+        result, panel, macro = small_analysis
+        bundle = build_result_bundle(result, panel, macro)
+        out = tmp_path / "out"
+        (out / "fitted.csv").mkdir(parents=True)
+        with pytest.raises(OSError):
+            write_results(bundle, out)
+        assert [p.name for p in out.iterdir()] == ["fitted.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_success_leaves_exactly_the_result_files(self, small_analysis, tmp_path):
+        result, panel, macro = small_analysis
+        bundle = build_result_bundle(result, panel, macro)
+        manifest = write_results(bundle, tmp_path / "out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            sorted(p.name for p in manifest)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sparselag import (DegenerateTotal, FrequencyGrid, FrequencyResponseField,
                        filter_coefficients, frequency_response, predict_curve, predict_panel,
                        r_squared)
 from sparselag.cross_spectral import CrossSpectralField
+from sparselag.lagreg import _eval_indices, _predict_columns
 from conftest import random_macro_panel
 from oracles import loop_prediction
 
@@ -210,6 +213,32 @@ class TestPrediction:
         assert np.array_equal(sub, full[[0, 8]])
         with pytest.raises(ValueError, match="evaluation grid"):
             predict_curve(fit, macro, 3, eval_points=[4.0])
+
+    def test_eval_lookup_takes_first_hit_and_names_first_miss(self, us_grid):
+        fit = _toy_fit(us_grid, np.zeros((3, 9, 1)))
+        taus = fit.eval_tau.copy()
+        taus[4] = taus[3]                    # maturity 2.0 now sits at indices 3 and 4
+        dup = replace(fit, eval_tau=taus)
+        assert _eval_indices(dup, [2.0, 30.0, 2.0 * (1 + 1e-13)]).tolist() == [3, 8, 3]
+        assert _eval_indices(dup, 0.5).tolist() == [1]
+        with pytest.raises(ValueError, match=r"maturity 4\.0 is not"):
+            _eval_indices(dup, [0.5, 4.0, 6.0])
+
+    @pytest.mark.parametrize("t_len, d", [(192, 3), (60, 1), (300, 5)])
+    def test_column_subset_prediction_is_bit_identical(self, rng, t_len, d):
+        n_eval, h_max = 105, 12
+        fit = LaggedRegressionFit(
+            filter_coef=rng.standard_normal((2 * h_max + 1, n_eval, d)),
+            lags=np.arange(-h_max, h_max + 1),
+            eval_tau=np.linspace(0.1, 30.0, n_eval),
+            eval_warped=np.linspace(0.0, 1.0, n_eval),
+            mean_curve=5.0 + rng.standard_normal(n_eval),
+            macro_means=rng.standard_normal(d),
+            warp=None,
+        )
+        macro = random_macro_panel(rng, t_len, d)
+        cols = np.sort(rng.choice(n_eval, size=9, replace=False))
+        assert np.array_equal(_predict_columns(fit, macro, cols), predict_panel(fit, macro)[:, cols])
 
 
 class TestRSquared:

@@ -87,6 +87,27 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError, match="even"):
             FrequencyGrid(bad)
 
+    @staticmethod
+    def _symmetric_field(rng, grid, shape=(3, 2)):
+        size = (grid.n_nodes, *shape)
+        half = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return half + np.conj(half[(-np.arange(grid.n_nodes)) % grid.n_nodes])
+
+    def test_conjugate_asymmetry_equals_both_way_comparison(self, rng):
+        grid = FrequencyGrid(16)
+        values = self._symmetric_field(rng, grid) + 1e-3 * rng.standard_normal((16, 3, 2))
+        flipped = values[(-np.arange(16)) % 16]
+        both_ways = np.abs(flipped - np.conj(values)).max() / max(1.0, np.abs(values).max())
+        assert grid.conjugate_asymmetry(values) == both_ways > 0.0
+
+    @pytest.mark.parametrize("node", [0, 3, 8, 13])   # -pi, a pair, 0, a pair from above
+    def test_conjugate_asymmetry_sees_every_node(self, rng, node):
+        grid = FrequencyGrid(16)
+        values = self._symmetric_field(rng, grid)
+        assert grid.conjugate_asymmetry(values) <= 1e-15
+        values[node, 1, 0] += 0.5j
+        assert grid.conjugate_asymmetry(values) >= 0.5 / np.abs(values).max()
+
 
 class TestConfig:
     def test_defaults_follow_sqrt_rule(self):
