@@ -64,7 +64,7 @@ def check_cross_spectral_equivalence(rng: np.random.Generator, n_instances: int 
             panel, 2.0 / (panel.n_maturities - 1), np.linspace(0, 1, panel.n_maturities))
         macro_means = mv_spectral.empirical_mean(macro)
         raw = cross_spectral.raw_cross_cov(panel, macro, mean_curve, macro_means, q)
-        fast = cross_spectral.cross_spectral_density(raw, warp, b_r, q, grid, eval_warped)
+        fast = cross_spectral.cross_spectral_density(raw, b_r, grid, eval_warped)
         naive = cross_spectral.naive_cross_spectral_density(
             panel, macro, mean_curve, macro_means, warp, b_r, q, grid, eval_warped)
         worst = max(worst, float(np.abs(fast.values - naive).max()))
@@ -79,8 +79,7 @@ def check_quadrature_round_trip(rng: np.random.Generator, tol: float = 1e-12) ->
     grid = FrequencyGrid(n_omega)
     lags = np.arange(-h_true, h_true + 1)
     values = np.einsum("ln,lrd->nrd", np.exp(-1j * np.outer(lags, grid.nodes)), coef)
-    resp = lagreg.FrequencyResponseField(grid=grid, eval_warped=np.linspace(0, 1, 4),
-                                         eval_tau=np.linspace(0, 1, 4), values=values)
+    resp = lagreg.FrequencyResponseField(grid=grid, values=values)
     recovered, _ = lagreg.filter_coefficients(resp, h_max)
     center = h_max - h_true
     err_inside = float(np.abs(recovered[center: center + 2 * h_true + 1] - coef).max())

@@ -36,8 +36,6 @@ class FrequencyResponseField:
     """Complex response values on (frequency, evaluation point, series)."""
 
     grid: FrequencyGrid
-    eval_warped: np.ndarray
-    eval_tau: np.ndarray
     values: np.ndarray                          # (N, R, d) complex
     condition_numbers: Optional[np.ndarray] = None  # (N,) cond of F_hat per node
 
@@ -48,8 +46,6 @@ class FrequencyResponseField:
         if self.grid.conjugate_asymmetry(vals) > _CONJ_SYM_TOL:
             raise ValueError("frequency response must satisfy B(-omega) = conj(B(omega))")
         object.__setattr__(self, "values", _frozen(vals, dtype=complex))
-        object.__setattr__(self, "eval_warped", _frozen(self.eval_warped))
-        object.__setattr__(self, "eval_tau", _frozen(self.eval_tau))
 
 
 def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
@@ -71,9 +67,7 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
     rhs = np.conj(np.swapaxes(cross.values, 1, 2))       # (N, d, R)
     z = np.linalg.solve(spec.matrices, rhs)
     values = np.conj(np.swapaxes(z, 1, 2))               # (N, R, d)
-    return FrequencyResponseField(grid=cross.grid, eval_warped=cross.eval_warped,
-                                  eval_tau=cross.eval_tau, values=values,
-                                  condition_numbers=conds)
+    return FrequencyResponseField(grid=cross.grid, values=values, condition_numbers=conds)
 
 
 def filter_coefficients(resp: FrequencyResponseField, h_max: int):
@@ -86,9 +80,9 @@ def filter_coefficients(resp: FrequencyResponseField, h_max: int):
     n = resp.grid.n_nodes
     if n < 2 * h_max + 2:
         raise ValueError(f"need n_omega >= {2 * h_max + 2} to integrate lags up to {h_max}, got {n}")
-    lags = np.arange(-h_max, h_max + 1)
-    phases = np.exp(1j * np.outer(lags, resp.grid.nodes))
-    raw = np.einsum("ln,nrd->lrd", phases, resp.values) / n
+    # conjugate of the lag-to-frequency kernel: e^{+i h omega}, shape (2H+1, N)
+    inverse = resp.grid.phases(np.arange(-h_max, h_max + 1)).conj().T
+    raw = np.tensordot(inverse, resp.values, axes=1) / n
     max_imag = float(np.abs(raw.imag).max())
     bound = _IMAG_RESIDUAL_TOL * (1.0 + float(np.abs(raw.real).max()))
     if max_imag > bound:

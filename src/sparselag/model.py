@@ -135,6 +135,12 @@ class MacroPanel:
         names = tuple(str(s) for s in self.series_names)
         if len(names) != values.shape[1]:
             raise ValueError(f"got {len(names)} series names for {values.shape[1]} series")
+        # result tables are comma-joined and keyed by series name
+        for k, name in enumerate(names):
+            if any(c in name for c in ',"\r\n'):
+                raise ValueError(f"series name {name!r} contains a comma, quote or line break")
+            if name in names[:k]:
+                raise ValueError(f"duplicate series name {name!r}")
         object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "series_names", names)
 
@@ -171,6 +177,14 @@ class FrequencyGrid:
     @property
     def quadrature_weight(self) -> float:
         return 2.0 * np.pi / self.n_nodes
+
+    def phases(self, lags) -> np.ndarray:
+        """Fourier kernel e^{-i h omega_k}, shape (N, len(lags)).
+
+        The one sign convention shared by both spectral estimates (lag to
+        frequency); the filter quadrature integrates back with its conjugate.
+        """
+        return np.exp(-1j * np.outer(self.nodes, lags))
 
     def conjugate_asymmetry(self, values: np.ndarray) -> float:
         """max |v(-omega) - conj(v(omega))| along axis 0, relative to max(1, max |v|).

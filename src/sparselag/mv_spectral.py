@@ -8,8 +8,14 @@ the lag-window (Bartlett) formula with a triangular window of span Q:
 
 where R_hat_h is the empirical lag-h autocovariance with divisor T (not
 T - h), and R_hat_{-h} = R_hat_h' by construction.  The sum runs over the
-2Q - 1 lags with nonzero weight and is evaluated by direct summation per
-frequency node; with Q around sqrt(T) an FFT buys nothing here.
+2Q - 1 lags with nonzero weight and is one product of the (N, 2Q - 1)
+weighted phase matrix with the stacked lag values; with Q around sqrt(T) an
+FFT buys nothing here.
+
+Two primitives serve both spectral estimates: :func:`lagged_products` builds
+the lag-h product sums (here of the regressors with themselves; in
+:mod:`sparselag.cross_spectral` of the curves with the regressors), and
+:func:`lag_window_transform` takes any stack of lag values to frequency.
 """
 
 from __future__ import annotations
@@ -29,19 +35,18 @@ def empirical_mean(panel: MacroPanel) -> np.ndarray:
     return panel.values.mean(axis=0)
 
 
-def empirical_autocov(panel: MacroPanel, h: int) -> np.ndarray:
-    """Empirical lag-h autocovariance matrix, divisor T.
+def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Lag-h product sums P[l] = sum_t a[t+h]' b[t] for h = l - (q-1) = 1-q..q-1.
 
-    R_hat_h = (1/T) * sum_{t=1}^{T-h} (X_{t+h} - mu)(X_t - mu)'  for h >= 0,
-    and R_hat_h = R_hat_{-h}' for h < 0.
+    a is (T, m) and b is (T, n); t runs over the rows where both a[t+h] and
+    b[t] exist.  Returns shape (2q-1, m, n).
     """
-    t_len = panel.n_times
-    if abs(h) >= t_len:
-        raise ValueError(f"lag {h} out of range for a series of length {t_len}")
-    if h < 0:
-        return empirical_autocov(panel, -h).T
-    xc = panel.values - empirical_mean(panel)
-    return xc[h:].T @ xc[: t_len - h] / t_len
+    t_len = a.shape[0]
+    out = np.empty((2 * q - 1, a.shape[1], b.shape[1]))
+    for l, h in enumerate(range(1 - q, q)):
+        start, stop = max(0, -h), min(t_len, t_len - h)
+        out[l] = a[start + h: stop + h].T @ b[start:stop]
+    return out
 
 
 def bartlett_weights(q: int) -> np.ndarray:
@@ -50,6 +55,16 @@ def bartlett_weights(q: int) -> np.ndarray:
         raise ValueError(f"window span must be a positive integer, got {q}")
     h = np.arange(1 - q, q)
     return 1.0 - np.abs(h) / q
+
+
+def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """sum_h W_h e^{-i h omega_k} M_h for a stack M of 2q-1 lags, h = 1-q..q-1.
+
+    Returns shape (N, *lag_values.shape[1:]), without the 1/2pi factor.
+    """
+    q = (lag_values.shape[0] + 1) // 2
+    kernel = grid.phases(np.arange(1 - q, q)) * bartlett_weights(q)
+    return np.tensordot(kernel, lag_values, axes=1)
 
 
 @dataclass(frozen=True)
@@ -71,9 +86,11 @@ class AutocovarianceSet:
         if mats.shape != (lags.size, mean.size, mean.size):
             raise ValueError("matrices must have shape (2q-1, d, d)")
         center = self.q - 1
-        for k in range(1, self.q):
-            if not np.array_equal(mats[center - k], mats[center + k].T):
-                raise ValueError(f"R_{-k} must equal the transpose of R_{k} exactly")
+        # mirrored[k - 1] says whether R_{-k} = R_k' for k = 1..q-1
+        mirrored = (mats[:center][::-1] == np.swapaxes(mats[center + 1:], 1, 2)).all(axis=(1, 2))
+        if not mirrored.all():
+            k = int(np.argmin(mirrored)) + 1
+            raise ValueError(f"R_{-k} must equal the transpose of R_{k} exactly")
         r0 = mats[center]
         scale = max(1.0, float(np.abs(r0).max()))
         if np.abs(r0 - r0.T).max() > 1e-10 * scale:
@@ -95,14 +112,12 @@ def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:
     """All autocovariances needed by a span-q window (|h| < q)."""
     if not 1 <= q <= panel.n_times:
         raise ValueError(f"window span must satisfy 1 <= q <= T, got q={q}, T={panel.n_times}")
-    d = panel.n_series
-    mats = np.empty((2 * q - 1, d, d))
-    for h in range(q):
-        mats[q - 1 + h] = empirical_autocov(panel, h)
-        if h > 0:
-            mats[q - 1 - h] = mats[q - 1 + h].T
-    return AutocovarianceSet(lags=np.arange(1 - q, q), matrices=mats,
-                             mean=empirical_mean(panel), q=q)
+    mean = empirical_mean(panel)
+    xc = panel.values - mean
+    mats = lagged_products(xc, xc, q) / panel.n_times
+    # mirror the positive lags so that R_{-h} = R_h' holds exactly
+    mats[: q - 1] = np.swapaxes(mats[: q - 1: -1], 1, 2)
+    return AutocovarianceSet(lags=np.arange(1 - q, q), matrices=mats, mean=mean, q=q)
 
 
 @dataclass(frozen=True)
@@ -139,8 +154,5 @@ class SpectralDensityField:
 
 def spectral_density_matrix(acov: AutocovarianceSet, grid: FrequencyGrid) -> SpectralDensityField:
     """Evaluate the triangular-window estimator on the frequency grid."""
-    weights = bartlett_weights(acov.q)
-    weighted = weights[:, None, None] * acov.matrices
-    phases = np.exp(-1j * np.outer(grid.nodes, acov.lags))
-    mats = np.einsum("kl,lab->kab", phases, weighted) / (2.0 * np.pi)
-    return SpectralDensityField(grid=grid, matrices=mats)
+    return SpectralDensityField(grid=grid,
+                                matrices=lag_window_transform(acov.matrices, grid) / (2.0 * np.pi))

@@ -88,7 +88,7 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
     spec_density = mv_spectral.spectral_density_matrix(acov, grid)
 
     raw = cross_spectral.raw_cross_cov(panel, macro, mean_at_knots, acov.mean, config.q)
-    cross = cross_spectral.cross_spectral_density(raw, warp, config.b_r, config.q, grid, eval_warped)
+    cross = cross_spectral.cross_spectral_density(raw, config.b_r, grid, eval_warped)
 
     response = lagreg.frequency_response(cross, spec_density, config.cond_threshold)
     coef, max_imag = lagreg.filter_coefficients(response, config.h_max)

@@ -39,7 +39,7 @@ def test_01_cross_spectral_oracle_equivalence():
         eval_warped = rng.uniform(size=3)
         b_r = float(rng.uniform(1.2, 2.5)) / (n_mat - 1)
         raw = sl.raw_cross_cov(panel, macro, mean_curve, mu_x, q)
-        fast = sl.cross_spectral_density(raw, warp, b_r, q, grid, eval_warped)
+        fast = sl.cross_spectral_density(raw, b_r, grid, eval_warped)
         naive = sl.naive_cross_spectral_density(panel, macro, mean_curve, mu_x, warp,
                                                 b_r, q, grid, eval_warped)
         worst = max(worst, float(np.abs(fast.values - naive).max()))
@@ -76,8 +76,7 @@ def test_03_fourier_round_trip():
     lags = np.arange(-h_true, h_true + 1)
     coef = rng.standard_normal((lags.size, 3, 2))
     values = np.einsum("ln,lrd->nrd", np.exp(-1j * np.outer(lags, grid.nodes)), coef)
-    resp = sl.FrequencyResponseField(grid=grid, eval_warped=np.linspace(0, 1, 3),
-                                     eval_tau=np.linspace(0, 1, 3), values=values)
+    resp = sl.FrequencyResponseField(grid=grid, values=values)
     recovered, _ = sl.filter_coefficients(resp, h_max)
     center = h_max - h_true
     err_in = float(np.abs(recovered[center: center + lags.size] - coef).max())

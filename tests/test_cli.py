@@ -164,6 +164,39 @@ class TestAnalyzeCommand:
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "[config]" in capsys.readouterr().err
 
+    def _analyze_exit(self, yields, macro, out, capsys):
+        code = main(["analyze", "--yields", str(yields), "--macro", str(macro), "--out", str(out)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ['"fed funds, effective",X2', "X1,X1"])
+    def test_unsafe_or_duplicate_series_names_exit_2(self, sim_dir, tmp_path, capsys, header):
+        n_rows = len((sim_dir / "yields.csv").read_text().splitlines()) - 1
+        macro = tmp_path / "m.csv"
+        macro.write_text(header + "\n" + "1.0,2.0\n" * n_rows)
+        out = tmp_path / "o"
+        code, err = self._analyze_exit(sim_dir / "yields.csv", macro, out, capsys)
+        assert code == 2 and "[load]" in err
+        assert not out.exists()
+
+    def test_identical_regressors_exit_1_ill_conditioned(self, sim_dir, tmp_path, capsys):
+        rows = (sim_dir / "macro.csv").read_text().splitlines()[1:]
+        twins = tmp_path / "twins.csv"
+        twins.write_text("A,B\n" + "".join(f"{v},{v}\n" for v in rows))
+        out = tmp_path / "o"
+        code, err = self._analyze_exit(sim_dir / "yields.csv", twins, out, capsys)
+        assert code == 1 and "[estimate]" in err and "condition" in err
+        assert not out.exists()
+
+    def test_constant_yields_exit_1_degenerate_total(self, sim_dir, tmp_path, capsys):
+        lines = (sim_dir / "yields.csv").read_text().splitlines()
+        n_mat = len(lines[0].split(","))
+        flat = tmp_path / "flat.csv"
+        flat.write_text(lines[0] + "\n" + (",".join(["5.0"] * n_mat) + "\n") * (len(lines) - 1))
+        out = tmp_path / "o"
+        code, err = self._analyze_exit(flat, sim_dir / "macro.csv", out, capsys)
+        assert code == 1 and "[estimate]" in err and "total sum of squares" in err
+        assert not out.exists()
+
 
 class TestCheckCommand:
     def test_fresh_build_passes(self, capsys):

@@ -25,38 +25,31 @@ class TestRawCrossCov:
         flat = SparseYieldPanel(values=np.tile(col_means, (20, 1)), observed=panel.observed,
                                 maturity_grid=panel.maturity_grid)
         raw = raw_cross_cov(flat, macro, col_means, empirical_mean(macro), 3)
-        sums, _ = raw.lag_sums()
-        assert np.all(sums == 0.0)
+        assert np.all(raw.sums == 0.0)
 
     def test_hand_computed_three_points(self):
         panel, macro = _toy_setup()
         # single-maturity case padded to the minimum grid size with identical columns
         raw = raw_cross_cov(panel, macro, np.array([2.0, 2.0, 2.0]), np.zeros(1), 2)
-        sums, counts = raw.lag_sums()
-        assert raw.lags.tolist() == [-1, 0, 1]
+        assert raw.sums.shape == (3, 3, 1)      # lags -1, 0, 1
         # centered curve (-1, 0, 1) against X = (1, 0, -1):
         # h = 0: -1*1 + 0*0 + 1*(-1); h = 1: (y2-2)X1 + (y3-2)X2; h = -1: (y1-2)X2 + (y2-2)X3
-        assert np.allclose(sums[:, :, 0], [[0.0] * 3, [-2.0] * 3, [0.0] * 3])
-        assert np.array_equal(counts, [[2.0] * 3, [3.0] * 3, [2.0] * 3])
+        assert np.allclose(raw.sums[:, :, 0], [[0.0] * 3, [-2.0] * 3, [0.0] * 3])
+        assert np.array_equal(raw.counts, [[2.0] * 3, [3.0] * 3, [2.0] * 3])
 
     def test_t_range_length_at_edge_lag(self, rng):
         panel = random_sparse_panel(rng, 15, 3, missing_frac=0.0)
         macro = random_macro_panel(rng, 15, 1)
         q = 4
         raw = raw_cross_cov(panel, macro, np.zeros(3), np.zeros(1), q)
-        _, counts = raw.lag_sums()
-        for l in (0, 2 * q - 2):
-            h = int(raw.lags[l])
-            start, stop = raw.t_bounds(h)
-            assert abs(h) == q - 1
-            assert stop - start == 15 - (q - 1)
-            assert counts[l].sum() == (15 - (q - 1)) * 3
+        for l in (0, 2 * q - 2):                # h = -(q-1) and h = q-1
+            assert np.array_equal(raw.counts[l], [15 - (q - 1)] * 3)
 
     def test_count_excludes_missing(self, rng):
         panel = random_sparse_panel(rng, 12, 4, missing_frac=0.3)
         macro = random_macro_panel(rng, 12, 1)
         raw = raw_cross_cov(panel, macro, np.zeros(4), np.zeros(1), 2)
-        _, counts = raw.lag_sums()      # lags -1, 0, 1
+        counts = raw.counts             # lags -1, 0, 1
         assert np.array_equal(counts[1], panel.observed.sum(axis=0))
         assert np.array_equal(counts[2], panel.observed[1:].sum(axis=0))
         assert np.array_equal(counts[0], panel.observed[:-1].sum(axis=0))
@@ -73,8 +66,7 @@ class TestCrossSpectralDensity:
         panel, macro = _toy_setup()
         flat = SparseYieldPanel.from_values(np.full((3, 3), 2.0), panel.maturity_grid)
         raw = raw_cross_cov(flat, macro, np.full(3, 2.0), np.zeros(1), 2)
-        field = cross_spectral_density(raw, build_warp(panel.maturity_grid), 0.8, 2,
-                                       FrequencyGrid(16), np.linspace(0, 1, 5))
+        field = cross_spectral_density(raw, 0.8, FrequencyGrid(16), np.linspace(0, 1, 5))
         assert np.abs(field.values).max() == 0.0
 
     def test_only_lag_zero_makes_field_flat_in_frequency(self, rng):
@@ -83,8 +75,7 @@ class TestCrossSpectralDensity:
         panel = random_sparse_panel(rng, 10, 4, missing_frac=0.0)
         macro = random_macro_panel(rng, 10, 1)
         raw = raw_cross_cov(panel, macro, np.zeros(4), np.zeros(1), 1)
-        field = cross_spectral_density(raw, build_warp(panel.maturity_grid), 0.7, 1,
-                                       FrequencyGrid(16), np.array([0.3, 0.6]))
+        field = cross_spectral_density(raw, 0.7, FrequencyGrid(16), np.array([0.3, 0.6]))
         spread = np.abs(field.values - field.values[:1]).max()
         assert spread <= 1e-14
 
@@ -103,7 +94,7 @@ class TestCrossSpectralDensity:
             eval_warped = rng.uniform(size=3)
             b_r = float(rng.uniform(1.2, 2.5)) / (n_mat - 1)
             raw = raw_cross_cov(panel, macro, mean_curve, mu_x, q)
-            fast = cross_spectral_density(raw, warp, b_r, q, grid, eval_warped)
+            fast = cross_spectral_density(raw, b_r, grid, eval_warped)
             naive = naive_cross_spectral_density(panel, macro, mean_curve, mu_x, warp,
                                                  b_r, q, grid, eval_warped)
             assert np.abs(fast.values - naive).max() <= 1e-10
@@ -113,8 +104,7 @@ class TestCrossSpectralDensity:
         macro = random_macro_panel(rng, 30, 2)
         mean_curve = mean_curve_warped(panel, 0.5, np.linspace(0, 1, 5))
         raw = raw_cross_cov(panel, macro, mean_curve, empirical_mean(macro), 4)
-        field = cross_spectral_density(raw, build_warp(panel.maturity_grid), 0.5, 4,
-                                       FrequencyGrid(32), np.linspace(0, 1, 7))
+        field = cross_spectral_density(raw, 0.5, FrequencyGrid(32), np.linspace(0, 1, 7))
         flipped = field.values[(-np.arange(32)) % 32]
         assert np.abs(flipped - np.conj(field.values)).max() <= 1e-10
 
@@ -122,7 +112,6 @@ class TestCrossSpectralDensity:
         # powers of two scale every float operation exactly
         panel = random_sparse_panel(rng, 18, 4)
         macro = random_macro_panel(rng, 18, 1)
-        warp = build_warp(panel.maturity_grid)
         grid = FrequencyGrid(16)
         eval_warped = np.linspace(0, 1, 5)
         alpha, beta = 2.0, 4.0
@@ -134,7 +123,7 @@ class TestCrossSpectralDensity:
             mean_curve = mean_curve_warped(scaled_panel, 0.7, np.linspace(0, 1, 4))
             raw = raw_cross_cov(scaled_panel, scaled_macro, mean_curve,
                                 empirical_mean(scaled_macro), 3)
-            return cross_spectral_density(raw, warp, 0.7, 3, grid, eval_warped).values
+            return cross_spectral_density(raw, 0.7, grid, eval_warped).values
 
         base = field_for(1.0, 1.0)
         scaled = field_for(alpha, beta)
@@ -145,7 +134,6 @@ class TestCrossSpectralDensity:
         t_len = 15
         values = 5.0 + rng.standard_normal((t_len, 5))
         macro = random_macro_panel(rng, t_len, 1)
-        warp = build_warp(grid)
         fgrid = FrequencyGrid(16)
         eval_warped = np.array([0.1, 0.2])     # far from the last knot at 1.0
         b_r = 0.3
@@ -156,16 +144,8 @@ class TestCrossSpectralDensity:
             panel = SparseYieldPanel.from_values(vals, grid)
             mean_curve = np.nanmean(vals, axis=0)
             raw = raw_cross_cov(panel, macro, mean_curve, empirical_mean(macro), 3)
-            return cross_spectral_density(raw, warp, b_r, 3, fgrid, eval_warped).values
+            return cross_spectral_density(raw, b_r, fgrid, eval_warped).values
 
         a = field_with_last_column(values[:, -1])
         b = field_with_last_column(values[:, -1] + 17.0)
         assert np.array_equal(a, b)
-
-    def test_span_mismatch_rejected(self, rng):
-        panel = random_sparse_panel(rng, 10, 3)
-        macro = random_macro_panel(rng, 10, 1)
-        raw = raw_cross_cov(panel, macro, np.zeros(3), np.zeros(1), 2)
-        with pytest.raises(ValueError, match="span"):
-            cross_spectral_density(raw, build_warp(panel.maturity_grid), 0.5, 3,
-                                   FrequencyGrid(16), np.array([0.5]))

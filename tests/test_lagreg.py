@@ -14,12 +14,6 @@ from conftest import random_macro_panel
 from oracles import loop_prediction
 
 
-def _cross_field(grid, values, n_eval=None):
-    n_eval = values.shape[1] if n_eval is None else n_eval
-    pts = np.linspace(0, 1, n_eval)
-    return CrossSpectralField(grid=grid, eval_warped=pts, eval_tau=pts, values=values)
-
-
 def _white_field(grid, d, scale=1.0):
     mats = np.broadcast_to(np.eye(d) * scale, (grid.n_nodes, d, d)).astype(complex).copy()
     return SpectralDensityField(grid=grid, matrices=mats)
@@ -40,7 +34,7 @@ class TestFrequencyResponse:
         grid = FrequencyGrid(16)
         f_spec = _white_field(grid, 1, scale=0.4)
         c = 2.5
-        cross = _cross_field(grid, c * np.broadcast_to(f_spec.matrices[:, :, 0], (16, 1)).reshape(16, 1, 1).copy())
+        cross = CrossSpectralField(grid, c * np.broadcast_to(f_spec.matrices[:, :, 0], (16, 1)).reshape(16, 1, 1).copy())
         resp = frequency_response(cross, f_spec, 1e8)
         assert np.abs(resp.values - c).max() <= 1e-12
 
@@ -51,7 +45,7 @@ class TestFrequencyResponse:
         lags = np.arange(-2, 3)
         coef = rng.standard_normal((lags.size, 4, d))
         values = np.einsum("kl,lrd->krd", np.exp(-1j * np.outer(grid.nodes, lags)), coef)
-        cross = _cross_field(grid, values, n_eval=4)
+        cross = CrossSpectralField(grid, values)
         resp = frequency_response(cross, spec, 1e8)
         assert np.abs(resp.values - 2 * np.pi * values).max() <= 1e-10
 
@@ -62,7 +56,7 @@ class TestFrequencyResponse:
         lags = np.arange(-1, 2)
         coef = rng.standard_normal((lags.size, 5, d))
         values = np.einsum("kl,lrd->krd", np.exp(-1j * np.outer(grid.nodes, lags)), coef)
-        cross = _cross_field(grid, values, n_eval=5)
+        cross = CrossSpectralField(grid, values)
         resp = frequency_response(cross, spec, 1e10)
         reproduced = np.einsum("krd,kde->kre", resp.values, spec.matrices)
         assert np.abs(reproduced - cross.values).max() <= 1e-10
@@ -73,7 +67,7 @@ class TestFrequencyResponse:
         base = np.array([[1.0, 1.0], [1.0, 1.0]])
         mats = np.broadcast_to(base, (8, 2, 2)).astype(complex).copy()
         spec = SpectralDensityField(grid=grid, matrices=mats)
-        cross = _cross_field(grid, np.zeros((8, 2, 2), dtype=complex))
+        cross = CrossSpectralField(grid, np.zeros((8, 2, 2), dtype=complex))
         with pytest.raises(IllConditioned) as err:
             frequency_response(cross, spec, 1e8)
         assert err.value.cond > 1e8
@@ -81,7 +75,7 @@ class TestFrequencyResponse:
 
     def test_grid_mismatch_rejected(self, rng):
         spec = _white_field(FrequencyGrid(16), 1)
-        cross = _cross_field(FrequencyGrid(8), np.zeros((8, 2, 1), dtype=complex))
+        cross = CrossSpectralField(FrequencyGrid(8), np.zeros((8, 2, 1), dtype=complex))
         with pytest.raises(ValueError, match="grid"):
             frequency_response(cross, spec, 1e8)
 
@@ -90,8 +84,7 @@ class TestFilterCoefficients:
     def test_constant_response_is_lag_zero(self):
         grid = FrequencyGrid(64)
         values = np.full((64, 3, 2), 1.75, dtype=complex)
-        resp = FrequencyResponseField(grid=grid, eval_warped=np.linspace(0, 1, 3),
-                                      eval_tau=np.linspace(0, 1, 3), values=values)
+        resp = FrequencyResponseField(grid=grid, values=values)
         coef, max_imag = filter_coefficients(resp, 5)
         assert np.abs(coef[5] - 1.75).max() <= 1e-12
         mask = np.ones(11, dtype=bool)
@@ -102,8 +95,7 @@ class TestFilterCoefficients:
     def test_shift_filter(self):
         grid = FrequencyGrid(64)
         values = np.exp(-1j * grid.nodes)[:, None, None] * np.ones((1, 1))
-        resp = FrequencyResponseField(grid=grid, eval_warped=np.array([0.5]),
-                                      eval_tau=np.array([0.5]), values=values)
+        resp = FrequencyResponseField(grid=grid, values=values)
         coef, _ = filter_coefficients(resp, 3)
         assert coef[4, 0, 0] == pytest.approx(1.0, abs=1e-12)   # lag +1
         mask = np.ones(7, dtype=bool)
@@ -115,16 +107,13 @@ class TestFilterCoefficients:
         lags = np.arange(-2, 3)
         coef = rng.standard_normal((5, 4, 3))
         values = np.einsum("ln,lrd->nrd", np.exp(-1j * np.outer(lags, grid.nodes)), coef)
-        resp = FrequencyResponseField(grid=grid, eval_warped=np.linspace(0, 1, 4),
-                                      eval_tau=np.linspace(0, 1, 4), values=values)
+        resp = FrequencyResponseField(grid=grid, values=values)
         recovered, _ = filter_coefficients(resp, 2)
         assert np.abs(recovered - coef).max() <= 1e-12
 
     def test_grid_too_coarse_rejected(self):
         grid = FrequencyGrid(16)
-        resp = FrequencyResponseField(grid=grid, eval_warped=np.array([0.0]),
-                                      eval_tau=np.array([0.0]),
-                                      values=np.ones((16, 1, 1), dtype=complex))
+        resp = FrequencyResponseField(grid=grid, values=np.ones((16, 1, 1), dtype=complex))
         with pytest.raises(ValueError, match="n_omega"):
             filter_coefficients(resp, 8)
 
@@ -282,8 +271,7 @@ class TestQuadratureExactness:
         lags = np.arange(-degree, degree + 1)
         coef = rng.standard_normal((lags.size, 2, 1))
         values = np.einsum("ln,lrd->nrd", np.exp(-1j * np.outer(lags, grid.nodes)), coef)
-        resp = FrequencyResponseField(grid=grid, eval_warped=np.linspace(0, 1, 2),
-                                      eval_tau=np.linspace(0, 1, 2), values=values)
+        resp = FrequencyResponseField(grid=grid, values=values)
         recovered, _ = filter_coefficients(resp, h_max)
         inner = coef[degree - h_max: degree + h_max + 1]
         assert np.abs(recovered - inner).max() <= 1e-12

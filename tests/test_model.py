@@ -75,6 +75,15 @@ class TestMacroPanel:
         with pytest.raises(ValueError, match="names"):
             MacroPanel(values=np.ones((2, 2)), series_names=("only",))
 
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate series name 'a'"):
+            MacroPanel(values=np.ones((2, 3)), series_names=("a", "b", "a"))
+
+    @pytest.mark.parametrize("name", ["fed funds, effective", 'say "rate"', "cr\rx", "lf\nx"])
+    def test_csv_unsafe_names_rejected(self, name):
+        with pytest.raises(ValueError, match="comma, quote or line break"):
+            MacroPanel(values=np.ones((2, 2)), series_names=("ok", name))
+
 
 class TestFrequencyGrid:
     def test_nodes(self):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sparselag import (FrequencyGrid, MacroPanel, bartlett_weights, empirical_autocov,
+from sparselag import (AutocovarianceSet, FrequencyGrid, MacroPanel, bartlett_weights,
                        empirical_mean, estimate_autocovariances, spectral_density_matrix,
                        simulate_var1, var1_spectral_density, SyntheticSpec, MaturityGrid,
                        US_MATURITIES)
+from sparselag.mv_spectral import lag_window_transform, lagged_products
 from conftest import random_macro_panel
 from oracles import loop_autocovariance, naive_spectral_density
 
@@ -32,35 +33,62 @@ class TestEmpiricalMean:
 class TestEmpiricalAutocov:
     def test_constant_panel_zero(self):
         panel = _panel(np.full((10, 2), 3.0))
+        acov = estimate_autocovariances(panel, 4)
         for h in range(-3, 4):
-            assert np.allclose(empirical_autocov(panel, h), 0.0)
+            assert np.allclose(acov.matrix(h), 0.0)
 
     def test_alternating_sequence(self):
         t_len = 12
         panel = _panel([(-1.0) ** t for t in range(t_len)])
-        assert empirical_autocov(panel, 0)[0, 0] == pytest.approx(1.0)
-        assert empirical_autocov(panel, 1)[0, 0] == pytest.approx(-(t_len - 1) / t_len)
+        acov = estimate_autocovariances(panel, 2)
+        assert acov.matrix(0)[0, 0] == pytest.approx(1.0)
+        assert acov.matrix(1)[0, 0] == pytest.approx(-(t_len - 1) / t_len)
 
     def test_iid_lag5_small(self):
         rng = np.random.default_rng(99)
         panel = _panel(rng.standard_normal(10000))
-        assert abs(empirical_autocov(panel, 5)[0, 0]) <= 0.05
+        assert abs(estimate_autocovariances(panel, 6).matrix(5)[0, 0]) <= 0.05
 
     def test_transpose_rule_bit_for_bit(self, rng):
         panel = random_macro_panel(rng, 40, 3)
+        acov = estimate_autocovariances(panel, 6)
         for h in range(1, 6):
-            assert np.array_equal(empirical_autocov(panel, -h), empirical_autocov(panel, h).T)
+            assert np.array_equal(acov.matrix(-h), acov.matrix(h).T)
 
     def test_matches_loop_oracle(self, rng):
         panel = random_macro_panel(rng, 25, 2)
+        acov = estimate_autocovariances(panel, 6)
         for h in [-4, -1, 0, 2, 5]:
-            assert np.allclose(empirical_autocov(panel, h),
-                               loop_autocovariance(panel.values, h), atol=1e-12)
+            assert np.allclose(acov.matrix(h), loop_autocovariance(panel.values, h), atol=1e-12)
 
     def test_out_of_range_lag_rejected(self, rng):
         panel = random_macro_panel(rng, 10, 1)
         with pytest.raises(ValueError, match="lag"):
-            empirical_autocov(panel, 10)
+            estimate_autocovariances(panel, 10).matrix(10)
+
+
+class TestLaggedProducts:
+    def test_matches_explicit_sum(self, rng):
+        t_len, q = 9, 4
+        a, b = rng.standard_normal((t_len, 3)), rng.standard_normal((t_len, 2))
+        prods = lagged_products(a, b, q)
+        assert prods.shape == (2 * q - 1, 3, 2)
+        for l, h in enumerate(range(1 - q, q)):
+            expected = sum(np.outer(a[t + h], b[t]) for t in range(t_len) if 0 <= t + h < t_len)
+            assert np.abs(prods[l] - expected).max() <= 1e-12
+
+    def test_span_one_is_lag_zero_only(self, rng):
+        a = rng.standard_normal((5, 2))
+        assert np.array_equal(lagged_products(a, a, 1), (a.T @ a)[None])
+
+
+class TestLagWindowTransform:
+    def test_single_lag_is_weighted_phase(self):
+        grid = FrequencyGrid(16)
+        stack = np.zeros((5, 1))      # q = 3: lags -2..2
+        stack[3, 0] = 1.0             # h = +1, window weight 2/3
+        expected = (2 / 3) * np.exp(-1j * grid.nodes)
+        assert np.abs(lag_window_transform(stack, grid)[:, 0] - expected).max() <= 1e-15
 
 
 class TestBartlettWeights:
@@ -148,3 +176,10 @@ class TestAutocovarianceSet:
         panel = random_macro_panel(rng, 10, 1)
         with pytest.raises(ValueError, match="span"):
             estimate_autocovariances(panel, 11)
+
+    def test_broken_mirror_names_the_lag(self, rng):
+        acov = estimate_autocovariances(random_macro_panel(rng, 30, 2), 4)
+        mats = acov.matrices.copy()
+        mats[1, 0, 1] += 1.0          # lag -2
+        with pytest.raises(ValueError, match="R_-2 must equal the transpose of R_2"):
+            AutocovarianceSet(lags=acov.lags, matrices=mats, mean=acov.mean, q=4)

@@ -1,4 +1,5 @@
-"""Property tests: the operator-based smoothers against their definitions.
+"""Property tests: the operator-based smoothers against their definitions, and
+the whole estimator's equivariance under relabelling of the regressors.
 
 Hypothesis draws the panel shape, the window span, the bandwidth and the
 missing-cell pattern; the checks are derandomized so every run sees the same
@@ -9,9 +10,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparselag import (FrequencyGrid, MaturityGrid, SparseYieldPanel, build_warp,
-                       cross_spectral_density, empirical_mean, mean_curve_warped,
-                       naive_cross_spectral_density, raw_cross_cov)
+from sparselag import (Config, FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel,
+                       analyze, build_warp, cross_spectral_density, empirical_mean,
+                       mean_curve_warped, naive_cross_spectral_density, raw_cross_cov)
 from conftest import random_macro_panel
 
 _SETTINGS = settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -44,7 +45,7 @@ def test_cross_spectral_density_matches_naive_path(instance, d):
     grid = FrequencyGrid(16)
     eval_warped = rng.uniform(size=3)
     raw = raw_cross_cov(panel, macro, mean_curve, mu_x, q)
-    fast = cross_spectral_density(raw, warp, b_r, q, grid, eval_warped)
+    fast = cross_spectral_density(raw, b_r, grid, eval_warped)
     naive = naive_cross_spectral_density(panel, macro, mean_curve, mu_x, warp,
                                          b_r, q, grid, eval_warped)
     assert np.abs(fast.values - naive).max() <= 1e-10
@@ -60,3 +61,38 @@ def test_mean_curve_reproduces_affine_curves(instance, intercept, slope):
     eval_warped = np.concatenate([[0.0, 1.0], rng.uniform(size=8)])
     est = mean_curve_warped(affine, b_mu, eval_warped)
     assert np.abs(est - (intercept + slope * eval_warped)).max() <= 1e-10
+
+
+@st.composite
+def regression_instances(draw):
+    """(panel, macro, permutation): d = 2..3 regressors loading on sparse curves."""
+    n_mat = draw(st.integers(3, 6))
+    t_len = draw(st.integers(30, 60))
+    d = draw(st.integers(2, 3))
+    perm = draw(st.permutations(range(d)))
+    missing = draw(st.floats(0.0, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    observed = rng.uniform(size=(t_len, n_mat)) >= missing
+    observed[np.arange(t_len), np.arange(t_len) % n_mat] = True
+    macro = random_macro_panel(rng, t_len, d)
+    curves = 5.0 + macro.values @ rng.standard_normal((d, n_mat))
+    curves += 0.5 * rng.standard_normal((t_len, n_mat))
+    grid = MaturityGrid(np.sort(rng.uniform(0.1, 30.0, size=n_mat)))
+    panel = SparseYieldPanel(values=np.where(observed, curves, np.nan), observed=observed,
+                             maturity_grid=grid)
+    return panel, macro, list(perm)
+
+
+@_SETTINGS
+@given(regression_instances())
+def test_regressor_permutation_permutes_the_filter(instance):
+    panel, macro, perm = instance
+    config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=32, n_eval=11, h_max=6)
+    permuted = MacroPanel(values=macro.values[:, perm],
+                          series_names=tuple(macro.series_names[j] for j in perm))
+    base = analyze(panel, macro, config).fit
+    fit = analyze(panel, permuted, config).fit
+    scale = np.abs(base.filter_coef).max()
+    assert np.abs(fit.filter_coef - base.filter_coef[..., perm]).max() <= 1e-10 * scale
+    assert np.array_equal(fit.mean_curve, base.mean_curve)
+    assert abs(fit.r_squared - base.r_squared) <= 1e-10
