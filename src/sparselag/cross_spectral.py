@@ -17,10 +17,11 @@ and the knot field Z(omega)_i = sum_h W_h e^{-i h omega} sum_t G.  Both come
 from the primitives of :mod:`sparselag.mv_spectral`: the sums over t are
 lagged products of the centered panels (missing cells set to zero), and Z is
 their lag-window transform.  The intercept is then the knot-level
-local-linear operator of :mod:`sparselag.smoother` applied to Z(omega); that
-operator is real and frequency-free, so one matrix product covers every
-node.  The naive per-frequency least-squares path is kept alongside as the
-correctness oracle for this factorization.
+local-linear operator L of :mod:`sparselag.smoother` applied to Z(omega); L
+is real and frequency-free, so one matrix product covers every node.  The
+field keeps Z and (Q/2pi) L: the solve and quadrature of :mod:`sparselag.lagreg`
+run on the I knots and apply L afterwards.  The naive per-frequency
+least-squares path is kept as the correctness oracle for this factorization.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, _frozen
+from .model import FrequencyGrid, KnotFactored, MacroPanel, SparseYieldPanel, _frozen
 from .mv_spectral import bartlett_weights, lag_window_transform, lagged_products
 from .smoother import epanechnikov, local_linear_operator
 from .warp import Warp
-
-_CONJ_SYM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,8 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
     mu_X.  Missing curve cells are dropped from every (t, i) sum.
     """
     if panel.n_times != macro.n_times:
-        raise ValueError(
-            f"panel horizons differ: curves have T={panel.n_times}, regressors T={macro.n_times}"
-        )
+        raise ValueError(f"panel horizons differ: curves have T={panel.n_times}, "
+                         f"regressors T={macro.n_times}")
     if not 1 <= q <= panel.n_times:
         raise ValueError(f"window span must satisfy 1 <= q <= T, got q={q}")
     mean_curve = np.asarray(mean_curve, dtype=float)
@@ -70,32 +68,20 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
     if macro_means.shape != (macro.n_series,):
         raise ValueError("macro_means must hold one value per regressor series")
     y_centered = np.where(panel.observed, panel.values - mean_curve, 0.0)
-    counts = lagged_products(panel.observed, np.ones((panel.n_times, 1)), q)[:, :, 0]
-    return RawCrossCovariances(
-        q=q,
-        sums=_frozen(lagged_products(y_centered, macro.values - macro_means, q)),
-        counts=_frozen(counts),
-    )
+    # one pass: [y_centered | observed]' x [x_centered | 1] holds sums and counts
+    products = lagged_products(np.hstack([y_centered, panel.observed]),
+                               np.hstack([macro.values - macro_means, np.ones((panel.n_times, 1))]), q)
+    i, d = panel.n_maturities, macro.n_series
+    return RawCrossCovariances(q, _frozen(products[:, :i, :d]), _frozen(products[:, i:, d]))
 
 
 @dataclass(frozen=True)
-class CrossSpectralField:
+class CrossSpectralField(KnotFactored):
     """Complex cross-spectral values on (frequency, evaluation point, series)."""
 
     grid: FrequencyGrid
     values: np.ndarray        # (N, R, d) complex
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 3 or vals.shape[0] != self.grid.n_nodes:
-            raise ValueError("values must have shape (n_nodes, n_eval, n_series)")
-        if self.grid.conjugate_asymmetry(vals) > _CONJ_SYM_TOL:
-            raise ValueError("cross-spectral field must satisfy f(-omega) = conj(f(omega))")
-        object.__setattr__(self, "values", _frozen(vals, dtype=complex))
-
-    @property
-    def n_series(self) -> int:
-        return self.values.shape[2]
+    _symmetry = (1e-10, "cross-spectral field must satisfy f(-omega) = conj(f(omega))")
 
 
 def cross_spectral_density(raw: RawCrossCovariances, b_r: float, grid: FrequencyGrid,
@@ -103,9 +89,8 @@ def cross_spectral_density(raw: RawCrossCovariances, b_r: float, grid: Frequency
     """Smoothed cross-spectral density: the knot operator applied to the knot field."""
     eval_warped = np.atleast_1d(np.asarray(eval_warped, dtype=float))
     operator = local_linear_operator(bartlett_weights(raw.q) @ raw.counts, eval_warped, b_r)
-    # (N, I, d) knot field Z(omega) = sum_l W_l e^{-i h_l omega} A_l
-    knot_field = lag_window_transform(raw.sums, grid)
-    return CrossSpectralField(grid=grid, values=(raw.q / (2.0 * np.pi) * operator) @ knot_field)
+    knot_field = lag_window_transform(raw.sums, grid)   # (N, I, d): sum_l W_l e^{-i h_l omega} A_l
+    return CrossSpectralField.from_knots(grid, knot_field, raw.q / (2.0 * np.pi) * operator)
 
 
 def naive_cross_spectral_density(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,

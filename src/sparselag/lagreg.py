@@ -12,7 +12,9 @@ coefficients come back to the time domain by rectangle-rule quadrature,
 
 which is exact for trigonometric polynomials of degree < N - |h|.  The
 quadrature of a conjugate-symmetric field is real up to roundoff; the
-discarded imaginary part is returned as a diagnostic and bounded.
+discarded imaginary part is returned as a diagnostic and bounded.  Both steps
+are linear in f_hat = L Z(omega) with a real, frequency-free smoother L, so they
+run on the I maturity knots (B_hat = L Z F_hat^-1) and L is applied afterwards.
 """
 
 from __future__ import annotations
@@ -23,29 +25,21 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateTotal, IllConditioned, ResidualImaginary
-from .model import FrequencyGrid, LaggedRegressionFit, MacroPanel, SparseYieldPanel, _frozen
+from .model import FrequencyGrid, KnotFactored, LaggedRegressionFit, MacroPanel, SparseYieldPanel
 from .cross_spectral import CrossSpectralField
 from .mv_spectral import SpectralDensityField
 
-_CONJ_SYM_TOL = 1e-8
 _IMAG_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class FrequencyResponseField:
+class FrequencyResponseField(KnotFactored):
     """Complex response values on (frequency, evaluation point, series)."""
 
     grid: FrequencyGrid
     values: np.ndarray                          # (N, R, d) complex
     condition_numbers: Optional[np.ndarray] = None  # (N,) cond of F_hat per node
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 3 or vals.shape[0] != self.grid.n_nodes:
-            raise ValueError("values must have shape (n_nodes, n_eval, n_series)")
-        if self.grid.conjugate_asymmetry(vals) > _CONJ_SYM_TOL:
-            raise ValueError("frequency response must satisfy B(-omega) = conj(B(omega))")
-        object.__setattr__(self, "values", _frozen(vals, dtype=complex))
+    _symmetry = (1e-8, "frequency response must satisfy B(-omega) = conj(B(omega))")
 
 
 def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
@@ -53,8 +47,8 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
     """Solve B_hat = f_hat * F_hat^{-1} at every node.
 
     The row-vector system is solved through its adjoint: F Z = f^H with F
-    Hermitian, then B = Z^H.  Aborts with IllConditioned at the worst node
-    whose condition number exceeds the threshold.
+    Hermitian, then B = Z^H, on the knot field of f_hat.  Aborts with
+    IllConditioned at the worst node whose condition number exceeds the threshold.
     """
     if cross.grid != spec.grid:
         raise ValueError("cross-spectral field and spectral density live on different grids")
@@ -64,25 +58,25 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
     worst = int(np.argmax(conds))
     if not np.all(np.isfinite(conds)) or conds[worst] > cond_threshold:
         raise IllConditioned(float(spec.grid.nodes[worst]), float(conds[worst]), cond_threshold)
-    rhs = np.conj(np.swapaxes(cross.values, 1, 2))       # (N, d, R)
-    z = np.linalg.solve(spec.matrices, rhs)
-    values = np.conj(np.swapaxes(z, 1, 2))               # (N, R, d)
-    return FrequencyResponseField(grid=cross.grid, values=values, condition_numbers=conds)
+    rhs = np.conj(np.swapaxes(cross.knot_values, 1, 2))        # (N, d, I)
+    z = np.swapaxes(np.linalg.solve(spec.matrices, rhs), 1, 2)  # (N, I, d)
+    return FrequencyResponseField.from_knots(cross.grid, np.conj(z), cross.operator,
+                                             condition_numbers=conds)
 
 
 def filter_coefficients(resp: FrequencyResponseField, h_max: int):
     """Quadrature back to lag space; returns (coefficients, max imaginary part).
 
-    coefficients[l, r, j] covers lags -h_max..h_max.  Raises ResidualImaginary
-    when the discarded imaginary part exceeds 1e-8 * (1 + max |Re|), which
-    signals broken conjugate symmetry upstream.
+    coefficients[l, r, j] covers lags -h_max..h_max (integrated at the knots).
+    Raises ResidualImaginary when the discarded imaginary part exceeds 1e-8 *
+    (1 + max |Re|), which signals broken conjugate symmetry upstream.
     """
     n = resp.grid.n_nodes
     if n < 2 * h_max + 2:
         raise ValueError(f"need n_omega >= {2 * h_max + 2} to integrate lags up to {h_max}, got {n}")
     # conjugate of the lag-to-frequency kernel: e^{+i h omega}, shape (2H+1, N)
     inverse = resp.grid.phases(np.arange(-h_max, h_max + 1)).conj().T
-    raw = np.tensordot(inverse, resp.values, axes=1) / n
+    raw = resp.operator @ (np.tensordot(inverse, resp.knot_values, axes=1) / n)
     max_imag = float(np.abs(raw.imag).max())
     bound = _IMAG_RESIDUAL_TOL * (1.0 + float(np.abs(raw.real).max()))
     if max_imag > bound:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -22,7 +23,7 @@ if TYPE_CHECKING:
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+    out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -137,8 +138,9 @@ class MacroPanel:
             raise ValueError(f"got {len(names)} series names for {values.shape[1]} series")
         # result tables are comma-joined and keyed by series name
         for k, name in enumerate(names):
-            if any(c in name for c in ',"\r\n'):
-                raise ValueError(f"series name {name!r} contains a comma, quote or line break")
+            if not name or name != name.strip() or any(c in name for c in ',"\r\n'):
+                raise ValueError(f"series name {name!r} is empty, has surrounding whitespace "
+                                 "or contains a comma, quote or line break")
             if name in names[:k]:
                 raise ValueError(f"duplicate series name {name!r}")
         object.__setattr__(self, "values", _frozen(values))
@@ -183,8 +185,12 @@ class FrequencyGrid:
 
         The one sign convention shared by both spectral estimates (lag to
         frequency); the filter quadrature integrates back with its conjugate.
+        Entry (k, h) is e^{-2 pi i m / N} at m = h (k - N/2) mod N; roots m, N - m are conjugates.
         """
-        return np.exp(-1j * np.outer(self.nodes, lags))
+        n = self.n_nodes
+        half = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+        half[-1] = -1.0                  # e^{-i pi} exactly, so root N/2 is its own conjugate
+        return np.concatenate([half, half[-2:0:-1].conj()])[np.outer(np.arange(n) - n // 2, lags) % n]
 
     def conjugate_asymmetry(self, values: np.ndarray) -> float:
         """max |v(-omega) - conj(v(omega))| along axis 0, relative to max(1, max |v|).
@@ -197,6 +203,35 @@ class FrequencyGrid:
         gap = values[(-half) % self.n_nodes] - np.conj(values[half])
         scale = max(1.0, float(np.abs(values).max()))
         return float(np.abs(gap).max()) / scale
+
+
+class KnotFactored:
+    """Spectral field (N, R, d) = operator @ knot_values: the (N, I, d) field at the I
+    maturity knots and a real (R, I) operator (the R x R identity for a field built from
+    its values).  Subclasses set _symmetry = (conjugate-symmetry tolerance, message)."""
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=complex)
+        if vals.ndim != 3 or vals.shape[0] != self.grid.n_nodes:
+            raise ValueError("values must have shape (n_nodes, n_eval, n_series)")
+        if self.grid.conjugate_asymmetry(vals) > self._symmetry[0]:
+            raise ValueError(self._symmetry[1])
+        object.__setattr__(self, "values", _frozen(vals, dtype=complex))
+
+    @classmethod
+    def from_knots(cls, grid: FrequencyGrid, knot_values, operator, **fields):
+        knot_values = _frozen(knot_values, dtype=complex)
+        # a real operator: one real product over the interleaved real and imaginary parts
+        field = cls(grid=grid, values=(operator @ knot_values.view(float)).view(complex), **fields)
+        field.__dict__.update(knot_values=knot_values, operator=_frozen(operator))
+        return field
+
+    knot_values = cached_property(lambda self: self.values)
+    operator = cached_property(lambda self: np.eye(self.values.shape[1]))
+
+    @property
+    def n_series(self) -> int:
+        return self.values.shape[2]
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,10 @@ class SpectralDensityField:
         return self.matrices.shape[1]
 
     def condition_numbers(self) -> np.ndarray:
-        return np.linalg.cond(self.matrices)
+        """cond_2 per node, max/min |eigenvalue| of the Hermitian F_hat; inf where singular."""
+        mags = np.abs(np.linalg.eigvalsh(self.matrices))
+        lo, hi = mags.min(axis=1), mags.max(axis=1)
+        return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0)
 
 
 def spectral_density_matrix(acov: AutocovarianceSet, grid: FrequencyGrid) -> SpectralDensityField:

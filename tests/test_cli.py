@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparselag
 from sparselag import checks
 from sparselag.cli import main, parse_synthetic_config, read_key_values
 from sparselag.io import sha256_digest
@@ -207,6 +212,15 @@ class TestCheckCommand:
     def test_seed_sweep_is_robust(self, capsys):
         for seed in range(10):
             assert main(["check", "--seed", str(seed)]) == 0
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(sparselag.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "sparselag", "check", "--seed", "0"],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert "6/6 checks passed" in proc.stdout
 
     def test_injected_sign_error_is_caught(self, capsys):
         def mutant_spectral(acov, grid):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparselag import (Config, MaturityGrid, ParseError, ResultBundle, SparseYieldPanel,
+from sparselag import (Config, MacroPanel, MaturityGrid, ParseError, ResultBundle, SparseYieldPanel,
                        SyntheticSpec, US_MATURITIES, analyze, build_result_bundle,
                        load_macro_csv, load_yields_csv, r_squared, recovery_spec,
                        simulate_lagged_regression, write_macro_csv, write_results,
@@ -97,6 +97,13 @@ class TestRoundTrips:
         back = load_macro_csv(path)
         assert np.array_equal(back.values, macro.values)
         assert back.series_names == macro.series_names
+
+    @pytest.mark.parametrize("names", [("fed funds", "cpi yoy"), ("x\tq", "a"), ("Ünemp", "1")])
+    def test_every_valid_macro_panel_reads_back(self, rng, tmp_path, names):
+        macro = MacroPanel(values=rng.standard_normal((5, 2)), series_names=names)
+        path = tmp_path / "m.csv"
+        write_macro_csv(macro, path)
+        assert load_macro_csv(path).series_names == names
 
 
 @pytest.fixture(scope="module")

@@ -73,6 +73,21 @@ class TestFrequencyResponse:
         assert err.value.cond > 1e8
         assert -np.pi <= err.value.omega < np.pi
 
+    def test_ill_conditioned_names_the_worst_node(self, rng):
+        grid = FrequencyGrid(16)
+        # condition numbers around 1e9 near omega = 0, with random gaps between nodes
+        spread = 1.0 + 1e9 * np.cos(grid.nodes / 2) ** 2 + 1e8 * rng.uniform(size=16)
+        spread = np.minimum(spread, spread[(-np.arange(16)) % 16])    # keep F(-w) = F(w)
+        mats = np.zeros((16, 2, 2), dtype=complex)
+        mats[:, 0, 0], mats[:, 1, 1] = 1.0, 1.0 / spread
+        spec = SpectralDensityField(grid=grid, matrices=mats)
+        cross = CrossSpectralField(grid, np.zeros((16, 1, 2), dtype=complex))
+        worst = int(np.argmax(np.linalg.cond(spec.matrices)))
+        with pytest.raises(IllConditioned) as err:
+            frequency_response(cross, spec, 1e8)
+        assert err.value.omega == grid.nodes[worst]
+        assert err.value.cond == pytest.approx(np.linalg.cond(spec.matrices)[worst], rel=1e-12)
+
     def test_grid_mismatch_rejected(self, rng):
         spec = _white_field(FrequencyGrid(16), 1)
         cross = CrossSpectralField(FrequencyGrid(8), np.zeros((8, 2, 1), dtype=complex))

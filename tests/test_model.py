@@ -84,6 +84,16 @@ class TestMacroPanel:
         with pytest.raises(ValueError, match="comma, quote or line break"):
             MacroPanel(values=np.ones((2, 2)), series_names=("ok", name))
 
+    @pytest.mark.parametrize("name", ["", " ", " a", "b ", "\tx", "x\u00a0"])
+    def test_empty_or_padded_names_rejected(self, name):
+        # the CSV loader strips every name and rejects empty ones
+        with pytest.raises(ValueError, match="empty, has surrounding whitespace"):
+            MacroPanel(values=np.ones((2, 2)), series_names=("ok", name))
+
+    def test_inner_whitespace_is_kept(self):
+        panel = MacroPanel(values=np.ones((2, 2)), series_names=("fed funds", "cpi\tyoy"))
+        assert panel.series_names == ("fed funds", "cpi\tyoy")
+
 
 class TestFrequencyGrid:
     def test_nodes(self):
@@ -108,6 +118,23 @@ class TestFrequencyGrid:
         flipped = values[(-np.arange(16)) % 16]
         both_ways = np.abs(flipped - np.conj(values)).max() / max(1.0, np.abs(values).max())
         assert grid.conjugate_asymmetry(values) == both_ways > 0.0
+
+    @pytest.mark.parametrize("n", [2, 8, 512, 4096])
+    def test_phases_match_complex_exp(self, n):
+        grid = FrequencyGrid(n)
+        lags = np.unique(np.linspace(-n, n, 41).astype(int))
+        oracle = np.exp(-1j * np.outer(grid.nodes, lags))
+        # the oracle itself is off by up to |h omega| * eps, about 3e-12 at N = 4096
+        assert np.abs(grid.phases(lags) - oracle).max() <= 1e-11
+
+    def test_phases_are_exact_roots_of_unity(self):
+        grid = FrequencyGrid(64)
+        lags = np.arange(-70, 71)
+        phases = grid.phases(lags)
+        assert np.array_equal(phases[:, ::-1], phases.conj())         # e^{+ih w} = conj(e^{-ih w})
+        assert np.array_equal(grid.phases([0]), np.ones((64, 1)))
+        assert np.array_equal(phases[:, lags == 64], phases[:, lags == 0])  # period N in h
+        assert np.array_equal(grid.phases([1])[[0, 32], 0], [-1.0, 1.0])    # omega = -pi, 0
 
     @pytest.mark.parametrize("node", [0, 3, 8, 13])   # -pi, a pair, 0, a pair from above
     def test_conjugate_asymmetry_sees_every_node(self, rng, node):

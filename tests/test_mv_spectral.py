@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from sparselag import (AutocovarianceSet, FrequencyGrid, MacroPanel, bartlett_weights,
-                       empirical_mean, estimate_autocovariances, spectral_density_matrix,
-                       simulate_var1, var1_spectral_density, SyntheticSpec, MaturityGrid,
-                       US_MATURITIES)
+from sparselag import (AutocovarianceSet, FrequencyGrid, MacroPanel, SpectralDensityField,
+                       bartlett_weights, empirical_mean, estimate_autocovariances,
+                       spectral_density_matrix, simulate_var1, var1_spectral_density,
+                       SyntheticSpec, MaturityGrid, US_MATURITIES)
 from sparselag.mv_spectral import lag_window_transform, lagged_products
 from conftest import random_macro_panel
 from oracles import loop_autocovariance, naive_spectral_density
@@ -163,6 +165,44 @@ class TestSpectralDensityMatrix:
         assert np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() <= 1e-12
         flipped = mats[(-np.arange(64)) % 64]
         assert np.abs(flipped - np.conj(mats)).max() <= 1e-12
+
+
+class TestConditionNumbers:
+    @staticmethod
+    def _hermitian_pd(rng, n, d):
+        """A conjugate-symmetric stack of Hermitian positive definite matrices."""
+        grid = FrequencyGrid(n)
+        lags = np.arange(-2, 3)
+        base = rng.standard_normal((lags.size, d, d))
+        base = base + np.transpose(base[::-1], (0, 2, 1))        # R_{-h} = R_h'
+        mats = np.tensordot(grid.phases(lags), base, axes=1)
+        shift = np.abs(np.linalg.eigvalsh(mats)).max() + rng.uniform(0.05, 2.0)
+        return SpectralDensityField(grid=grid, matrices=mats + shift * np.eye(d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_match_svd_condition_numbers(self, rng, d):
+        for _ in range(5):
+            field = self._hermitian_pd(rng, 32, d)
+            expected = np.linalg.cond(field.matrices)
+            assert np.abs(field.condition_numbers() / expected - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("singular", [np.diag([2.0, 0.0]), np.diag([0.0, -3.0]),
+                                          np.zeros((2, 2))])
+    def test_singular_node_gives_inf_without_warning(self, rng, singular):
+        mats = np.tile(np.eye(2, dtype=complex), (8, 1, 1))
+        mats[4] = singular                                          # omega = 0 pairs with itself
+        field = SpectralDensityField(grid=FrequencyGrid(8), matrices=mats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            conds = field.condition_numbers()
+        assert conds[4] == np.inf
+        assert np.array_equal(np.delete(conds, 4), np.ones(7))
+        assert np.linalg.cond(field.matrices)[4] == np.inf
+
+    def test_indefinite_matrix_uses_eigenvalue_magnitudes(self):
+        mats = np.tile(np.diag([-4.0, 1.0]).astype(complex), (4, 1, 1))
+        field = SpectralDensityField(grid=FrequencyGrid(4), matrices=mats)
+        assert np.array_equal(field.condition_numbers(), np.full(4, 4.0))
 
 
 class TestAutocovarianceSet:

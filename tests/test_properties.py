@@ -1,5 +1,6 @@
-"""Property tests: the operator-based smoothers against their definitions, and
-the whole estimator's equivariance under relabelling of the regressors.
+"""Property tests: the operator-based smoothers against their definitions, the
+knot-level solve and quadrature against the same steps on materialised fields,
+and the whole estimator's equivariance under relabelling and rescaling.
 
 Hypothesis draws the panel shape, the window span, the bandwidth and the
 missing-cell pattern; the checks are derandomized so every run sees the same
@@ -10,9 +11,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparselag import (Config, FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel,
-                       analyze, build_warp, cross_spectral_density, empirical_mean,
-                       mean_curve_warped, naive_cross_spectral_density, raw_cross_cov)
+from sparselag import (Config, CrossSpectralField, FrequencyGrid, MacroPanel, MaturityGrid,
+                       SparseYieldPanel, SpectralDensityField, analyze, build_warp,
+                       cross_spectral_density, empirical_mean, filter_coefficients,
+                       frequency_response, mean_curve_warped, naive_cross_spectral_density,
+                       raw_cross_cov)
 from conftest import random_macro_panel
 
 _SETTINGS = settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -95,4 +98,70 @@ def test_regressor_permutation_permutes_the_filter(instance):
     scale = np.abs(base.filter_coef).max()
     assert np.abs(fit.filter_coef - base.filter_coef[..., perm]).max() <= 1e-10 * scale
     assert np.array_equal(fit.mean_curve, base.mean_curve)
+    assert abs(fit.r_squared - base.r_squared) <= 1e-10
+
+
+@st.composite
+def knot_factored_problems(draw):
+    """(cross field at the knots, regressor spectrum, h_max) with a random real operator."""
+    n = 2 * draw(st.integers(1, 24))
+    n_knots, n_eval, d = draw(st.integers(1, 9)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = FrequencyGrid(n)
+    lags = np.arange(-3, 4)
+    # real lag values make both fields conjugate-symmetric in omega
+    knots = np.tensordot(grid.phases(lags), rng.standard_normal((lags.size, n_knots, d)), axes=1)
+    base = rng.standard_normal((lags.size, d, d))
+    base = base + np.transpose(base[::-1], (0, 2, 1))                  # R_{-h} = R_h'
+    mats = np.tensordot(grid.phases(lags), base, axes=1)
+    mats = mats + (np.abs(np.linalg.eigvalsh(mats)).max() + 0.5) * np.eye(d)
+    cross = CrossSpectralField.from_knots(grid, knots, rng.standard_normal((n_eval, n_knots)))
+    return cross, SpectralDensityField(grid=grid, matrices=mats), draw(st.integers(0, (n - 2) // 2))
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+@_SETTINGS
+@given(knot_factored_problems())
+def test_knot_level_solve_and_quadrature_match_materialised_fields(problem):
+    cross, spec, h_max = problem
+    plain = CrossSpectralField(cross.grid, cross.values)
+    assert np.array_equal(plain.knot_values, plain.values)
+    assert np.array_equal(plain.operator, np.eye(plain.values.shape[1]))
+    resp, resp_plain = (frequency_response(f, spec, 1e12) for f in (cross, plain))
+    assert resp.knot_values.shape == cross.knot_values.shape
+    assert _rel(resp.values, resp_plain.values) <= 1e-12
+    (coef, _), (coef_plain, _) = (filter_coefficients(r, h_max) for r in (resp, resp_plain))
+    assert _rel(coef, coef_plain) <= 1e-12
+
+
+def _scaled_fits(panel, macro, a, c, config):
+    scaled_panel = SparseYieldPanel(values=a * panel.values, observed=panel.observed,
+                                    maturity_grid=panel.maturity_grid)
+    scaled_macro = MacroPanel(values=c * macro.values, series_names=macro.series_names)
+    return analyze(panel, macro, config).fit, analyze(scaled_panel, scaled_macro, config).fit
+
+
+@_SETTINGS
+@given(regression_instances(), st.integers(-4, 4), st.integers(-4, 4))
+def test_power_of_two_rescaling_is_bit_exact(instance, log_a, log_c):
+    panel, macro, _ = instance
+    config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=32, n_eval=11, h_max=6)
+    a, c = 2.0 ** log_a, 2.0 ** log_c
+    base, fit = _scaled_fits(panel, macro, a, c, config)
+    assert np.array_equal(fit.filter_coef, base.filter_coef * (a / c))
+    assert np.array_equal(fit.mean_curve, base.mean_curve * a)
+    assert fit.r_squared == base.r_squared
+
+
+@_SETTINGS
+@given(regression_instances(), st.floats(0.01, 100.0), st.floats(0.01, 100.0))
+def test_rescaling_scales_filter_and_mean_and_keeps_r_squared(instance, a, c):
+    panel, macro, _ = instance
+    config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=32, n_eval=11, h_max=6)
+    base, fit = _scaled_fits(panel, macro, a, c, config)
+    assert _rel(fit.filter_coef, base.filter_coef * (a / c)) <= 1e-10
+    assert _rel(fit.mean_curve, base.mean_curve * a) <= 1e-10
     assert abs(fit.r_squared - base.r_squared) <= 1e-10
