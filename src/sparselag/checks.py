@@ -57,7 +57,6 @@ def check_cross_spectral_equivalence(rng: np.random.Generator, n_instances: int 
     worst = 0.0
     for _ in range(n_instances):
         panel, macro, q, b_r = _random_instance(rng)
-        warp = build_warp(panel.maturity_grid)
         grid = FrequencyGrid(n_omega)
         eval_warped = rng.uniform(size=3)
         mean_curve = smoother.mean_curve_warped(
@@ -66,7 +65,7 @@ def check_cross_spectral_equivalence(rng: np.random.Generator, n_instances: int 
         raw = cross_spectral.raw_cross_cov(panel, macro, mean_curve, macro_means, q)
         fast = cross_spectral.cross_spectral_density(raw, b_r, grid, eval_warped)
         naive = cross_spectral.naive_cross_spectral_density(
-            panel, macro, mean_curve, macro_means, warp, b_r, q, grid, eval_warped)
+            panel, macro, mean_curve, macro_means, b_r, q, grid, eval_warped)
         worst = max(worst, float(np.abs(fast.values - naive).max()))
     return CheckResult("cross-spectral smoother equivalence", worst <= tol,
                        f"max |fast - naive| = {worst:.2e} (tol {tol:.0e})")

@@ -25,7 +25,7 @@ from .errors import (DegenerateTotal, IllConditioned, ParseError, ResidualImagin
 from .model import Config, MaturityGrid
 from .pipeline import analyze
 
-_ANALYZE_KEYS = {"b_mu", "b_r", "q", "n_omega", "h_max", "n_eval", "cond_threshold", "seed"}
+_ANALYZE_KEYS = {"b_mu", "b_r", "q", "n_omega", "h_max", "n_eval", "cond_threshold"}
 
 
 class StageError(Exception):
@@ -47,7 +47,7 @@ def read_key_values(path) -> dict[str, str]:
     return out
 
 
-def _build_config(n_times: int, n_maturities: int, path, seed_flag) -> Config:
+def _build_config(n_times: int, n_maturities: int, path) -> Config:
     raw = read_key_values(path) if path else {}
     unknown = set(raw) - _ANALYZE_KEYS
     if unknown:
@@ -56,8 +56,6 @@ def _build_config(n_times: int, n_maturities: int, path, seed_flag) -> Config:
     for key, value in raw.items():
         caster = float if key in {"b_mu", "b_r", "cond_threshold"} else int
         overrides[key] = caster(value)
-    if seed_flag is not None:
-        overrides["seed"] = seed_flag
     return Config.defaults(n_times, n_maturities, **overrides)
 
 
@@ -140,7 +138,7 @@ def run_analyze(args) -> int:
         raise StageError("load", exc, 2) from exc
 
     try:
-        config = _build_config(panel.n_times, panel.n_maturities, args.config, args.seed)
+        config = _build_config(panel.n_times, panel.n_maturities, args.config)
     except (ValueError, OSError) as exc:
         raise StageError("config", exc, 2) from exc
 
@@ -226,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--macro", required=True, help="regressor panel CSV (name header, no missing cells)")
     p_an.add_argument("--config", default=None, help="key = value settings file")
     p_an.add_argument("--out", default="results", help="output directory (default: results)")
-    p_an.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_an.set_defaults(func=run_analyze)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic panel pair plus ground truth")

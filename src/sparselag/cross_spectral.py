@@ -33,7 +33,6 @@ import numpy as np
 from .model import FrequencyGrid, KnotFactored, MacroPanel, SparseYieldPanel, _frozen
 from .mv_spectral import bartlett_weights, lag_window_transform, lagged_products
 from .smoother import epanechnikov, local_linear_operator
-from .warp import Warp
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def cross_spectral_density(raw: RawCrossCovariances, b_r: float, grid: Frequency
 
 
 def naive_cross_spectral_density(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
-                                 macro_means, warp: Warp, b_r: float, q: int,
+                                 macro_means, b_r: float, q: int,
                                  grid: FrequencyGrid, eval_warped) -> np.ndarray:
     """Reference path: one weighted least-squares solve per frequency node.
 

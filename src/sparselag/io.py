@@ -213,7 +213,7 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         "config": {
             "b_mu": cfg.b_mu, "b_r": cfg.b_r, "q": cfg.q, "n_omega": cfg.n_omega,
             "h_max": cfg.h_max, "n_eval": cfg.n_eval,
-            "cond_threshold": cfg.cond_threshold, "seed": cfg.seed,
+            "cond_threshold": cfg.cond_threshold,
         },
         "diagnostics": {
             "max_imag_residual": result.diagnostics.max_imag_residual,

@@ -14,12 +14,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .warp import Warp
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -204,6 +201,12 @@ class FrequencyGrid:
         scale = max(1.0, float(np.abs(values).max()))
         return float(np.abs(gap).max()) / scale
 
+    def require_finite(self, values: np.ndarray, what: str) -> None:
+        """Raise ValueError naming the first node (axis 0) that holds a NaN or infinity."""
+        finite = np.isfinite(values).reshape(self.n_nodes, -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{what} not finite at omega = {self.nodes[np.argmin(finite)]!r}")
+
 
 class KnotFactored:
     """Spectral field (N, R, d) = operator @ knot_values: the (N, I, d) field at the I
@@ -214,7 +217,8 @@ class KnotFactored:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 3 or vals.shape[0] != self.grid.n_nodes:
             raise ValueError("values must have shape (n_nodes, n_eval, n_series)")
-        if self.grid.conjugate_asymmetry(vals) > self._symmetry[0]:
+        self.grid.require_finite(vals, f"{type(self).__name__} values")
+        if not self.grid.conjugate_asymmetry(vals) <= self._symmetry[0]:
             raise ValueError(self._symmetry[1])
         object.__setattr__(self, "values", _frozen(vals, dtype=complex))
 
@@ -246,7 +250,6 @@ class Config:
     n_eval         number of curve evaluation points (equispaced in warped
                    coordinates)
     cond_threshold condition-number ceiling for spectral matrix solves
-    seed           RNG seed for the simulator
     """
 
     b_mu: float
@@ -256,7 +259,6 @@ class Config:
     h_max: int = 12
     n_eval: int = 101
     cond_threshold: float = 1e8
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("q", "n_omega", "h_max", "n_eval"):
@@ -313,7 +315,6 @@ class LaggedRegressionFit:
     eval_warped: np.ndarray     # (R,) warped coordinates in [0, 1]
     mean_curve: np.ndarray      # (R,) estimated mean at eval_tau
     macro_means: np.ndarray     # (d,)
-    warp: "Warp"
     r_squared: Optional[float] = None
 
     def __post_init__(self):

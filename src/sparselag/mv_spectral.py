@@ -137,10 +137,12 @@ class SpectralDensityField:
             raise ValueError("matrices must have shape (n_nodes, d, d)")
         if mats.shape[0] != self.grid.n_nodes:
             raise ValueError("matrices must cover every frequency node")
+        # eigvalsh reads one triangle only, so a NaN in the other must be caught here
+        self.grid.require_finite(mats, "spectral density matrices")
         scale = max(1.0, float(np.abs(mats).max()))
-        if np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() > _HERMITIAN_TOL * scale:
+        if not np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() <= _HERMITIAN_TOL * scale:
             raise ValueError("spectral density matrices must be Hermitian at every node")
-        if self.grid.conjugate_asymmetry(mats) > _CONJ_SYM_TOL:
+        if not self.grid.conjugate_asymmetry(mats) <= _CONJ_SYM_TOL:
             raise ValueError("spectral density must satisfy F(-omega) = conj(F(omega))")
         object.__setattr__(self, "matrices", _frozen(mats, dtype=complex))
 

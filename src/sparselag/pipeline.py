@@ -101,7 +101,6 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
         eval_warped=eval_warped,
         mean_curve=mean_curve,
         macro_means=acov.mean,
-        warp=warp,
     )
     fit = replace(fit, r_squared=lagreg.r_squared(panel, fit, macro))
 

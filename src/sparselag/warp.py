@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import MaturityGrid, _frozen
 
@@ -40,35 +39,21 @@ class Warp:
 
 
 def _limited_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fritsch-Carlson derivative choices: monotone, no interval overshoot."""
+    """Fritsch-Carlson derivative choices: monotone, no interval overshoot.
+
+    MaturityGrid knots are strictly increasing, so every secant is positive.
+    """
     h = np.diff(x)
     d = np.diff(y) / h
-    n = x.size
-    m = np.zeros(n)
-
-    # Interior knots: weighted harmonic mean of adjacent secants, zero when
-    # the secants disagree in sign (cannot happen for increasing knots).
-    for i in range(1, n - 1):
-        if d[i - 1] * d[i] <= 0.0:
-            m[i] = 0.0
-        else:
-            w1 = 2.0 * h[i] + h[i - 1]
-            w2 = h[i] + 2.0 * h[i - 1]
-            m[i] = (w1 + w2) / (w1 / d[i - 1] + w2 / d[i])
-
-    m[0] = _edge_slope(h[0], h[1], d[0], d[1])
-    m[-1] = _edge_slope(h[-1], h[-2], d[-1], d[-2])
-    return m
-
-
-def _edge_slope(h0, h1, d0, d1):
-    # One-sided three-point estimate, clipped so the end interval stays monotone.
-    m = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-    if np.sign(m) != np.sign(d0):
-        return 0.0
-    if np.sign(d0) != np.sign(d1) and abs(m) > 3.0 * abs(d0):
-        return 3.0 * d0
-    return m
+    # interior knots: weighted harmonic mean of the adjacent secants
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    interior = (w1 + w2) / (w1 / d[:-1] + w2 / d[1:])
+    # each end: one-sided three-point estimate, zeroed unless positive so its interval stays monotone
+    h0, h1, d0, d1 = h[[0, -1]], h[[1, -2]], d[[0, -1]], d[[1, -2]]
+    end = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
+    end = np.where(end > 0, end, 0.0)
+    return np.concatenate([end[:1], interior, end[1:]])
 
 
 def build_warp(grid: MaturityGrid) -> Warp:
@@ -107,24 +92,27 @@ def warp_apply(w: Warp, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def _inverse_scalar(w: Warp, tau: float) -> float:
-    piece = int(np.clip(np.searchsorted(w.knots_y, tau, side="right") - 1, 0, w.knots_y.size - 2))
-    if tau == w.knots_y[piece]:
-        return float(w.knots_x[piece])
-    if tau == w.knots_y[piece + 1]:
-        return float(w.knots_x[piece + 1])
-    a, b = w.knots_x[piece], w.knots_x[piece + 1]
-    return float(brentq(lambda s: _hermite_eval(w, np.asarray(s)) - tau, a, b,
-                        xtol=1e-14, rtol=4.0 * np.finfo(float).eps))
-
-
 def warp_inverse(w: Warp, tau):
-    """Invert phi at tau in [tau_min, tau_max] by root bracketing on the cubic pieces."""
+    """Invert phi at tau in [tau_min, tau_max] by bisection on the cubic piece holding tau.
+
+    Each bracket shrinks until its ends are adjacent floats, then the end with
+    the smaller residual wins.  A tau equal to a knot returns that knot's x exactly.
+    """
     tau_arr = np.asarray(tau, dtype=float)
     span_tol = _DOMAIN_TOL * max(1.0, abs(w.tau_min), abs(w.tau_max))
-    if np.any(tau_arr < w.tau_min - span_tol) or np.any(tau_arr > w.tau_max + span_tol):
+    if not np.all((tau_arr >= w.tau_min - span_tol) & (tau_arr <= w.tau_max + span_tol)):
         raise ValueError(f"warp inverse argument outside [{w.tau_min}, {w.tau_max}]: {tau}")
-    clipped = np.clip(tau_arr, w.tau_min, w.tau_max)
-    if np.isscalar(tau) or tau_arr.ndim == 0:
-        return _inverse_scalar(w, float(clipped))
-    return np.array([_inverse_scalar(w, v) for v in clipped.ravel()]).reshape(tau_arr.shape)
+    target = np.clip(tau_arr, w.tau_min, w.tau_max)
+    piece = np.clip(np.searchsorted(w.knots_y, target, side="right") - 1, 0, w.knots_y.size - 2)
+    lo, hi = w.knots_x[piece], w.knots_x[piece + 1]
+    # a tau on a knot starts from a bracket collapsed onto that knot's x
+    lo = np.where(target == w.knots_y[piece + 1], hi, lo)
+    hi = np.where(target == w.knots_y[piece], lo, hi)
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        below = _hermite_eval(w, mid) <= target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        mid = 0.5 * (lo + hi)
+    closer_hi = np.abs(_hermite_eval(w, hi) - target) < np.abs(_hermite_eval(w, lo) - target)
+    out = np.where(closer_hi, hi, lo)
+    return float(out) if np.isscalar(tau) or tau_arr.ndim == 0 else out

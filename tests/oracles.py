@@ -1,13 +1,17 @@
 """Independent reference implementations used to pin expected values.
 
-Everything here is deliberately naive (plain loops, library least-squares)
-and shares no code with the production paths it checks.  The one exception
-is ``naive_result_rows``: it takes its predictions from the full-grid
-``predict_panel`` and its maturity lookup from the library, because its
-subject is the text formatting, which must match bit for bit.
+Everything here is deliberately naive (plain loops, library least-squares
+and root finding) and shares no code with the production paths it checks.
+The two exceptions take the library's forward maps because their subject is
+another step: ``brentq_warp_inverse`` evaluates phi with the library's
+Hermite evaluator to pin the inverse, and ``naive_result_rows`` takes its
+predictions from the full-grid ``predict_panel`` and its maturity lookup
+from the library, because its subject is the text formatting, which must
+match bit for bit.
 """
 
 import numpy as np
+from scipy.optimize import brentq
 
 
 def naive_spectral_density(matrices, lags, weights, nodes):
@@ -62,6 +66,58 @@ def loop_prediction(fit, macro_values, macro_means, t_one_based):
         for j in range(macro_values.shape[1]):
             pred = pred + fit.filter_coef[l, :, j] * xc[j]
     return pred
+
+
+def loop_limited_slopes(x, y):
+    """Fritsch-Carlson derivative choices: monotone, no interval overshoot."""
+    h = np.diff(x)
+    d = np.diff(y) / h
+    n = x.size
+    m = np.zeros(n)
+
+    # Interior knots: weighted harmonic mean of adjacent secants, zero when
+    # the secants disagree in sign (cannot happen for increasing knots).
+    for i in range(1, n - 1):
+        if d[i - 1] * d[i] <= 0.0:
+            m[i] = 0.0
+        else:
+            w1 = 2.0 * h[i] + h[i - 1]
+            w2 = h[i] + 2.0 * h[i - 1]
+            m[i] = (w1 + w2) / (w1 / d[i - 1] + w2 / d[i])
+
+    m[0] = _edge_slope(h[0], h[1], d[0], d[1])
+    m[-1] = _edge_slope(h[-1], h[-2], d[-1], d[-2])
+    return m
+
+
+def _edge_slope(h0, h1, d0, d1):
+    # One-sided three-point estimate, clipped so the end interval stays monotone.
+    m = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
+    if np.sign(m) != np.sign(d0):
+        return 0.0
+    if np.sign(d0) != np.sign(d1) and abs(m) > 3.0 * abs(d0):
+        return 3.0 * d0
+    return m
+
+
+def brentq_warp_inverse(w, tau):
+    """Per-point root bracketing of phi(x) = tau on the cubic piece holding tau.
+
+    Takes phi from the library's Hermite evaluator; its subject is the inverse.
+    """
+    from sparselag.warp import _hermite_eval
+
+    def one(t):
+        piece = int(np.clip(np.searchsorted(w.knots_y, t, side="right") - 1, 0, w.knots_y.size - 2))
+        if t == w.knots_y[piece]:
+            return float(w.knots_x[piece])
+        if t == w.knots_y[piece + 1]:
+            return float(w.knots_x[piece + 1])
+        a, b = w.knots_x[piece], w.knots_x[piece + 1]
+        return float(brentq(lambda s: _hermite_eval(w, np.asarray(s)) - t, a, b,
+                            xtol=1e-14, rtol=4.0 * np.finfo(float).eps))
+
+    return np.array([one(t) for t in np.asarray(tau, dtype=float)])
 
 
 def _fmt(x: float) -> str:

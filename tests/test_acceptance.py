@@ -33,14 +33,13 @@ def test_01_cross_spectral_oracle_equivalence():
         q = int(rng.integers(1, 5))
         panel = random_sparse_panel(rng, t_len, n_mat)
         macro = random_macro_panel(rng, t_len, d)
-        warp = sl.build_warp(panel.maturity_grid)
         mean_curve = sl.mean_curve_warped(panel, 2.0 / (n_mat - 1), np.linspace(0, 1, n_mat))
         mu_x = sl.empirical_mean(macro)
         eval_warped = rng.uniform(size=3)
         b_r = float(rng.uniform(1.2, 2.5)) / (n_mat - 1)
         raw = sl.raw_cross_cov(panel, macro, mean_curve, mu_x, q)
         fast = sl.cross_spectral_density(raw, b_r, grid, eval_warped)
-        naive = sl.naive_cross_spectral_density(panel, macro, mean_curve, mu_x, warp,
+        naive = sl.naive_cross_spectral_density(panel, macro, mean_curve, mu_x,
                                                 b_r, q, grid, eval_warped)
         worst = max(worst, float(np.abs(fast.values - naive).max()))
     elapsed = time.perf_counter() - started

@@ -169,6 +169,20 @@ class TestAnalyzeCommand:
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "[config]" in capsys.readouterr().err
 
+    def test_seed_is_not_an_analyze_setting(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 1\n")
+        out = tmp_path / "o"
+        assert main(["analyze", "--yields", str(sim_dir / "yields.csv"),
+                     "--macro", str(sim_dir / "macro.csv"),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert "[config]" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--yields", str(sim_dir / "yields.csv"),
+                  "--macro", str(sim_dir / "macro.csv"), "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+
     def _analyze_exit(self, yields, macro, out, capsys):
         code = main(["analyze", "--yields", str(yields), "--macro", str(macro), "--out", str(out)])
         return code, capsys.readouterr().err
@@ -233,6 +247,17 @@ class TestCheckCommand:
         rng = np.random.default_rng(0)
         result = checks.check_bartlett_symmetry(rng, spectral_fn=mutant_spectral)
         assert not result.passed
+
+
+def test_fresh_import_loads_no_scipy():
+    src = str(Path(sparselag.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, sparselag, sparselag.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfigParsing:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparselag import (FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel, build_warp,
+from sparselag import (FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel,
                        cross_spectral_density, empirical_mean, mean_curve_warped,
                        naive_cross_spectral_density, raw_cross_cov)
 from conftest import random_macro_panel, random_sparse_panel
@@ -87,7 +87,6 @@ class TestCrossSpectralDensity:
             q = int(rng.integers(1, 5))
             panel = random_sparse_panel(rng, t_len, n_mat)
             macro = random_macro_panel(rng, t_len, d)
-            warp = build_warp(panel.maturity_grid)
             mean_curve = mean_curve_warped(panel, 2.0 / (n_mat - 1), np.linspace(0, 1, n_mat))
             mu_x = empirical_mean(macro)
             grid = FrequencyGrid(16)
@@ -95,7 +94,7 @@ class TestCrossSpectralDensity:
             b_r = float(rng.uniform(1.2, 2.5)) / (n_mat - 1)
             raw = raw_cross_cov(panel, macro, mean_curve, mu_x, q)
             fast = cross_spectral_density(raw, b_r, grid, eval_warped)
-            naive = naive_cross_spectral_density(panel, macro, mean_curve, mu_x, warp,
+            naive = naive_cross_spectral_density(panel, macro, mean_curve, mu_x,
                                                  b_r, q, grid, eval_warped)
             assert np.abs(fast.values - naive).max() <= 1e-10
 

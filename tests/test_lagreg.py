@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from sparselag import (DegenerateTotal, FrequencyGrid, FrequencyResponseField,
                        IllConditioned, LaggedRegressionFit, MacroPanel, ResidualImaginary,
-                       SparseYieldPanel, SpectralDensityField, build_warp,
+                       SparseYieldPanel, SpectralDensityField,
                        filter_coefficients, frequency_response, predict_curve, predict_panel,
                        r_squared)
 from sparselag.cross_spectral import CrossSpectralField
@@ -95,6 +96,39 @@ class TestFrequencyResponse:
             frequency_response(cross, spec, 1e8)
 
 
+class TestNonFiniteFieldsRejected:
+    """Each spectral field names the first node holding a NaN or infinity."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_cross_spectral_field(self, rng, bad):
+        grid = FrequencyGrid(16)
+        values = np.zeros((16, 3, 2), dtype=complex)
+        values[5, 1, 0] = values[11, 2, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[5]!r}")):
+            CrossSpectralField(grid, values)
+        knots = np.zeros((16, 2, 2), dtype=complex)
+        knots[9, 0, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[9]!r}")):
+            CrossSpectralField.from_knots(grid, knots, rng.standard_normal((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_frequency_response_field(self, bad):
+        grid = FrequencyGrid(8)
+        values = np.ones((8, 2, 1), dtype=complex)
+        values[0, 1, 0] = bad
+        with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[0]!r}")):
+            FrequencyResponseField(grid=grid, values=values)
+
+    def test_spectral_density_upper_triangle(self):
+        # eigvalsh reads the lower triangle only: a NaN above the diagonal would give
+        # cond 1.0 and a NaN response unless construction rejects it
+        grid = FrequencyGrid(8)
+        mats = np.broadcast_to(np.eye(2), (8, 2, 2)).astype(complex).copy()
+        mats[3, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[3]!r}")):
+            SpectralDensityField(grid=grid, matrices=mats)
+
+
 class TestFilterCoefficients:
     def test_constant_response_is_lag_zero(self):
         grid = FrequencyGrid(64)
@@ -147,7 +181,6 @@ class TestFilterCoefficients:
 
 
 def _toy_fit(us_grid, coef, mean=None, d=1):
-    warp = build_warp(us_grid)
     eval_warped = np.linspace(0, 1, 9)
     coef = np.asarray(coef, dtype=float)
     h_max = (coef.shape[0] - 1) // 2
@@ -158,7 +191,6 @@ def _toy_fit(us_grid, coef, mean=None, d=1):
         eval_warped=eval_warped,
         mean_curve=np.full(9, 5.0) if mean is None else np.asarray(mean, dtype=float),
         macro_means=np.zeros(d),
-        warp=warp,
     )
 
 
@@ -238,7 +270,6 @@ class TestPrediction:
             eval_warped=np.linspace(0.0, 1.0, n_eval),
             mean_curve=5.0 + rng.standard_normal(n_eval),
             macro_means=rng.standard_normal(d),
-            warp=None,
         )
         macro = random_macro_panel(rng, t_len, d)
         cols = np.sort(rng.choice(n_eval, size=9, replace=False))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparselag import (Config, CrossSpectralField, FrequencyGrid, MacroPanel, MaturityGrid,
-                       SparseYieldPanel, SpectralDensityField, analyze, build_warp,
+                       SparseYieldPanel, SpectralDensityField, analyze,
                        cross_spectral_density, empirical_mean, filter_coefficients,
                        frequency_response, mean_curve_warped, naive_cross_spectral_density,
                        raw_cross_cov)
@@ -42,14 +42,13 @@ def sparse_instances(draw):
 def test_cross_spectral_density_matches_naive_path(instance, d):
     panel, rng, q, b_r = instance
     macro = random_macro_panel(rng, panel.n_times, d)
-    warp = build_warp(panel.maturity_grid)
     mean_curve = mean_curve_warped(panel, b_r, np.linspace(0, 1, panel.n_maturities))
     mu_x = empirical_mean(macro)
     grid = FrequencyGrid(16)
     eval_warped = rng.uniform(size=3)
     raw = raw_cross_cov(panel, macro, mean_curve, mu_x, q)
     fast = cross_spectral_density(raw, b_r, grid, eval_warped)
-    naive = naive_cross_spectral_density(panel, macro, mean_curve, mu_x, warp,
+    naive = naive_cross_spectral_density(panel, macro, mean_curve, mu_x,
                                          b_r, q, grid, eval_warped)
     assert np.abs(fast.values - naive).max() <= 1e-10
 

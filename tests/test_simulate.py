@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
 from sparselag import (FrequencyGrid, MaturityGrid, SyntheticSpec, US_MATURITIES,
-                       build_warp, predict_curve, recovery_spec, simulate_lagged_regression,
+                       predict_curve, recovery_spec, simulate_lagged_regression,
                        simulate_var1, var1_spectral_density)
 from sparselag.model import LaggedRegressionFit
 
@@ -121,7 +121,6 @@ class TestSimulateLaggedRegression:
             eval_warped=truth.tau_warped,
             mean_curve=truth.mean_at_maturities,
             macro_means=np.zeros(1),
-            warp=build_warp(spec.maturity_grid),
         )
         for t in range(1 + h_true, 40 - h_true + 1):
             assert np.abs(predict_curve(fit, macro, t) - panel.values[t - 1]).max() <= 1e-10
@@ -136,7 +135,6 @@ class TestSimulateLaggedRegression:
             eval_warped=truth.tau_warped,
             mean_curve=truth.mean_at_maturities,
             macro_means=np.zeros(1),
-            warp=build_warp(spec.maturity_grid),
         )
         for t in range(1, 31):
             assert np.abs(predict_curve(fit, macro, t) - panel.values[t - 1]).max() <= 1e-10
