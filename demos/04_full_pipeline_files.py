@@ -7,6 +7,7 @@ Equivalent CLI session:
     sparselag check
 """
 
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -41,6 +42,18 @@ manifest = write_results(bundle, workdir / "demo_results")
 print("\nresult files:")
 for path in manifest:
     print(f"  {path.name:<26} {path.stat().st_size:>9} bytes")
+
+# The spectral tables hold the nodes k = 0..N/2 (omega in [-pi, 0]); node N - k
+# is the complex conjugate of node k, so the written half rebuilds all N nodes.
+with open(workdir / "demo_results" / "frequency_response.csv", newline="") as fh:
+    rows = list(csv.reader(fh))[1:]
+field = result.frequency_response.values
+n_nodes = field.shape[0]
+half = np.array([complex(float(re), float(im)) for *_, re, im in rows]).reshape(-1, *field.shape[1:])
+full = np.concatenate([half, half[n_nodes // 2 - 1:0:-1].conj()])
+assert np.array_equal(full, field)
+print(f"\nfrequency_response.csv: {half.shape[0]} of {n_nodes} nodes written, "
+      f"mirrored back to the full {full.shape} field")
 
 summary = json.loads((workdir / "demo_results" / "summary.json").read_text())
 print(f"\nR^2 = {summary['r_squared']:.4f}")

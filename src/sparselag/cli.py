@@ -1,10 +1,11 @@
 """Command-line interface: analyze a panel pair, generate data, self-check.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or validation
-error.  Config files are flat ``key = value`` text; ``#`` starts a comment.
-Flags override file values.  All computation happens before any output file
-is written, and the files of a run appear all or nothing, so a failing stage
-(the write included) leaves no partial results behind.
+error.  Config files are flat ``key = value`` text; ``#`` starts a comment
+and a key may be set once.  Flags override file values.  All computation
+happens before any output file is written, and the files of a run appear all
+or nothing, so a failing stage (the write included) leaves no partial
+results behind.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class StageError(Exception):
 
 
 def read_key_values(path) -> dict[str, str]:
-    out = {}
+    """Parse ``key = value`` lines; keys are case-insensitive and may appear once."""
+    out, seen_at = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -43,7 +45,11 @@ def read_key_values(path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = line.split("=", 1)
-        out[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in seen_at:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {seen_at[key]}")
+        seen_at[key] = lineno
+        out[key] = value.strip()
     return out
 
 
@@ -174,7 +180,10 @@ def run_simulate(args) -> int:
     except (ValueError, OSError, KeyError) as exc:
         raise StageError("config", exc, 2) from exc
 
-    panel, macro, truth = sim.simulate_lagged_regression(spec)
+    try:
+        panel, macro, truth = sim.simulate_lagged_regression(spec)
+    except ValueError as exc:
+        raise StageError("simulate", exc, 1) from exc
     out_dir = Path(args.out)
     truth_doc = {
         "maturities": [float(v) for v in spec.maturity_grid.maturities],

@@ -155,6 +155,12 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
                         input_digests: dict | None = None) -> ResultBundle:
     """Flatten an analysis into self-describing long-format tables.
 
+    Every spectral field f of a real-valued panel satisfies
+    f(omega_{(-k) mod N}) = conj f(omega_k), so the three spectral tables
+    hold only the non-redundant nodes k = 0..N/2 (omega in [-pi, 0]); any
+    other node is the conjugate of its mirror (see
+    ``FrequencyGrid.conjugate_asymmetry`` for the pairing).
+
     Tables are built column by column: every grid value (frequency,
     maturity, lag, series name) is formatted once and its string reused on
     every row that carries it.
@@ -162,8 +168,8 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
     fit = result.fit
     names = macro.series_names
     n_series, n_eval = len(names), fit.eval_tau.size
-    n_nodes = result.spectral_density.grid.n_nodes
-    omegas = _column(result.spectral_density.grid.nodes)
+    n_nodes = result.spectral_density.grid.n_nodes // 2 + 1
+    omegas = _column(result.spectral_density.grid.nodes[:n_nodes])
     taus = _column(fit.eval_tau)
 
     mean_rows = list(zip(taus, _column(fit.eval_warped), _column(fit.mean_curve)))
@@ -176,7 +182,7 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         _column(fit.filter_coef.transpose(2, 0, 1)),
     ))
 
-    spec = result.spectral_density.matrices
+    spec = result.spectral_density.matrices[:n_nodes]
     spec_rows = list(zip(
         _grid_column(omegas, n_series * n_series, 1),
         _grid_column(names, n_series, n_nodes),
@@ -190,7 +196,8 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
                    _grid_column(names, 1, n_nodes * n_eval))
 
     def field_rows(values):
-        return list(zip(*field_grids, _column(values.real), _column(values.imag)))
+        half = values[:n_nodes]
+        return list(zip(*field_grids, _column(half.real), _column(half.imag)))
 
     maturities = panel.maturity_grid.maturities
     cols = _eval_indices(fit, maturities)

@@ -67,6 +67,26 @@ class TestSimulateCommand:
         cfg.write_text("t = 50\nmaturities = 1,2,5\nar = 0.5\nbogus = 1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("t = 50\nmaturities = 1,2,5\nar = 0.5\nT = 60\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error [config]" in err and "'t'" in err and "line 1" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_simulation_exits_1_without_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("t = 50\nmaturities = 0.25, 1, 5, 10\nar = 0.5\nmean_poly = 1e308, 1e308\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [simulate]") and "finite" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
+
     def test_unwritable_out_is_write_stage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("preset = recovery\n")
@@ -169,6 +189,18 @@ class TestAnalyzeCommand:
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "[config]" in capsys.readouterr().err
 
+    def test_repeated_config_key_exits_2(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("q = 5\n# comment\nq = 7\n")
+        out = tmp_path / "o"
+        assert main(["analyze", "--yields", str(sim_dir / "yields.csv"),
+                     "--macro", str(sim_dir / "macro.csv"),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error [config]" in err
+        assert "c.cfg:3: key 'q' already set on line 1" in err
+        assert not out.exists()
+
     def test_seed_is_not_an_analyze_setting(self, sim_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("seed = 1\n")
@@ -270,4 +302,10 @@ class TestConfigParsing:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("just words\n")
         with pytest.raises(ValueError, match="key = value"):
+            read_key_values(cfg)
+
+    def test_repeated_key_raises_with_both_lines(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("q = 5\nb_mu = 0.2\nQ = 7\n")
+        with pytest.raises(ValueError, match=r"c\.cfg:3: key 'q' already set on line 1"):
             read_key_values(cfg)

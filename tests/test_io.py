@@ -1,8 +1,13 @@
+import csv
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sparselag import (Config, MacroPanel, MaturityGrid, ParseError, ResultBundle, SparseYieldPanel,
                        SyntheticSpec, US_MATURITIES, analyze, build_result_bundle,
@@ -106,6 +111,62 @@ class TestRoundTrips:
         assert load_macro_csv(path).series_names == names
 
 
+# signed zeros, subnormals, the largest magnitudes and values whose repr uses an exponent
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                1e-05, -2.5e-300, 1e16, 1.2345678901234567e22, 0.1, -3.0)
+_PANEL_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+_ROUND_TRIP = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@st.composite
+def yield_panels(draw):
+    """Panels with a random missing mask; every row and column keeps an observed cell."""
+    n_mat = draw(st.integers(3, 6))
+    t_len = draw(st.integers(1, 12))
+    first = draw(st.sampled_from((-0.0, 0.0, 5e-324, 1e-05)))
+    rest = draw(st.lists(st.one_of(st.sampled_from((0.25, 1e22)), st.floats(1e-03, 1e300)),
+                         min_size=n_mat - 1, max_size=n_mat - 1, unique=True))
+    maturities = [first] + sorted(rest)
+    observed = draw(arrays(bool, (t_len, n_mat)))
+    observed[np.arange(t_len), np.arange(t_len) % n_mat] = True
+    observed[np.arange(n_mat) % t_len, np.arange(n_mat)] = True
+    values = draw(arrays(float, (t_len, n_mat), elements=_PANEL_FLOATS))
+    return SparseYieldPanel(values=np.where(observed, values, np.nan), observed=observed,
+                            maturity_grid=MaturityGrid(np.array(maturities)))
+
+
+class TestRoundTripProperties:
+    @_ROUND_TRIP
+    @given(yield_panels())
+    def test_yields_write_load_is_bit_exact(self, panel):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "y.csv"
+            write_yields_csv(panel, path)
+            back = load_yields_csv(path)
+        assert np.array_equal(back.observed, panel.observed)
+        assert np.array_equal(_bits(back.values[back.observed]), _bits(panel.values[panel.observed]))
+        assert np.array_equal(_bits(back.maturity_grid.maturities),
+                              _bits(panel.maturity_grid.maturities))
+
+    @_ROUND_TRIP
+    @given(st.integers(1, 4).flatmap(lambda d: arrays(
+        float, st.tuples(st.integers(1, 12), st.just(d)), elements=_PANEL_FLOATS)))
+    def test_macro_write_load_is_bit_exact(self, values):
+        macro = MacroPanel(values=values,
+                           series_names=tuple(f"s{j}" for j in range(values.shape[1])))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            write_macro_csv(macro, path)
+            back = load_macro_csv(path)
+        assert np.array_equal(_bits(back.values), _bits(macro.values))
+        assert back.series_names == macro.series_names
+
+
 @pytest.fixture(scope="module")
 def small_analysis():
     spec = replace(recovery_spec(seed=8), n_times=160)
@@ -180,8 +241,19 @@ def _sparse_analysis(n_series, seed, missing_frac=0.1):
     return analyze(panel, macro, config), panel, macro
 
 
+_SPECTRAL_TABLES = ("spectral_density", "cross_spectral", "frequency_response")
+
+
 def _table_rows(bundle):
     return {name: list(getattr(bundle, name)[1]) for name in ResultBundle.TABLES}
+
+
+def _written_nodes(rows, result):
+    """Per-element rows with each spectral table cut to its written nodes k = 0..N/2."""
+    n_nodes = result.spectral_density.grid.n_nodes
+    return {name: table[:len(table) // n_nodes * (n_nodes // 2 + 1)]
+            if name in _SPECTRAL_TABLES else table
+            for name, table in rows.items()}
 
 
 class TestResultRowsMatchOracle:
@@ -190,7 +262,7 @@ class TestResultRowsMatchOracle:
         result, panel, macro = _sparse_analysis(n_series, seed)
         assert not panel.observed.all()
         rows = _table_rows(build_result_bundle(result, panel, macro))
-        expected = naive_result_rows(result, panel, macro)
+        expected = _written_nodes(naive_result_rows(result, panel, macro), result)
         for name in ResultBundle.TABLES:
             assert rows[name] == expected[name], name
         # the tables exercise exponent notation and empty (missing) cells
@@ -207,10 +279,43 @@ class TestResultRowsMatchOracle:
         fit = replace(result.fit, filter_coef=coef, mean_curve=mean)
         edited = replace(result, fit=fit)
         rows = _table_rows(build_result_bundle(edited, panel, macro))
-        assert rows == naive_result_rows(edited, panel, macro)
+        assert rows == _written_nodes(naive_result_rows(edited, panel, macro), edited)
         assert [row[3] for row in rows["filter_coefficients"][:4]] == \
             ["-0.0", "1e-300", "-2.5e+300", "5e-324"]
         assert [row[2] for row in rows["mean_curve"][:2]] == ["-0.0", "1e+22"]
+
+
+def _read_spectral_table(path, inner_shape):
+    """The omega column per node and the complex values, shape (nodes, *inner_shape)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    values = np.array([complex(float(row[-2]), float(row[-1])) for row in rows])
+    per_node = int(np.prod(inner_shape))
+    omegas = np.array([float(row[0]) for row in rows[::per_node]])
+    return omegas, values.reshape(-1, *inner_shape)
+
+
+def _mirror(half, n_nodes):
+    """All N nodes from nodes 0..N/2: node N - k is the conjugate of node k."""
+    return np.concatenate([half, half[n_nodes // 2 - 1:0:-1].conj()])
+
+
+class TestHalfSpectrumTables:
+    @pytest.mark.parametrize("shape", ["d1_n512", "d3_n64"])
+    def test_written_half_mirrors_to_the_full_fields(self, small_analysis, shape, tmp_path):
+        result, panel, macro = small_analysis if shape == "d1_n512" else _sparse_analysis(3, 6)
+        write_results(build_result_bundle(result, panel, macro), tmp_path / "out")
+        grid = result.spectral_density.grid
+        fields = {"spectral_density": result.spectral_density.matrices,
+                  "cross_spectral": result.cross_spectral.values,
+                  "frequency_response": result.frequency_response.values}
+        for name, full in fields.items():
+            omegas, half = _read_spectral_table(tmp_path / "out" / f"{name}.csv", full.shape[1:])
+            assert np.array_equal(omegas, grid.nodes[:grid.n_nodes // 2 + 1]), name
+            assert omegas[-1] == 0.0
+            assert np.array_equal(_mirror(half, grid.n_nodes), full), name
+            # the dropped half held nothing beyond the conjugates of the written one
+            assert grid.conjugate_asymmetry(full) == 0.0, name
 
 
 class TestAllOrNothingWrites:

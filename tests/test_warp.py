@@ -66,6 +66,12 @@ class TestWarpApply:
         with pytest.raises(ValueError, match="outside"):
             warp_apply(us_warp, -0.2)
 
+    def test_rejects_nan(self, us_warp):
+        with pytest.raises(ValueError, match="outside"):
+            warp_apply(us_warp, float("nan"))
+        with pytest.raises(ValueError, match="outside"):
+            warp_apply(us_warp, np.array([0.0, np.nan, 1.0]))
+
     def test_strict_monotonicity_random_pairs(self, us_warp, rng):
         t = np.sort(rng.uniform(size=500))
         vals = np.asarray(warp_apply(us_warp, t))
