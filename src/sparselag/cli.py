@@ -74,7 +74,9 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _poly_fn(coeffs: np.ndarray):
-    return lambda t, c=np.asarray(coeffs, dtype=float): np.polynomial.polynomial.polyval(t, c)
+    # an overflow gives inf or nan without a warning; the panel's finiteness check reports it
+    return np.errstate(over="ignore", invalid="ignore")(
+        lambda t, c=np.asarray(coeffs, dtype=float): np.polynomial.polynomial.polyval(t, c))
 
 
 def parse_synthetic_config(path, seed_flag=None) -> sim.SyntheticSpec:

@@ -26,7 +26,7 @@ least-squares path is kept as the correctness oracle for this factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class CrossSpectralField(KnotFactored):
     """Complex cross-spectral values on (frequency, evaluation point, series)."""
 
     grid: FrequencyGrid
-    values: np.ndarray        # (N, R, d) complex
+    values: np.ndarray = field()    # (N, R, d) complex
     _symmetry = (1e-10, "cross-spectral field must satisfy f(-omega) = conj(f(omega))")
 
 

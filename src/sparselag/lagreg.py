@@ -19,13 +19,13 @@ run on the I maturity knots (B_hat = L Z F_hat^-1) and L is applied afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateTotal, IllConditioned, ResidualImaginary
-from .model import FrequencyGrid, KnotFactored, LaggedRegressionFit, MacroPanel, SparseYieldPanel
+from .model import FrequencyGrid, KnotFactored, LaggedRegressionFit, MacroPanel, SparseYieldPanel, _frozen
 from .cross_spectral import CrossSpectralField
 from .mv_spectral import SpectralDensityField
 
@@ -37,7 +37,7 @@ class FrequencyResponseField(KnotFactored):
     """Complex response values on (frequency, evaluation point, series)."""
 
     grid: FrequencyGrid
-    values: np.ndarray                          # (N, R, d) complex
+    values: np.ndarray = field()                # (N, R, d) complex
     condition_numbers: Optional[np.ndarray] = None  # (N,) cond of F_hat per node
     _symmetry = (1e-8, "frequency response must satisfy B(-omega) = conj(B(omega))")
 
@@ -61,7 +61,7 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
     rhs = np.conj(np.swapaxes(cross.knot_values, 1, 2))        # (N, d, I)
     z = np.swapaxes(np.linalg.solve(spec.matrices, rhs), 1, 2)  # (N, I, d)
     return FrequencyResponseField.from_knots(cross.grid, np.conj(z), cross.operator,
-                                             condition_numbers=conds)
+                                             condition_numbers=_frozen(conds))
 
 
 def filter_coefficients(resp: FrequencyResponseField, h_max: int):

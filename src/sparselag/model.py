@@ -189,29 +189,36 @@ class FrequencyGrid:
         half[-1] = -1.0                  # e^{-i pi} exactly, so root N/2 is its own conjugate
         return np.concatenate([half, half[-2:0:-1].conj()])[np.outer(np.arange(n) - n // 2, lags) % n]
 
-    def conjugate_asymmetry(self, values: np.ndarray) -> float:
-        """max |v(-omega) - conj(v(omega))| along axis 0, relative to max(1, max |v|).
+    def conjugate_gap(self, values: np.ndarray) -> float:
+        """max |v(-omega) - conj(v(omega))| along axis 0.
 
         Node k pairs with node (-k) mod N; nodes 0 (omega = -pi) and N/2
         (omega = 0) pair with themselves.  The two terms of a pair are equal,
         so each pair is compared once, from its node k <= N/2.
         """
         half = np.arange(self.n_nodes // 2 + 1)
-        gap = values[(-half) % self.n_nodes] - np.conj(values[half])
-        scale = max(1.0, float(np.abs(values).max()))
-        return float(np.abs(gap).max()) / scale
+        return float(np.abs(values[(-half) % self.n_nodes] - np.conj(values[half])).max())
+
+    def conjugate_asymmetry(self, values: np.ndarray) -> float:
+        """The conjugate gap relative to max(1, max |v|)."""
+        return self.conjugate_gap(values) / max(1.0, float(np.abs(values).max()))
 
     def require_finite(self, values: np.ndarray, what: str) -> None:
-        """Raise ValueError naming the first node (axis 0) that holds a NaN or infinity."""
-        finite = np.isfinite(values).reshape(self.n_nodes, -1).all(axis=1)
+        """Raise ValueError naming the first node (axis 0) that holds a NaN or infinity;
+        an array shared by every node comes with a length-1 axis 0."""
+        finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
         if not finite.all():
             raise ValueError(f"{what} not finite at omega = {self.nodes[np.argmin(finite)]!r}")
 
 
 class KnotFactored:
-    """Spectral field (N, R, d) = operator @ knot_values: the (N, I, d) field at the I
-    maturity knots and a real (R, I) operator (the R x R identity for a field built from
-    its values).  Subclasses set _symmetry = (conjugate-symmetry tolerance, message)."""
+    """Spectral field (N, R, d) = L @ Z: the (N, I, d) field Z at the I maturity knots and a
+    real (R, I) operator L, held as knot_values and operator (the identity for a field built
+    from its values, which checks them).  from_knots checks Z and L and builds values on first
+    read: for a real L the values' gap is L (Z(-omega) - conj Z(omega)), so
+        max |v(-omega) - conj v(omega)| <= ||L||_inf * max |Z(-omega) - conj Z(omega)| <= tol
+    implies the value check, which divides that gap by max(1, max |v|) >= 1.  Subclasses set
+    _symmetry = (tolerance, message) and declare values = field(), so that it stays required."""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -224,18 +231,31 @@ class KnotFactored:
 
     @classmethod
     def from_knots(cls, grid: FrequencyGrid, knot_values, operator, **fields):
-        knot_values = _frozen(knot_values, dtype=complex)
-        # a real operator: one real product over the interleaved real and imaginary parts
-        field = cls(grid=grid, values=(operator @ knot_values.view(float)).view(complex), **fields)
-        field.__dict__.update(knot_values=knot_values, operator=_frozen(operator))
+        knot_values, operator = _frozen(knot_values, dtype=complex), _frozen(operator)
+        if (knot_values.ndim != 3 or len(knot_values) != grid.n_nodes
+                or operator.shape[1:] != knot_values.shape[1:2]):
+            raise ValueError("knot values must have shape (n_nodes, I, d) and the operator (R, I)")
+        grid.require_finite(knot_values, f"{cls.__name__} knot values")
+        grid.require_finite(operator[None], f"{cls.__name__} operator")
+        if not np.abs(operator).sum(axis=1).max() * grid.conjugate_gap(knot_values) <= cls._symmetry[0]:
+            raise ValueError(cls._symmetry[1])
+        field = object.__new__(cls)
+        field.__dict__.update(grid=grid, knot_values=knot_values, operator=operator, **fields)
         return field
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        # a real operator: one real product over the interleaved real and imaginary parts
+        product = self.operator @ self.knot_values.view(float)
+        product.flags.writeable = False
+        return product.view(complex)
 
     knot_values = cached_property(lambda self: self.values)
     operator = cached_property(lambda self: np.eye(self.values.shape[1]))
 
     @property
     def n_series(self) -> int:
-        return self.values.shape[2]
+        return self.knot_values.shape[2]
 
 
 @dataclass(frozen=True)

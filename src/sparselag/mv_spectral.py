@@ -9,8 +9,9 @@ the lag-window (Bartlett) formula with a triangular window of span Q:
 where R_hat_h is the empirical lag-h autocovariance with divisor T (not
 T - h), and R_hat_{-h} = R_hat_h' by construction.  The sum runs over the
 2Q - 1 lags with nonzero weight and is one product of the (N, 2Q - 1)
-weighted phase matrix with the stacked lag values; with Q around sqrt(T) an
-FFT buys nothing here.
+weighted phase matrix with the stacked lag values.  That matrix depends on
+(N, Q) alone, so an 8-entry cache keeps it, read-only, for both estimates and
+later runs.
 
 Two primitives serve both spectral estimates: :func:`lagged_products` builds
 the lag-h product sums (here of the regressors with themselves; in
@@ -21,6 +22,7 @@ the lag-h product sums (here of the regressors with themselves; in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,14 +59,18 @@ def bartlett_weights(q: int) -> np.ndarray:
     return 1.0 - np.abs(h) / q
 
 
+@lru_cache(maxsize=8)
+def lag_window_kernel(grid: FrequencyGrid, q: int) -> np.ndarray:
+    """The read-only (N, 2q-1) weighted phases W_h e^{-i h omega_k}, h = 1-q..q-1."""
+    return _frozen(grid.phases(np.arange(1 - q, q)) * bartlett_weights(q), dtype=complex)
+
+
 def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """sum_h W_h e^{-i h omega_k} M_h for a stack M of 2q-1 lags, h = 1-q..q-1.
 
     Returns shape (N, *lag_values.shape[1:]), without the 1/2pi factor.
     """
-    q = (lag_values.shape[0] + 1) // 2
-    kernel = grid.phases(np.arange(1 - q, q)) * bartlett_weights(q)
-    return np.tensordot(kernel, lag_values, axes=1)
+    return np.tensordot(lag_window_kernel(grid, (lag_values.shape[0] + 1) // 2), lag_values, axes=1)
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,19 @@ class TestSimulateCommand:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
 
+    def test_overflowing_mean_curve_prints_one_error_line(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("t = 50\nmaturities = 0.25, 1, 5, 10\nar = 0.5\nmean_poly = 1e308, 1e308\n")
+        out = tmp_path / "o"
+        src = str(Path(sparselag.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "sparselag", "simulate", "--config", str(cfg),
+                               "--out", str(out)], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error [simulate] observed values must all be finite"]
+        assert not out.exists()
+
     def test_unwritable_out_is_write_stage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("preset = recovery\n")

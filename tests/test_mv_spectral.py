@@ -7,7 +7,7 @@ from sparselag import (AutocovarianceSet, FrequencyGrid, MacroPanel, SpectralDen
                        bartlett_weights, empirical_mean, estimate_autocovariances,
                        spectral_density_matrix, simulate_var1, var1_spectral_density,
                        SyntheticSpec, MaturityGrid, US_MATURITIES)
-from sparselag.mv_spectral import lag_window_transform, lagged_products
+from sparselag.mv_spectral import lag_window_kernel, lag_window_transform, lagged_products
 from conftest import random_macro_panel
 from oracles import loop_autocovariance, naive_spectral_density
 
@@ -91,6 +91,15 @@ class TestLagWindowTransform:
         stack[3, 0] = 1.0             # h = +1, window weight 2/3
         expected = (2 / 3) * np.exp(-1j * grid.nodes)
         assert np.abs(lag_window_transform(stack, grid)[:, 0] - expected).max() <= 1e-15
+
+    def test_kernel_is_built_once_per_grid_and_span(self):
+        grid, q = FrequencyGrid(64), 7
+        kernel = lag_window_kernel(grid, q)
+        assert not kernel.flags.writeable
+        assert np.array_equal(kernel, grid.phases(np.arange(1 - q, q)) * bartlett_weights(q))
+        assert lag_window_kernel(FrequencyGrid(64), q) is kernel
+        for other in (lag_window_kernel(FrequencyGrid(32), q), lag_window_kernel(grid, q + 1)):
+            assert other is not kernel and other.shape != kernel.shape
 
 
 class TestBartlettWeights:

@@ -83,3 +83,26 @@ class TestAnalyze:
             assert np.abs(g[pair] - np.conj(g)).max() <= 1e-10 * max(1, np.abs(g).max())
             b = result.frequency_response.values
             assert np.abs(b[pair] - np.conj(b)).max() <= 1e-8 * max(1, np.abs(b).max())
+
+    def test_spectral_fields_stay_knot_factored(self):
+        spec = replace(recovery_spec(seed=5), n_times=150)
+        panel, macro, _ = simulate_lagged_regression(spec)
+        result = analyze(panel, macro, Config.defaults(150, panel.n_maturities, n_omega=64))
+        for field in (result.cross_spectral, result.frequency_response):
+            assert "values" not in vars(field)
+            values = field.values
+            assert not values.flags.writeable
+            # the real operator applied to the interleaved real and imaginary parts
+            product = (field.operator @ field.knot_values.view(float)).view(complex)
+            assert np.array_equal(values, product)
+            assert field.values is values
+
+    def test_condition_numbers_are_read_only(self, rng):
+        panel = random_sparse_panel(rng, 60, 4)
+        macro = random_macro_panel(rng, 60, 2)
+        result = analyze(panel, macro, Config.defaults(60, 4, n_omega=64))
+        conds = result.frequency_response.condition_numbers
+        assert conds is result.diagnostics.condition_numbers
+        assert not conds.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            result.diagnostics.condition_numbers[0] = 0.0

@@ -1,18 +1,22 @@
 """Property tests: the operator-based smoothers against their definitions, the
 knot-level solve and quadrature against the same steps on materialised fields,
-and the whole estimator's equivariance under relabelling and rescaling.
+the knot-level field checks against the value-level ones, and the whole
+estimator's equivariance under relabelling and rescaling.
 
 Hypothesis draws the panel shape, the window span, the bandwidth and the
 missing-cell pattern; the checks are derandomized so every run sees the same
 examples.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparselag import (Config, CrossSpectralField, FrequencyGrid, MacroPanel, MaturityGrid,
-                       SparseYieldPanel, SpectralDensityField, analyze,
+from sparselag import (Config, CrossSpectralField, FrequencyGrid, FrequencyResponseField,
+                       MacroPanel, MaturityGrid, SparseYieldPanel, SpectralDensityField, analyze,
                        cross_spectral_density, empirical_mean, filter_coefficients,
                        frequency_response, mean_curve_warped, naive_cross_spectral_density,
                        raw_cross_cov)
@@ -116,6 +120,54 @@ def knot_factored_problems(draw):
     mats = mats + (np.abs(np.linalg.eigvalsh(mats)).max() + 0.5) * np.eye(d)
     cross = CrossSpectralField.from_knots(grid, knots, rng.standard_normal((n_eval, n_knots)))
     return cross, SpectralDensityField(grid=grid, matrices=mats), draw(st.integers(0, (n - 2) // 2))
+
+
+@st.composite
+def symmetric_knot_fields(draw):
+    """(field class, grid, conjugate-symmetric knot field, real operator, a knot entry (k, i, j))."""
+    cls = draw(st.sampled_from([CrossSpectralField, FrequencyResponseField]))
+    n = 2 * draw(st.integers(2, 16))
+    n_knots, n_eval, d = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = FrequencyGrid(n)
+    knots = rng.standard_normal((n, n_knots, d)) + 1j * rng.standard_normal((n, n_knots, d))
+    pairs = np.arange(1, n // 2)
+    knots[n - pairs] = np.conj(knots[pairs])
+    knots[[0, n // 2]] = knots[[0, n // 2]].real     # the self-paired nodes omega = -pi, 0
+    operator = rng.standard_normal((n_eval, n_knots)) * 10.0 ** draw(st.integers(-4, 2))
+    entry = (draw(st.integers(0, n - 1)), draw(st.integers(0, n_knots - 1)), draw(st.integers(0, d - 1)))
+    return cls, grid, knots, operator, entry
+
+
+@_SETTINGS
+@given(symmetric_knot_fields(), st.one_of(st.just(0.0), st.floats(1e-3, 0.999), st.floats(1.001, 8.0)),
+       st.floats(0.0, 2 * np.pi))
+def test_knot_symmetry_check_is_at_least_as_strict_as_the_value_check(problem, ratio, angle):
+    cls, grid, knots, operator, (k, i, j) = problem
+    tol, message = cls._symmetry
+    norm = np.abs(operator).sum(axis=1).max()
+    # move one node of a conjugate pair by a gap of ratio * tol / ||L||_inf; ratios within
+    # 1e-3 of 1 are left out, as there rounding of order eps * ||L|| * |Z| decides either check
+    knots[k, i, j] += ratio * tol / norm * np.exp(1j * angle)
+    if norm * grid.conjugate_gap(knots) > tol:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls.from_knots(grid, knots, operator)
+    else:
+        field = cls.from_knots(grid, knots, operator)
+        assert grid.conjugate_asymmetry(field.values) <= tol
+
+
+@_SETTINGS
+@given(symmetric_knot_fields(), st.booleans())
+def test_knot_construction_names_the_first_non_finite_node(problem, in_operator):
+    cls, grid, knots, operator, (k, i, j) = problem
+    if in_operator:
+        operator[-1, i] = np.nan        # reaches every node of operator @ knots
+        k = 0
+    else:
+        knots[k, i, j] = np.nan
+    with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[k]!r}")):
+        cls.from_knots(grid, knots, operator)
 
 
 def _rel(a, b):
