@@ -15,12 +15,17 @@ The VAR(1) spectral density has the closed form
     F(omega) = (1/2pi) (I - A e^{-i omega})^{-1} Sigma (I - A e^{-i omega})^{-*},
 
 used as the independent oracle for the lag-window estimator.
+
+A diagonal A runs as d scalar AR(1) recursions x = a_jj * x + s over Python
+floats.  The off-diagonal terms of A @ x add exact zeros, so each step rounds
+as the matrix product does and the path is bit-identical to the matrix loop
+that a coupled A keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -67,6 +72,13 @@ class SyntheticSpec:
             raise ValueError("ar_coef, innovation_cov and macro_mean disagree on the dimension d")
         if self.n_times < 1:
             raise ValueError("n_times must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name, arr in (("ar_coef", a), ("innovation_cov", cov), ("macro_mean", mean)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+        if not all(np.isfinite(v) and v >= 0 for v in (self.curve_error_scale, self.noise_sd)):
+            raise ValueError("noise scales must be finite and nonnegative")
         rho = _spectral_radius(a)
         if rho >= 1.0:
             raise ValueError(f"ar_coef spectral radius must be < 1 for stationarity, got {rho:.4f}")
@@ -76,8 +88,6 @@ class SyntheticSpec:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValueError("innovation covariance must be positive definite") from None
-        if self.curve_error_scale < 0 or self.noise_sd < 0:
-            raise ValueError("noise scales must be nonnegative")
         for (h, j) in self.filter_fns:
             if not 0 <= j < d:
                 raise ValueError(f"filter series index {j} outside 0..{d - 1}")
@@ -95,10 +105,26 @@ class SyntheticSpec:
         return max((abs(h) for h, _ in self.filter_fns), default=0)
 
 
+def _scalar_ar1(a: float, shocks: Iterable[float]) -> Iterator[float]:
+    # two roundings per step, as in A @ x + shock; CPython never fuses them
+    x = 0.0
+    for s in shocks:
+        x = a * x + s
+        yield x
+
+
 def _var1_deviations(spec: SyntheticSpec, rng: np.random.Generator, n_steps: int) -> np.ndarray:
     chol = np.linalg.cholesky(spec.innovation_cov)
     shocks = rng.standard_normal((_BURN_IN + n_steps, spec.n_series)) @ chol.T
     out = np.empty((_BURN_IN + n_steps, spec.n_series))
+    a = spec.ar_coef
+    diag = np.diagonal(a)
+    if not np.any(a - np.diag(diag)):
+        for j, a_jj in enumerate(diag.tolist()):
+            # a memoryview yields Python floats one at a time, with no list of them
+            column = memoryview(np.ascontiguousarray(shocks[:, j]))
+            out[:, j] = np.fromiter(_scalar_ar1(a_jj, column), float, count=len(out))
+        return out[_BURN_IN:]
     x = np.zeros(spec.n_series)
     for t in range(_BURN_IN + n_steps):
         x = spec.ar_coef @ x + shocks[t]

@@ -7,11 +7,15 @@ another step: ``brentq_warp_inverse`` evaluates phi with the library's
 Hermite evaluator to pin the inverse, and ``naive_result_rows`` takes its
 predictions from the full-grid ``predict_panel`` and its maturity lookup
 from the library, because its subject is the text formatting, which must
-match bit for bit.
+match bit for bit.  ``loop_var1_deviations`` is the simulator's original
+matrix loop, kept verbatim (with the simulator's burn-in length) to pin the
+scalar-recursion path for diagonal A bit for bit.
 """
 
 import numpy as np
 from scipy.optimize import brentq
+
+from sparselag.simulate import _BURN_IN
 
 
 def naive_spectral_density(matrices, lags, weights, nodes):
@@ -27,6 +31,18 @@ def naive_spectral_density(matrices, lags, weights, nodes):
                     acc[a, b] += weights[l] * matrices[l, a, b] * phase
         out[k] = acc / (2.0 * np.pi)
     return out
+
+
+def loop_var1_deviations(spec, rng, n_steps):
+    """VAR(1) deviations by one ``A @ x + shock`` matrix step per date."""
+    chol = np.linalg.cholesky(spec.innovation_cov)
+    shocks = rng.standard_normal((_BURN_IN + n_steps, spec.n_series)) @ chol.T
+    out = np.empty((_BURN_IN + n_steps, spec.n_series))
+    x = np.zeros(spec.n_series)
+    for t in range(_BURN_IN + n_steps):
+        x = spec.ar_coef @ x + shocks[t]
+        out[t] = x
+    return out[_BURN_IN:]
 
 
 def lstsq_locallin(x, z, w, x0):

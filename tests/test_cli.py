@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import sparselag
-from sparselag import checks
+from sparselag import checks, simulate
 from sparselag.cli import main, parse_synthetic_config, read_key_values
 from sparselag.io import sha256_digest
 from sparselag.mv_spectral import bartlett_weights, SpectralDensityField
+from oracles import loop_var1_deviations
 
 
 @pytest.fixture
@@ -21,6 +22,14 @@ def sim_dir(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     return out
+
+
+def _run_module(*args):
+    """Run ``python -m sparselag`` in a fresh interpreter, to see its real stderr."""
+    src = str(Path(sparselag.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "sparselag", *args], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
 
 
 class TestSimulateCommand:
@@ -91,14 +100,37 @@ class TestSimulateCommand:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("t = 50\nmaturities = 0.25, 1, 5, 10\nar = 0.5\nmean_poly = 1e308, 1e308\n")
         out = tmp_path / "o"
-        src = str(Path(sparselag.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "sparselag", "simulate", "--config", str(cfg),
-                               "--out", str(out)], capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": path})
+        proc = _run_module("simulate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error [simulate] observed values must all be finite"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra, flags, message", [
+        ("curve_error_scale = nan\n", (), "noise scales must be finite and nonnegative"),
+        ("noise_sd = inf\n", (), "noise scales must be finite and nonnegative"),
+        ("innovation_cov = inf\n", (), "innovation_cov must be finite"),
+        ("macro_mean = nan\n", (), "macro_mean must be finite"),
+        ("seed = -1\n", (), "seed must be nonnegative, got -1"),
+        ("", ("--seed", "-1"), "seed must be nonnegative, got -1"),
+    ])
+    def test_non_finite_or_negative_values_are_config_errors(self, tmp_path, extra, flags,
+                                                             message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("t = 50\nmaturities = 1, 2, 5\nar = 0.5\n" + extra)
+        out = tmp_path / "o"
+        proc = _run_module("simulate", "--config", str(cfg), "--out", str(out), *flags)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error [config] {message}"]
+        assert not out.exists()
+
+    def test_recovery_files_equal_the_matrix_loop_files(self, sim_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulate, "_var1_deviations", loop_var1_deviations)
+        cfg = tmp_path / "loop.cfg"
+        cfg.write_text("preset = recovery\nseed = 3\n")
+        out = tmp_path / "loop"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("yields.csv", "macro.csv", "truth.json"):
+            assert sha256_digest(sim_dir / name) == sha256_digest(out / name)
 
     def test_unwritable_out_is_write_stage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

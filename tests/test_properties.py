@@ -1,7 +1,8 @@
 """Property tests: the operator-based smoothers against their definitions, the
 knot-level solve and quadrature against the same steps on materialised fields,
-the knot-level field checks against the value-level ones, and the whole
-estimator's equivariance under relabelling and rescaling.
+the knot-level field checks against the value-level ones, the whole
+estimator's equivariance under relabelling and rescaling, and the simulator's
+scalar VAR(1) recursion for diagonal A against the matrix loop.
 
 Hypothesis draws the panel shape, the window span, the bandwidth and the
 missing-cell pattern; the checks are derandomized so every run sees the same
@@ -16,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparselag import (Config, CrossSpectralField, FrequencyGrid, FrequencyResponseField,
-                       MacroPanel, MaturityGrid, SparseYieldPanel, SpectralDensityField, analyze,
-                       cross_spectral_density, empirical_mean, filter_coefficients,
-                       frequency_response, mean_curve_warped, naive_cross_spectral_density,
-                       raw_cross_cov)
+                       MacroPanel, MaturityGrid, SparseYieldPanel, SpectralDensityField,
+                       SyntheticSpec, US_MATURITIES, analyze, cross_spectral_density,
+                       empirical_mean, filter_coefficients, frequency_response,
+                       mean_curve_warped, naive_cross_spectral_density, raw_cross_cov)
+from sparselag.simulate import _var1_deviations
 from conftest import random_macro_panel
+from oracles import loop_var1_deviations
 
 _SETTINGS = settings(max_examples=20, derandomize=True, database=None, deadline=None)
 
@@ -216,3 +219,27 @@ def test_rescaling_scales_filter_and_mean_and_keeps_r_squared(instance, a, c):
     assert _rel(fit.filter_coef, base.filter_coef * (a / c)) <= 1e-10
     assert _rel(fit.mean_curve, base.mean_curve * a) <= 1e-10
     assert abs(fit.r_squared - base.r_squared) <= 1e-10
+
+
+@st.composite
+def diagonal_var1_specs(draw):
+    """A diagonal VAR(1) spec: zero, -0.0 and negative coefficients, either sign of
+    zero off the diagonal, a random SPD innovation covariance, 1..3000 dates."""
+    d = draw(st.integers(1, 6))
+    coefs = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-0.95, 0.95),
+                          min_size=d, max_size=d))
+    off = draw(st.sampled_from([0.0, -0.0]))
+    ar = np.where(np.eye(d, dtype=bool), np.diag(coefs), off)
+    m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((d, d))
+    return SyntheticSpec(maturity_grid=MaturityGrid(np.array(US_MATURITIES)),
+                         n_times=draw(st.integers(1, 3000)), ar_coef=ar,
+                         innovation_cov=m @ m.T + 0.1 * np.eye(d), macro_mean=np.zeros(d),
+                         seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@_SETTINGS
+@given(diagonal_var1_specs())
+def test_diagonal_var1_recursion_matches_matrix_loop_bit_for_bit(spec):
+    fast = _var1_deviations(spec, np.random.default_rng(spec.seed), spec.n_times)
+    loop = loop_var1_deviations(spec, np.random.default_rng(spec.seed), spec.n_times)
+    assert np.array_equal(fast, loop)

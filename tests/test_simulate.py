@@ -5,7 +5,9 @@ from scipy.linalg import solve_discrete_lyapunov
 from sparselag import (FrequencyGrid, MaturityGrid, SyntheticSpec, US_MATURITIES,
                        predict_curve, recovery_spec, simulate_lagged_regression,
                        simulate_var1, var1_spectral_density)
+from sparselag import simulate
 from sparselag.model import LaggedRegressionFit
+from oracles import loop_var1_deviations
 
 
 def _spec(**overrides):
@@ -52,6 +54,50 @@ class TestSimulateVar1:
     def test_bad_covariance_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
             _spec(innovation_cov=np.array([[-1.0]]))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ar_coef", np.array([[np.nan]]), "ar_coef must be finite"),
+        ("innovation_cov", np.array([[np.inf]]), "innovation_cov must be finite"),
+        ("macro_mean", np.array([np.nan]), "macro_mean must be finite"),
+        ("curve_error_scale", np.nan, "finite and nonnegative"),
+        ("noise_sd", np.inf, "finite and nonnegative"),
+        ("noise_sd", -0.1, "finite and nonnegative"),
+        ("seed", -1, "seed must be nonnegative"),
+    ])
+    def test_non_finite_or_negative_values_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            _spec(**{field: value})
+
+
+class TestDiagonalFastPath:
+    """A diagonal A runs as scalar recursions; outputs must equal the matrix loop."""
+
+    def test_coupled_coefficients_keep_the_matrix_loop(self):
+        spec = _spec(ar_coef=np.array([[0.6, 0.2], [-0.1, 0.4]]),
+                     innovation_cov=np.array([[1.0, 0.3], [0.3, 2.0]]), macro_mean=np.zeros(2),
+                     n_times=700)
+        fast = simulate._var1_deviations(spec, np.random.default_rng(4), spec.n_times)
+        loop = loop_var1_deviations(spec, np.random.default_rng(4), spec.n_times)
+        assert np.array_equal(fast, loop)
+
+    def test_lagged_regression_equals_matrix_loop_run(self, monkeypatch):
+        d = 5
+        spec = _spec(ar_coef=np.diag([0.7, -0.3, 0.0, 0.5, 0.9]),
+                     innovation_cov=0.5 * np.eye(d) + 0.5, macro_mean=np.arange(d, dtype=float),
+                     filter_fns={(-2, 0): lambda t: t, (0, 4): lambda t: 1.0 - t,
+                                 (2, 2): lambda t: 0.5 + 0 * t},
+                     mean_fn=lambda t: 1.0 + t, curve_error_scale=0.2, noise_sd=0.05,
+                     n_times=300, seed=17)
+        p_fast, m_fast, t_fast = simulate_lagged_regression(spec)
+        monkeypatch.setattr(simulate, "_var1_deviations", loop_var1_deviations)
+        p_loop, m_loop, t_loop = simulate_lagged_regression(spec)
+        assert np.array_equal(p_fast.values, p_loop.values)
+        assert np.array_equal(m_fast.values, m_loop.values)
+        assert np.array_equal(t_fast.regression_curves, t_loop.regression_curves)
+        assert np.array_equal(t_fast.mean_at_maturities, t_loop.mean_at_maturities)
+        assert t_fast.filter_at_maturities.keys() == t_loop.filter_at_maturities.keys()
+        for key, vals in t_fast.filter_at_maturities.items():
+            assert np.array_equal(vals, t_loop.filter_at_maturities[key])
 
 
 class TestVar1SpectralDensity:
