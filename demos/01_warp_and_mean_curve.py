@@ -17,7 +17,7 @@ warp = build_warp(grid)
 
 print("The warp sends the equidistant grid k/8 onto the quoted maturities:")
 for k, tau in enumerate(grid.maturities):
-    t = k / (len(grid) - 1)
+    t = k / (grid.n_maturities - 1)
     print(f"  phi({t:5.3f}) = {warp_apply(warp, t):7.4f} years   (quoted: {tau:.4f})")
 
 print("\nBetween knots the map stays strictly increasing, e.g.")
@@ -27,9 +27,9 @@ for t in (0.05, 0.30, 0.55, 0.80, 0.95):
 
 # A synthetic panel whose true mean is a gentle curve in warped coordinates.
 rng = np.random.default_rng(0)
-tau_tilde = np.linspace(0, 1, len(grid))
+tau_tilde = np.linspace(0, 1, grid.n_maturities)
 true_mean = 5.0 + 2.0 * tau_tilde - 1.0 * tau_tilde ** 2
-values = true_mean + 0.3 * rng.standard_normal((240, len(grid)))
+values = true_mean + 0.3 * rng.standard_normal((240, grid.n_maturities))
 values[rng.uniform(size=values.shape) < 0.1] = np.nan      # drop 10% of the quotes
 panel = SparseYieldPanel.from_values(values, grid)
 

@@ -22,7 +22,7 @@ from .mv_spectral import (AutocovarianceSet, SpectralDensityField, bartlett_weig
 from .cross_spectral import (CrossSpectralField, RawCrossCovariances, cross_spectral_density,
                              naive_cross_spectral_density, raw_cross_cov)
 from .lagreg import (FrequencyResponseField, filter_coefficients, frequency_response,
-                     predict_curve, predict_panel, r_squared)
+                     predict_panel, r_squared)
 from .simulate import (SimulationTruth, SyntheticSpec, US_MATURITIES, recovery_spec,
                        simulate_lagged_regression, simulate_var1, var1_spectral_density)
 from .pipeline import AnalysisResult, Diagnostics, analyze, evaluation_grid
@@ -42,7 +42,7 @@ __all__ = [
     "estimate_autocovariances", "estimate_mean_curve", "evaluation_grid",
     "filter_coefficients", "frequency_response", "load_macro_csv", "load_yields_csv",
     "local_linear_operator", "mean_curve_warped", "naive_cross_spectral_density",
-    "predict_curve", "predict_panel", "r_squared", "raw_cross_cov", "recovery_spec",
+    "predict_panel", "r_squared", "raw_cross_cov", "recovery_spec",
     "simulate_lagged_regression", "simulate_var1", "spectral_density_matrix",
     "var1_spectral_density", "warp_apply", "warp_inverse", "write_macro_csv",
     "write_results", "write_yields_csv",

@@ -51,13 +51,11 @@ def _random_instance(rng: np.random.Generator):
     return panel, macro, q, b_r
 
 
-def check_cross_spectral_equivalence(rng: np.random.Generator, n_instances: int = 5,
-                                     n_omega: int = 32, tol: float = 1e-10) -> CheckResult:
+def check_cross_spectral_equivalence(rng: np.random.Generator) -> CheckResult:
     """Factorized smoother path vs naive per-frequency weighted least squares."""
-    worst = 0.0
-    for _ in range(n_instances):
+    grid, tol, worst = FrequencyGrid(32), 1e-10, 0.0
+    for _ in range(5):
         panel, macro, q, b_r = _random_instance(rng)
-        grid = FrequencyGrid(n_omega)
         eval_warped = rng.uniform(size=3)
         mean_curve = smoother.mean_curve_warped(
             panel, 2.0 / (panel.n_maturities - 1), np.linspace(0, 1, panel.n_maturities))
@@ -71,9 +69,9 @@ def check_cross_spectral_equivalence(rng: np.random.Generator, n_instances: int 
                        f"max |fast - naive| = {worst:.2e} (tol {tol:.0e})")
 
 
-def check_quadrature_round_trip(rng: np.random.Generator, tol: float = 1e-12) -> CheckResult:
+def check_quadrature_round_trip(rng: np.random.Generator) -> CheckResult:
     """Synthesize a response from known lag coefficients and recover them."""
-    h_true, h_max, n_omega = 5, 12, 128
+    h_true, h_max, n_omega, tol = 5, 12, 128, 1e-12
     coef = rng.standard_normal((2 * h_true + 1, 4, 2))
     grid = FrequencyGrid(n_omega)
     lags = np.arange(-h_true, h_true + 1)
@@ -88,8 +86,9 @@ def check_quadrature_round_trip(rng: np.random.Generator, tol: float = 1e-12) ->
                        f"max recovery error = {err:.2e} (tol {tol:.0e})")
 
 
-def check_var1_closed_form(rng: np.random.Generator, t_len: int = 20000) -> CheckResult:
+def check_var1_closed_form(rng: np.random.Generator) -> CheckResult:
     """Lag-window spectral estimate vs the AR(1) closed form, reduced scale."""
+    t_len = 20000
     seed = int(rng.integers(2 ** 31))
     spec = simulate.SyntheticSpec(
         maturity_grid=MaturityGrid(np.array(simulate.US_MATURITIES)),
@@ -141,9 +140,9 @@ def check_bartlett_symmetry(rng: np.random.Generator,
                        f"max defect = {worst:.2e} (tol 1e-10)")
 
 
-def check_warp_round_trip(rng: np.random.Generator, tol: float = 1e-9) -> CheckResult:
+def check_warp_round_trip(rng: np.random.Generator) -> CheckResult:
     """phi^{-1}(phi(t)) = t on random monotone grids."""
-    worst = 0.0
+    tol, worst = 1e-9, 0.0
     for _ in range(5):
         n_mat = int(rng.integers(3, 12))
         grid = MaturityGrid(np.cumsum(rng.uniform(0.05, 5.0, size=n_mat)))
@@ -155,8 +154,9 @@ def check_warp_round_trip(rng: np.random.Generator, tol: float = 1e-9) -> CheckR
                        f"max |t - phi_inv(phi(t))| = {worst:.2e} (tol {tol:.0e})")
 
 
-def check_affine_reproduction(rng: np.random.Generator, tol: float = 1e-10) -> CheckResult:
+def check_affine_reproduction(rng: np.random.Generator) -> CheckResult:
     """Mean smoother is exact on data affine in warped coordinates."""
+    tol = 1e-10
     grid = MaturityGrid(np.array(simulate.US_MATURITIES))
     alpha, beta = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
     tau_tilde = np.linspace(0, 1, grid.n_maturities)

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,6 @@ from .errors import (DegenerateTotal, IllConditioned, ParseError, ResidualImagin
                      SingularDesign)
 from .model import Config, MaturityGrid
 from .pipeline import analyze
-
-_ANALYZE_KEYS = {"b_mu", "b_r", "q", "n_omega", "h_max", "n_eval", "cond_threshold"}
 
 
 class StageError(Exception):
@@ -55,13 +54,11 @@ def read_key_values(path) -> dict[str, str]:
 
 def _build_config(n_times: int, n_maturities: int, path) -> Config:
     raw = read_key_values(path) if path else {}
-    unknown = set(raw) - _ANALYZE_KEYS
+    casters = typing.get_type_hints(Config)     # each setting's int or float
+    unknown = set(raw) - set(casters)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    overrides = {}
-    for key, value in raw.items():
-        caster = float if key in {"b_mu", "b_r", "cond_threshold"} else int
-        overrides[key] = caster(value)
+    overrides = {key: casters[key](value) for key, value in raw.items()}
     return Config.defaults(n_times, n_maturities, **overrides)
 
 

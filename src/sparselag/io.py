@@ -18,13 +18,13 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .lagreg import _eval_indices, _predict_columns
+from .lagreg import predict_panel
 from .model import MacroPanel, MaturityGrid, SparseYieldPanel
 from .pipeline import AnalysisResult
 
@@ -54,6 +54,21 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
+def _parse_cells(rows, n_cols: int, missing_ok: bool) -> np.ndarray:
+    """The rows after the header as a float matrix; an empty cell is NaN if ``missing_ok``."""
+    values = np.full((len(rows) - 1, n_cols), np.nan)
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != n_cols:
+            raise ParseError(f"expected {n_cols} cells, found {len(row)}", row=r)
+        for c, cell in enumerate(row):
+            cell = cell.strip()
+            if cell:
+                values[r - 2, c] = _parse_float(cell, r, c + 1)
+            elif not missing_ok:
+                raise ParseError("missing value in regressor panel", row=r, column=c + 1)
+    return values
+
+
 def load_yields_csv(path) -> SparseYieldPanel:
     """Load a curve panel; header = maturities in years, empty cell = missing."""
     rows = _read_rows(path)
@@ -66,15 +81,7 @@ def load_yields_csv(path) -> SparseYieldPanel:
     except ValueError as exc:
         raise ParseError(f"invalid maturity header: {exc}", row=1) from None
 
-    n_mat = len(maturities)
-    values = np.full((len(rows) - 1, n_mat), np.nan)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != n_mat:
-            raise ParseError(f"expected {n_mat} cells, found {len(row)}", row=r)
-        for c, cell in enumerate(row):
-            cell = cell.strip()
-            if cell:
-                values[r - 2, c] = _parse_float(cell, r, c + 1)
+    values = _parse_cells(rows, len(maturities), missing_ok=True)
     try:
         return SparseYieldPanel.from_values(values, grid)
     except ValueError as exc:
@@ -87,15 +94,7 @@ def load_macro_csv(path) -> MacroPanel:
     names = [cell.strip() for cell in rows[0]]
     if any(not name for name in names):
         raise ParseError("series names must be non-empty", row=1)
-    values = np.empty((len(rows) - 1, len(names)))
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(names):
-            raise ParseError(f"expected {len(names)} cells, found {len(row)}", row=r)
-        for c, cell in enumerate(row):
-            cell = cell.strip()
-            if not cell:
-                raise ParseError("missing value in regressor panel", row=r, column=c + 1)
-            values[r - 2, c] = _parse_float(cell, r, c + 1)
+    values = _parse_cells(rows, len(names), missing_ok=False)
     try:
         return MacroPanel(values=values, series_names=tuple(names))
     except ValueError as exc:
@@ -200,28 +199,22 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         return list(zip(*field_grids, _column(half.real), _column(half.imag)))
 
     maturities = panel.maturity_grid.maturities
-    cols = _eval_indices(fit, maturities)
     observed = [text if seen else "" for text, seen in
                 zip(_column(panel.values), panel.observed.ravel().tolist())]
     fitted_rows = list(zip(
         _grid_column([str(t + 1) for t in range(panel.n_times)], panel.n_maturities, 1),
         _grid_column(_column(maturities), 1, panel.n_times),
         observed,
-        _column(_predict_columns(fit, macro, cols)),
+        _column(predict_panel(fit, macro, maturities)),
     ))
 
-    cfg = result.config
     summary = {
         "r_squared": fit.r_squared,
         "n_times": panel.n_times,
         "n_maturities": panel.n_maturities,
         "n_series": macro.n_series,
         "series_names": list(names),
-        "config": {
-            "b_mu": cfg.b_mu, "b_r": cfg.b_r, "q": cfg.q, "n_omega": cfg.n_omega,
-            "h_max": cfg.h_max, "n_eval": cfg.n_eval,
-            "cond_threshold": cfg.cond_threshold,
-        },
+        "config": asdict(result.config),
         "diagnostics": {
             "max_imag_residual": result.diagnostics.max_imag_residual,
             "truncation_tail_mass": result.diagnostics.truncation_tail_mass,

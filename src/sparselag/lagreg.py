@@ -95,35 +95,15 @@ def _eval_indices(fit: LaggedRegressionFit, eval_points) -> np.ndarray:
     return np.argmax(close, axis=1)
 
 
-def _centered_regressor_at(macro: MacroPanel, macro_means, t_one_based: int, h: int) -> np.ndarray:
-    """X_{t-h} - mu_X with mean imputation outside the observation window."""
-    s = t_one_based - h
-    if 1 <= s <= macro.n_times:
-        return macro.values[s - 1] - macro_means
-    return np.zeros(macro.n_series)
-
-
-def predict_curve(fit: LaggedRegressionFit, macro: MacroPanel, t: int, eval_points=None) -> np.ndarray:
-    """Predicted curve at one-based time t.
+def predict_panel(fit: LaggedRegressionFit, macro: MacroPanel, eval_points=None) -> np.ndarray:
+    """Predicted curves for every t, shape (T, R), or (T, len(eval_points)).
 
     Y_hat_t(tau) = mu_Y(tau) + sum_j sum_h b_h^j(tau) (X^j_{t-h} - mu_X_j),
     with X_{t-h} imputed by its mean (zero centered contribution) whenever
-    t - h falls outside 1..T.
+    t - h falls outside 1..T.  ``eval_points`` picks maturities of the fit's
+    evaluation grid (first match wins); the default is the whole grid.
     """
-    if not 1 <= t <= macro.n_times:
-        raise ValueError(f"time index must lie in 1..{macro.n_times}, got {t}")
-    if macro.n_series != fit.n_series:
-        raise ValueError("fit and regressor panel disagree on the number of series")
     cols = slice(None) if eval_points is None else _eval_indices(fit, eval_points)
-    pred = fit.mean_curve[cols].copy()
-    for l, h in enumerate(fit.lags):
-        xc = _centered_regressor_at(macro, fit.macro_means, t, int(h))
-        pred += fit.filter_coef[l][cols] @ xc
-    return pred
-
-
-def _predict_columns(fit: LaggedRegressionFit, macro: MacroPanel, cols) -> np.ndarray:
-    """Predicted curves for every t at evaluation points ``cols``, shape (T, len(cols))."""
     if macro.n_series != fit.n_series:
         raise ValueError("fit and regressor panel disagree on the number of series")
     t_len = macro.n_times
@@ -140,11 +120,6 @@ def _predict_columns(fit: LaggedRegressionFit, macro: MacroPanel, cols) -> np.nd
     return pred
 
 
-def predict_panel(fit: LaggedRegressionFit, macro: MacroPanel) -> np.ndarray:
-    """Predicted curves for every t at the fit's evaluation grid, shape (T, R)."""
-    return _predict_columns(fit, macro, slice(None))
-
-
 def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPanel) -> float:
     """In-sample coefficient of determination over all observed cells.
 
@@ -154,9 +129,9 @@ def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPan
     """
     if panel.n_times != macro.n_times:
         raise ValueError("panel horizons differ between curves and regressors")
-    cols = _eval_indices(fit, panel.maturity_grid.maturities)
-    pred = _predict_columns(fit, macro, cols)
-    mean = fit.mean_curve[cols]
+    maturities = panel.maturity_grid.maturities
+    pred = predict_panel(fit, macro, maturities)
+    mean = fit.mean_curve[_eval_indices(fit, maturities)]
     obs = panel.observed
     resid = np.where(obs, panel.values - pred, 0.0)
     total = np.where(obs, panel.values - mean, 0.0)

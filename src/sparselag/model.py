@@ -45,9 +45,6 @@ class MaturityGrid:
             raise ValueError("maturities must be strictly increasing")
         object.__setattr__(self, "maturities", _frozen(m))
 
-    def __len__(self) -> int:
-        return self.maturities.size
-
     @property
     def n_maturities(self) -> int:
         return self.maturities.size
@@ -367,10 +364,6 @@ class LaggedRegressionFit:
     @property
     def n_series(self) -> int:
         return self.filter_coef.shape[2]
-
-    @property
-    def h_max(self) -> int:
-        return int(self.lags.max())
 
     def lag_index(self, h: int) -> int:
         idx = np.flatnonzero(self.lags == h)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import sparselag
 from sparselag import checks, simulate
 from sparselag.cli import main, parse_synthetic_config, read_key_values
 from sparselag.io import sha256_digest
+from sparselag.model import Config
 from sparselag.mv_spectral import bartlett_weights, SpectralDensityField
 from oracles import loop_var1_deviations
 
@@ -99,6 +101,19 @@ class TestSimulateCommand:
     def test_overflowing_mean_curve_prints_one_error_line(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("t = 50\nmaturities = 0.25, 1, 5, 10\nar = 0.5\nmean_poly = 1e308, 1e308\n")
+        out = tmp_path / "o"
+        proc = _run_module("simulate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error [simulate] observed values must all be finite"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        "innovation_cov = 1e300\nfilter_h0_j1 = 1e300\n",
+        "curve_error_scale = 1e308\n",
+    ])
+    def test_overflowing_curves_print_one_error_line(self, tmp_path, extra):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("t = 50\nmaturities = 0.25, 1, 5, 10\nar = 0.5\n" + extra)
         out = tmp_path / "o"
         proc = _run_module("simulate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 1
@@ -217,6 +232,32 @@ class TestAnalyzeCommand:
                      "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["q"] == 20 and summary["config"]["h_max"] == 6
+
+    def test_every_config_field_reaches_the_summary(self, sim_dir, tmp_path, capsys):
+        settings = {"b_mu": 0.3, "b_r": 0.35, "q": 9, "n_omega": 64, "h_max": 5,
+                    "n_eval": 21, "cond_threshold": 1e9}
+        names = [f.name for f in dataclasses.fields(Config)]
+        assert sorted(settings) == sorted(names)
+        defaults = Config.defaults(2000, 9)
+        assert all(getattr(defaults, name) != value for name, value in settings.items())
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{name} = {value!r}\n" for name, value in settings.items()))
+        out = tmp_path / "results"
+        assert main(["analyze", "--yields", str(sim_dir / "yields.csv"),
+                     "--macro", str(sim_dir / "macro.csv"),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        written = json.loads((out / "summary.json").read_text())["config"]
+        assert sorted(written) == sorted(names)
+        for name, value in settings.items():
+            assert written[name] == value and type(written[name]) is type(value)
+
+        cfg.write_text("n_eval = 20.5\n")       # an int field does not take a fraction
+        out = tmp_path / "o"
+        assert main(["analyze", "--yields", str(sim_dir / "yields.csv"),
+                     "--macro", str(sim_dir / "macro.csv"),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert "[config]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_cond_threshold_exits_2(self, sim_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -7,10 +7,9 @@ import pytest
 from sparselag import (DegenerateTotal, FrequencyGrid, FrequencyResponseField,
                        IllConditioned, LaggedRegressionFit, MacroPanel, ResidualImaginary,
                        SparseYieldPanel, SpectralDensityField,
-                       filter_coefficients, frequency_response, predict_curve, predict_panel,
-                       r_squared)
+                       filter_coefficients, frequency_response, predict_panel, r_squared)
 from sparselag.cross_spectral import CrossSpectralField
-from sparselag.lagreg import _eval_indices, _predict_columns
+from sparselag.lagreg import _eval_indices
 from conftest import random_macro_panel
 from oracles import loop_prediction
 
@@ -172,8 +171,6 @@ class TestFilterCoefficients:
         values = np.full((16, 1, 1), 1j)
         resp = FrequencyResponseField.__new__(FrequencyResponseField)
         object.__setattr__(resp, "grid", grid)
-        object.__setattr__(resp, "eval_warped", np.array([0.0]))
-        object.__setattr__(resp, "eval_tau", np.array([0.0]))
         object.__setattr__(resp, "values", values)
         object.__setattr__(resp, "condition_numbers", None)
         with pytest.raises(ResidualImaginary):
@@ -198,30 +195,24 @@ class TestPrediction:
     def test_zero_filter_returns_mean(self, us_grid, rng):
         fit = _toy_fit(us_grid, np.zeros((5, 9, 1)))
         macro = random_macro_panel(rng, 12, 1)
+        pred = predict_panel(fit, macro)
         for t in (1, 6, 12):
-            assert np.array_equal(predict_curve(fit, macro, t), fit.mean_curve)
+            assert np.array_equal(pred[t - 1], fit.mean_curve)
 
     def test_mean_regressors_return_mean(self, us_grid, rng):
         coef = rng.standard_normal((5, 9, 2))
         fit = _toy_fit(us_grid, coef, d=2)
         macro = MacroPanel(values=np.zeros((10, 2)), series_names=("a", "b"))
-        assert np.abs(predict_curve(fit, macro, 4) - fit.mean_curve).max() <= 1e-14
+        assert np.abs(predict_panel(fit, macro)[3] - fit.mean_curve).max() <= 1e-14
 
     def test_matches_loop_oracle_with_imputation(self, us_grid, rng):
         coef = rng.standard_normal((7, 9, 2))
         fit = _toy_fit(us_grid, coef, d=2)
         macro = random_macro_panel(rng, 15, 2)
+        pred = predict_panel(fit, macro)
         for t in (1, 2, 8, 14, 15):   # boundary rows exercise the imputation
             expected = loop_prediction(fit, macro.values, fit.macro_means, t)
-            assert np.allclose(predict_curve(fit, macro, t), expected, atol=1e-12)
-
-    def test_panel_prediction_matches_per_time(self, us_grid, rng):
-        coef = rng.standard_normal((5, 9, 1))
-        fit = _toy_fit(us_grid, coef)
-        macro = random_macro_panel(rng, 10, 1)
-        stacked = predict_panel(fit, macro)
-        for t in range(1, 11):
-            assert np.allclose(stacked[t - 1], predict_curve(fit, macro, t), atol=1e-12)
+            assert np.allclose(pred[t - 1], expected, atol=1e-12)
 
     def test_prediction_affine_in_regressors(self, us_grid, rng):
         coef = rng.standard_normal((3, 9, 1))
@@ -232,23 +223,15 @@ class TestPrediction:
         dev2 = predict_panel(fit, doubled) - fit.mean_curve
         assert np.array_equal(dev2, 2.0 * dev1)
 
-    def test_time_index_validated(self, us_grid, rng):
-        fit = _toy_fit(us_grid, np.zeros((3, 9, 1)))
-        macro = random_macro_panel(rng, 5, 1)
-        with pytest.raises(ValueError, match="time index"):
-            predict_curve(fit, macro, 0)
-        with pytest.raises(ValueError, match="time index"):
-            predict_curve(fit, macro, 6)
-
     def test_eval_subset_lookup(self, us_grid, rng):
         coef = rng.standard_normal((3, 9, 1))
         fit = _toy_fit(us_grid, coef)
         macro = random_macro_panel(rng, 5, 1)
-        full = predict_curve(fit, macro, 3)
-        sub = predict_curve(fit, macro, 3, eval_points=[1 / 12, 30.0])
-        assert np.array_equal(sub, full[[0, 8]])
+        full = predict_panel(fit, macro)
+        sub = predict_panel(fit, macro, eval_points=[1 / 12, 30.0])
+        assert np.array_equal(sub, full[:, [0, 8]])
         with pytest.raises(ValueError, match="evaluation grid"):
-            predict_curve(fit, macro, 3, eval_points=[4.0])
+            predict_panel(fit, macro, eval_points=[4.0])
 
     def test_eval_lookup_takes_first_hit_and_names_first_miss(self, us_grid):
         fit = _toy_fit(us_grid, np.zeros((3, 9, 1)))
@@ -273,7 +256,8 @@ class TestPrediction:
         )
         macro = random_macro_panel(rng, t_len, d)
         cols = np.sort(rng.choice(n_eval, size=9, replace=False))
-        assert np.array_equal(_predict_columns(fit, macro, cols), predict_panel(fit, macro)[:, cols])
+        assert np.array_equal(predict_panel(fit, macro, fit.eval_tau[cols]),
+                              predict_panel(fit, macro)[:, cols])
 
 
 class TestRSquared:

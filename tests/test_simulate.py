@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
 from sparselag import (FrequencyGrid, MaturityGrid, SyntheticSpec, US_MATURITIES,
-                       predict_curve, recovery_spec, simulate_lagged_regression,
+                       predict_panel, recovery_spec, simulate_lagged_regression,
                        simulate_var1, var1_spectral_density)
 from sparselag import simulate
 from sparselag.model import LaggedRegressionFit
@@ -152,7 +152,7 @@ class TestSimulateLaggedRegression:
                         + 0.5 * tau_tilde * macro.values[t - 3, 0])
             assert np.allclose(panel.values[t - 1], expected, atol=1e-12)
 
-    def test_truth_consistency_with_predict_curve(self):
+    def test_truth_consistency_with_predict_panel(self):
         spec = _spec(filter_fns={(0, 0): lambda t: 1.0 - t, (1, 0): lambda t: 0.25 + 0 * t},
                      mean_fn=lambda t: 4.0 + t * t, n_times=40)
         panel, macro, truth = simulate_lagged_regression(spec)
@@ -168,8 +168,9 @@ class TestSimulateLaggedRegression:
             mean_curve=truth.mean_at_maturities,
             macro_means=np.zeros(1),
         )
+        pred = predict_panel(fit, macro)
         for t in range(1 + h_true, 40 - h_true + 1):
-            assert np.abs(predict_curve(fit, macro, t) - panel.values[t - 1]).max() <= 1e-10
+            assert np.abs(pred[t - 1] - panel.values[t - 1]).max() <= 1e-10
 
     def test_lag_zero_filter_consistent_at_every_t(self):
         spec = _spec(filter_fns={(0, 0): lambda t: 1.0 - t}, n_times=30)
@@ -182,8 +183,9 @@ class TestSimulateLaggedRegression:
             mean_curve=truth.mean_at_maturities,
             macro_means=np.zeros(1),
         )
+        pred = predict_panel(fit, macro)
         for t in range(1, 31):
-            assert np.abs(predict_curve(fit, macro, t) - panel.values[t - 1]).max() <= 1e-10
+            assert np.abs(pred[t - 1] - panel.values[t - 1]).max() <= 1e-10
 
     def test_deterministic_outputs(self):
         spec = recovery_spec(seed=5)
