@@ -50,7 +50,7 @@ with open(workdir / "demo_results" / "frequency_response.csv", newline="") as fh
 field = result.frequency_response.values
 n_nodes = field.shape[0]
 half = np.array([complex(float(re), float(im)) for *_, re, im in rows]).reshape(-1, *field.shape[1:])
-full = np.concatenate([half, half[n_nodes // 2 - 1:0:-1].conj()])
+full = result.frequency_response.grid.mirror(half)
 assert np.array_equal(full, field)
 print(f"\nfrequency_response.csv: {half.shape[0]} of {n_nodes} nodes written, "
       f"mirrored back to the full {full.shape} field")

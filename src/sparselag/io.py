@@ -156,9 +156,8 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
 
     Every spectral field f of a real-valued panel satisfies
     f(omega_{(-k) mod N}) = conj f(omega_k), so the three spectral tables
-    hold only the non-redundant nodes k = 0..N/2 (omega in [-pi, 0]); any
-    other node is the conjugate of its mirror (see
-    ``FrequencyGrid.conjugate_asymmetry`` for the pairing).
+    hold only the ``half`` each field stores, nodes k = 0..N/2 (omega in
+    [-pi, 0]); ``FrequencyGrid.mirror`` rebuilds the other nodes.
 
     Tables are built column by column: every grid value (frequency,
     maturity, lag, series name) is formatted once and its string reused on
@@ -167,7 +166,8 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
     fit = result.fit
     names = macro.series_names
     n_series, n_eval = len(names), fit.eval_tau.size
-    n_nodes = result.spectral_density.grid.n_nodes // 2 + 1
+    spec = result.spectral_density.half
+    n_nodes = len(spec)
     omegas = _column(result.spectral_density.grid.nodes[:n_nodes])
     taus = _column(fit.eval_tau)
 
@@ -181,7 +181,6 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         _column(fit.filter_coef.transpose(2, 0, 1)),
     ))
 
-    spec = result.spectral_density.matrices[:n_nodes]
     spec_rows = list(zip(
         _grid_column(omegas, n_series * n_series, 1),
         _grid_column(names, n_series, n_nodes),
@@ -194,8 +193,7 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
                    _grid_column(taus, n_series, n_nodes),
                    _grid_column(names, 1, n_nodes * n_eval))
 
-    def field_rows(values):
-        half = values[:n_nodes]
+    def field_rows(half):
         return list(zip(*field_grids, _column(half.real), _column(half.imag)))
 
     maturities = panel.maturity_grid.maturities
@@ -228,9 +226,9 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         filter_coefficients=(("series", "lag", "tau", "coefficient"), filt_rows),
         spectral_density=(("omega", "row_series", "col_series", "real", "imag"), spec_rows),
         cross_spectral=(("omega", "tau", "series", "real", "imag"),
-                        field_rows(result.cross_spectral.values)),
+                        field_rows(result.cross_spectral.half)),
         frequency_response=(("omega", "tau", "series", "real", "imag"),
-                            field_rows(result.frequency_response.values)),
+                            field_rows(result.frequency_response.half)),
         fitted=(("t", "tau", "observed", "fitted"), fitted_rows),
         summary=summary,
     )

@@ -47,8 +47,8 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
     """Solve B_hat = f_hat * F_hat^{-1} at every node.
 
     The row-vector system is solved through its adjoint: F Z = f^H with F
-    Hermitian, then B = Z^H, on the knot field of f_hat.  Aborts with
-    IllConditioned at the worst node whose condition number exceeds the threshold.
+    Hermitian, then B = Z^H, on the knot field of f_hat at the nodes k <= N/2.  Aborts
+    with IllConditioned at the worst node whose condition number exceeds the threshold.
     """
     if cross.grid != spec.grid:
         raise ValueError("cross-spectral field and spectral density live on different grids")
@@ -58,8 +58,8 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
     worst = int(np.argmax(conds))
     if not np.all(np.isfinite(conds)) or conds[worst] > cond_threshold:
         raise IllConditioned(float(spec.grid.nodes[worst]), float(conds[worst]), cond_threshold)
-    rhs = np.conj(np.swapaxes(cross.knot_values, 1, 2))        # (N, d, I)
-    z = np.swapaxes(np.linalg.solve(spec.matrices, rhs), 1, 2)  # (N, I, d)
+    rhs = np.conj(np.swapaxes(cross.knot_values, 1, 2))    # (N/2+1, d, I)
+    z = np.swapaxes(np.linalg.solve(spec.half, rhs), 1, 2)  # (N/2+1, I, d)
     return FrequencyResponseField.from_knots(cross.grid, np.conj(z), cross.operator,
                                              condition_numbers=_frozen(conds))
 
@@ -76,7 +76,7 @@ def filter_coefficients(resp: FrequencyResponseField, h_max: int):
         raise ValueError(f"need n_omega >= {2 * h_max + 2} to integrate lags up to {h_max}, got {n}")
     # conjugate of the lag-to-frequency kernel: e^{+i h omega}, shape (2H+1, N)
     inverse = resp.grid.phases(np.arange(-h_max, h_max + 1)).conj().T
-    raw = resp.operator @ (np.tensordot(inverse, resp.knot_values, axes=1) / n)
+    raw = resp.operator @ (np.tensordot(inverse, resp.grid.mirror(resp.knot_values), axes=1) / n)
     max_imag = float(np.abs(raw.imag).max())
     bound = _IMAG_RESIDUAL_TOL * (1.0 + float(np.abs(raw.real).max()))
     if max_imag > bound:

@@ -49,14 +49,6 @@ class MaturityGrid:
     def n_maturities(self) -> int:
         return self.maturities.size
 
-    @property
-    def tau_min(self) -> float:
-        return float(self.maturities[0])
-
-    @property
-    def tau_max(self) -> float:
-        return float(self.maturities[-1])
-
 
 @dataclass(frozen=True)
 class SparseYieldPanel:
@@ -184,21 +176,22 @@ class FrequencyGrid:
         n = self.n_nodes
         half = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
         half[-1] = -1.0                  # e^{-i pi} exactly, so root N/2 is its own conjugate
-        return np.concatenate([half, half[-2:0:-1].conj()])[np.outer(np.arange(n) - n // 2, lags) % n]
+        return self.mirror(half)[np.outer(np.arange(n) - n // 2, lags) % n]
 
-    def conjugate_gap(self, values: np.ndarray) -> float:
-        """max |v(-omega) - conj(v(omega))| along axis 0.
+    def mirror(self, half: np.ndarray) -> np.ndarray:
+        """All N nodes (axis 0), read-only, from nodes k = 0..N/2: node N - k is the conjugate of node k."""
+        full = np.concatenate([half, np.conj(half[-2:0:-1])])
+        full.flags.writeable = False
+        return full
 
-        Node k pairs with node (-k) mod N; nodes 0 (omega = -pi) and N/2
-        (omega = 0) pair with themselves.  The two terms of a pair are equal,
-        so each pair is compared once, from its node k <= N/2.
-        """
-        half = np.arange(self.n_nodes // 2 + 1)
-        return float(np.abs(values[(-half) % self.n_nodes] - np.conj(values[half])).max())
-
-    def conjugate_asymmetry(self, values: np.ndarray) -> float:
-        """The conjugate gap relative to max(1, max |v|)."""
-        return self.conjugate_gap(values) / max(1.0, float(np.abs(values).max()))
+    def fold(self, values: np.ndarray, tol: float, message: str) -> np.ndarray:
+        """Nodes k = 0..N/2 of all N values, if max |v(-omega) - conj v(omega)| / max(1, max |v|) <= tol
+        (each pair compared once, from its node k <= N/2); else ValueError(message)."""
+        half = values[: self.n_nodes // 2 + 1]
+        gap = float(np.abs(values[(-np.arange(len(half))) % self.n_nodes] - np.conj(half)).max())
+        if not gap / max(1.0, float(np.abs(values).max())) <= tol:
+            raise ValueError(message)
+        return half
 
     def require_finite(self, values: np.ndarray, what: str) -> None:
         """Raise ValueError naming the first node (axis 0) that holds a NaN or infinity;
@@ -209,46 +202,46 @@ class FrequencyGrid:
 
 
 class KnotFactored:
-    """Spectral field (N, R, d) = L @ Z: the (N, I, d) field Z at the I maturity knots and a
-    real (R, I) operator L, held as knot_values and operator (the identity for a field built
-    from its values, which checks them).  from_knots checks Z and L and builds values on first
-    read: for a real L the values' gap is L (Z(-omega) - conj Z(omega)), so
-        max |v(-omega) - conj v(omega)| <= ||L||_inf * max |Z(-omega) - conj Z(omega)| <= tol
-    implies the value check, which divides that gap by max(1, max |v|) >= 1.  Subclasses set
-    _symmetry = (tolerance, message) and declare values = field(), so that it stays required."""
+    """Spectral field (N, R, d) held on the nodes k = 0..N/2 as the (N/2+1, I, d) field Z at the
+    I maturity knots and a real (R, I) operator L; half = L @ Z and values = grid.mirror(half)
+    are built on first read.  A field built from its N values folds them (Z = half, L = I).
+    from_knots checks Z and L: only omega = -pi, 0 pair with themselves, where the values' gap
+    2 |L Im Z| <= ||L||_inf * 2 max |Im Z| <= tol implies the value check, which divides that gap
+    by max(1, max |v|) >= 1.  Subclasses set _symmetry = (tolerance, message) and declare
+    values = field(), so that it stays required."""
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(vars(self).pop("values"), dtype=complex)
         if vals.ndim != 3 or vals.shape[0] != self.grid.n_nodes:
             raise ValueError("values must have shape (n_nodes, n_eval, n_series)")
         self.grid.require_finite(vals, f"{type(self).__name__} values")
-        if not self.grid.conjugate_asymmetry(vals) <= self._symmetry[0]:
-            raise ValueError(self._symmetry[1])
-        object.__setattr__(self, "values", _frozen(vals, dtype=complex))
+        half = _frozen(self.grid.fold(vals, *self._symmetry), dtype=complex)
+        vars(self).update(half=half, knot_values=half)
 
     @classmethod
     def from_knots(cls, grid: FrequencyGrid, knot_values, operator, **fields):
         knot_values, operator = _frozen(knot_values, dtype=complex), _frozen(operator)
-        if (knot_values.ndim != 3 or len(knot_values) != grid.n_nodes
+        if (knot_values.ndim != 3 or len(knot_values) != grid.n_nodes // 2 + 1
                 or operator.shape[1:] != knot_values.shape[1:2]):
-            raise ValueError("knot values must have shape (n_nodes, I, d) and the operator (R, I)")
+            raise ValueError("knot values must have shape (n_nodes/2 + 1, I, d) and the operator (R, I)")
         grid.require_finite(knot_values, f"{cls.__name__} knot values")
         grid.require_finite(operator[None], f"{cls.__name__} operator")
-        if not np.abs(operator).sum(axis=1).max() * grid.conjugate_gap(knot_values) <= cls._symmetry[0]:
+        self_paired = 2.0 * np.abs(knot_values[[0, -1]].imag).max()
+        if not np.abs(operator).sum(axis=1).max() * self_paired <= cls._symmetry[0]:
             raise ValueError(cls._symmetry[1])
         field = object.__new__(cls)
         field.__dict__.update(grid=grid, knot_values=knot_values, operator=operator, **fields)
         return field
 
     @cached_property
-    def values(self) -> np.ndarray:
+    def half(self) -> np.ndarray:
         # a real operator: one real product over the interleaved real and imaginary parts
         product = self.operator @ self.knot_values.view(float)
         product.flags.writeable = False
         return product.view(complex)
 
-    knot_values = cached_property(lambda self: self.values)
-    operator = cached_property(lambda self: np.eye(self.values.shape[1]))
+    values = cached_property(lambda self: self.grid.mirror(self.half))
+    operator = cached_property(lambda self: np.eye(self.half.shape[1]))
 
     @property
     def n_series(self) -> int:

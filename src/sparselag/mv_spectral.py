@@ -8,10 +8,10 @@ the lag-window (Bartlett) formula with a triangular window of span Q:
 
 where R_hat_h is the empirical lag-h autocovariance with divisor T (not
 T - h), and R_hat_{-h} = R_hat_h' by construction.  The sum runs over the
-2Q - 1 lags with nonzero weight and is one product of the (N, 2Q - 1)
-weighted phase matrix with the stacked lag values.  That matrix depends on
-(N, Q) alone, so an 8-entry cache keeps it, read-only, for both estimates and
-later runs.
+2Q - 1 lags with nonzero weight and is one product of the weighted phase
+matrix with the stacked lag values, at the nodes k = 0..N/2 that determine a
+spectrum of real series.  The matrix depends on (N, Q) alone, so an 8-entry
+cache keeps it, read-only, for both estimates and later runs.
 
 Two primitives serve both spectral estimates: :func:`lagged_products` builds
 the lag-h product sums (here of the regressors with themselves; in
@@ -21,15 +21,12 @@ the lag-h product sums (here of the regressors with themselves; in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .model import FrequencyGrid, MacroPanel, _frozen
-
-_HERMITIAN_TOL = 1e-12
-_CONJ_SYM_TOL = 1e-12
 
 
 def empirical_mean(panel: MacroPanel) -> np.ndarray:
@@ -61,14 +58,15 @@ def bartlett_weights(q: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def lag_window_kernel(grid: FrequencyGrid, q: int) -> np.ndarray:
-    """The read-only (N, 2q-1) weighted phases W_h e^{-i h omega_k}, h = 1-q..q-1."""
-    return _frozen(grid.phases(np.arange(1 - q, q)) * bartlett_weights(q), dtype=complex)
+    """The read-only (N/2+1, 2q-1) weighted phases W_h e^{-i h omega_k}, h = 1-q..q-1, k <= N/2."""
+    return _frozen(grid.phases(np.arange(1 - q, q))[: grid.n_nodes // 2 + 1] * bartlett_weights(q),
+                   dtype=complex)
 
 
 def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """sum_h W_h e^{-i h omega_k} M_h for a stack M of 2q-1 lags, h = 1-q..q-1.
+    """sum_h W_h e^{-i h omega_k} M_h for a stack M of 2q-1 real lags, h = 1-q..q-1.
 
-    Returns shape (N, *lag_values.shape[1:]), without the 1/2pi factor.
+    Returns shape (N/2+1, *lag_values.shape[1:]), nodes k <= N/2, without the 1/2pi factor.
     """
     return np.tensordot(lag_window_kernel(grid, (lag_values.shape[0] + 1) // 2), lag_values, axes=1)
 
@@ -91,6 +89,9 @@ class AutocovarianceSet:
             raise ValueError(f"lags must run {1 - self.q}..{self.q - 1}")
         if mats.shape != (lags.size, mean.size, mean.size):
             raise ValueError("matrices must have shape (2q-1, d, d)")
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"autocovariance at lag {lags[np.argmin(finite)]} not finite")
         center = self.q - 1
         # mirrored[k - 1] says whether R_{-k} = R_k' for k = 1..q-1
         mirrored = (mats[:center][::-1] == np.swapaxes(mats[center + 1:], 1, 2)).all(axis=(1, 2))
@@ -99,9 +100,9 @@ class AutocovarianceSet:
             raise ValueError(f"R_{-k} must equal the transpose of R_{k} exactly")
         r0 = mats[center]
         scale = max(1.0, float(np.abs(r0).max()))
-        if np.abs(r0 - r0.T).max() > 1e-10 * scale:
+        if not np.abs(r0 - r0.T).max() <= 1e-10 * scale:
             raise ValueError("lag-0 autocovariance must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (r0 + r0.T)).min() < -1e-10 * scale:
+        if not np.linalg.eigvalsh(0.5 * (r0 + r0.T)).min() >= -1e-10 * scale:
             raise ValueError("lag-0 autocovariance must be positive semidefinite")
         object.__setattr__(self, "lags", _frozen(lags, dtype=int))
         object.__setattr__(self, "matrices", _frozen(mats))
@@ -126,19 +127,25 @@ def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:
     return AutocovarianceSet(lags=np.arange(1 - q, q), matrices=mats, mean=mean, q=q)
 
 
+class _MirroredMatrices:
+    """Base of SpectralDensityField, whose dataclass field would hide this cached property."""
+
+    matrices = cached_property(lambda self: self.grid.mirror(self.half))
+
+
 @dataclass(frozen=True)
-class SpectralDensityField:
-    """d x d complex spectral density matrices on a frequency grid.
+class SpectralDensityField(_MirroredMatrices):
+    """d x d complex spectral density matrices on a frequency grid, held as ``half``.
 
     Invariants checked at construction: each matrix is Hermitian, and nodes
-    paired across zero frequency carry conjugate values.
+    paired across zero frequency carry conjugate values (FrequencyGrid.fold).
     """
 
     grid: FrequencyGrid
-    matrices: np.ndarray    # (N, d, d) complex
+    matrices: np.ndarray = field()    # (N, d, d) complex
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=complex)
+        mats = np.asarray(vars(self).pop("matrices"), dtype=complex)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("matrices must have shape (n_nodes, d, d)")
         if mats.shape[0] != self.grid.n_nodes:
@@ -146,24 +153,23 @@ class SpectralDensityField:
         # eigvalsh reads one triangle only, so a NaN in the other must be caught here
         self.grid.require_finite(mats, "spectral density matrices")
         scale = max(1.0, float(np.abs(mats).max()))
-        if not np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() <= _HERMITIAN_TOL * scale:
+        if not np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() <= 1e-12 * scale:
             raise ValueError("spectral density matrices must be Hermitian at every node")
-        if not self.grid.conjugate_asymmetry(mats) <= _CONJ_SYM_TOL:
-            raise ValueError("spectral density must satisfy F(-omega) = conj(F(omega))")
-        object.__setattr__(self, "matrices", _frozen(mats, dtype=complex))
+        half = self.grid.fold(mats, 1e-12, "spectral density must satisfy F(-omega) = conj(F(omega))")
+        vars(self)["half"] = _frozen(half, dtype=complex)
 
     @property
     def n_series(self) -> int:
-        return self.matrices.shape[1]
+        return self.half.shape[1]
 
     def condition_numbers(self) -> np.ndarray:
         """cond_2 per node, max/min |eigenvalue| of the Hermitian F_hat; inf where singular."""
-        mags = np.abs(np.linalg.eigvalsh(self.matrices))
+        mags = np.abs(np.linalg.eigvalsh(self.half))
         lo, hi = mags.min(axis=1), mags.max(axis=1)
-        return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0)
+        return self.grid.mirror(np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0))
 
 
 def spectral_density_matrix(acov: AutocovarianceSet, grid: FrequencyGrid) -> SpectralDensityField:
     """Evaluate the triangular-window estimator on the frequency grid."""
-    return SpectralDensityField(grid=grid,
-                                matrices=lag_window_transform(acov.matrices, grid) / (2.0 * np.pi))
+    half = lag_window_transform(acov.matrices, grid) / (2.0 * np.pi)
+    return SpectralDensityField(grid=grid, matrices=grid.mirror(half))

@@ -2,8 +2,11 @@
 
 Everything here is deliberately naive (plain loops, library least-squares
 and root finding) and shares no code with the production paths it checks.
-The two exceptions take the library's forward maps because their subject is
-another step: ``brentq_warp_inverse`` evaluates phi with the library's
+The three exceptions take library pieces because their subject is another
+step: ``full_grid_reference`` takes the library's phase table and window
+weights, because its subject is the restriction of the spectral steps to the
+nodes k = 0..N/2, which must match all N nodes bit for bit;
+``brentq_warp_inverse`` evaluates phi with the library's
 Hermite evaluator to pin the inverse, and ``naive_result_rows`` takes its
 predictions from the full-grid ``predict_panel`` and its maturity lookup
 from the library, because its subject is the text formatting, which must
@@ -15,6 +18,7 @@ scalar-recursion path for diagonal A bit for bit.
 import numpy as np
 from scipy.optimize import brentq
 
+from sparselag.mv_spectral import bartlett_weights
 from sparselag.simulate import _BURN_IN
 
 
@@ -31,6 +35,24 @@ def naive_spectral_density(matrices, lags, weights, nodes):
                     acc[a, b] += weights[l] * matrices[l, a, b] * phase
         out[k] = acc / (2.0 * np.pi)
     return out
+
+
+def full_grid_reference(grid, cross_lags, density_lags):
+    """The spectral steps on all N nodes: (Z, F, cond, B).
+
+    Z is the lag-window transform of the cross lags with the (N, 2q-1) kernel,
+    F that of the density lags over 2pi, cond the per-node |eigenvalue| ratio
+    of F (inf where singular) and B the response knots solving B F = Z.
+    """
+    q = (len(cross_lags) + 1) // 2
+    kernel = grid.phases(np.arange(1 - q, q)) * bartlett_weights(q)
+    z = np.tensordot(kernel, cross_lags, axes=1)
+    f = np.tensordot(kernel, density_lags, axes=1) / (2.0 * np.pi)
+    mags = np.abs(np.linalg.eigvalsh(f))
+    lo, hi = mags.min(axis=1), mags.max(axis=1)
+    cond = np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0)
+    b = np.conj(np.swapaxes(np.linalg.solve(f, np.conj(np.swapaxes(z, 1, 2))), 1, 2))
+    return z, f, cond, b
 
 
 def loop_var1_deviations(spec, rng, n_steps):

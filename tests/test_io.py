@@ -28,7 +28,7 @@ class TestLoadYields:
         path.write_text(header + "\n" + body + "\n")
         panel = load_yields_csv(path)
         assert panel.n_times == 192 and panel.n_maturities == 9
-        assert panel.maturity_grid.tau_max == 30.0
+        assert panel.maturity_grid.maturities[-1] == 30.0
 
     def test_toy_parse_with_missing_cell(self, tmp_path):
         path = tmp_path / "y.csv"
@@ -295,11 +295,6 @@ def _read_spectral_table(path, inner_shape):
     return omegas, values.reshape(-1, *inner_shape)
 
 
-def _mirror(half, n_nodes):
-    """All N nodes from nodes 0..N/2: node N - k is the conjugate of node k."""
-    return np.concatenate([half, half[n_nodes // 2 - 1:0:-1].conj()])
-
-
 class TestHalfSpectrumTables:
     @pytest.mark.parametrize("shape", ["d1_n512", "d3_n64"])
     def test_written_half_mirrors_to_the_full_fields(self, small_analysis, shape, tmp_path):
@@ -313,9 +308,22 @@ class TestHalfSpectrumTables:
             omegas, half = _read_spectral_table(tmp_path / "out" / f"{name}.csv", full.shape[1:])
             assert np.array_equal(omegas, grid.nodes[:grid.n_nodes // 2 + 1]), name
             assert omegas[-1] == 0.0
-            assert np.array_equal(_mirror(half, grid.n_nodes), full), name
-            # the dropped half held nothing beyond the conjugates of the written one
-            assert grid.conjugate_asymmetry(full) == 0.0, name
+            assert np.array_equal(grid.mirror(half), full), name
+
+    def test_bundle_writes_the_stored_halves_without_the_full_fields(self):
+        result, panel, macro = _sparse_analysis(3, 6)
+        bundle = build_result_bundle(result, panel, macro)
+        fields = {"spectral_density": result.spectral_density,
+                  "cross_spectral": result.cross_spectral,
+                  "frequency_response": result.frequency_response}
+        for name, field in fields.items():
+            rows = getattr(bundle, name)[1]
+            written = np.array([complex(float(row[-2]), float(row[-1])) for row in rows])
+            assert np.array_equal(written, field.half.ravel()), name
+        # the writer never built the (N, R, d) products
+        assert "values" not in vars(result.cross_spectral)
+        assert "values" not in vars(result.frequency_response)
+        assert "matrices" not in vars(result.spectral_density)
 
 
 class TestAllOrNothingWrites:

@@ -105,9 +105,9 @@ class TestNonFiniteFieldsRejected:
         values[5, 1, 0] = values[11, 2, 1] = bad
         with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[5]!r}")):
             CrossSpectralField(grid, values)
-        knots = np.zeros((16, 2, 2), dtype=complex)
-        knots[9, 0, 1] = bad
-        with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[9]!r}")):
+        knots = np.zeros((9, 2, 2), dtype=complex)      # the nodes k = 0..N/2
+        knots[6, 0, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[6]!r}")):
             CrossSpectralField.from_knots(grid, knots, rng.standard_normal((3, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -166,13 +166,12 @@ class TestFilterCoefficients:
             filter_coefficients(resp, 8)
 
     def test_broken_symmetry_raises(self):
-        grid = FrequencyGrid(16)
-        # constant imaginary response integrates to an imaginary lag-0 coefficient
-        values = np.full((16, 1, 1), 1j)
+        # any constructed field mirrors to conjugate symmetry, so build one by hand: the
+        # self-paired nodes omega = -pi, 0 carry 1j, which the mirror keeps, and the lag-0
+        # coefficient is (1/N) sum of the mirrored nodes, 2j / 16
         resp = FrequencyResponseField.__new__(FrequencyResponseField)
-        object.__setattr__(resp, "grid", grid)
-        object.__setattr__(resp, "values", values)
-        object.__setattr__(resp, "condition_numbers", None)
+        vars(resp).update(grid=FrequencyGrid(16), knot_values=np.full((9, 1, 1), 1j),
+                          operator=np.eye(1), condition_numbers=None)
         with pytest.raises(ResidualImaginary):
             filter_coefficients(resp, 2)
 

@@ -90,13 +90,17 @@ class TestLagWindowTransform:
         stack = np.zeros((5, 1))      # q = 3: lags -2..2
         stack[3, 0] = 1.0             # h = +1, window weight 2/3
         expected = (2 / 3) * np.exp(-1j * grid.nodes)
-        assert np.abs(lag_window_transform(stack, grid)[:, 0] - expected).max() <= 1e-15
+        half = lag_window_transform(stack, grid)
+        assert half.shape == (9, 1)
+        assert np.abs(grid.mirror(half)[:, 0] - expected).max() <= 1e-15
 
     def test_kernel_is_built_once_per_grid_and_span(self):
         grid, q = FrequencyGrid(64), 7
         kernel = lag_window_kernel(grid, q)
         assert not kernel.flags.writeable
-        assert np.array_equal(kernel, grid.phases(np.arange(1 - q, q)) * bartlett_weights(q))
+        full = grid.phases(np.arange(1 - q, q)) * bartlett_weights(q)
+        assert np.array_equal(kernel, full[:33])          # the nodes k = 0..N/2
+        assert np.array_equal(grid.mirror(kernel), full)
         assert lag_window_kernel(FrequencyGrid(64), q) is kernel
         for other in (lag_window_kernel(FrequencyGrid(32), q), lag_window_kernel(grid, q + 1)):
             assert other is not kernel and other.shape != kernel.shape
@@ -231,4 +235,14 @@ class TestAutocovarianceSet:
         mats = acov.matrices.copy()
         mats[1, 0, 1] += 1.0          # lag -2
         with pytest.raises(ValueError, match="R_-2 must equal the transpose of R_2"):
+            AutocovarianceSet(lags=acov.lags, matrices=mats, mean=acov.mean, q=4)
+
+    @pytest.mark.parametrize("h, first", [(0, 0), (1, -1)])
+    def test_non_finite_matrix_names_the_first_lag(self, rng, h, first):
+        # an infinite symmetric pair at lag 0, or an infinity mirrored onto lags -1 and +1,
+        # used to slip past the symmetry and PSD comparisons as inf - inf = nan
+        acov = estimate_autocovariances(random_macro_panel(rng, 30, 2), 4)
+        mats = acov.matrices.copy()
+        mats[3 + h, 0, 1] = mats[3 - h, 1, 0] = np.inf
+        with pytest.raises(ValueError, match=f"^autocovariance at lag {first} not finite$"):
             AutocovarianceSet(lags=acov.lags, matrices=mats, mean=acov.mean, q=4)

@@ -89,12 +89,14 @@ class TestAnalyze:
         panel, macro, _ = simulate_lagged_regression(spec)
         result = analyze(panel, macro, Config.defaults(150, panel.n_maturities, n_omega=64))
         for field in (result.cross_spectral, result.frequency_response):
-            assert "values" not in vars(field)
+            assert "values" not in vars(field) and "half" not in vars(field)
+            assert field.knot_values.shape[0] == 33            # the nodes k = 0..N/2
             values = field.values
-            assert not values.flags.writeable
+            assert not values.flags.writeable and not field.half.flags.writeable
             # the real operator applied to the interleaved real and imaginary parts
             product = (field.operator @ field.knot_values.view(float)).view(complex)
-            assert np.array_equal(values, product)
+            assert np.array_equal(field.half, product)
+            assert np.array_equal(values, field.grid.mirror(product))
             assert field.values is values
 
     def test_condition_numbers_are_read_only(self, rng):

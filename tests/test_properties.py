@@ -1,6 +1,7 @@
 """Property tests: the operator-based smoothers against their definitions, the
-knot-level solve and quadrature against the same steps on materialised fields,
-the knot-level field checks against the value-level ones, the whole
+half-spectrum transform, conditioning, solve and quadrature against the same
+steps on all N nodes, the knot-level field checks against the value-level
+ones, the whole
 estimator's equivariance under relabelling and rescaling, and the simulator's
 scalar VAR(1) recursion for diagonal A against the matrix loop.
 
@@ -16,14 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparselag import (Config, CrossSpectralField, FrequencyGrid, FrequencyResponseField,
-                       MacroPanel, MaturityGrid, SparseYieldPanel, SpectralDensityField,
+from sparselag import (AutocovarianceSet, Config, CrossSpectralField, FrequencyGrid,
+                       FrequencyResponseField, MacroPanel, MaturityGrid, SparseYieldPanel,
                        SyntheticSpec, US_MATURITIES, analyze, cross_spectral_density,
                        empirical_mean, filter_coefficients, frequency_response,
-                       mean_curve_warped, naive_cross_spectral_density, raw_cross_cov)
+                       mean_curve_warped, naive_cross_spectral_density, raw_cross_cov,
+                       spectral_density_matrix)
+from sparselag.mv_spectral import lag_window_transform
 from sparselag.simulate import _var1_deviations
 from conftest import random_macro_panel
-from oracles import loop_var1_deviations
+from oracles import full_grid_reference, loop_var1_deviations
 
 _SETTINGS = settings(max_examples=20, derandomize=True, database=None, deadline=None)
 
@@ -108,56 +111,70 @@ def test_regressor_permutation_permutes_the_filter(instance):
 
 
 @st.composite
-def knot_factored_problems(draw):
-    """(cross field at the knots, regressor spectrum, h_max) with a random real operator."""
+def real_lag_problems(draw):
+    """(grid, real cross lags (2q-1, I, d), autocovariances, real operator (R, I), h_max)."""
     n = 2 * draw(st.integers(1, 24))
-    n_knots, n_eval, d = draw(st.integers(1, 9)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    q, n_knots = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    n_eval, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    grid = FrequencyGrid(n)
-    lags = np.arange(-3, 4)
-    # real lag values make both fields conjugate-symmetric in omega
-    knots = np.tensordot(grid.phases(lags), rng.standard_normal((lags.size, n_knots, d)), axes=1)
-    base = rng.standard_normal((lags.size, d, d))
+    cross_lags = rng.standard_normal((2 * q - 1, n_knots, d))
+    base = rng.standard_normal((2 * q - 1, d, d))
     base = base + np.transpose(base[::-1], (0, 2, 1))                  # R_{-h} = R_h'
-    mats = np.tensordot(grid.phases(lags), base, axes=1)
-    mats = mats + (np.abs(np.linalg.eigvalsh(mats)).max() + 0.5) * np.eye(d)
-    cross = CrossSpectralField.from_knots(grid, knots, rng.standard_normal((n_eval, n_knots)))
-    return cross, SpectralDensityField(grid=grid, matrices=mats), draw(st.integers(0, (n - 2) // 2))
+    # a dominant lag-0 term keeps every node positive definite
+    base[q - 1] += (np.sqrt((base ** 2).sum(axis=(1, 2))).sum() + 0.5) * np.eye(d)
+    acov = AutocovarianceSet(lags=np.arange(1 - q, q), matrices=base, mean=np.zeros(d), q=q)
+    operator = rng.standard_normal((n_eval, n_knots))
+    return FrequencyGrid(n), cross_lags, acov, operator, draw(st.integers(0, (n - 2) // 2))
+
+
+@_SETTINGS
+@given(real_lag_problems())
+def test_half_spectrum_steps_mirror_to_the_full_grid_reference(problem):
+    grid, cross_lags, acov, operator, _ = problem
+    z, f, cond, b = full_grid_reference(grid, cross_lags, acov.matrices)
+    knots = lag_window_transform(cross_lags, grid)
+    assert knots.shape[0] == grid.n_nodes // 2 + 1
+    assert np.array_equal(grid.mirror(knots), z)
+    spec = spectral_density_matrix(acov, grid)
+    assert np.array_equal(spec.matrices, f)
+    assert np.array_equal(spec.condition_numbers(), cond)
+    resp = frequency_response(CrossSpectralField.from_knots(grid, knots, operator), spec, 1e12)
+    assert np.array_equal(grid.mirror(resp.knot_values), b)
+    assert np.array_equal(resp.condition_numbers, cond)
 
 
 @st.composite
 def symmetric_knot_fields(draw):
-    """(field class, grid, conjugate-symmetric knot field, real operator, a knot entry (k, i, j))."""
+    """(field class, grid, knot field on the nodes k = 0..N/2, real operator, a knot entry (k, i, j))."""
     cls = draw(st.sampled_from([CrossSpectralField, FrequencyResponseField]))
     n = 2 * draw(st.integers(2, 16))
     n_knots, n_eval, d = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = FrequencyGrid(n)
-    knots = rng.standard_normal((n, n_knots, d)) + 1j * rng.standard_normal((n, n_knots, d))
-    pairs = np.arange(1, n // 2)
-    knots[n - pairs] = np.conj(knots[pairs])
-    knots[[0, n // 2]] = knots[[0, n // 2]].real     # the self-paired nodes omega = -pi, 0
+    knots = rng.standard_normal((n // 2 + 1, n_knots, d)) + 1j * rng.standard_normal((n // 2 + 1, n_knots, d))
+    knots[[0, -1]] = knots[[0, -1]].real     # the self-paired nodes omega = -pi, 0
     operator = rng.standard_normal((n_eval, n_knots)) * 10.0 ** draw(st.integers(-4, 2))
-    entry = (draw(st.integers(0, n - 1)), draw(st.integers(0, n_knots - 1)), draw(st.integers(0, d - 1)))
+    entry = (draw(st.integers(0, n // 2)), draw(st.integers(0, n_knots - 1)), draw(st.integers(0, d - 1)))
     return cls, grid, knots, operator, entry
 
 
 @_SETTINGS
 @given(symmetric_knot_fields(), st.one_of(st.just(0.0), st.floats(1e-3, 0.999), st.floats(1.001, 8.0)),
-       st.floats(0.0, 2 * np.pi))
-def test_knot_symmetry_check_is_at_least_as_strict_as_the_value_check(problem, ratio, angle):
+       st.sampled_from([-1.0, 1.0]))
+def test_knot_symmetry_check_is_at_least_as_strict_as_the_value_check(problem, ratio, sign):
     cls, grid, knots, operator, (k, i, j) = problem
     tol, message = cls._symmetry
     norm = np.abs(operator).sum(axis=1).max()
-    # move one node of a conjugate pair by a gap of ratio * tol / ||L||_inf; ratios within
-    # 1e-3 of 1 are left out, as there rounding of order eps * ||L|| * |Z| decides either check
-    knots[k, i, j] += ratio * tol / norm * np.exp(1j * angle)
-    if norm * grid.conjugate_gap(knots) > tol:
+    # move Im Z of one knot by ratio * tol / (2 ||L||_inf); ratios within 1e-3 of 1 are left
+    # out, as there rounding of order eps * ||L|| * |Z| decides either check.  The mirror
+    # pairs every other node with its conjugate, so only omega = -pi and 0 can break symmetry.
+    knots[k, i, j] += 1j * sign * ratio * tol / (2.0 * norm)
+    if k in (0, grid.n_nodes // 2) and norm * 2.0 * abs(knots[k, i, j].imag) > tol:
         with pytest.raises(ValueError, match=re.escape(message)):
             cls.from_knots(grid, knots, operator)
     else:
         field = cls.from_knots(grid, knots, operator)
-        assert grid.conjugate_asymmetry(field.values) <= tol
+        grid.fold(field.values, tol, message)    # the pairwise value check passes
 
 
 @_SETTINGS
@@ -178,17 +195,18 @@ def _rel(a, b):
 
 
 @_SETTINGS
-@given(knot_factored_problems())
+@given(real_lag_problems())
 def test_knot_level_solve_and_quadrature_match_materialised_fields(problem):
-    cross, spec, h_max = problem
-    plain = CrossSpectralField(cross.grid, cross.values)
-    assert np.array_equal(plain.knot_values, plain.values)
-    assert np.array_equal(plain.operator, np.eye(plain.values.shape[1]))
-    resp, resp_plain = (frequency_response(f, spec, 1e12) for f in (cross, plain))
-    assert resp.knot_values.shape == cross.knot_values.shape
-    assert _rel(resp.values, resp_plain.values) <= 1e-12
-    (coef, _), (coef_plain, _) = (filter_coefficients(r, h_max) for r in (resp, resp_plain))
-    assert _rel(coef, coef_plain) <= 1e-12
+    grid, cross_lags, acov, operator, h_max = problem
+    _, _, _, b = full_grid_reference(grid, cross_lags, acov.matrices)
+    cross = CrossSpectralField.from_knots(grid, lag_window_transform(cross_lags, grid), operator)
+    resp = frequency_response(cross, spectral_density_matrix(acov, grid), 1e12)
+    values = operator @ b                                   # the (N, R, d) response field
+    assert _rel(resp.values, values) <= 1e-12
+    lags = np.arange(-h_max, h_max + 1)
+    quadrature = np.einsum("lk,krd->lrd", np.exp(1j * np.outer(lags, grid.nodes)), values)
+    coef, _ = filter_coefficients(resp, h_max)
+    assert _rel(coef, quadrature.real / grid.n_nodes) <= 1e-12
 
 
 def _scaled_fits(panel, macro, a, c, config):
