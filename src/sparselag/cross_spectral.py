@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FrequencyGrid, KnotFactored, MacroPanel, SparseYieldPanel, _frozen
+from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _frozen
 from .mv_spectral import bartlett_weights, lag_window_transform, lagged_products
 from .smoother import epanechnikov, local_linear_operator
 
@@ -75,7 +75,7 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
 
 
 @dataclass(frozen=True)
-class CrossSpectralField(KnotFactored):
+class CrossSpectralField(SpectralField):
     """Complex cross-spectral values on (frequency, evaluation point, series)."""
 
     grid: FrequencyGrid

@@ -181,20 +181,12 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         _column(fit.filter_coef.transpose(2, 0, 1)),
     ))
 
-    spec_rows = list(zip(
-        _grid_column(omegas, n_series * n_series, 1),
-        _grid_column(names, n_series, n_nodes),
-        _grid_column(names, 1, n_nodes * n_series),
-        _column(spec.real),
-        _column(spec.imag),
-    ))
-
-    field_grids = (_grid_column(omegas, n_eval * n_series, 1),
-                   _grid_column(taus, n_series, n_nodes),
-                   _grid_column(names, 1, n_nodes * n_eval))
-
-    def field_rows(half):
-        return list(zip(*field_grids, _column(half.real), _column(half.imag)))
+    def field_rows(half, rows):
+        """One row per entry of a (nodes, rows, series) half: omega, row label, series, value."""
+        return list(zip(_grid_column(omegas, len(rows) * n_series, 1),
+                        _grid_column(rows, n_series, n_nodes),
+                        _grid_column(names, 1, n_nodes * len(rows)),
+                        _column(half.real), _column(half.imag)))
 
     maturities = panel.maturity_grid.maturities
     observed = [text if seen else "" for text, seen in
@@ -224,11 +216,12 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
     return ResultBundle(
         mean_curve=(("tau", "tau_warped", "mean"), mean_rows),
         filter_coefficients=(("series", "lag", "tau", "coefficient"), filt_rows),
-        spectral_density=(("omega", "row_series", "col_series", "real", "imag"), spec_rows),
+        spectral_density=(("omega", "row_series", "col_series", "real", "imag"),
+                          field_rows(spec, names)),
         cross_spectral=(("omega", "tau", "series", "real", "imag"),
-                        field_rows(result.cross_spectral.half)),
+                        field_rows(result.cross_spectral.half, taus)),
         frequency_response=(("omega", "tau", "series", "real", "imag"),
-                            field_rows(result.frequency_response.half)),
+                            field_rows(result.frequency_response.half, taus)),
         fitted=(("t", "tau", "observed", "fitted"), fitted_rows),
         summary=summary,
     )

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateTotal, IllConditioned, ResidualImaginary
-from .model import FrequencyGrid, KnotFactored, LaggedRegressionFit, MacroPanel, SparseYieldPanel, _frozen
+from .model import FrequencyGrid, LaggedRegressionFit, MacroPanel, SparseYieldPanel, SpectralField, _frozen
 from .cross_spectral import CrossSpectralField
 from .mv_spectral import SpectralDensityField
 
@@ -33,7 +33,7 @@ _IMAG_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class FrequencyResponseField(KnotFactored):
+class FrequencyResponseField(SpectralField):
     """Complex response values on (frequency, evaluation point, series)."""
 
     grid: FrequencyGrid
@@ -135,8 +135,10 @@ def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPan
     obs = panel.observed
     resid = np.where(obs, panel.values - pred, 0.0)
     total = np.where(obs, panel.values - mean, 0.0)
-    ss_residual = float(np.sum(resid * resid))
-    ss_total = float(np.sum(total * total))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss_residual, ss_total = float(np.sum(resid * resid)), float(np.sum(total * total))
+    if not np.isfinite([ss_residual, ss_total]).all():
+        raise ValueError(f"sums of squares overflow: SS_residual = {ss_residual!r}, SS_total = {ss_total!r}")
     if ss_total == 0.0:
         raise DegenerateTotal("total sum of squares is zero; R^2 is undefined for a constant panel")
     return 1.0 - ss_residual / ss_total

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -201,36 +201,48 @@ class FrequencyGrid:
             raise ValueError(f"{what} not finite at omega = {self.nodes[np.argmin(finite)]!r}")
 
 
-class KnotFactored:
+class SpectralField:
     """Spectral field (N, R, d) held on the nodes k = 0..N/2 as the (N/2+1, I, d) field Z at the
-    I maturity knots and a real (R, I) operator L; half = L @ Z and values = grid.mirror(half)
-    are built on first read.  A field built from its N values folds them (Z = half, L = I).
-    from_knots checks Z and L: only omega = -pi, 0 pair with themselves, where the values' gap
-    2 |L Im Z| <= ||L||_inf * 2 max |Im Z| <= tol implies the value check, which divides that gap
-    by max(1, max |v|) >= 1.  Subclasses set _symmetry = (tolerance, message) and declare
-    values = field(), so that it stays required."""
+    I maturity knots and a real (R, I) operator L; half = L @ Z (Z itself if L = I) and values =
+    grid.mirror(half) are built on first read.  A field built from its N values folds them (Z =
+    half, L = I).  from_knots checks Z and L: only omega = -pi, 0 pair with themselves, where the
+    values' gap 2 |L Im Z| <= ||L||_inf * 2 max |Im Z| <= tol implies the fold check, which divides
+    that gap by max(1, max |v|) >= 1.  Subclasses are frozen dataclasses of grid, the N values (a
+    field named values is declared = field(), to stay required) and the fields from_knots may set;
+    they set _symmetry = (tolerance, message), and may set _shape and _check(nodes), which sees
+    the N values or Z a constructor is given once they have passed the finiteness check."""
+
+    _shape = "values must have shape (n_nodes, n_eval, n_series)"
+    _check = classmethod(lambda cls, nodes: None)
 
     def __post_init__(self):
-        vals = np.asarray(vars(self).pop("values"), dtype=complex)
+        name = fields(self)[1].name
+        vals = np.asarray(vars(self).pop(name), dtype=complex)
         if vals.ndim != 3 or vals.shape[0] != self.grid.n_nodes:
-            raise ValueError("values must have shape (n_nodes, n_eval, n_series)")
-        self.grid.require_finite(vals, f"{type(self).__name__} values")
+            raise ValueError(self._shape)
+        self.grid.require_finite(vals, f"{type(self).__name__} {name}")
+        self._check(vals)
         half = _frozen(self.grid.fold(vals, *self._symmetry), dtype=complex)
         vars(self).update(half=half, knot_values=half)
 
     @classmethod
-    def from_knots(cls, grid: FrequencyGrid, knot_values, operator, **fields):
+    def from_knots(cls, grid: FrequencyGrid, knot_values, operator, **extras):
+        if unknown := set(extras) - {f.name for f in fields(cls)[2:]}:
+            raise TypeError(f"{cls.__name__}.from_knots() got an unexpected keyword argument {min(unknown)!r}")
         knot_values, operator = _frozen(knot_values, dtype=complex), _frozen(operator)
         if (knot_values.ndim != 3 or len(knot_values) != grid.n_nodes // 2 + 1
                 or operator.shape[1:] != knot_values.shape[1:2]):
             raise ValueError("knot values must have shape (n_nodes/2 + 1, I, d) and the operator (R, I)")
         grid.require_finite(knot_values, f"{cls.__name__} knot values")
         grid.require_finite(operator[None], f"{cls.__name__} operator")
+        cls._check(knot_values)
         self_paired = 2.0 * np.abs(knot_values[[0, -1]].imag).max()
         if not np.abs(operator).sum(axis=1).max() * self_paired <= cls._symmetry[0]:
             raise ValueError(cls._symmetry[1])
         field = object.__new__(cls)
-        field.__dict__.update(grid=grid, knot_values=knot_values, operator=operator, **fields)
+        field.__dict__.update(grid=grid, knot_values=knot_values, operator=operator, **extras)
+        if operator.shape[0] == operator.shape[1] and np.array_equal(operator, np.eye(len(operator))):
+            field.__dict__["half"] = knot_values
         return field
 
     @cached_property
@@ -241,7 +253,7 @@ class KnotFactored:
         return product.view(complex)
 
     values = cached_property(lambda self: self.grid.mirror(self.half))
-    operator = cached_property(lambda self: np.eye(self.half.shape[1]))
+    operator = cached_property(lambda self: _frozen(np.eye(self.half.shape[1])))
 
     @property
     def n_series(self) -> int:

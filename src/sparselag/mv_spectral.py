@@ -11,7 +11,9 @@ T - h), and R_hat_{-h} = R_hat_h' by construction.  The sum runs over the
 2Q - 1 lags with nonzero weight and is one product of the weighted phase
 matrix with the stacked lag values, at the nodes k = 0..N/2 that determine a
 spectrum of real series.  The matrix depends on (N, Q) alone, so an 8-entry
-cache keeps it, read-only, for both estimates and later runs.
+cache keeps it, read-only, for both estimates and later runs.  The estimate is
+the same field type as the cross-spectral and response fields, checked on the
+nodes it holds: its knot values are the half, its operator the identity.
 
 Two primitives serve both spectral estimates: :func:`lagged_products` builds
 the lag-h product sums (here of the regressors with themselves; in
@@ -21,12 +23,12 @@ the lag-h product sums (here of the regressors with themselves; in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, _frozen
+from .model import FrequencyGrid, MacroPanel, SpectralField, _frozen
 
 
 def empirical_mean(panel: MacroPanel) -> np.ndarray:
@@ -42,9 +44,11 @@ def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """
     t_len = a.shape[0]
     out = np.empty((2 * q - 1, a.shape[1], b.shape[1]))
-    for l, h in enumerate(range(1 - q, q)):
-        start, stop = max(0, -h), min(t_len, t_len - h)
-        out[l] = a[start + h: stop + h].T @ b[start:stop]
+    # an overflow gives inf or nan without a warning; the callers' finiteness checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, h in enumerate(range(1 - q, q)):
+            start, stop = max(0, -h), min(t_len, t_len - h)
+            out[l] = a[start + h: stop + h].T @ b[start:stop]
     return out
 
 
@@ -127,40 +131,24 @@ def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:
     return AutocovarianceSet(lags=np.arange(1 - q, q), matrices=mats, mean=mean, q=q)
 
 
-class _MirroredMatrices:
-    """Base of SpectralDensityField, whose dataclass field would hide this cached property."""
-
-    matrices = cached_property(lambda self: self.grid.mirror(self.half))
-
-
 @dataclass(frozen=True)
-class SpectralDensityField(_MirroredMatrices):
-    """d x d complex spectral density matrices on a frequency grid, held as ``half``.
-
-    Invariants checked at construction: each matrix is Hermitian, and nodes
-    paired across zero frequency carry conjugate values (FrequencyGrid.fold).
-    """
+class SpectralDensityField(SpectralField):
+    """d x d complex spectral density matrices on a frequency grid: the knot values are the half,
+    the operator the identity, and ``matrices`` is ``values``.  Each constructor checks that the
+    finite matrices it is given (eigvalsh reads one triangle) are Hermitian: all N, or k <= N/2."""
 
     grid: FrequencyGrid
-    matrices: np.ndarray = field()    # (N, d, d) complex
+    matrices: np.ndarray    # (N, d, d) complex
+    _symmetry = (1e-12, "spectral density must satisfy F(-omega) = conj(F(omega))")
+    _shape = "matrices must have shape (n_nodes, d, d)"
 
-    def __post_init__(self):
-        mats = np.asarray(vars(self).pop("matrices"), dtype=complex)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError("matrices must have shape (n_nodes, d, d)")
-        if mats.shape[0] != self.grid.n_nodes:
-            raise ValueError("matrices must cover every frequency node")
-        # eigvalsh reads one triangle only, so a NaN in the other must be caught here
-        self.grid.require_finite(mats, "spectral density matrices")
-        scale = max(1.0, float(np.abs(mats).max()))
-        if not np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() <= 1e-12 * scale:
+    @classmethod
+    def _check(cls, nodes):
+        if nodes.shape[1] != nodes.shape[2]:
+            raise ValueError(cls._shape)
+        scale = max(1.0, float(np.abs(nodes).max()))
+        if not np.abs(nodes - np.conj(np.swapaxes(nodes, 1, 2))).max() <= 1e-12 * scale:
             raise ValueError("spectral density matrices must be Hermitian at every node")
-        half = self.grid.fold(mats, 1e-12, "spectral density must satisfy F(-omega) = conj(F(omega))")
-        vars(self)["half"] = _frozen(half, dtype=complex)
-
-    @property
-    def n_series(self) -> int:
-        return self.half.shape[1]
 
     def condition_numbers(self) -> np.ndarray:
         """cond_2 per node, max/min |eigenvalue| of the Hermitian F_hat; inf where singular."""
@@ -169,7 +157,11 @@ class SpectralDensityField(_MirroredMatrices):
         return self.grid.mirror(np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0))
 
 
+# bound after @dataclass, which takes a class attribute as the field's default; cached as values
+SpectralDensityField.matrices = SpectralField.values
+
+
 def spectral_density_matrix(acov: AutocovarianceSet, grid: FrequencyGrid) -> SpectralDensityField:
-    """Evaluate the triangular-window estimator on the frequency grid."""
+    """Evaluate the triangular-window estimator on the nodes k <= N/2 of the frequency grid."""
     half = lag_window_transform(acov.matrices, grid) / (2.0 * np.pi)
-    return SpectralDensityField(grid=grid, matrices=grid.mirror(half))
+    return SpectralDensityField.from_knots(grid, half, np.eye(half.shape[1]))

@@ -334,6 +334,30 @@ class TestAnalyzeCommand:
         assert code == 1 and "[estimate]" in err and "total sum of squares" in err
         assert not out.exists()
 
+    @staticmethod
+    def _scaled_csv(path, scale, out):
+        lines = path.read_text().splitlines()
+        out.write_text(lines[0] + "\n" + "".join(
+            ",".join(c and repr(float(c) * scale) for c in line.split(",")) + "\n"
+            for line in lines[1:]))
+        return out
+
+    @pytest.mark.parametrize("name, scale, message", [
+        ("macro.csv", 1e200, "error [estimate] autocovariance at lag "),
+        ("yields.csv", 1e300, "error [estimate] sums of squares overflow: SS_residual = inf"),
+    ])
+    def test_overflowing_input_prints_one_error_line(self, sim_dir, tmp_path, name, scale,
+                                                     message):
+        files = {n: sim_dir / n for n in ("yields.csv", "macro.csv")}
+        files[name] = self._scaled_csv(sim_dir / name, scale, tmp_path / name)
+        out = tmp_path / "o"
+        proc = _run_module("analyze", "--yields", str(files["yields.csv"]),
+                           "--macro", str(files["macro.csv"]), "--out", str(out))
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(message) and "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestCheckCommand:
     def test_fresh_build_passes(self, capsys):

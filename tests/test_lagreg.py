@@ -118,6 +118,17 @@ class TestNonFiniteFieldsRejected:
         with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[0]!r}")):
             FrequencyResponseField(grid=grid, values=values)
 
+    @pytest.mark.parametrize("name", ["half", "values"])
+    def test_from_knots_sets_no_undeclared_field(self, name):
+        grid, nan = FrequencyGrid(4), np.full((4, 2, 1), np.nan)
+        for cls in (CrossSpectralField, FrequencyResponseField):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                cls.from_knots(grid, np.ones((3, 2, 1)), np.eye(2), **{name: nan})
+        conds = np.ones(4)
+        resp = FrequencyResponseField.from_knots(grid, np.ones((3, 2, 1)), np.eye(2),
+                                                 condition_numbers=conds)
+        assert resp.condition_numbers is conds
+
     def test_spectral_density_upper_triangle(self):
         # eigvalsh reads the lower triangle only: a NaN above the diagonal would give
         # cond 1.0 and a NaN response unless construction rejects it
@@ -133,6 +144,8 @@ class TestFilterCoefficients:
         grid = FrequencyGrid(64)
         values = np.full((64, 3, 2), 1.75, dtype=complex)
         resp = FrequencyResponseField(grid=grid, values=values)
+        with pytest.raises(ValueError, match="read-only"):
+            resp.operator[0, 0] = 5.0       # the identity of a value-built field
         coef, max_imag = filter_coefficients(resp, 5)
         assert np.abs(coef[5] - 1.75).max() <= 1e-12
         mask = np.ones(11, dtype=bool)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -178,6 +179,47 @@ class TestSpectralDensityMatrix:
         assert np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() <= 1e-12
         flipped = mats[(-np.arange(64)) % 64]
         assert np.abs(flipped - np.conj(mats)).max() <= 1e-12
+
+
+class TestHalfPath:
+    """spectral_density_matrix builds the field from its nodes k = 0..N/2 and checks those."""
+
+    @staticmethod
+    def _half(rng, grid, d=3):
+        acov = estimate_autocovariances(random_macro_panel(rng, 40, d), 4)
+        return acov, lag_window_transform(acov.matrices, grid) / (2 * np.pi)
+
+    def test_field_holds_the_transform_as_given_without_mirror_or_fold(self, rng, monkeypatch):
+        grid = FrequencyGrid(16)
+        acov, half = self._half(rng, grid)
+        calls = []
+        for name in ("mirror", "fold"):
+            def counted(self, *args, _name=name, _method=getattr(FrequencyGrid, name)):
+                calls.append(_name)
+                return _method(self, *args)
+            monkeypatch.setattr(FrequencyGrid, name, counted)
+        field = spectral_density_matrix(acov, grid)
+        assert calls == []
+        assert np.array_equal(field.half, half) and field.half is field.knot_values
+        assert not field.half[[0, -1]].imag.any()           # omega = -pi, 0
+        assert np.array_equal(field.operator, np.eye(3)) and not field.operator.flags.writeable
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_hermitian_defect_at_an_interior_node_raises(self, rng, k):
+        grid = FrequencyGrid(16)
+        _, half = self._half(rng, grid)
+        half[k, 0, 2] += 1e-9j
+        with pytest.raises(ValueError, match="must be Hermitian at every node"):
+            SpectralDensityField.from_knots(grid, half, np.eye(3))
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_imaginary_part_at_a_self_paired_node_raises(self, rng, k):
+        grid = FrequencyGrid(16)
+        _, half = self._half(rng, grid)
+        half[k, 0, 2] += 1e-9j
+        half[k, 2, 0] -= 1e-9j                              # still Hermitian
+        with pytest.raises(ValueError, match=re.escape("F(-omega) = conj(F(omega))")):
+            SpectralDensityField.from_knots(grid, half, np.eye(3))
 
 
 class TestConditionNumbers:

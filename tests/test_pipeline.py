@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparselag import Config, analyze, recovery_spec, simulate_lagged_regression
+from sparselag import (Config, FrequencyResponseField, analyze, recovery_spec,
+                       simulate_lagged_regression)
 from sparselag.pipeline import evaluation_grid
 from conftest import random_macro_panel, random_sparse_panel
 
@@ -93,11 +94,19 @@ class TestAnalyze:
             assert field.knot_values.shape[0] == 33            # the nodes k = 0..N/2
             values = field.values
             assert not values.flags.writeable and not field.half.flags.writeable
+            assert not field.operator.flags.writeable
             # the real operator applied to the interleaved real and imaginary parts
             product = (field.operator @ field.knot_values.view(float)).view(complex)
             assert np.array_equal(field.half, product)
             assert np.array_equal(values, field.grid.mirror(product))
             assert field.values is values
+        # the density's knots are its half; the value constructors' identity operator is read-only too
+        density = result.spectral_density
+        value_built = FrequencyResponseField(grid=density.grid, values=result.frequency_response.values)
+        for field in (density, value_built):
+            assert field.half is field.knot_values and not field.half.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                field.operator[0, 0] = 5.0
 
     def test_condition_numbers_are_read_only(self, rng):
         panel = random_sparse_panel(rng, 60, 4)

@@ -19,10 +19,10 @@ from hypothesis.extra.numpy import arrays
 
 from sparselag import (AutocovarianceSet, Config, CrossSpectralField, FrequencyGrid,
                        FrequencyResponseField, MacroPanel, MaturityGrid, SparseYieldPanel,
-                       SyntheticSpec, US_MATURITIES, analyze, cross_spectral_density,
-                       empirical_mean, filter_coefficients, frequency_response,
-                       mean_curve_warped, naive_cross_spectral_density, raw_cross_cov,
-                       spectral_density_matrix)
+                       SpectralDensityField, SyntheticSpec, US_MATURITIES, analyze,
+                       cross_spectral_density, empirical_mean, filter_coefficients,
+                       frequency_response, mean_curve_warped, naive_cross_spectral_density,
+                       raw_cross_cov, spectral_density_matrix)
 from sparselag.mv_spectral import lag_window_transform
 from sparselag.simulate import _var1_deviations
 from conftest import random_macro_panel
@@ -146,15 +146,21 @@ def test_half_spectrum_steps_mirror_to_the_full_grid_reference(problem):
 @st.composite
 def symmetric_knot_fields(draw):
     """(field class, grid, knot field on the nodes k = 0..N/2, real operator, a knot entry (k, i, j))."""
-    cls = draw(st.sampled_from([CrossSpectralField, FrequencyResponseField]))
+    cls = draw(st.sampled_from([CrossSpectralField, FrequencyResponseField, SpectralDensityField]))
     n = 2 * draw(st.integers(2, 16))
     n_knots, n_eval, d = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = FrequencyGrid(n)
+    if cls is SpectralDensityField:     # Hermitian d x d knots, the half itself, and an off-diagonal entry
+        n_knots = d = draw(st.integers(2, 4))
     knots = rng.standard_normal((n // 2 + 1, n_knots, d)) + 1j * rng.standard_normal((n // 2 + 1, n_knots, d))
     knots[[0, -1]] = knots[[0, -1]].real     # the self-paired nodes omega = -pi, 0
     operator = rng.standard_normal((n_eval, n_knots)) * 10.0 ** draw(st.integers(-4, 2))
     entry = (draw(st.integers(0, n // 2)), draw(st.integers(0, n_knots - 1)), draw(st.integers(0, d - 1)))
+    if cls is SpectralDensityField:
+        knots = knots + np.conj(np.swapaxes(knots, 1, 2))
+        operator = np.eye(d)
+        entry = (entry[0], entry[1], (entry[1] + draw(st.integers(1, d - 1))) % d)
     return cls, grid, knots, operator, entry
 
 
@@ -169,6 +175,8 @@ def test_knot_symmetry_check_is_at_least_as_strict_as_the_value_check(problem, r
     # out, as there rounding of order eps * ||L|| * |Z| decides either check.  The mirror
     # pairs every other node with its conjugate, so only omega = -pi and 0 can break symmetry.
     knots[k, i, j] += 1j * sign * ratio * tol / (2.0 * norm)
+    if cls is SpectralDensityField:
+        knots[k, j, i] = np.conj(knots[k, i, j])     # still Hermitian
     if k in (0, grid.n_nodes // 2) and norm * 2.0 * abs(knots[k, i, j].imag) > tol:
         with pytest.raises(ValueError, match=re.escape(message)):
             cls.from_knots(grid, knots, operator)
