@@ -44,18 +44,21 @@ for path in manifest:
     print(f"  {path.name:<26} {path.stat().st_size:>9} bytes")
 
 # The spectral tables hold the nodes k = 0..N/2 (omega in [-pi, 0]); node N - k
-# is the complex conjugate of node k, so the written half rebuilds all N nodes.
+# is the complex conjugate of node k.  The response table holds the field Z at
+# the quoted maturities, and summary.json the smoothing operator L that carries
+# it to the evaluation grid: B(omega_k, tau_r) = sum_i L[r][i] Z(omega_k, tau_i).
+summary = json.loads((workdir / "demo_results" / "summary.json").read_text())
 with open(workdir / "demo_results" / "frequency_response.csv", newline="") as fh:
     rows = list(csv.reader(fh))[1:]
 field = result.frequency_response.values
-n_nodes = field.shape[0]
-half = np.array([complex(float(re), float(im)) for *_, re, im in rows]).reshape(-1, *field.shape[1:])
-full = result.frequency_response.grid.mirror(half)
-assert np.array_equal(full, field)
-print(f"\nfrequency_response.csv: {half.shape[0]} of {n_nodes} nodes written, "
-      f"mirrored back to the full {full.shape} field")
+operator = np.array(summary["smoothing_operator"]["weights"])
+knots = np.array([complex(float(re), float(im)) for *_, re, im in rows]).reshape(
+    -1, operator.shape[1], field.shape[2])
+rebuilt = type(result.frequency_response).from_knots(result.frequency_response.grid, knots, operator)
+assert np.array_equal(rebuilt.values, field)
+print(f"\nfrequency_response.csv: {knots.shape[0]} of {field.shape[0]} nodes at "
+      f"{knots.shape[1]} maturities, rebuilt to the full {rebuilt.values.shape} field")
 
-summary = json.loads((workdir / "demo_results" / "summary.json").read_text())
 print(f"\nR^2 = {summary['r_squared']:.4f}")
 print(f"diagnostics: {summary['diagnostics']}")
 print(f"\neverything under {workdir} (safe to delete)")

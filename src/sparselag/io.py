@@ -5,7 +5,9 @@ dot decimal point, no locale dependence.  Numbers are written in Python's
 shortest round-trip form, so save/load round trips are bit-exact.  The
 yields format carries the maturity grid (decimal years) in its header and
 encodes missing cells as empty fields; the regressor format has a name
-header and admits no missing cells.
+header and admits no missing cells.  The cross-spectral and response tables
+hold their fields at the quoted maturities; summary.json holds the operator
+that smooths them onto the evaluation grid.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from .errors import ParseError
 from .lagreg import predict_panel
 from .model import MacroPanel, MaturityGrid, SparseYieldPanel
 from .pipeline import AnalysisResult
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _parse_float(text: str, row: int, column: int) -> float:
@@ -102,20 +100,13 @@ def load_macro_csv(path) -> MacroPanel:
 
 
 def write_yields_csv(panel: SparseYieldPanel, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(_fmt(m) for m in panel.maturity_grid.maturities) + "\n")
-        for t in range(panel.n_times):
-            cells = [_fmt(v) if o else "" for v, o in zip(panel.values[t], panel.observed[t])]
-            fh.write(",".join(cells) + "\n")
+    cells, width = _cells(panel), panel.n_maturities
+    _write_table(_column(panel.maturity_grid.maturities),
+                 [cells[k: k + width] for k in range(0, len(cells), width)], Path(path))
 
 
 def write_macro_csv(macro: MacroPanel, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(macro.series_names) + "\n")
-        for t in range(macro.n_times):
-            fh.write(",".join(_fmt(v) for v in macro.values[t]) + "\n")
+    _write_table(macro.series_names, map(_column, macro.values), Path(path))
 
 
 def sha256_digest(path) -> str:
@@ -145,6 +136,12 @@ def _column(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
+def _cells(panel: SparseYieldPanel) -> list[str]:
+    """Every cell of a curve panel in C order: its value's text, or an empty string if missing."""
+    return [text if seen else "" for text, seen in
+            zip(_column(panel.values), panel.observed.ravel().tolist())]
+
+
 def _grid_column(labels, inner: int, outer: int) -> list[str]:
     """Each label repeated ``inner`` times, the whole run repeated ``outer`` times."""
     return [label for label in labels for _ in range(inner)] * outer
@@ -156,8 +153,12 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
 
     Every spectral field f of a real-valued panel satisfies
     f(omega_{(-k) mod N}) = conj f(omega_k), so the three spectral tables
-    hold only the ``half`` each field stores, nodes k = 0..N/2 (omega in
-    [-pi, 0]); ``FrequencyGrid.mirror`` rebuilds the other nodes.
+    hold only nodes k = 0..N/2 (omega in [-pi, 0]); ``FrequencyGrid.mirror``
+    rebuilds the other nodes.  The regressor density is written as its
+    ``half``.  The cross-spectral and response fields are written as their
+    ``knot_values`` Z at the I quoted maturities; ``summary["smoothing_operator"]``
+    holds the real (R, I) operator L they share, so that their half at the R
+    evaluation maturities is L @ Z (``SpectralField.from_knots``).
 
     Tables are built column by column: every grid value (frequency,
     maturity, lag, series name) is formatted once and its string reused on
@@ -170,6 +171,8 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
     n_nodes = len(spec)
     omegas = _column(result.spectral_density.grid.nodes[:n_nodes])
     taus = _column(fit.eval_tau)
+    maturities = panel.maturity_grid.maturities
+    knot_taus = _column(maturities)
 
     mean_rows = list(zip(taus, _column(fit.eval_warped), _column(fit.mean_curve)))
 
@@ -186,15 +189,12 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         return list(zip(_grid_column(omegas, len(rows) * n_series, 1),
                         _grid_column(rows, n_series, n_nodes),
                         _grid_column(names, 1, n_nodes * len(rows)),
-                        _column(half.real), _column(half.imag)))
+                        _column(half.real), _column(half.imag), strict=True))
 
-    maturities = panel.maturity_grid.maturities
-    observed = [text if seen else "" for text, seen in
-                zip(_column(panel.values), panel.observed.ravel().tolist())]
     fitted_rows = list(zip(
         _grid_column([str(t + 1) for t in range(panel.n_times)], panel.n_maturities, 1),
-        _grid_column(_column(maturities), 1, panel.n_times),
-        observed,
+        _grid_column(knot_taus, 1, panel.n_times),
+        _cells(panel),
         _column(predict_panel(fit, macro, maturities)),
     ))
 
@@ -211,6 +211,8 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
             "max_condition_number": result.diagnostics.max_condition_number,
         },
         "input_digests": input_digests or {},
+        "smoothing_operator": {"tau": fit.eval_tau.tolist(), "knot_tau": maturities.tolist(),
+                               "weights": result.cross_spectral.operator.tolist()},
     }
 
     return ResultBundle(
@@ -219,9 +221,9 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         spectral_density=(("omega", "row_series", "col_series", "real", "imag"),
                           field_rows(spec, names)),
         cross_spectral=(("omega", "tau", "series", "real", "imag"),
-                        field_rows(result.cross_spectral.half, taus)),
+                        field_rows(result.cross_spectral.knot_values, knot_taus)),
         frequency_response=(("omega", "tau", "series", "real", "imag"),
-                            field_rows(result.frequency_response.half, taus)),
+                            field_rows(result.frequency_response.knot_values, knot_taus)),
         fitted=(("t", "tau", "observed", "fitted"), fitted_rows),
         summary=summary,
     )
@@ -259,10 +261,9 @@ def write_staged(out_dir, writers: dict) -> list[Path]:
 
 
 def _write_table(columns, rows, path) -> None:
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    """The header and one line per row, each LF-terminated, in one write."""
+    path.write_text("\n".join([",".join(columns), *map(",".join, rows), ""]),
+                    encoding="utf-8", newline="\n")
 
 
 def write_results(bundle: ResultBundle, out_dir) -> list[Path]:

@@ -209,10 +209,12 @@ class SpectralField:
     values' gap 2 |L Im Z| <= ||L||_inf * 2 max |Im Z| <= tol implies the fold check, which divides
     that gap by max(1, max |v|) >= 1.  Subclasses are frozen dataclasses of grid, the N values (a
     field named values is declared = field(), to stay required) and the fields from_knots may set;
-    they set _symmetry = (tolerance, message), and may set _shape and _check(nodes), which sees
-    the N values or Z a constructor is given once they have passed the finiteness check."""
+    they set _symmetry = (tolerance, message), and may set _shape, _knots_are_half (from_knots
+    then takes only L = I) and _check(nodes), which sees the N values or Z a constructor is given
+    once they have passed the finiteness check."""
 
     _shape = "values must have shape (n_nodes, n_eval, n_series)"
+    _knots_are_half = False
     _check = classmethod(lambda cls, nodes: None)
 
     def __post_init__(self):
@@ -235,13 +237,16 @@ class SpectralField:
             raise ValueError("knot values must have shape (n_nodes/2 + 1, I, d) and the operator (R, I)")
         grid.require_finite(knot_values, f"{cls.__name__} knot values")
         grid.require_finite(operator[None], f"{cls.__name__} operator")
+        identity = operator.shape[0] == operator.shape[1] and np.array_equal(operator, np.eye(len(operator)))
+        if cls._knots_are_half and not identity:
+            raise ValueError(f"{cls.__name__} operator must be the identity: its knot values are its half")
         cls._check(knot_values)
         self_paired = 2.0 * np.abs(knot_values[[0, -1]].imag).max()
         if not np.abs(operator).sum(axis=1).max() * self_paired <= cls._symmetry[0]:
             raise ValueError(cls._symmetry[1])
         field = object.__new__(cls)
         field.__dict__.update(grid=grid, knot_values=knot_values, operator=operator, **extras)
-        if operator.shape[0] == operator.shape[1] and np.array_equal(operator, np.eye(len(operator))):
+        if identity:
             field.__dict__["half"] = knot_values
         return field
 
@@ -318,7 +323,10 @@ class Config:
             q=math.ceil(math.sqrt(n_times)),
         )
         base.update(overrides)
-        return cls(**base)
+        config = cls(**base)
+        if config.q > n_times:
+            raise ValueError(f"window span q={config.q} exceeds the horizon T={n_times}")
+        return config
 
 
 @dataclass(frozen=True)

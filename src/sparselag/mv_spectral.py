@@ -134,11 +134,13 @@ def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:
 @dataclass(frozen=True)
 class SpectralDensityField(SpectralField):
     """d x d complex spectral density matrices on a frequency grid: the knot values are the half,
-    the operator the identity, and ``matrices`` is ``values``.  Each constructor checks that the
-    finite matrices it is given (eigvalsh reads one triangle) are Hermitian: all N, or k <= N/2."""
+    the operator the identity (from_knots rejects any other), and ``matrices`` is ``values``.  Each
+    constructor checks that the finite matrices it is given (eigvalsh reads one triangle) are
+    Hermitian: all N, or k <= N/2."""
 
     grid: FrequencyGrid
     matrices: np.ndarray    # (N, d, d) complex
+    _knots_are_half = True
     _symmetry = (1e-12, "spectral density must satisfy F(-omega) = conj(F(omega))")
     _shape = "matrices must have shape (n_nodes, d, d)"
 

@@ -8,9 +8,9 @@ weights, because its subject is the restriction of the spectral steps to the
 nodes k = 0..N/2, which must match all N nodes bit for bit;
 ``brentq_warp_inverse`` evaluates phi with the library's
 Hermite evaluator to pin the inverse, and ``naive_result_rows`` takes its
-predictions from the full-grid ``predict_panel`` and its maturity lookup
-from the library, because its subject is the text formatting, which must
-match bit for bit.  ``loop_var1_deviations`` is the simulator's original
+predictions from the full-grid ``predict_panel``, its maturity lookup from
+the library and the knot fields' N nodes from ``FrequencyGrid.mirror``,
+because its subject is the text formatting, which must match bit for bit.  ``loop_var1_deviations`` is the simulator's original
 matrix loop, kept verbatim (with the simulator's burn-in length) to pin the
 scalar-recursion path for diagonal A bit for bit.
 """
@@ -189,11 +189,12 @@ def naive_result_rows(result, panel, macro):
         for b in range(len(names))
     ]
 
-    def field_rows(values):
+    def knot_rows(field):
+        values = field.grid.mirror(field.knot_values)
         return [
-            (_fmt(om), _fmt(tau), names[j], _fmt(values[k, r, j].real), _fmt(values[k, r, j].imag))
+            (_fmt(om), _fmt(tau), names[j], _fmt(values[k, i, j].real), _fmt(values[k, i, j].imag))
             for k, om in enumerate(omegas)
-            for r, tau in enumerate(fit.eval_tau)
+            for i, tau in enumerate(panel.maturity_grid.maturities)
             for j in range(len(names))
         ]
 
@@ -211,7 +212,7 @@ def naive_result_rows(result, panel, macro):
         "mean_curve": mean_rows,
         "filter_coefficients": filt_rows,
         "spectral_density": spec_rows,
-        "cross_spectral": field_rows(result.cross_spectral.values),
-        "frequency_response": field_rows(result.frequency_response.values),
+        "cross_spectral": knot_rows(result.cross_spectral),
+        "frequency_response": knot_rows(result.frequency_response),
         "fitted": fitted_rows,
     }

@@ -267,6 +267,17 @@ class TestAnalyzeCommand:
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "[config]" in capsys.readouterr().err
 
+    def test_span_longer_than_the_panel_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "y.csv").write_text("1,2,3\n1.0,2.0,3.0\n2.0,1.0,0.5\n")
+        (tmp_path / "m.csv").write_text("X\n1.0\n2.0\n")
+        (tmp_path / "c.cfg").write_text("q = 3\n")
+        out = tmp_path / "o"
+        assert main(["analyze", "--yields", str(tmp_path / "y.csv"), "--macro", str(tmp_path / "m.csv"),
+                     "--config", str(tmp_path / "c.cfg"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error [config] window span q=3 exceeds the horizon T=2"]
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, sim_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("bandwidth = 0.3\n")

@@ -20,19 +20,19 @@ GOLDEN = {
         "mean_curve.csv": "4fe450214b5aabccc8603a9c72667e7184fb0fef2be18fea816493c598b6cd59",
         "filter_coefficients.csv": "9e8c1bd78307a2aa6fa2331f7671f35404b941a2fbe4891b11ae8c6a55b48847",
         "spectral_density.csv": "2a98cca5f2c0f70e5915286c69fe602fcdc675e7a3dd1ec3b3fb515be1c5a647",
-        "cross_spectral.csv": "f02ace31f1bf02a9e0146b692801cb4b8f4d13e0d1a63b74711c0c38c4c8037b",
-        "frequency_response.csv": "c6042931b63070c193a918b09a3e16691a6ddd899e32d01bf839e095c10f2ed1",
+        "cross_spectral.csv": "f717cadc874b7d7c63bbd9c03e2df28ad96288d8178dad055ef0e0be028dfc85",
+        "frequency_response.csv": "d1628bdd16d5ab085eb10fcf343c14581b65d3cc98223bafd39386b75e20152a",
         "fitted.csv": "65ed61bcb1ff0a65ddb380fbb0096dc2530258cce37b69cf5d78caea3fe0e708",
-        "summary.json": "2ba608a099fecd69ba30c035631c8c1b0f6377e57994414780efd9caf1c53814",
+        "summary.json": "c6c9a92d88e5234baab862f48526d193eb86575f858bcaa4cbc59172adeb45cd",
     },
     3: {
         "mean_curve.csv": "411746a8ea0707ba690678fbd1255af79324ebf7aceb1c941f45c57891699d5b",
         "filter_coefficients.csv": "a5a3a5a4d2267bf436df760acb1bdd1fd6f0a5076a1cf9a05afdeca9e08bc4de",
         "spectral_density.csv": "92969fbcd4d4de3fee3b050777929ebead4ec3797d7312784946506a17459af2",
-        "cross_spectral.csv": "037fb7e2c1c6a885d5a8ae6924c7c09d76df75e38778146a7ebf4016c55ff78e",
-        "frequency_response.csv": "4c0c708001a76c772280ae48b0afbc9f59bdfdb88772a9895887a8453ff8f882",
+        "cross_spectral.csv": "f953911d683cf23b9f0a281ece099fa65fb8aab7b52d59a87c6c3d8afd6d3ba8",
+        "frequency_response.csv": "daafff5f7080e09a1bec94a92d49dcc0555897787db3fa93847fa9caabdcb165",
         "fitted.csv": "3ea932f38df64e4cc5e3b009329c1ab0b5c0340a4c3d85e4a62510520fb8fed3",
-        "summary.json": "d3ffab618462e5f5cd4f27d1f374c56ddab3996e190d516d5c48aab938798069",
+        "summary.json": "c2678778ac89e0ecc6ba2db07c9aada06620ad0a735ad42e494bd0dfbb1be3fc",
     },
 }
 

@@ -301,28 +301,42 @@ class TestHalfSpectrumTables:
         result, panel, macro = small_analysis if shape == "d1_n512" else _sparse_analysis(3, 6)
         write_results(build_result_bundle(result, panel, macro), tmp_path / "out")
         grid = result.spectral_density.grid
-        fields = {"spectral_density": result.spectral_density.matrices,
-                  "cross_spectral": result.cross_spectral.values,
-                  "frequency_response": result.frequency_response.values}
-        for name, full in fields.items():
-            omegas, half = _read_spectral_table(tmp_path / "out" / f"{name}.csv", full.shape[1:])
+        omegas, half = _read_spectral_table(tmp_path / "out" / "spectral_density.csv",
+                                            result.spectral_density.matrices.shape[1:])
+        assert np.array_equal(omegas, grid.nodes[:grid.n_nodes // 2 + 1])
+        assert omegas[-1] == 0.0
+        assert np.array_equal(grid.mirror(half), result.spectral_density.matrices)
+
+        smoothing = json.loads((tmp_path / "out" / "summary.json").read_text())["smoothing_operator"]
+        assert smoothing["tau"] == result.fit.eval_tau.tolist()
+        assert smoothing["knot_tau"] == panel.maturity_grid.maturities.tolist()
+        operator = np.array(smoothing["weights"])
+        for name, field in {"cross_spectral": result.cross_spectral,
+                            "frequency_response": result.frequency_response}.items():
+            inner = (panel.n_maturities, macro.n_series)
+            omegas, knots = _read_spectral_table(tmp_path / "out" / f"{name}.csv", inner)
             assert np.array_equal(omegas, grid.nodes[:grid.n_nodes // 2 + 1]), name
-            assert omegas[-1] == 0.0
-            assert np.array_equal(grid.mirror(half), full), name
+            with open(tmp_path / "out" / f"{name}.csv", newline="", encoding="utf-8") as fh:
+                taus = [float(row[1]) for row in list(csv.reader(fh))[1:][::macro.n_series]]
+            assert taus[:panel.n_maturities] == smoothing["knot_tau"], name
+            rebuilt = type(field).from_knots(grid, knots, operator)
+            assert np.array_equal(rebuilt.half, field.half), name
+            assert np.array_equal(rebuilt.values, field.values), name
 
     def test_bundle_writes_the_stored_halves_without_the_full_fields(self):
         result, panel, macro = _sparse_analysis(3, 6)
         bundle = build_result_bundle(result, panel, macro)
-        fields = {"spectral_density": result.spectral_density,
-                  "cross_spectral": result.cross_spectral,
-                  "frequency_response": result.frequency_response}
-        for name, field in fields.items():
+        fields = {"spectral_density": result.spectral_density.half,
+                  "cross_spectral": result.cross_spectral.knot_values,
+                  "frequency_response": result.frequency_response.knot_values}
+        for name, stored in fields.items():
             rows = getattr(bundle, name)[1]
             written = np.array([complex(float(row[-2]), float(row[-1])) for row in rows])
-            assert np.array_equal(written, field.half.ravel()), name
-        # the writer never built the (N, R, d) products
-        assert "values" not in vars(result.cross_spectral)
-        assert "values" not in vars(result.frequency_response)
+            assert np.array_equal(written, stored.ravel()), name
+        assert bundle.summary["smoothing_operator"]["weights"] == result.cross_spectral.operator.tolist()
+        # the writer never built the (N/2+1, R, d) products L @ Z nor the (N, R, d) fields
+        for field in (result.cross_spectral, result.frequency_response):
+            assert "half" not in vars(field) and "values" not in vars(field)
         assert "matrices" not in vars(result.spectral_density)
 
 

@@ -221,6 +221,12 @@ class TestHalfPath:
         with pytest.raises(ValueError, match=re.escape("F(-omega) = conj(F(omega))")):
             SpectralDensityField.from_knots(grid, half, np.eye(3))
 
+    def test_operator_other_than_the_identity_raises(self):
+        # the knots are checked as the half, which only the identity operator leaves them as
+        with pytest.raises(ValueError, match="operator must be the identity"):
+            SpectralDensityField.from_knots(FrequencyGrid(8), np.tile(np.eye(2, dtype=complex), (5, 1, 1)),
+                                            [[1, 1], [0, 1]])
+
 
 class TestConditionNumbers:
     @staticmethod
