@@ -15,8 +15,9 @@ Every product at maturity i sits on the same warped knot, so the fit only
 sees the knot weights sum_h W_h n_{h,i} (n counts the realized products)
 and the knot field Z(omega)_i = sum_h W_h e^{-i h omega} sum_t G.  Both come
 from the primitives of :mod:`sparselag.mv_spectral`: the sums over t are
-lagged products of the centered panels (missing cells set to zero), and Z is
-their lag-window transform.  The intercept is then the knot-level
+lagged products of the centered panels (missing cells set to zero), the
+counts lagged products of the observation mask with a column of ones, and Z
+is the lag-window transform of the sums.  The intercept is then the knot-level
 local-linear operator L of :mod:`sparselag.smoother` applied to Z(omega); L
 is real and frequency-free, so one matrix product covers every node.  The
 field keeps Z and (Q/2pi) L: the solve and quadrature of :mod:`sparselag.lagreg`
@@ -67,11 +68,9 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
     if macro_means.shape != (macro.n_series,):
         raise ValueError("macro_means must hold one value per regressor series")
     y_centered = np.where(panel.observed, panel.values - mean_curve, 0.0)
-    # one pass: [y_centered | observed]' x [x_centered | 1] holds sums and counts
-    products = lagged_products(np.hstack([y_centered, panel.observed]),
-                               np.hstack([macro.values - macro_means, np.ones((panel.n_times, 1))]), q)
-    i, d = panel.n_maturities, macro.n_series
-    return RawCrossCovariances(q, _frozen(products[:, :i, :d]), _frozen(products[:, i:, d]))
+    sums = lagged_products(y_centered, macro.values - macro_means, q)
+    counts = lagged_products(panel.observed, np.ones((panel.n_times, 1)), q)[:, :, 0]
+    return RawCrossCovariances(q, _frozen(sums), _frozen(counts))
 
 
 @dataclass(frozen=True)

@@ -101,23 +101,20 @@ def predict_panel(fit: LaggedRegressionFit, macro: MacroPanel, eval_points=None)
     Y_hat_t(tau) = mu_Y(tau) + sum_j sum_h b_h^j(tau) (X^j_{t-h} - mu_X_j),
     with X_{t-h} imputed by its mean (zero centered contribution) whenever
     t - h falls outside 1..T.  ``eval_points`` picks maturities of the fit's
-    evaluation grid (first match wins); the default is the whole grid.
+    evaluation grid (first match wins); the default is the whole grid.  A column
+    is one product of the zero-padded lag design with its filter, whatever else is asked.
     """
-    cols = slice(None) if eval_points is None else _eval_indices(fit, eval_points)
+    cols = np.arange(fit.mean_curve.size) if eval_points is None else _eval_indices(fit, eval_points)
     if macro.n_series != fit.n_series:
         raise ValueError("fit and regressor panel disagree on the number of series")
-    t_len = macro.n_times
-    xc = macro.values - fit.macro_means
-    coef = fit.filter_coef[:, cols]
-    pred = np.tile(fit.mean_curve[cols], (t_len, 1))
-    for l, h in enumerate(fit.lags):
-        h = int(h)
-        # rows t = 1..T pick X_{t-h}; out-of-window rows stay imputed at zero
-        lo_t, hi_t = max(0, h), min(t_len, t_len + h)
-        if lo_t >= hi_t:
-            continue
-        pred[lo_t:hi_t] += xc[lo_t - h: hi_t - h] @ coef[l].T
-    return pred
+    t_len, reach = macro.n_times, fit.lags.size // 2
+    padded = np.pad(macro.values - fit.macro_means, ((reach, reach), (0, 0)))
+    # window t covers rows t - reach..t + reach; reversed, its entry l is X_{t-h} - mu_X at h = lags[l]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * reach + 1, axis=0)[:, :, ::-1]
+    design = np.ascontiguousarray(windows).reshape(t_len, -1)     # column j * n_lags + l
+    with np.errstate(over="ignore", invalid="ignore"):   # overflows: r_squared's finiteness check reports them
+        columns = [fit.mean_curve[c] + design @ fit.filter_coef[:, c].T.ravel() for c in cols]
+    return np.reshape(columns, (len(cols), t_len)).T
 
 
 def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPanel) -> float:

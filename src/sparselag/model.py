@@ -198,7 +198,7 @@ class FrequencyGrid:
         an array shared by every node comes with a length-1 axis 0."""
         finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
         if not finite.all():
-            raise ValueError(f"{what} not finite at omega = {self.nodes[np.argmin(finite)]!r}")
+            raise ValueError(f"{what} not finite at omega = {float(self.nodes[np.argmin(finite)])!r}")
 
 
 class SpectralField:
@@ -357,8 +357,8 @@ class LaggedRegressionFit:
         if coef.ndim != 3:
             raise ValueError("filter_coef must have shape (n_lags, n_eval, n_series)")
         n_lags, n_eval, _ = coef.shape
-        if lags.shape != (n_lags,):
-            raise ValueError("lags must match the first axis of filter_coef")
+        if not np.array_equal(lags, np.arange(n_lags) - n_lags // 2) or n_lags % 2 == 0:
+            raise ValueError("lags must run -H..H along the first axis of filter_coef")
         if eval_tau.shape != (n_eval,) or eval_warped.shape != (n_eval,) or mean_curve.shape != (n_eval,):
             raise ValueError("evaluation grids and mean curve must match filter_coef")
         if not np.all(np.isfinite(coef)):

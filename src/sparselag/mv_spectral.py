@@ -16,8 +16,9 @@ the same field type as the cross-spectral and response fields, checked on the
 nodes it holds: its knot values are the half, its operator the identity.
 
 Two primitives serve both spectral estimates: :func:`lagged_products` builds
-the lag-h product sums (here of the regressors with themselves; in
-:mod:`sparselag.cross_spectral` of the curves with the regressors), and
+the lag-h product sums, one ``np.correlate`` (2Q-1 BLAS dots) per column pair
+of the zero-padded panels (here the regressors with themselves; in
+:mod:`sparselag.cross_spectral` the curves with the regressors), and
 :func:`lag_window_transform` takes any stack of lag values to frequency.
 """
 
@@ -40,15 +41,16 @@ def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Lag-h product sums P[l] = sum_t a[t+h]' b[t] for h = l - (q-1) = 1-q..q-1.
 
     a is (T, m) and b is (T, n); t runs over the rows where both a[t+h] and
-    b[t] exist.  Returns shape (2q-1, m, n).
+    b[t] exist.  Returns shape (2q-1, m, n).  P[:, i, j] is one ``np.correlate``
+    of column i of a, zero-padded by q-1 rows at both ends, with column j of b.
     """
-    t_len = a.shape[0]
-    out = np.empty((2 * q - 1, a.shape[1], b.shape[1]))
-    # an overflow gives inf or nan without a warning; the callers' finiteness checks report it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l, h in enumerate(range(1 - q, q)):
-            start, stop = max(0, -h), min(t_len, t_len - h)
-            out[l] = a[start + h: stop + h].T @ b[start:stop]
+    padded = np.zeros((a.shape[1], len(a) + 2 * q - 2))
+    padded[:, q - 1: q - 1 + len(a)] = a.T
+    b_cols = np.ascontiguousarray(b.T, dtype=float)
+    out = np.empty((2 * q - 1, len(padded), len(b_cols)))
+    with np.errstate(over="ignore", invalid="ignore"):   # overflows: the callers' finiteness checks report them
+        for i, j in np.ndindex(out.shape[1:]):
+            out[:, i, j] = np.correlate(padded[i], b_cols[j], "valid")
     return out
 
 
@@ -72,7 +74,8 @@ def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndar
 
     Returns shape (N/2+1, *lag_values.shape[1:]), nodes k <= N/2, without the 1/2pi factor.
     """
-    return np.tensordot(lag_window_kernel(grid, (lag_values.shape[0] + 1) // 2), lag_values, axes=1)
+    with np.errstate(over="ignore", invalid="ignore"):   # overflows: the fields' finiteness checks report them
+        return np.tensordot(lag_window_kernel(grid, (lag_values.shape[0] + 1) // 2), lag_values, axes=1)
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,8 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("name, scale, message", [
         ("macro.csv", 1e200, "error [estimate] autocovariance at lag "),
         ("yields.csv", 1e300, "error [estimate] sums of squares overflow: SS_residual = inf"),
+        ("yields.csv", 1e305, "error [estimate] CrossSpectralField knot values not finite at omega = -3.14"),
+        ("yields.csv", 1e307, "error [estimate] CrossSpectralField knot values not finite at omega = -3.14"),
     ])
     def test_overflowing_input_prints_one_error_line(self, sim_dir, tmp_path, name, scale,
                                                      message):
@@ -367,6 +369,7 @@ class TestAnalyzeCommand:
         assert proc.returncode == 1
         [line] = proc.stderr.splitlines()
         assert line.startswith(message) and "Traceback" not in proc.stderr
+        assert "np.float64" not in proc.stderr
         assert not out.exists()
 
 

@@ -2,14 +2,21 @@
 
 Two fixed simulated panel pairs (d = 1 and d = 3, 10% missing quotes,
 ``n_omega = 64``) go through the CLI, and each of the seven result files must
-match its pinned digest byte for byte.  A refactor that promises identical
-outputs is checked here; a change that alters outputs on purpose re-records
-the digests and says so in CHANGES.md.
+match its pinned digest byte for byte; the d = 3 files must match with one
+BLAS thread and with two.  A refactor that promises identical outputs is
+checked here; a change that alters outputs on purpose re-records the digests
+and says so in CHANGES.md.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparselag
 from sparselag import (MaturityGrid, SparseYieldPanel, SyntheticSpec, US_MATURITIES,
                        simulate_lagged_regression, write_macro_csv, write_yields_csv)
 from sparselag.cli import main
@@ -18,21 +25,21 @@ from sparselag.io import sha256_digest
 GOLDEN = {
     1: {
         "mean_curve.csv": "4fe450214b5aabccc8603a9c72667e7184fb0fef2be18fea816493c598b6cd59",
-        "filter_coefficients.csv": "9e8c1bd78307a2aa6fa2331f7671f35404b941a2fbe4891b11ae8c6a55b48847",
-        "spectral_density.csv": "2a98cca5f2c0f70e5915286c69fe602fcdc675e7a3dd1ec3b3fb515be1c5a647",
-        "cross_spectral.csv": "f717cadc874b7d7c63bbd9c03e2df28ad96288d8178dad055ef0e0be028dfc85",
-        "frequency_response.csv": "d1628bdd16d5ab085eb10fcf343c14581b65d3cc98223bafd39386b75e20152a",
-        "fitted.csv": "65ed61bcb1ff0a65ddb380fbb0096dc2530258cce37b69cf5d78caea3fe0e708",
-        "summary.json": "c6c9a92d88e5234baab862f48526d193eb86575f858bcaa4cbc59172adeb45cd",
+        "filter_coefficients.csv": "e1663eb9467a992b99b697335a28de096fd5b5e79704069d8928dc779d0efeb9",
+        "spectral_density.csv": "3310a22f82d43e236a68560dd058988cd6c8fedce184d13acdcb0f453ef57442",
+        "cross_spectral.csv": "9b5a69a66732e1f6fe316d18813fd41609da6d703b59bf28675fd9c521807c1a",
+        "frequency_response.csv": "61c71141bde032896c3fbe0c3b97b7a6b5c5d09eeadaa01c6761bb22a740e92a",
+        "fitted.csv": "306579391cbb83b071235430c85b8ecd53693c4b4c8bc953095b4c5cc8688510",
+        "summary.json": "3055a406e34741bb6172fa3d78491bf572403889854189e7cf946b5e1e26da86",
     },
     3: {
         "mean_curve.csv": "411746a8ea0707ba690678fbd1255af79324ebf7aceb1c941f45c57891699d5b",
-        "filter_coefficients.csv": "a5a3a5a4d2267bf436df760acb1bdd1fd6f0a5076a1cf9a05afdeca9e08bc4de",
-        "spectral_density.csv": "92969fbcd4d4de3fee3b050777929ebead4ec3797d7312784946506a17459af2",
-        "cross_spectral.csv": "f953911d683cf23b9f0a281ece099fa65fb8aab7b52d59a87c6c3d8afd6d3ba8",
-        "frequency_response.csv": "daafff5f7080e09a1bec94a92d49dcc0555897787db3fa93847fa9caabdcb165",
-        "fitted.csv": "3ea932f38df64e4cc5e3b009329c1ab0b5c0340a4c3d85e4a62510520fb8fed3",
-        "summary.json": "c2678778ac89e0ecc6ba2db07c9aada06620ad0a735ad42e494bd0dfbb1be3fc",
+        "filter_coefficients.csv": "5001c3255dc67d3a6abcd028759280a306e57a7466e0e1c5076b02eb8aafca1a",
+        "spectral_density.csv": "be457c60a839f23cd6805159be3e00342f0a195e1e7ba015f572e2f773059f9f",
+        "cross_spectral.csv": "f1229490d36c4c9020b324f1b5ba2ff8fdc3662a5db571f612419dc16b40073d",
+        "frequency_response.csv": "e080ea08b9a326e7dfb741bd2dbf6d38e047e9d821ab391ae30df1377579dd02",
+        "fitted.csv": "8dc829e82331f119abf285166b0e036784017c9045c9743503e98800a401d301",
+        "summary.json": "434ad91801950d52c8d447143de693a23cbef07c070c6c8010f5981e63a778d8",
     },
 }
 
@@ -64,3 +71,21 @@ def test_result_files_match_pinned_digests(n_series, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted(GOLDEN[n_series])
     for name, digest in GOLDEN[n_series].items():
         assert sha256_digest(out / name) == digest, name
+
+
+def test_result_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``python -m sparselag analyze`` on the d = 3 panel under 1 and 2 OpenBLAS/OpenMP threads."""
+    _write_panels(3, tmp_path)
+    src = str(Path(sparselag.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "sparselag", "analyze",
+                               "--yields", str(tmp_path / "yields.csv"), "--macro", str(tmp_path / "macro.csv"),
+                               "--config", str(tmp_path / "analyze.cfg"), "--out", str(out)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append({p.name: sha256_digest(p) for p in out.iterdir()})
+    assert digests[0] == digests[1] == GOLDEN[3]

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -103,11 +104,11 @@ class TestNonFiniteFieldsRejected:
         grid = FrequencyGrid(16)
         values = np.zeros((16, 3, 2), dtype=complex)
         values[5, 1, 0] = values[11, 2, 1] = bad
-        with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[5]!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[5])!r}")):
             CrossSpectralField(grid, values)
         knots = np.zeros((9, 2, 2), dtype=complex)      # the nodes k = 0..N/2
         knots[6, 0, 1] = bad
-        with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[6]!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[6])!r}")):
             CrossSpectralField.from_knots(grid, knots, rng.standard_normal((3, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -115,7 +116,7 @@ class TestNonFiniteFieldsRejected:
         grid = FrequencyGrid(8)
         values = np.ones((8, 2, 1), dtype=complex)
         values[0, 1, 0] = bad
-        with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[0]!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[0])!r}")):
             FrequencyResponseField(grid=grid, values=values)
 
     @pytest.mark.parametrize("name", ["half", "values"])
@@ -135,7 +136,7 @@ class TestNonFiniteFieldsRejected:
         grid = FrequencyGrid(8)
         mats = np.broadcast_to(np.eye(2), (8, 2, 2)).astype(complex).copy()
         mats[3, 0, 1] = np.nan
-        with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[3]!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[3])!r}")):
             SpectralDensityField(grid=grid, matrices=mats)
 
 
@@ -254,6 +255,29 @@ class TestPrediction:
         assert _eval_indices(dup, 0.5).tolist() == [1]
         with pytest.raises(ValueError, match=r"maturity 4\.0 is not"):
             _eval_indices(dup, [0.5, 4.0, 6.0])
+
+    def test_boundary_rows_match_exactly_rounded_sum(self, rng):
+        t_len, n_eval, d, h_max = 192, 9, 3, 12
+        fit = LaggedRegressionFit(
+            filter_coef=rng.standard_normal((2 * h_max + 1, n_eval, d)),
+            lags=np.arange(-h_max, h_max + 1), eval_tau=np.linspace(0.1, 30.0, n_eval),
+            eval_warped=np.linspace(0.0, 1.0, n_eval), mean_curve=5.0 + rng.standard_normal(n_eval),
+            macro_means=rng.standard_normal(d))
+        macro = random_macro_panel(rng, t_len, d)
+        xc = macro.values - fit.macro_means
+        pred = predict_panel(fit, macro)
+        for t in (1, 2, t_len - 1, t_len):
+            for c in range(n_eval):
+                terms = [fit.mean_curve[c]] + [fit.filter_coef[l, c, j] * xc[t - 1 - h, j]
+                                               for l, h in enumerate(fit.lags) if 1 <= t - h <= t_len
+                                               for j in range(d)]
+                assert abs(pred[t - 1, c] - math.fsum(terms)) <= 1e-15 * np.abs(terms).sum()
+
+    def test_lags_must_run_symmetric_and_contiguous(self, us_grid):
+        for lags in ([0, 1, 2], [-2, -1, 1, 2, 3], [-1, 0]):
+            coef = np.zeros((len(lags), 9, 1))
+            with pytest.raises(ValueError, match=r"lags must run -H\.\.H"):
+                replace(_toy_fit(us_grid, np.zeros((1, 9, 1))), filter_coef=coef, lags=np.array(lags))
 
     @pytest.mark.parametrize("t_len, d", [(192, 3), (60, 1), (300, 5)])
     def test_column_subset_prediction_is_bit_identical(self, rng, t_len, d):

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -83,6 +84,25 @@ class TestLaggedProducts:
     def test_span_one_is_lag_zero_only(self, rng):
         a = rng.standard_normal((5, 2))
         assert np.array_equal(lagged_products(a, a, 1), (a.T @ a)[None])
+
+    @pytest.mark.parametrize("t_len, m, n, q", [(2000, 9, 1, 45), (192, 9, 3, 14)])
+    def test_matches_exactly_rounded_sum(self, rng, t_len, m, n, q):
+        a, b = rng.standard_normal((t_len, m)), rng.standard_normal((t_len, n))
+        prods = lagged_products(a, b, q)
+        for l, h in enumerate(range(1 - q, q)):
+            start, stop = max(0, -h), min(t_len, t_len - h)
+            terms = a[start + h: stop + h, :, None] * b[start:stop, None, :]   # (rows, m, n)
+            for i in range(m):
+                for j in range(n):
+                    exact = math.fsum(terms[:, i, j])
+                    assert abs(prods[l, i, j] - exact) <= 1e-15 * np.abs(terms[:, i, j]).sum()
+
+    def test_each_entry_depends_on_its_own_pair_only(self, rng):
+        a, b, q = rng.standard_normal((192, 9)), rng.standard_normal((192, 3)), 14
+        full = lagged_products(a, b, q)
+        for i in range(9):
+            for j in range(3):
+                assert np.array_equal(lagged_products(a[:, [i]], b[:, [j]], q), full[:, [i]][:, :, [j]])
 
 
 class TestLagWindowTransform:

@@ -194,7 +194,7 @@ def test_knot_construction_names_the_first_non_finite_node(problem, in_operator)
         k = 0
     else:
         knots[k, i, j] = np.nan
-    with pytest.raises(ValueError, match=re.escape(f"omega = {grid.nodes[k]!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[k])!r}")):
         cls.from_knots(grid, knots, operator)
 
 
