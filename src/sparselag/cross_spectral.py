@@ -27,7 +27,7 @@ least-squares path is kept as the correctness oracle for this factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,12 +73,9 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
     return RawCrossCovariances(q, _frozen(sums), _frozen(counts))
 
 
-@dataclass(frozen=True)
 class CrossSpectralField(SpectralField):
     """Complex cross-spectral values on (frequency, evaluation point, series)."""
 
-    grid: FrequencyGrid
-    values: np.ndarray = field()    # (N, R, d) complex
     _symmetry = (1e-10, "cross-spectral field must satisfy f(-omega) = conj(f(omega))")
 
 

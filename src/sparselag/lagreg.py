@@ -19,26 +19,19 @@ run on the I maturity knots (B_hat = L Z F_hat^-1) and L is applied afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .errors import DegenerateTotal, IllConditioned, ResidualImaginary
-from .model import FrequencyGrid, LaggedRegressionFit, MacroPanel, SparseYieldPanel, SpectralField, _frozen
+from .model import LaggedRegressionFit, MacroPanel, SparseYieldPanel, SpectralField
 from .cross_spectral import CrossSpectralField
 from .mv_spectral import SpectralDensityField
 
 _IMAG_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class FrequencyResponseField(SpectralField):
     """Complex response values on (frequency, evaluation point, series)."""
 
-    grid: FrequencyGrid
-    values: np.ndarray = field()                # (N, R, d) complex
-    condition_numbers: Optional[np.ndarray] = None  # (N,) cond of F_hat per node
     _symmetry = (1e-8, "frequency response must satisfy B(-omega) = conj(B(omega))")
 
 
@@ -54,14 +47,13 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
         raise ValueError("cross-spectral field and spectral density live on different grids")
     if cross.n_series != spec.n_series:
         raise ValueError("cross-spectral field and spectral density disagree on d")
-    conds = spec.condition_numbers()
+    conds = spec.condition_numbers
     worst = int(np.argmax(conds))
     if not np.all(np.isfinite(conds)) or conds[worst] > cond_threshold:
         raise IllConditioned(float(spec.grid.nodes[worst]), float(conds[worst]), cond_threshold)
     rhs = np.conj(np.swapaxes(cross.knot_values, 1, 2))    # (N/2+1, d, I)
     z = np.swapaxes(np.linalg.solve(spec.half, rhs), 1, 2)  # (N/2+1, I, d)
-    return FrequencyResponseField.from_knots(cross.grid, np.conj(z), cross.operator,
-                                             condition_numbers=_frozen(conds))
+    return FrequencyResponseField.from_knots(cross.grid, np.conj(z), cross.operator)
 
 
 def filter_coefficients(resp: FrequencyResponseField, h_max: int):

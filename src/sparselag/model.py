@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -93,7 +93,7 @@ class SparseYieldPanel:
     def from_values(cls, values, maturity_grid: MaturityGrid) -> "SparseYieldPanel":
         """Build a panel from a matrix where NaN encodes a missing cell."""
         values = np.asarray(values, dtype=float)
-        return cls(values=values, observed=np.isfinite(values), maturity_grid=maturity_grid)
+        return cls(values=values, observed=~np.isnan(values), maturity_grid=maturity_grid)
 
     @property
     def n_times(self) -> int:
@@ -202,35 +202,32 @@ class FrequencyGrid:
 
 
 class SpectralField:
-    """Spectral field (N, R, d) held on the nodes k = 0..N/2 as the (N/2+1, I, d) field Z at the
-    I maturity knots and a real (R, I) operator L; half = L @ Z (Z itself if L = I) and values =
-    grid.mirror(half) are built on first read.  A field built from its N values folds them (Z =
-    half, L = I).  from_knots checks Z and L: only omega = -pi, 0 pair with themselves, where the
-    values' gap 2 |L Im Z| <= ||L||_inf * 2 max |Im Z| <= tol implies the fold check, which divides
-    that gap by max(1, max |v|) >= 1.  Subclasses are frozen dataclasses of grid, the N values (a
-    field named values is declared = field(), to stay required) and the fields from_knots may set;
-    they set _symmetry = (tolerance, message), and may set _shape, _knots_are_half (from_knots
-    then takes only L = I) and _check(nodes), which sees the N values or Z a constructor is given
-    once they have passed the finiteness check."""
+    """Spectral field (N, R, d) of real series, held on the nodes k = 0..N/2 as the (N/2+1, I, d)
+    knot values Z at I maturity knots and a real (R, I) operator L; half = L @ Z and values =
+    grid.mirror(half), all N nodes, are built on first read.  ``Cls(grid, values)`` checks the
+    shape and finiteness of the N values and folds them (Z = half, L = I).  ``Cls.from_knots(grid,
+    Z, L)`` checks shapes, that Z and L are finite, then the self-paired nodes omega = -pi, 0 (all
+    others pair with a conjugate), where the gap 2 |L Im Z| <= ||L||_inf * 2 max |Im Z| <= tol
+    implies the fold check, which divides that gap by max(1, max |v|).  A subclass sets
+    ``_symmetry`` = (tolerance, message) and may override ``_verify_nodes``, which both
+    constructors call once the nodes they are given are finite.  Instances are immutable."""
 
-    _shape = "values must have shape (n_nodes, n_eval, n_series)"
-    _knots_are_half = False
-    _check = classmethod(lambda cls, nodes: None)
+    _symmetry: tuple[float, str]
 
-    def __post_init__(self):
-        name = fields(self)[1].name
-        vals = np.asarray(vars(self).pop(name), dtype=complex)
-        if vals.ndim != 3 or vals.shape[0] != self.grid.n_nodes:
-            raise ValueError(self._shape)
-        self.grid.require_finite(vals, f"{type(self).__name__} {name}")
-        self._check(vals)
-        half = _frozen(self.grid.fold(vals, *self._symmetry), dtype=complex)
-        vars(self).update(half=half, knot_values=half)
+    def __init__(self, grid: FrequencyGrid, values):
+        self._fold(grid, values, "values", "values must have shape (n_nodes, n_eval, n_series)")
+
+    def _fold(self, grid: FrequencyGrid, values, name: str, shape_error: str) -> None:
+        values = np.asarray(values, dtype=complex)
+        if values.ndim != 3 or len(values) != grid.n_nodes:
+            raise ValueError(shape_error)
+        grid.require_finite(values, f"{type(self).__name__} {name}")
+        self._verify_nodes(values, True)
+        half = _frozen(grid.fold(values, *self._symmetry), dtype=complex)
+        vars(self).update(grid=grid, knot_values=half, half=half)
 
     @classmethod
-    def from_knots(cls, grid: FrequencyGrid, knot_values, operator, **extras):
-        if unknown := set(extras) - {f.name for f in fields(cls)[2:]}:
-            raise TypeError(f"{cls.__name__}.from_knots() got an unexpected keyword argument {min(unknown)!r}")
+    def from_knots(cls, grid: FrequencyGrid, knot_values, operator):
         knot_values, operator = _frozen(knot_values, dtype=complex), _frozen(operator)
         if (knot_values.ndim != 3 or len(knot_values) != grid.n_nodes // 2 + 1
                 or operator.shape[1:] != knot_values.shape[1:2]):
@@ -238,17 +235,24 @@ class SpectralField:
         grid.require_finite(knot_values, f"{cls.__name__} knot values")
         grid.require_finite(operator[None], f"{cls.__name__} operator")
         identity = operator.shape[0] == operator.shape[1] and np.array_equal(operator, np.eye(len(operator)))
-        if cls._knots_are_half and not identity:
-            raise ValueError(f"{cls.__name__} operator must be the identity: its knot values are its half")
-        cls._check(knot_values)
+        cls._verify_nodes(knot_values, identity)
         self_paired = 2.0 * np.abs(knot_values[[0, -1]].imag).max()
         if not np.abs(operator).sum(axis=1).max() * self_paired <= cls._symmetry[0]:
             raise ValueError(cls._symmetry[1])
-        field = object.__new__(cls)
-        field.__dict__.update(grid=grid, knot_values=knot_values, operator=operator, **extras)
+        field = cls.__new__(cls)
+        vars(field).update(grid=grid, knot_values=knot_values, operator=operator)
         if identity:
-            field.__dict__["half"] = knot_values
+            vars(field)["half"] = knot_values
         return field
+
+    @classmethod
+    def _verify_nodes(cls, nodes: np.ndarray, identity: bool) -> None:
+        """A subclass's check of the nodes a field is built from; identity: is its operator the identity."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def half(self) -> np.ndarray:

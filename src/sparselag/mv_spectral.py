@@ -25,7 +25,7 @@ of the zero-padded panels (here the regressors with themselves; in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,36 +134,38 @@ def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:
     return AutocovarianceSet(lags=np.arange(1 - q, q), matrices=mats, mean=mean, q=q)
 
 
-@dataclass(frozen=True)
 class SpectralDensityField(SpectralField):
-    """d x d complex spectral density matrices on a frequency grid: the knot values are the half,
-    the operator the identity (from_knots rejects any other), and ``matrices`` is ``values``.  Each
-    constructor checks that the finite matrices it is given (eigvalsh reads one triangle) are
-    Hermitian: all N, or k <= N/2."""
+    """d x d complex spectral density matrices on a frequency grid; ``matrices`` is ``values``.
+    ``SpectralDensityField(grid, matrices)`` takes all N matrices; ``from_knots(grid, half, I)``
+    takes the nodes k <= N/2 as knot values and rejects any operator but the identity.  Each
+    checks, once the matrices it is given are finite, that they are square and Hermitian
+    (eigvalsh reads one triangle).  ``condition_numbers`` is computed on first read."""
 
-    grid: FrequencyGrid
-    matrices: np.ndarray    # (N, d, d) complex
-    _knots_are_half = True
     _symmetry = (1e-12, "spectral density must satisfy F(-omega) = conj(F(omega))")
-    _shape = "matrices must have shape (n_nodes, d, d)"
+
+    def __init__(self, grid: FrequencyGrid, matrices):
+        self._fold(grid, matrices, "matrices", "matrices must have shape (n_nodes, d, d)")
 
     @classmethod
-    def _check(cls, nodes):
+    def _verify_nodes(cls, nodes, identity):
+        if not identity:
+            raise ValueError(f"{cls.__name__} operator must be the identity: its knot values are its half")
         if nodes.shape[1] != nodes.shape[2]:
-            raise ValueError(cls._shape)
+            raise ValueError("matrices must have shape (n_nodes, d, d)")
         scale = max(1.0, float(np.abs(nodes).max()))
         if not np.abs(nodes - np.conj(np.swapaxes(nodes, 1, 2))).max() <= 1e-12 * scale:
             raise ValueError("spectral density matrices must be Hermitian at every node")
 
+    @property
+    def matrices(self) -> np.ndarray:
+        return self.values
+
+    @cached_property
     def condition_numbers(self) -> np.ndarray:
-        """cond_2 per node, max/min |eigenvalue| of the Hermitian F_hat; inf where singular."""
+        """cond_2 per node (all N, read-only), max/min |eigenvalue| of the Hermitian F_hat; inf where singular."""
         mags = np.abs(np.linalg.eigvalsh(self.half))
         lo, hi = mags.min(axis=1), mags.max(axis=1)
         return self.grid.mirror(np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0))
-
-
-# bound after @dataclass, which takes a class attribute as the field's default; cached as values
-SpectralDensityField.matrices = SpectralField.values
 
 
 def spectral_density_matrix(acov: AutocovarianceSet, grid: FrequencyGrid) -> SpectralDensityField:

@@ -107,7 +107,7 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
     diagnostics = Diagnostics(
         max_imag_residual=max_imag,
         truncation_tail_mass=_tail_mass(coef, lags, config.h_max),
-        condition_numbers=response.condition_numbers,
+        condition_numbers=spec_density.condition_numbers,
     )
     return AnalysisResult(
         config=config,

@@ -119,16 +119,12 @@ class TestNonFiniteFieldsRejected:
         with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[0])!r}")):
             FrequencyResponseField(grid=grid, values=values)
 
-    @pytest.mark.parametrize("name", ["half", "values"])
+    @pytest.mark.parametrize("name", ["half", "values", "condition_numbers"])
     def test_from_knots_sets_no_undeclared_field(self, name):
         grid, nan = FrequencyGrid(4), np.full((4, 2, 1), np.nan)
         for cls in (CrossSpectralField, FrequencyResponseField):
             with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
                 cls.from_knots(grid, np.ones((3, 2, 1)), np.eye(2), **{name: nan})
-        conds = np.ones(4)
-        resp = FrequencyResponseField.from_knots(grid, np.ones((3, 2, 1)), np.eye(2),
-                                                 condition_numbers=conds)
-        assert resp.condition_numbers is conds
 
     def test_spectral_density_upper_triangle(self):
         # eigvalsh reads the lower triangle only: a NaN above the diagonal would give
@@ -138,6 +134,39 @@ class TestNonFiniteFieldsRejected:
         mats[3, 0, 1] = np.nan
         with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[3])!r}")):
             SpectralDensityField(grid=grid, matrices=mats)
+
+
+class TestFieldsAreImmutable:
+    """Each spectral field, built from values or from knots, rejects every assignment and deletion."""
+
+    @staticmethod
+    def _fields():
+        grid = FrequencyGrid(8)
+        knots = np.ones((5, 2, 1), dtype=complex)
+        for cls in (CrossSpectralField, FrequencyResponseField):
+            yield cls(grid, np.ones((8, 3, 1), dtype=complex))
+            yield cls.from_knots(grid, knots, np.full((3, 2), 0.5))
+        yield SpectralDensityField(grid, np.tile(np.eye(2, dtype=complex), (8, 1, 1)))
+        yield SpectralDensityField.from_knots(grid, np.tile(np.eye(2, dtype=complex), (5, 1, 1)), np.eye(2))
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_no_attribute_can_be_set_or_deleted(self, read_first):
+        arrays = ["knot_values", "operator", "half", "values"]
+        for field in self._fields():
+            names = arrays + (["matrices", "condition_numbers"] if isinstance(field, SpectralDensityField) else [])
+            if read_first:                  # the lazy attributes, cached or not, stay read-only
+                before = {name: getattr(field, name) for name in names}
+            for name in names + ["grid", "n_series", "undeclared"]:
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(field, name, np.zeros(1))
+                with pytest.raises(AttributeError):
+                    delattr(field, name)
+            for name in names:
+                array = getattr(field, name)
+                assert not array.flags.writeable
+                if read_first:
+                    assert array is before[name]
+            assert not hasattr(field, "undeclared")
 
 
 class TestFilterCoefficients:
@@ -185,7 +214,7 @@ class TestFilterCoefficients:
         # coefficient is (1/N) sum of the mirrored nodes, 2j / 16
         resp = FrequencyResponseField.__new__(FrequencyResponseField)
         vars(resp).update(grid=FrequencyGrid(16), knot_values=np.full((9, 1, 1), 1j),
-                          operator=np.eye(1), condition_numbers=None)
+                          operator=np.eye(1))
         with pytest.raises(ResidualImaginary):
             filter_coefficients(resp, 2)
 

@@ -61,6 +61,17 @@ class TestSparseYieldPanel:
         assert not panel.observed[0, 4]
         assert panel.observed.sum() == 17
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_from_values_rejects_infinity(self, us_grid, bad):
+        # only NaN encodes a missing cell: an infinity is an observed value that is not finite
+        values = np.ones((2, 9))
+        values[0, 4] = bad
+        with pytest.raises(ValueError, match="observed values must all be finite"):
+            SparseYieldPanel.from_values(values, us_grid)
+        values[0, 4], values[1, 2] = np.nan, np.nan
+        panel = SparseYieldPanel.from_values(values, us_grid)
+        assert not panel.observed[0, 4] and not panel.observed[1, 2] and panel.observed.sum() == 16
+
 
 class TestMacroPanel:
     def test_valid(self):

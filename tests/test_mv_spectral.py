@@ -81,9 +81,15 @@ class TestLaggedProducts:
             expected = sum(np.outer(a[t + h], b[t]) for t in range(t_len) if 0 <= t + h < t_len)
             assert np.abs(prods[l] - expected).max() <= 1e-12
 
-    def test_span_one_is_lag_zero_only(self, rng):
-        a = rng.standard_normal((5, 2))
-        assert np.array_equal(lagged_products(a, a, 1), (a.T @ a)[None])
+    def test_span_one_is_lag_zero_only(self):
+        # one dot per entry need not round like a.T @ a: the bound is the exactly rounded sum's
+        for seed in range(20):
+            a = np.random.default_rng(seed).standard_normal((5, 2))
+            prods = lagged_products(a, a, 1)
+            assert prods.shape == (1, 2, 2)
+            for i, j in np.ndindex(2, 2):
+                terms = a[:, i] * a[:, j]
+                assert abs(prods[0, i, j] - math.fsum(terms)) <= 1e-15 * np.abs(terms).sum()
 
     @pytest.mark.parametrize("t_len, m, n, q", [(2000, 9, 1, 45), (192, 9, 3, 14)])
     def test_matches_exactly_rounded_sum(self, rng, t_len, m, n, q):
@@ -265,7 +271,7 @@ class TestConditionNumbers:
         for _ in range(5):
             field = self._hermitian_pd(rng, 32, d)
             expected = np.linalg.cond(field.matrices)
-            assert np.abs(field.condition_numbers() / expected - 1.0).max() <= 1e-12
+            assert np.abs(field.condition_numbers / expected - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("singular", [np.diag([2.0, 0.0]), np.diag([0.0, -3.0]),
                                           np.zeros((2, 2))])
@@ -275,7 +281,7 @@ class TestConditionNumbers:
         field = SpectralDensityField(grid=FrequencyGrid(8), matrices=mats)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            conds = field.condition_numbers()
+            conds = field.condition_numbers
         assert conds[4] == np.inf
         assert np.array_equal(np.delete(conds, 4), np.ones(7))
         assert np.linalg.cond(field.matrices)[4] == np.inf
@@ -283,7 +289,7 @@ class TestConditionNumbers:
     def test_indefinite_matrix_uses_eigenvalue_magnitudes(self):
         mats = np.tile(np.diag([-4.0, 1.0]).astype(complex), (4, 1, 1))
         field = SpectralDensityField(grid=FrequencyGrid(4), matrices=mats)
-        assert np.array_equal(field.condition_numbers(), np.full(4, 4.0))
+        assert np.array_equal(field.condition_numbers, np.full(4, 4.0))
 
 
 class TestAutocovarianceSet:

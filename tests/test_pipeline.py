@@ -112,7 +112,7 @@ class TestAnalyze:
         panel = random_sparse_panel(rng, 60, 4)
         macro = random_macro_panel(rng, 60, 2)
         result = analyze(panel, macro, Config.defaults(60, 4, n_omega=64))
-        conds = result.frequency_response.condition_numbers
+        conds = result.spectral_density.condition_numbers
         assert conds is result.diagnostics.condition_numbers
         assert not conds.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
