@@ -106,11 +106,11 @@ def parse_synthetic_config(path, seed_flag=None) -> sim.SyntheticSpec:
     except KeyError as exc:
         raise ValueError(f"missing required key {exc.args[0]!r}") from None
     d = ar.shape[0]
-    cov = _parse_matrix(raw.pop("innovation_cov", ";".join(",".join("1" if i == j else "0" for j in range(d)) for i in range(d))))
-    macro_mean = _parse_vector(raw.pop("macro_mean", ",".join(["0"] * d)))
-    mean_fn = _poly_fn(_parse_vector(raw.pop("mean_poly", "0")))
-    curve_error_scale = float(raw.pop("curve_error_scale", "0"))
-    noise_sd = float(raw.pop("noise_sd", "0"))
+    cov = _parse_matrix(raw.pop("innovation_cov")) if "innovation_cov" in raw else np.eye(d)
+    macro_mean = _parse_vector(raw.pop("macro_mean")) if "macro_mean" in raw else np.zeros(d)
+    mean_fn = _poly_fn(_parse_vector(raw.pop("mean_poly")) if "mean_poly" in raw else np.zeros(1))
+    curve_error_scale = float(raw.pop("curve_error_scale", 0.0))
+    noise_sd = float(raw.pop("noise_sd", 0.0))
 
     filter_fns = {}
     for key in list(raw):

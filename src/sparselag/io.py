@@ -17,6 +17,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -36,7 +37,7 @@ def _parse_float(text: str, row: int, column: int) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(f"cannot parse {text!r} as a number", row=row, column=column) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"non-finite value {text!r}", row=row, column=column)
     return value
 

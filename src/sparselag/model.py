@@ -184,15 +184,6 @@ class FrequencyGrid:
         full.flags.writeable = False
         return full
 
-    def fold(self, values: np.ndarray, tol: float, message: str) -> np.ndarray:
-        """Nodes k = 0..N/2 of all N values, if max |v(-omega) - conj v(omega)| / max(1, max |v|) <= tol
-        (each pair compared once, from its node k <= N/2); else ValueError(message)."""
-        half = values[: self.n_nodes // 2 + 1]
-        gap = float(np.abs(values[(-np.arange(len(half))) % self.n_nodes] - np.conj(half)).max())
-        if not gap / max(1.0, float(np.abs(values).max())) <= tol:
-            raise ValueError(message)
-        return half
-
     def require_finite(self, values: np.ndarray, what: str) -> None:
         """Raise ValueError naming the first node (axis 0) that holds a NaN or infinity;
         an array shared by every node comes with a length-1 axis 0."""
@@ -204,27 +195,15 @@ class FrequencyGrid:
 class SpectralField:
     """Spectral field (N, R, d) of real series, held on the nodes k = 0..N/2 as the (N/2+1, I, d)
     knot values Z at I maturity knots and a real (R, I) operator L; half = L @ Z and values =
-    grid.mirror(half), all N nodes, are built on first read.  ``Cls(grid, values)`` checks the
-    shape and finiteness of the N values and folds them (Z = half, L = I).  ``Cls.from_knots(grid,
-    Z, L)`` checks shapes, that Z and L are finite, then the self-paired nodes omega = -pi, 0 (all
-    others pair with a conjugate), where the gap 2 |L Im Z| <= ||L||_inf * 2 max |Im Z| <= tol
-    implies the fold check, which divides that gap by max(1, max |v|).  A subclass sets
-    ``_symmetry`` = (tolerance, message) and may override ``_verify_nodes``, which both
-    constructors call once the nodes they are given are finite.  Instances are immutable."""
+    grid.mirror(half), all N nodes, are built on first read.  ``Cls.from_knots(grid, Z, L)`` is
+    the one constructor (``Cls(grid, values)`` raises TypeError; for N values v use
+    ``from_knots(grid, v[:N//2+1], np.eye(R))``).  It checks shapes, that Z and L are finite, then
+    the self-paired nodes omega = -pi, 0, whose gap |v(-omega) - conj v(omega)| = 2 |L Im Z| <=
+    ||L||_inf * 2 max |Im Z| must stay within tol; every other node pairs with a conjugate.  A
+    subclass sets ``_symmetry`` = (tolerance, message) and may override ``_verify_nodes``, which
+    ``from_knots`` calls once the knot values are finite.  Instances are immutable."""
 
     _symmetry: tuple[float, str]
-
-    def __init__(self, grid: FrequencyGrid, values):
-        self._fold(grid, values, "values", "values must have shape (n_nodes, n_eval, n_series)")
-
-    def _fold(self, grid: FrequencyGrid, values, name: str, shape_error: str) -> None:
-        values = np.asarray(values, dtype=complex)
-        if values.ndim != 3 or len(values) != grid.n_nodes:
-            raise ValueError(shape_error)
-        grid.require_finite(values, f"{type(self).__name__} {name}")
-        self._verify_nodes(values, True)
-        half = _frozen(grid.fold(values, *self._symmetry), dtype=complex)
-        vars(self).update(grid=grid, knot_values=half, half=half)
 
     @classmethod
     def from_knots(cls, grid: FrequencyGrid, knot_values, operator):
@@ -262,7 +241,6 @@ class SpectralField:
         return product.view(complex)
 
     values = cached_property(lambda self: self.grid.mirror(self.half))
-    operator = cached_property(lambda self: _frozen(np.eye(self.half.shape[1])))
 
     @property
     def n_series(self) -> int:
@@ -338,13 +316,12 @@ class LaggedRegressionFit:
     """Fitted lagged-regression filter on a grid of evaluation points.
 
     filter_coef[l, r, j] holds the lag lags[l] coefficient of regressor j at
-    evaluation point r.  The intercept is stored implicitly: together with
-    ``mean_curve`` and ``macro_means`` it is recoverable via
-    :meth:`intercept_curve`.
+    evaluation point r; its first axis has odd length 2H+1, so lags = -H..H.
+    The intercept is stored implicitly: together with ``mean_curve`` and
+    ``macro_means`` it is recoverable via :meth:`intercept_curve`.
     """
 
     filter_coef: np.ndarray     # (2H+1, R, d)
-    lags: np.ndarray            # (2H+1,), -H..H
     eval_tau: np.ndarray        # (R,) maturities
     eval_warped: np.ndarray     # (R,) warped coordinates in [0, 1]
     mean_curve: np.ndarray      # (R,) estimated mean at eval_tau
@@ -353,7 +330,6 @@ class LaggedRegressionFit:
 
     def __post_init__(self):
         coef = np.asarray(self.filter_coef, dtype=float)
-        lags = np.asarray(self.lags, dtype=int)
         eval_tau = np.asarray(self.eval_tau, dtype=float)
         eval_warped = np.asarray(self.eval_warped, dtype=float)
         mean_curve = np.asarray(self.mean_curve, dtype=float)
@@ -361,8 +337,8 @@ class LaggedRegressionFit:
         if coef.ndim != 3:
             raise ValueError("filter_coef must have shape (n_lags, n_eval, n_series)")
         n_lags, n_eval, _ = coef.shape
-        if not np.array_equal(lags, np.arange(n_lags) - n_lags // 2) or n_lags % 2 == 0:
-            raise ValueError("lags must run -H..H along the first axis of filter_coef")
+        if n_lags % 2 == 0:
+            raise ValueError(f"filter_coef must hold 2H+1 lags -H..H along its first axis, got {n_lags}")
         if eval_tau.shape != (n_eval,) or eval_warped.shape != (n_eval,) or mean_curve.shape != (n_eval,):
             raise ValueError("evaluation grids and mean curve must match filter_coef")
         if not np.all(np.isfinite(coef)):
@@ -372,7 +348,6 @@ class LaggedRegressionFit:
         if self.r_squared is not None and not (self.r_squared <= 1.0):
             raise ValueError(f"r_squared cannot exceed 1, got {self.r_squared}")
         object.__setattr__(self, "filter_coef", _frozen(coef))
-        object.__setattr__(self, "lags", _frozen(lags, dtype=int))
         object.__setattr__(self, "eval_tau", _frozen(eval_tau))
         object.__setattr__(self, "eval_warped", _frozen(eval_warped))
         object.__setattr__(self, "mean_curve", _frozen(mean_curve))
@@ -381,6 +356,12 @@ class LaggedRegressionFit:
     @property
     def n_series(self) -> int:
         return self.filter_coef.shape[2]
+
+    @cached_property
+    def lags(self) -> np.ndarray:
+        """-H..H, read-only: the lag of each row of filter_coef."""
+        n = len(self.filter_coef)
+        return _frozen(np.arange(n) - n // 2, dtype=int)
 
     def lag_index(self, h: int) -> int:
         idx = np.flatnonzero(self.lags == h)

@@ -136,22 +136,18 @@ def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:
 
 class SpectralDensityField(SpectralField):
     """d x d complex spectral density matrices on a frequency grid; ``matrices`` is ``values``.
-    ``SpectralDensityField(grid, matrices)`` takes all N matrices; ``from_knots(grid, half, I)``
-    takes the nodes k <= N/2 as knot values and rejects any operator but the identity.  Each
-    checks, once the matrices it is given are finite, that they are square and Hermitian
-    (eigvalsh reads one triangle).  ``condition_numbers`` is computed on first read."""
+    ``from_knots(grid, half, I)`` takes the nodes k <= N/2 as knot values and rejects any operator
+    but the identity; once they are finite it checks that they are square and Hermitian (eigvalsh
+    reads one triangle).  ``condition_numbers`` is computed on first read."""
 
     _symmetry = (1e-12, "spectral density must satisfy F(-omega) = conj(F(omega))")
-
-    def __init__(self, grid: FrequencyGrid, matrices):
-        self._fold(grid, matrices, "matrices", "matrices must have shape (n_nodes, d, d)")
 
     @classmethod
     def _verify_nodes(cls, nodes, identity):
         if not identity:
             raise ValueError(f"{cls.__name__} operator must be the identity: its knot values are its half")
         if nodes.shape[1] != nodes.shape[2]:
-            raise ValueError("matrices must have shape (n_nodes, d, d)")
+            raise ValueError("knot values must have shape (n_nodes/2 + 1, d, d)")
         scale = max(1.0, float(np.abs(nodes).max()))
         if not np.abs(nodes - np.conj(np.swapaxes(nodes, 1, 2))).max() <= 1e-12 * scale:
             raise ValueError("spectral density matrices must be Hermitian at every node")

@@ -57,12 +57,13 @@ def evaluation_grid(n_eval: int, n_maturities: int):
     return grid, knot_idx
 
 
-def _tail_mass(coef: np.ndarray, lags: np.ndarray, h_max: int) -> float:
+def _tail_mass(fit: LaggedRegressionFit) -> float:
     """Truncation diagnostic: sum of RMS filter norms at |h| in {h_max-1, h_max}."""
+    h_max = len(fit.lags) // 2
     if h_max == 0:
         return 0.0
-    edge = np.abs(lags) >= max(h_max - 1, 1)
-    per_lag = np.sqrt(np.mean(coef[edge] ** 2, axis=(1, 2)))
+    edge = np.abs(fit.lags) >= max(h_max - 1, 1)
+    per_lag = np.sqrt(np.mean(fit.filter_coef[edge] ** 2, axis=(1, 2)))
     return float(per_lag.sum())
 
 
@@ -92,11 +93,9 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
 
     response = lagreg.frequency_response(cross, spec_density, config.cond_threshold)
     coef, max_imag = lagreg.filter_coefficients(response, config.h_max)
-    lags = np.arange(-config.h_max, config.h_max + 1)
 
     fit = LaggedRegressionFit(
         filter_coef=coef,
-        lags=lags,
         eval_tau=np.asarray(warp_apply(warp, eval_warped), dtype=float),
         eval_warped=eval_warped,
         mean_curve=mean_curve,
@@ -106,7 +105,7 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
 
     diagnostics = Diagnostics(
         max_imag_residual=max_imag,
-        truncation_tail_mass=_tail_mass(coef, lags, config.h_max),
+        truncation_tail_mass=_tail_mass(fit),
         condition_numbers=spec_density.condition_numbers,
     )
     return AnalysisResult(

@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .model import FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel
-from .mv_spectral import SpectralDensityField
 
 _BURN_IN = 500  # spectral radius <= 0.95 decays below 1e-10 well within this
 
@@ -88,10 +87,9 @@ class SyntheticSpec:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValueError("innovation covariance must be positive definite") from None
-        for (h, j) in self.filter_fns:
+        for _, j in self.filter_fns:
             if not 0 <= j < d:
                 raise ValueError(f"filter series index {j} outside 0..{d - 1}")
-            del h
         object.__setattr__(self, "ar_coef", a)
         object.__setattr__(self, "innovation_cov", cov)
         object.__setattr__(self, "macro_mean", mean)
@@ -140,8 +138,8 @@ def simulate_var1(spec: SyntheticSpec) -> MacroPanel:
     return MacroPanel(values=values, series_names=names)
 
 
-def var1_spectral_density(ar_coef, innovation_cov, grid: FrequencyGrid) -> SpectralDensityField:
-    """Closed-form VAR(1) spectral density on the grid."""
+def var1_spectral_density(ar_coef, innovation_cov, grid: FrequencyGrid) -> np.ndarray:
+    """Closed-form VAR(1) spectral density (N, d, d), computed at every node of the grid."""
     a = np.atleast_2d(np.asarray(ar_coef, dtype=float))
     cov = np.atleast_2d(np.asarray(innovation_cov, dtype=float))
     rho = _spectral_radius(a)
@@ -151,8 +149,7 @@ def var1_spectral_density(ar_coef, innovation_cov, grid: FrequencyGrid) -> Spect
     chol = np.linalg.cholesky(cov)
     m = np.eye(d)[None, :, :] - np.exp(-1j * grid.nodes)[:, None, None] * a[None, :, :]
     z = np.linalg.solve(m, np.broadcast_to(chol.astype(complex), m.shape).copy())
-    mats = z @ np.conj(np.swapaxes(z, 1, 2)) / (2.0 * np.pi)
-    return SpectralDensityField(grid=grid, matrices=mats)
+    return z @ np.conj(np.swapaxes(z, 1, 2)) / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)

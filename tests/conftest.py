@@ -34,3 +34,13 @@ def random_sparse_panel(rng, t_len, n_mat, missing_frac=0.15, loc=5.0):
 def random_macro_panel(rng, t_len, d):
     return MacroPanel(values=rng.standard_normal((t_len, d)),
                       series_names=tuple(f"X{j + 1}" for j in range(d)))
+
+
+def field_from_values(cls, grid, values):
+    """A spectral field from its values at all N nodes, through ``cls.from_knots`` on the nodes
+    k = 0..N/2; the values must be conjugate-symmetric, so the mirror drops nothing but rounding."""
+    values = np.asarray(values, dtype=complex)
+    n = grid.n_nodes
+    gap = np.abs(values[(-np.arange(n)) % n] - np.conj(values)).max()
+    assert gap <= 1e-12 * max(1.0, np.abs(values).max()), f"values are not conjugate-symmetric: gap {gap:.2e}"
+    return cls.from_knots(grid, values[: n // 2 + 1], np.eye(values.shape[1]))

@@ -14,6 +14,7 @@ from sparselag.cli import main, parse_synthetic_config, read_key_values
 from sparselag.io import sha256_digest
 from sparselag.model import Config
 from sparselag.mv_spectral import bartlett_weights, SpectralDensityField
+from conftest import field_from_values
 from oracles import loop_var1_deviations
 
 
@@ -398,7 +399,7 @@ class TestCheckCommand:
             phases = np.exp(+1j * np.outer(grid.nodes, acov.lags))
             weighted = bartlett_weights(acov.q)[:, None, None] * acov.matrices
             mats = np.einsum("kl,lab->kab", phases, weighted) / (2 * np.pi)
-            return SpectralDensityField(grid=grid, matrices=mats)
+            return field_from_values(SpectralDensityField, grid, mats)
 
         rng = np.random.default_rng(0)
         result = checks.check_bartlett_symmetry(rng, spectral_fn=mutant_spectral)

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -11,13 +11,13 @@ from sparselag import (DegenerateTotal, FrequencyGrid, FrequencyResponseField,
                        filter_coefficients, frequency_response, predict_panel, r_squared)
 from sparselag.cross_spectral import CrossSpectralField
 from sparselag.lagreg import _eval_indices
-from conftest import random_macro_panel
+from conftest import field_from_values, random_macro_panel
 from oracles import loop_prediction
 
 
 def _white_field(grid, d, scale=1.0):
     mats = np.broadcast_to(np.eye(d) * scale, (grid.n_nodes, d, d)).astype(complex).copy()
-    return SpectralDensityField(grid=grid, matrices=mats)
+    return field_from_values(SpectralDensityField, grid, mats)
 
 
 def _random_hpd_field(rng, grid, d):
@@ -27,7 +27,7 @@ def _random_hpd_field(rng, grid, d):
     phases = np.exp(-1j * np.outer(grid.nodes, lags))
     mats = np.einsum("kl,lab->kab", phases, base)
     mats = mats + 8.0 * np.eye(d)                             # push to positive definite
-    return SpectralDensityField(grid=grid, matrices=mats)
+    return field_from_values(SpectralDensityField, grid, mats)
 
 
 class TestFrequencyResponse:
@@ -35,7 +35,7 @@ class TestFrequencyResponse:
         grid = FrequencyGrid(16)
         f_spec = _white_field(grid, 1, scale=0.4)
         c = 2.5
-        cross = CrossSpectralField(grid, c * np.broadcast_to(f_spec.matrices[:, :, 0], (16, 1)).reshape(16, 1, 1).copy())
+        cross = field_from_values(CrossSpectralField, grid, c * np.broadcast_to(f_spec.matrices[:, :, 0], (16, 1)).reshape(16, 1, 1).copy())
         resp = frequency_response(cross, f_spec, 1e8)
         assert np.abs(resp.values - c).max() <= 1e-12
 
@@ -46,7 +46,7 @@ class TestFrequencyResponse:
         lags = np.arange(-2, 3)
         coef = rng.standard_normal((lags.size, 4, d))
         values = np.einsum("kl,lrd->krd", np.exp(-1j * np.outer(grid.nodes, lags)), coef)
-        cross = CrossSpectralField(grid, values)
+        cross = field_from_values(CrossSpectralField, grid, values)
         resp = frequency_response(cross, spec, 1e8)
         assert np.abs(resp.values - 2 * np.pi * values).max() <= 1e-10
 
@@ -57,7 +57,7 @@ class TestFrequencyResponse:
         lags = np.arange(-1, 2)
         coef = rng.standard_normal((lags.size, 5, d))
         values = np.einsum("kl,lrd->krd", np.exp(-1j * np.outer(grid.nodes, lags)), coef)
-        cross = CrossSpectralField(grid, values)
+        cross = field_from_values(CrossSpectralField, grid, values)
         resp = frequency_response(cross, spec, 1e10)
         reproduced = np.einsum("krd,kde->kre", resp.values, spec.matrices)
         assert np.abs(reproduced - cross.values).max() <= 1e-10
@@ -67,8 +67,8 @@ class TestFrequencyResponse:
         # perfectly collinear regressors: singular spectral matrix at every node
         base = np.array([[1.0, 1.0], [1.0, 1.0]])
         mats = np.broadcast_to(base, (8, 2, 2)).astype(complex).copy()
-        spec = SpectralDensityField(grid=grid, matrices=mats)
-        cross = CrossSpectralField(grid, np.zeros((8, 2, 2), dtype=complex))
+        spec = field_from_values(SpectralDensityField, grid, mats)
+        cross = field_from_values(CrossSpectralField, grid, np.zeros((8, 2, 2), dtype=complex))
         with pytest.raises(IllConditioned) as err:
             frequency_response(cross, spec, 1e8)
         assert err.value.cond > 1e8
@@ -81,8 +81,8 @@ class TestFrequencyResponse:
         spread = np.minimum(spread, spread[(-np.arange(16)) % 16])    # keep F(-w) = F(w)
         mats = np.zeros((16, 2, 2), dtype=complex)
         mats[:, 0, 0], mats[:, 1, 1] = 1.0, 1.0 / spread
-        spec = SpectralDensityField(grid=grid, matrices=mats)
-        cross = CrossSpectralField(grid, np.zeros((16, 1, 2), dtype=complex))
+        spec = field_from_values(SpectralDensityField, grid, mats)
+        cross = field_from_values(CrossSpectralField, grid, np.zeros((16, 1, 2), dtype=complex))
         worst = int(np.argmax(np.linalg.cond(spec.matrices)))
         with pytest.raises(IllConditioned) as err:
             frequency_response(cross, spec, 1e8)
@@ -91,33 +91,62 @@ class TestFrequencyResponse:
 
     def test_grid_mismatch_rejected(self, rng):
         spec = _white_field(FrequencyGrid(16), 1)
-        cross = CrossSpectralField(FrequencyGrid(8), np.zeros((8, 2, 1), dtype=complex))
+        cross = field_from_values(CrossSpectralField, FrequencyGrid(8), np.zeros((8, 2, 1), dtype=complex))
         with pytest.raises(ValueError, match="grid"):
             frequency_response(cross, spec, 1e8)
 
 
+class TestOneConstructor:
+    """from_knots is the only way to build a spectral field."""
+
+    @pytest.mark.parametrize("cls", [CrossSpectralField, FrequencyResponseField, SpectralDensityField])
+    def test_value_constructor_raises_type_error(self, cls):
+        grid = FrequencyGrid(4)
+        values = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+        assert not any("__init__" in vars(base) for base in cls.__mro__[:-1])
+        with pytest.raises(TypeError):
+            cls(grid, values)
+        with pytest.raises(TypeError):
+            cls(grid=grid, values=values, matrices=values)
+        assert not hasattr(FrequencyGrid, "fold")
+
+    def test_from_knots_checks_shapes(self):
+        grid = FrequencyGrid(8)
+        for knots, operator in [(np.ones((8, 2, 1)), np.eye(2)), (np.ones((5, 2)), np.eye(2)),
+                                (np.ones((5, 2, 1)), np.eye(3))]:
+            with pytest.raises(ValueError, match=re.escape("knot values must have shape (n_nodes/2 + 1, I, d)")):
+                CrossSpectralField.from_knots(grid, knots, operator)
+        with pytest.raises(ValueError, match=re.escape("knot values must have shape (n_nodes/2 + 1, d, d)")):
+            SpectralDensityField.from_knots(grid, np.ones((5, 2, 3)), np.eye(2))
+
+    def test_helper_rejects_asymmetric_values(self):
+        values = np.zeros((8, 1, 1), dtype=complex)
+        values[3] = 1.0                         # node 3 pairs with node 5, which stays 0
+        with pytest.raises(AssertionError, match="not conjugate-symmetric"):
+            field_from_values(CrossSpectralField, FrequencyGrid(8), values)
+
+
 class TestNonFiniteFieldsRejected:
-    """Each spectral field names the first node holding a NaN or infinity."""
+    """Each spectral field names the first node of its knot values holding a NaN or infinity."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_cross_spectral_field(self, rng, bad):
         grid = FrequencyGrid(16)
-        values = np.zeros((16, 3, 2), dtype=complex)
-        values[5, 1, 0] = values[11, 2, 1] = bad
-        with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[5])!r}")):
-            CrossSpectralField(grid, values)
         knots = np.zeros((9, 2, 2), dtype=complex)      # the nodes k = 0..N/2
-        knots[6, 0, 1] = bad
-        with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[6])!r}")):
+        knots[5, 1, 0] = knots[7, 0, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[5])!r}")):
             CrossSpectralField.from_knots(grid, knots, rng.standard_normal((3, 2)))
+        knots[5, 1, 0] = 0.0
+        with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[7])!r}")):
+            CrossSpectralField.from_knots(grid, knots, np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_frequency_response_field(self, bad):
         grid = FrequencyGrid(8)
-        values = np.ones((8, 2, 1), dtype=complex)
-        values[0, 1, 0] = bad
+        knots = np.ones((5, 2, 1), dtype=complex)
+        knots[0, 1, 0] = bad
         with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[0])!r}")):
-            FrequencyResponseField(grid=grid, values=values)
+            FrequencyResponseField.from_knots(grid, knots, np.eye(2))
 
     @pytest.mark.parametrize("name", ["half", "values", "condition_numbers"])
     def test_from_knots_sets_no_undeclared_field(self, name):
@@ -130,23 +159,22 @@ class TestNonFiniteFieldsRejected:
         # eigvalsh reads the lower triangle only: a NaN above the diagonal would give
         # cond 1.0 and a NaN response unless construction rejects it
         grid = FrequencyGrid(8)
-        mats = np.broadcast_to(np.eye(2), (8, 2, 2)).astype(complex).copy()
-        mats[3, 0, 1] = np.nan
+        knots = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
+        knots[3, 0, 1] = np.nan
         with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[3])!r}")):
-            SpectralDensityField(grid=grid, matrices=mats)
+            SpectralDensityField.from_knots(grid, knots, np.eye(2))
 
 
 class TestFieldsAreImmutable:
-    """Each spectral field, built from values or from knots, rejects every assignment and deletion."""
+    """Each spectral field, with an identity or a smoothing operator, rejects every assignment and deletion."""
 
     @staticmethod
     def _fields():
         grid = FrequencyGrid(8)
         knots = np.ones((5, 2, 1), dtype=complex)
         for cls in (CrossSpectralField, FrequencyResponseField):
-            yield cls(grid, np.ones((8, 3, 1), dtype=complex))
+            yield cls.from_knots(grid, np.ones((5, 3, 1), dtype=complex), np.eye(3))
             yield cls.from_knots(grid, knots, np.full((3, 2), 0.5))
-        yield SpectralDensityField(grid, np.tile(np.eye(2, dtype=complex), (8, 1, 1)))
         yield SpectralDensityField.from_knots(grid, np.tile(np.eye(2, dtype=complex), (5, 1, 1)), np.eye(2))
 
     @pytest.mark.parametrize("read_first", [False, True])
@@ -173,9 +201,9 @@ class TestFilterCoefficients:
     def test_constant_response_is_lag_zero(self):
         grid = FrequencyGrid(64)
         values = np.full((64, 3, 2), 1.75, dtype=complex)
-        resp = FrequencyResponseField(grid=grid, values=values)
+        resp = field_from_values(FrequencyResponseField, grid, values)
         with pytest.raises(ValueError, match="read-only"):
-            resp.operator[0, 0] = 5.0       # the identity of a value-built field
+            resp.operator[0, 0] = 5.0       # the identity operator is read-only too
         coef, max_imag = filter_coefficients(resp, 5)
         assert np.abs(coef[5] - 1.75).max() <= 1e-12
         mask = np.ones(11, dtype=bool)
@@ -186,7 +214,7 @@ class TestFilterCoefficients:
     def test_shift_filter(self):
         grid = FrequencyGrid(64)
         values = np.exp(-1j * grid.nodes)[:, None, None] * np.ones((1, 1))
-        resp = FrequencyResponseField(grid=grid, values=values)
+        resp = field_from_values(FrequencyResponseField, grid, values)
         coef, _ = filter_coefficients(resp, 3)
         assert coef[4, 0, 0] == pytest.approx(1.0, abs=1e-12)   # lag +1
         mask = np.ones(7, dtype=bool)
@@ -198,13 +226,13 @@ class TestFilterCoefficients:
         lags = np.arange(-2, 3)
         coef = rng.standard_normal((5, 4, 3))
         values = np.einsum("ln,lrd->nrd", np.exp(-1j * np.outer(lags, grid.nodes)), coef)
-        resp = FrequencyResponseField(grid=grid, values=values)
+        resp = field_from_values(FrequencyResponseField, grid, values)
         recovered, _ = filter_coefficients(resp, 2)
         assert np.abs(recovered - coef).max() <= 1e-12
 
     def test_grid_too_coarse_rejected(self):
         grid = FrequencyGrid(16)
-        resp = FrequencyResponseField(grid=grid, values=np.ones((16, 1, 1), dtype=complex))
+        resp = field_from_values(FrequencyResponseField, grid, np.ones((16, 1, 1), dtype=complex))
         with pytest.raises(ValueError, match="n_omega"):
             filter_coefficients(resp, 8)
 
@@ -222,10 +250,8 @@ class TestFilterCoefficients:
 def _toy_fit(us_grid, coef, mean=None, d=1):
     eval_warped = np.linspace(0, 1, 9)
     coef = np.asarray(coef, dtype=float)
-    h_max = (coef.shape[0] - 1) // 2
     return LaggedRegressionFit(
         filter_coef=coef,
-        lags=np.arange(-h_max, h_max + 1),
         eval_tau=us_grid.maturities.copy(),
         eval_warped=eval_warped,
         mean_curve=np.full(9, 5.0) if mean is None else np.asarray(mean, dtype=float),
@@ -288,8 +314,7 @@ class TestPrediction:
     def test_boundary_rows_match_exactly_rounded_sum(self, rng):
         t_len, n_eval, d, h_max = 192, 9, 3, 12
         fit = LaggedRegressionFit(
-            filter_coef=rng.standard_normal((2 * h_max + 1, n_eval, d)),
-            lags=np.arange(-h_max, h_max + 1), eval_tau=np.linspace(0.1, 30.0, n_eval),
+            filter_coef=rng.standard_normal((2 * h_max + 1, n_eval, d)), eval_tau=np.linspace(0.1, 30.0, n_eval),
             eval_warped=np.linspace(0.0, 1.0, n_eval), mean_curve=5.0 + rng.standard_normal(n_eval),
             macro_means=rng.standard_normal(d))
         macro = random_macro_panel(rng, t_len, d)
@@ -303,17 +328,23 @@ class TestPrediction:
                 assert abs(pred[t - 1, c] - math.fsum(terms)) <= 1e-15 * np.abs(terms).sum()
 
     def test_lags_must_run_symmetric_and_contiguous(self, us_grid):
-        for lags in ([0, 1, 2], [-2, -1, 1, 2, 3], [-1, 0]):
-            coef = np.zeros((len(lags), 9, 1))
-            with pytest.raises(ValueError, match=r"lags must run -H\.\.H"):
-                replace(_toy_fit(us_grid, np.zeros((1, 9, 1))), filter_coef=coef, lags=np.array(lags))
+        # the lags come from the shape of filter_coef, which must be odd along its first axis
+        for n_lags in (2, 4, 0):
+            with pytest.raises(ValueError, match=r"2H\+1 lags -H\.\.H"):
+                replace(_toy_fit(us_grid, np.zeros((1, 9, 1))), filter_coef=np.zeros((n_lags, 9, 1)))
+        fit = _toy_fit(us_grid, np.zeros((7, 9, 1)))
+        assert np.array_equal(fit.lags, np.arange(-3, 4)) and not fit.lags.flags.writeable
+        assert fit.lags is fit.lags and fit.lag_index(-3) == 0
+        with pytest.raises(FrozenInstanceError):
+            fit.lags = np.arange(7)
+        with pytest.raises(TypeError, match="lags"):
+            replace(fit, lags=np.arange(-3, 4))
 
     @pytest.mark.parametrize("t_len, d", [(192, 3), (60, 1), (300, 5)])
     def test_column_subset_prediction_is_bit_identical(self, rng, t_len, d):
         n_eval, h_max = 105, 12
         fit = LaggedRegressionFit(
             filter_coef=rng.standard_normal((2 * h_max + 1, n_eval, d)),
-            lags=np.arange(-h_max, h_max + 1),
             eval_tau=np.linspace(0.1, 30.0, n_eval),
             eval_warped=np.linspace(0.0, 1.0, n_eval),
             mean_curve=5.0 + rng.standard_normal(n_eval),
@@ -366,7 +397,7 @@ class TestQuadratureExactness:
         lags = np.arange(-degree, degree + 1)
         coef = rng.standard_normal((lags.size, 2, 1))
         values = np.einsum("ln,lrd->nrd", np.exp(-1j * np.outer(lags, grid.nodes)), coef)
-        resp = FrequencyResponseField(grid=grid, values=values)
+        resp = field_from_values(FrequencyResponseField, grid, values)
         recovered, _ = filter_coefficients(resp, h_max)
         inner = coef[degree - h_max: degree + h_max + 1]
         assert np.abs(recovered - inner).max() <= 1e-12

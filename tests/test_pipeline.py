@@ -100,10 +100,11 @@ class TestAnalyze:
             assert np.array_equal(field.half, product)
             assert np.array_equal(values, field.grid.mirror(product))
             assert field.values is values
-        # the density's knots are its half; the value constructors' identity operator is read-only too
-        density = result.spectral_density
-        value_built = FrequencyResponseField(grid=density.grid, values=result.frequency_response.values)
-        for field in (density, value_built):
+        # the density's knots are its half, as are those of any field with the identity operator,
+        # which is read-only too
+        density, b = result.spectral_density, result.frequency_response
+        identity_built = FrequencyResponseField.from_knots(density.grid, b.half, np.eye(b.half.shape[1]))
+        for field in (density, identity_built):
             assert field.half is field.knot_values and not field.half.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 field.operator[0, 0] = 5.0

@@ -103,14 +103,14 @@ class TestDiagonalFastPath:
 class TestVar1SpectralDensity:
     def test_white_noise_flat(self):
         grid = FrequencyGrid(32)
-        field = var1_spectral_density(np.zeros((2, 2)), np.eye(2), grid)
+        mats = var1_spectral_density(np.zeros((2, 2)), np.eye(2), grid)
         expected = np.eye(2) / (2 * np.pi)
-        assert np.abs(field.matrices - expected).max() <= 1e-14
+        assert mats.shape == (32, 2, 2) and np.abs(mats - expected).max() <= 1e-14
 
     def test_ar_half_at_zero_frequency(self):
         grid = FrequencyGrid(64)
-        field = var1_spectral_density(np.array([[0.5]]), np.array([[1.0]]), grid)
-        at_zero = field.matrices[32, 0, 0]    # node 32 is omega = 0
+        mats = var1_spectral_density(np.array([[0.5]]), np.array([[1.0]]), grid)
+        at_zero = mats[32, 0, 0]    # node 32 is omega = 0
         assert at_zero.real == pytest.approx(1.0 / (2 * np.pi * 0.25), rel=1e-12)
         assert abs(at_zero.imag) <= 1e-15
 
@@ -118,16 +118,16 @@ class TestVar1SpectralDensity:
         a = np.array([[0.6, 0.15], [-0.1, 0.3]])
         cov = np.array([[1.0, 0.3], [0.3, 2.0]])
         grid = FrequencyGrid(512)
-        field = var1_spectral_density(a, cov, grid)
-        integral = field.matrices.sum(axis=0).real * grid.quadrature_weight
+        mats = var1_spectral_density(a, cov, grid)
+        integral = mats.sum(axis=0).real * grid.quadrature_weight
         r0 = solve_discrete_lyapunov(a, cov)
         assert np.abs(integral - r0).max() <= 0.01 * np.abs(r0).max()
 
     def test_hermitian_positive_definite(self, rng):
         a = np.array([[0.5, 0.2], [0.0, 0.4]])
-        field = var1_spectral_density(a, np.eye(2), FrequencyGrid(64))
+        mats = var1_spectral_density(a, np.eye(2), FrequencyGrid(64))
         for k in range(0, 64, 7):
-            m = field.matrices[k]
+            m = mats[k]
             assert np.abs(m - m.conj().T).max() <= 1e-14
             assert np.linalg.eigvalsh(m).min() > 0
 
@@ -162,7 +162,6 @@ class TestSimulateLaggedRegression:
         coef[2, :, 0] = 0.25
         fit = LaggedRegressionFit(
             filter_coef=coef,
-            lags=np.arange(-h_true, h_true + 1),
             eval_tau=spec.maturity_grid.maturities.copy(),
             eval_warped=truth.tau_warped,
             mean_curve=truth.mean_at_maturities,
@@ -177,7 +176,6 @@ class TestSimulateLaggedRegression:
         panel, macro, truth = simulate_lagged_regression(spec)
         fit = LaggedRegressionFit(
             filter_coef=(1.0 - truth.tau_warped)[None, :, None],
-            lags=np.array([0]),
             eval_tau=spec.maturity_grid.maturities.copy(),
             eval_warped=truth.tau_warped,
             mean_curve=truth.mean_at_maturities,
