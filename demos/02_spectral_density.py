@@ -26,8 +26,8 @@ print(f"AR(1) with a = {a}, T = {t_len}, window span q = {q}")
 print("  omega     estimate    closed form")
 for k in range(0, 512, 64):
     om = grid.nodes[k]
-    print(f"  {om:7.3f}   {estimated.matrices[k, 0, 0].real:9.4f}   {exact[k, 0, 0].real:9.4f}")
+    print(f"  {om:7.3f}   {estimated.values[k, 0, 0].real:9.4f}   {exact[k, 0, 0].real:9.4f}")
 
-rel = np.abs(estimated.matrices - exact)[:, 0, 0] / np.abs(exact)[:, 0, 0]
+rel = np.abs(estimated.values - exact)[:, 0, 0] / np.abs(exact)[:, 0, 0]
 print(f"\nrelative error over 512 nodes: mean {rel.mean():.3f}, max {rel.max():.3f}")
 print("(The estimate concentrates most of its error where the spectrum peaks at omega = 0.)")

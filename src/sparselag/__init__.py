@@ -18,7 +18,7 @@ from .warp import Warp, build_warp, warp_apply, warp_inverse
 from .smoother import (epanechnikov, estimate_mean_curve, local_linear_operator,
                        mean_curve_warped)
 from .mv_spectral import (AutocovarianceSet, SpectralDensityField, bartlett_weights,
-                          empirical_mean, estimate_autocovariances, spectral_density_matrix)
+                          estimate_autocovariances, spectral_density_matrix)
 from .cross_spectral import (CrossSpectralField, RawCrossCovariances, cross_spectral_density,
                              naive_cross_spectral_density, raw_cross_cov)
 from .lagreg import (FrequencyResponseField, filter_coefficients, frequency_response,
@@ -38,7 +38,7 @@ __all__ = [
     "RawCrossCovariances", "ResidualImaginary", "ResultBundle", "SimulationTruth",
     "SingularDesign", "SparseYieldPanel", "SpectralDensityField", "SyntheticSpec",
     "US_MATURITIES", "Warp", "analyze", "bartlett_weights", "build_result_bundle",
-    "build_warp", "cross_spectral_density", "empirical_mean", "epanechnikov",
+    "build_warp", "cross_spectral_density", "epanechnikov",
     "estimate_autocovariances", "estimate_mean_curve", "evaluation_grid",
     "filter_coefficients", "frequency_response", "load_macro_csv", "load_yields_csv",
     "local_linear_operator", "mean_curve_warped", "naive_cross_spectral_density",

@@ -59,7 +59,7 @@ def check_cross_spectral_equivalence(rng: np.random.Generator) -> CheckResult:
         eval_warped = rng.uniform(size=3)
         mean_curve = smoother.mean_curve_warped(
             panel, 2.0 / (panel.n_maturities - 1), np.linspace(0, 1, panel.n_maturities))
-        macro_means = mv_spectral.empirical_mean(macro)
+        macro_means = macro.values.mean(axis=0)
         raw = cross_spectral.raw_cross_cov(panel, macro, mean_curve, macro_means, q)
         fast = cross_spectral.cross_spectral_density(raw, b_r, grid, eval_warped)
         naive = cross_spectral.naive_cross_spectral_density(
@@ -100,7 +100,7 @@ def check_var1_closed_form(rng: np.random.Generator) -> CheckResult:
     est = mv_spectral.spectral_density_matrix(
         mv_spectral.estimate_autocovariances(macro, q), grid)
     exact = simulate.var1_spectral_density(spec.ar_coef, spec.innovation_cov, grid)
-    rel = np.abs(est.matrices - exact)[:, 0, 0] / np.abs(exact)[:, 0, 0]
+    rel = np.abs(est.values - exact)[:, 0, 0] / np.abs(exact)[:, 0, 0]
     ok = float(rel.max()) <= 0.5 and float(rel.mean()) <= 0.15
     return CheckResult("lag-window estimate vs VAR(1) closed form", ok,
                        f"rel err max = {rel.max():.3f} (tol 0.5), mean = {rel.mean():.3f} (tol 0.15)")
@@ -125,7 +125,7 @@ def check_bartlett_symmetry(rng: np.random.Generator,
     grid = FrequencyGrid(64)
     try:
         field = spectral_fn(acov, grid)
-        mats = field.matrices
+        mats = field.values
     except ValueError as exc:
         return CheckResult("lag-window symmetry and inverse transform", False, str(exc))
 

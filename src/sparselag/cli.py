@@ -139,7 +139,7 @@ def run_analyze(args) -> int:
         panel = sio.load_yields_csv(args.yields)
         macro = sio.load_macro_csv(args.macro)
         digests = {"yields": sio.sha256_digest(args.yields), "macro": sio.sha256_digest(args.macro)}
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         raise StageError("load", exc, 2) from exc
 
     try:

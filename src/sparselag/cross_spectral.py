@@ -41,10 +41,9 @@ class RawCrossCovariances:
     """The centered products G aggregated over t, which is all the smoother needs.
 
     sums[l, i, j] = sum_t G[h, t, i, j] and counts[l, i] = number of realized
-    products at maturity i, for lags h = l - (q-1) = 1-q..q-1.
+    products at maturity i, for lags h = l - (q-1) = 1-q..q-1; q is read from len(sums).
     """
 
-    q: int
     sums: np.ndarray      # (2q-1, I, d)
     counts: np.ndarray    # (2q-1, I)
 
@@ -70,7 +69,7 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
     y_centered = np.where(panel.observed, panel.values - mean_curve, 0.0)
     sums = lagged_products(y_centered, macro.values - macro_means, q)
     counts = lagged_products(panel.observed, np.ones((panel.n_times, 1)), q)[:, :, 0]
-    return RawCrossCovariances(q, _frozen(sums), _frozen(counts))
+    return RawCrossCovariances(_frozen(sums), _frozen(counts))
 
 
 class CrossSpectralField(SpectralField):
@@ -83,9 +82,10 @@ def cross_spectral_density(raw: RawCrossCovariances, b_r: float, grid: Frequency
                            eval_warped) -> CrossSpectralField:
     """Smoothed cross-spectral density: the knot operator applied to the knot field."""
     eval_warped = np.atleast_1d(np.asarray(eval_warped, dtype=float))
-    operator = local_linear_operator(bartlett_weights(raw.q) @ raw.counts, eval_warped, b_r)
-    knot_field = lag_window_transform(raw.sums, grid)   # (N, I, d): sum_l W_l e^{-i h_l omega} A_l
-    return CrossSpectralField.from_knots(grid, knot_field, raw.q / (2.0 * np.pi) * operator)
+    q = (len(raw.sums) + 1) // 2
+    operator = local_linear_operator(bartlett_weights(q) @ raw.counts, eval_warped, b_r)
+    knot_field = lag_window_transform(raw.sums, grid)   # (N/2+1, I, d): sum_l W_l e^{-i h_l omega} A_l
+    return CrossSpectralField.from_knots(grid, knot_field, q / (2.0 * np.pi) * operator)
 
 
 def naive_cross_spectral_density(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,

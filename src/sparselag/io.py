@@ -44,10 +44,13 @@ def _parse_float(text: str, row: int, column: int) -> float:
 
 def _read_rows(path) -> list[list[str]]:
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh)]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except FileNotFoundError:
+        raise ParseError(f"file not found: {path}") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise ParseError(f"empty file: {path}")
     return rows
@@ -73,8 +76,6 @@ def load_yields_csv(path) -> SparseYieldPanel:
     rows = _read_rows(path)
     header = rows[0]
     maturities = [_parse_float(cell.strip(), 1, c + 1) for c, cell in enumerate(header)]
-    if any(b <= a for a, b in zip(maturities, maturities[1:])):
-        raise ParseError("header maturities must be strictly increasing", row=1)
     try:
         grid = MaturityGrid(np.asarray(maturities))
     except ValueError as exc:

@@ -196,11 +196,9 @@ class SpectralField:
     """Spectral field (N, R, d) of real series, held on the nodes k = 0..N/2 as the (N/2+1, I, d)
     knot values Z at I maturity knots and a real (R, I) operator L; half = L @ Z and values =
     grid.mirror(half), all N nodes, are built on first read.  ``Cls.from_knots(grid, Z, L)`` is
-    the one constructor (``Cls(grid, values)`` raises TypeError; for N values v use
-    ``from_knots(grid, v[:N//2+1], np.eye(R))``).  It checks shapes, that Z and L are finite, then
-    the self-paired nodes omega = -pi, 0, whose gap |v(-omega) - conj v(omega)| = 2 |L Im Z| <=
-    ||L||_inf * 2 max |Im Z| must stay within tol; every other node pairs with a conjugate.  A
-    subclass sets ``_symmetry`` = (tolerance, message) and may override ``_verify_nodes``, which
+    the one constructor.  It checks shapes, that Z and L are finite, then the self-paired nodes
+    omega = -pi, 0, whose gap |v(-omega) - conj v(omega)| = 2 |L Im Z| <= ||L||_inf * 2 max |Im Z|
+    must stay within tol; every other node pairs with a conjugate.  A subclass sets ``_symmetry`` = (tolerance, message) and may override ``_verify_nodes``, which
     ``from_knots`` calls once the knot values are finite.  Instances are immutable."""
 
     _symmetry: tuple[float, str]

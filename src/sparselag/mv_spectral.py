@@ -32,11 +32,6 @@ import numpy as np
 from .model import FrequencyGrid, MacroPanel, SpectralField, _frozen
 
 
-def empirical_mean(panel: MacroPanel) -> np.ndarray:
-    """Componentwise sample mean of the regressor series."""
-    return panel.values.mean(axis=0)
-
-
 def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Lag-h product sums P[l] = sum_t a[t+h]' b[t] for h = l - (q-1) = 1-q..q-1.
 
@@ -80,26 +75,20 @@ def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndar
 
 @dataclass(frozen=True)
 class AutocovarianceSet:
-    """Autocovariances for lags -(q-1)..(q-1), plus the empirical mean."""
+    """Autocovariances for lags -(q-1)..(q-1), plus the empirical mean; q is read from matrices."""
 
-    lags: np.ndarray        # (2q-1,)
     matrices: np.ndarray    # (2q-1, d, d)
     mean: np.ndarray        # (d,)
-    q: int
 
     def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=int)
         mats = np.asarray(self.matrices, dtype=float)
         mean = np.asarray(self.mean, dtype=float)
-        expected = np.arange(1 - self.q, self.q)
-        if not np.array_equal(lags, expected):
-            raise ValueError(f"lags must run {1 - self.q}..{self.q - 1}")
-        if mats.shape != (lags.size, mean.size, mean.size):
-            raise ValueError("matrices must have shape (2q-1, d, d)")
+        if mats.ndim != 3 or len(mats) % 2 == 0 or mats.shape[1:] != (mean.size, mean.size):
+            raise ValueError("matrices must have shape (2q-1, d, d), an odd number of lags")
         finite = np.isfinite(mats).all(axis=(1, 2))
         if not finite.all():
-            raise ValueError(f"autocovariance at lag {lags[np.argmin(finite)]} not finite")
-        center = self.q - 1
+            raise ValueError(f"autocovariance at lag {np.argmin(finite) - len(mats) // 2} not finite")
+        center = len(mats) // 2
         # mirrored[k - 1] says whether R_{-k} = R_k' for k = 1..q-1
         mirrored = (mats[:center][::-1] == np.swapaxes(mats[center + 1:], 1, 2)).all(axis=(1, 2))
         if not mirrored.all():
@@ -111,13 +100,21 @@ class AutocovarianceSet:
             raise ValueError("lag-0 autocovariance must be symmetric")
         if not np.linalg.eigvalsh(0.5 * (r0 + r0.T)).min() >= -1e-10 * scale:
             raise ValueError("lag-0 autocovariance must be positive semidefinite")
-        object.__setattr__(self, "lags", _frozen(lags, dtype=int))
         object.__setattr__(self, "matrices", _frozen(mats))
         object.__setattr__(self, "mean", _frozen(mean))
 
+    @property
+    def q(self) -> int:
+        return (len(self.matrices) + 1) // 2
+
+    @cached_property
+    def lags(self) -> np.ndarray:
+        """1-q..q-1, read-only: the lag of each matrix."""
+        return _frozen(np.arange(1 - self.q, self.q), dtype=int)
+
     def matrix(self, h: int) -> np.ndarray:
         idx = h + self.q - 1
-        if not 0 <= idx < self.lags.size:
+        if not 0 <= idx < len(self.matrices):
             raise ValueError(f"lag {h} outside |h| < {self.q}")
         return self.matrices[idx]
 
@@ -126,16 +123,16 @@ def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:
     """All autocovariances needed by a span-q window (|h| < q)."""
     if not 1 <= q <= panel.n_times:
         raise ValueError(f"window span must satisfy 1 <= q <= T, got q={q}, T={panel.n_times}")
-    mean = empirical_mean(panel)
+    mean = panel.values.mean(axis=0)
     xc = panel.values - mean
     mats = lagged_products(xc, xc, q) / panel.n_times
     # mirror the positive lags so that R_{-h} = R_h' holds exactly
     mats[: q - 1] = np.swapaxes(mats[: q - 1: -1], 1, 2)
-    return AutocovarianceSet(lags=np.arange(1 - q, q), matrices=mats, mean=mean, q=q)
+    return AutocovarianceSet(mats, mean)
 
 
 class SpectralDensityField(SpectralField):
-    """d x d complex spectral density matrices on a frequency grid; ``matrices`` is ``values``.
+    """d x d complex spectral density matrices on a frequency grid.
     ``from_knots(grid, half, I)`` takes the nodes k <= N/2 as knot values and rejects any operator
     but the identity; once they are finite it checks that they are square and Hermitian (eigvalsh
     reads one triangle).  ``condition_numbers`` is computed on first read."""
@@ -151,10 +148,6 @@ class SpectralDensityField(SpectralField):
         scale = max(1.0, float(np.abs(nodes).max()))
         if not np.abs(nodes - np.conj(np.swapaxes(nodes, 1, 2))).max() <= 1e-12 * scale:
             raise ValueError("spectral density matrices must be Hermitian at every node")
-
-    @property
-    def matrices(self) -> np.ndarray:
-        return self.values
 
     @cached_property
     def condition_numbers(self) -> np.ndarray:

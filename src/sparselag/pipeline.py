@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cross_spectral, lagreg, mv_spectral, smoother
 from .model import Config, FrequencyGrid, LaggedRegressionFit, MacroPanel, SparseYieldPanel
-from .warp import Warp, build_warp, warp_apply
+from .warp import build_warp, warp_apply
 
 
 @dataclass(frozen=True)
@@ -24,19 +24,13 @@ class Diagnostics:
 
     max_imag_residual: float          # discarded imaginary part of the filter quadrature
     truncation_tail_mass: float       # sum of ||b_h|| over the two outermost lag pairs
-    condition_numbers: np.ndarray     # cond(F_hat) per frequency node
-
-    @property
-    def max_condition_number(self) -> float:
-        return float(self.condition_numbers.max())
+    max_condition_number: float       # max over the nodes of cond(F_hat)
 
 
 @dataclass(frozen=True)
 class AnalysisResult:
     config: Config
-    warp: Warp
     fit: LaggedRegressionFit
-    autocovariances: mv_spectral.AutocovarianceSet
     spectral_density: mv_spectral.SpectralDensityField
     cross_spectral: cross_spectral.CrossSpectralField
     frequency_response: lagreg.FrequencyResponseField
@@ -106,13 +100,11 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
     diagnostics = Diagnostics(
         max_imag_residual=max_imag,
         truncation_tail_mass=_tail_mass(fit),
-        condition_numbers=spec_density.condition_numbers,
+        max_condition_number=float(spec_density.condition_numbers.max()),
     )
     return AnalysisResult(
         config=config,
-        warp=warp,
         fit=fit,
-        autocovariances=acov,
         spectral_density=spec_density,
         cross_spectral=cross,
         frequency_response=response,

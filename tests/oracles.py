@@ -182,8 +182,8 @@ def naive_result_rows(result, panel, macro):
 
     spec_rows = [
         (_fmt(om), names[a], names[b],
-         _fmt(result.spectral_density.matrices[k, a, b].real),
-         _fmt(result.spectral_density.matrices[k, a, b].imag))
+         _fmt(result.spectral_density.values[k, a, b].real),
+         _fmt(result.spectral_density.values[k, a, b].imag))
         for k, om in enumerate(omegas)
         for a in range(len(names))
         for b in range(len(names))

@@ -34,7 +34,7 @@ def test_01_cross_spectral_oracle_equivalence():
         panel = random_sparse_panel(rng, t_len, n_mat)
         macro = random_macro_panel(rng, t_len, d)
         mean_curve = sl.mean_curve_warped(panel, 2.0 / (n_mat - 1), np.linspace(0, 1, n_mat))
-        mu_x = sl.empirical_mean(macro)
+        mu_x = macro.values.mean(axis=0)
         eval_warped = rng.uniform(size=3)
         b_r = float(rng.uniform(1.2, 2.5)) / (n_mat - 1)
         raw = sl.raw_cross_cov(panel, macro, mean_curve, mu_x, q)
@@ -60,7 +60,7 @@ def test_02_bartlett_vs_closed_form():
     grid = sl.FrequencyGrid(512)
     est = sl.spectral_density_matrix(sl.estimate_autocovariances(macro, q), grid)
     exact = sl.var1_spectral_density(spec.ar_coef, spec.innovation_cov, grid)
-    rel = (np.abs(est.matrices - exact) / np.abs(exact))[:, 0, 0]
+    rel = (np.abs(est.values - exact) / np.abs(exact))[:, 0, 0]
     elapsed = time.perf_counter() - started
     assert rel.max() <= 0.15, f"max relative error {rel.max():.4f}"
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -178,7 +178,7 @@ def test_09_symmetry_suite():
         cfg = sl.Config.defaults(t_len, panel.n_maturities, n_omega=64, n_eval=11)
         result = sl.analyze(panel, macro, cfg)
         pair = (-np.arange(64)) % 64
-        f = result.spectral_density.matrices
+        f = result.spectral_density.values
         g = result.cross_spectral.values
         b = result.frequency_response.values
         worst["hermitian"] = max(worst["hermitian"],

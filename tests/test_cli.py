@@ -10,6 +10,7 @@ import pytest
 
 import sparselag
 from sparselag import checks, simulate
+from sparselag import io as sio
 from sparselag.cli import main, parse_synthetic_config, read_key_values
 from sparselag.io import sha256_digest
 from sparselag.model import Config
@@ -372,6 +373,89 @@ class TestAnalyzeCommand:
         assert line.startswith(message) and "Traceback" not in proc.stderr
         assert "np.float64" not in proc.stderr
         assert not out.exists()
+
+
+_YIELDS = "1,2,3\n1.0,2.0,3.0\n2.0,,0.5\n1.5,1.0,2.5\n0.5,1.5,1.0\n"
+_MACRO = "X1,X2\n1.0,0.5\n2.0,-1.0\n0.0,0.25\n1.5,2.0\n"
+_LOAD_FAILURES = {  # case: (input, its text or bytes, None for a directory or "absent", message fragment)
+    "yields file missing": ("yields", "absent", "file not found"),
+    "yields is a directory": ("yields", None, "cannot read"),
+    "yields not UTF-8": ("yields", b"\xff\xfe1,2,3\n1,2,3\n", "codec can't decode"),
+    "cell above the csv field limit": ("yields", "1,2,3\n" + "1" * 140_000 + ",2,3\n",
+                                       "field larger than field limit"),
+    "empty yields file": ("yields", "", "empty file"),
+    "maturities not increasing": ("yields", "2,1,3\n1,2,3\n", "strictly increasing"),
+    "two maturities": ("yields", "1,2\n1,2\n", "at least 3 maturities"),
+    "header not a number": ("yields", "1,two,3\n1,2,3\n", "row 1, column 2"),
+    "non-finite cell": ("yields", "1,2,3\n1,inf,3\n", "non-finite value"),
+    "cell not a number": ("yields", "1,2,3\n1,oops,3\n", "row 2, column 2"),
+    "ragged row": ("yields", "1,2,3\n1,2\n", "expected 3 cells"),
+    "row with no quote": ("yields", "1,2,3\n1,2,3\n,,\n", "row 2 is empty"),
+    "macro file missing": ("macro", "absent", "file not found"),
+    "macro missing cell": ("macro", "X1,X2\n1.0,\n", "missing value in regressor panel"),
+    "macro empty name": ("macro", "X1,\n1.0,2.0\n", "series names must be non-empty"),
+    "macro duplicate name": ("macro", "X1,X1\n1.0,2.0\n", "duplicate series name"),
+    "macro name with a comma": ("macro", '"a,b",X2\n1.0,2.0\n', "contains a comma"),
+}
+_CONFIG_FAILURES = {     # case: (config text or None for a missing file, message fragment)
+    "config file missing": (None, "No such file"),
+    "unknown key": ("bandwidth = 0.3\n", "unknown config keys: bandwidth"),
+    "seed key": ("seed = 1\n", "unknown config keys: seed"),
+    "repeated key": ("q = 2\nq = 3\n", "key 'q' already set on line 1"),
+    "malformed line": ("q 2\n", "expected 'key = value'"),
+    "non-integer n_eval": ("n_eval = 20.5\n", "invalid literal for int()"),
+    "q above T": ("q = 5\n", "window span q=5 exceeds the horizon T=4"),
+    "non-finite cond_threshold": ("cond_threshold = nan\n", "cond_threshold"),
+}
+
+
+class TestFailureContract:
+    """Every documented load and config failure: exit 2, one stderr line naming the stage,
+    and nothing written, neither ``--out`` nor a staged ``.partial`` sibling."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, files, config=None):
+        paths = {}
+        for name, text in files.items():
+            path = paths[name] = tmp_path / f"{name}.csv"
+            if text is None:
+                path.mkdir()
+            elif text != "absent":
+                path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        argv = ["analyze", "--yields", str(paths["yields"]), "--macro", str(paths["macro"]),
+                "--out", str(tmp_path / "out")]
+        if config is not None:
+            argv += ["--config", str(config)]
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert not (tmp_path / "out").exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".partial")]
+        return code, err
+
+    @pytest.mark.parametrize("case", _LOAD_FAILURES)
+    def test_load_failure(self, tmp_path, capsys, case):
+        name, text, fragment = _LOAD_FAILURES[case]
+        code, err = self._run(tmp_path, capsys, {"yields": _YIELDS, "macro": _MACRO, name: text})
+        assert code == 2 and len(err) == 1
+        assert err[0].startswith("error [load] ") and fragment in err[0]
+
+    @pytest.mark.parametrize("case", _CONFIG_FAILURES)
+    def test_config_failure(self, tmp_path, capsys, case):
+        text, fragment = _CONFIG_FAILURES[case]
+        config = tmp_path / "run.cfg"
+        if text is not None:
+            config.write_text(text)
+        code, err = self._run(tmp_path, capsys, {"yields": _YIELDS, "macro": _MACRO}, config)
+        assert code == 2 and len(err) == 1
+        assert err[0].startswith("error [config] ") and fragment in err[0]
+
+    def test_unreadable_digest_is_a_load_failure(self, tmp_path, capsys, monkeypatch):
+        def unreadable(path):
+            raise PermissionError(f"cannot open {path}")
+
+        monkeypatch.setattr(sio, "sha256_digest", unreadable)
+        code, err = self._run(tmp_path, capsys, {"yields": _YIELDS, "macro": _MACRO})
+        assert code == 2 and len(err) == 1 and err[0].startswith("error [load] cannot open")
 
 
 class TestCheckCommand:

@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from sparselag import (FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel,
-                       cross_spectral_density, empirical_mean, mean_curve_warped,
+from sparselag import (FrequencyGrid, MacroPanel, MaturityGrid, RawCrossCovariances,
+                       SparseYieldPanel, cross_spectral_density, mean_curve_warped,
                        naive_cross_spectral_density, raw_cross_cov)
 from conftest import random_macro_panel, random_sparse_panel
 
@@ -24,8 +26,20 @@ class TestRawCrossCov:
         col_means = np.nanmean(panel.values, axis=0)
         flat = SparseYieldPanel(values=np.tile(col_means, (20, 1)), observed=panel.observed,
                                 maturity_grid=panel.maturity_grid)
-        raw = raw_cross_cov(flat, macro, col_means, empirical_mean(macro), 3)
+        raw = raw_cross_cov(flat, macro, col_means, macro.values.mean(axis=0), 3)
         assert np.all(raw.sums == 0.0)
+
+    def test_record_takes_no_span(self, rng):
+        # the span is len(sums): a record cannot carry a q that disagrees with its sums
+        panel = random_sparse_panel(rng, 20, 4)
+        macro = random_macro_panel(rng, 20, 2)
+        raw = raw_cross_cov(panel, macro, np.nanmean(panel.values, axis=0),
+                            macro.values.mean(axis=0), 3)
+        assert [f.name for f in fields(raw)] == ["sums", "counts"] and len(raw.sums) == 5
+        with pytest.raises(TypeError, match="unexpected keyword argument 'q'"):
+            RawCrossCovariances(sums=raw.sums, counts=raw.counts, q=3)
+        with pytest.raises(TypeError):
+            RawCrossCovariances(3, raw.sums, raw.counts)
 
     def test_hand_computed_three_points(self):
         panel, macro = _toy_setup()
@@ -88,7 +102,7 @@ class TestCrossSpectralDensity:
             panel = random_sparse_panel(rng, t_len, n_mat)
             macro = random_macro_panel(rng, t_len, d)
             mean_curve = mean_curve_warped(panel, 2.0 / (n_mat - 1), np.linspace(0, 1, n_mat))
-            mu_x = empirical_mean(macro)
+            mu_x = macro.values.mean(axis=0)
             grid = FrequencyGrid(16)
             eval_warped = rng.uniform(size=3)
             b_r = float(rng.uniform(1.2, 2.5)) / (n_mat - 1)
@@ -102,7 +116,7 @@ class TestCrossSpectralDensity:
         panel = random_sparse_panel(rng, 30, 5)
         macro = random_macro_panel(rng, 30, 2)
         mean_curve = mean_curve_warped(panel, 0.5, np.linspace(0, 1, 5))
-        raw = raw_cross_cov(panel, macro, mean_curve, empirical_mean(macro), 4)
+        raw = raw_cross_cov(panel, macro, mean_curve, macro.values.mean(axis=0), 4)
         field = cross_spectral_density(raw, 0.5, FrequencyGrid(32), np.linspace(0, 1, 7))
         flipped = field.values[(-np.arange(32)) % 32]
         assert np.abs(flipped - np.conj(field.values)).max() <= 1e-10
@@ -121,7 +135,7 @@ class TestCrossSpectralDensity:
             scaled_macro = MacroPanel(values=macro.values * x_scale, series_names=macro.series_names)
             mean_curve = mean_curve_warped(scaled_panel, 0.7, np.linspace(0, 1, 4))
             raw = raw_cross_cov(scaled_panel, scaled_macro, mean_curve,
-                                empirical_mean(scaled_macro), 3)
+                                scaled_macro.values.mean(axis=0), 3)
             return cross_spectral_density(raw, 0.7, grid, eval_warped).values
 
         base = field_for(1.0, 1.0)
@@ -142,7 +156,7 @@ class TestCrossSpectralDensity:
             vals[:, -1] = col
             panel = SparseYieldPanel.from_values(vals, grid)
             mean_curve = np.nanmean(vals, axis=0)
-            raw = raw_cross_cov(panel, macro, mean_curve, empirical_mean(macro), 3)
+            raw = raw_cross_cov(panel, macro, mean_curve, macro.values.mean(axis=0), 3)
             return cross_spectral_density(raw, b_r, fgrid, eval_warped).values
 
         a = field_with_last_column(values[:, -1])

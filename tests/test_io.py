@@ -302,10 +302,10 @@ class TestHalfSpectrumTables:
         write_results(build_result_bundle(result, panel, macro), tmp_path / "out")
         grid = result.spectral_density.grid
         omegas, half = _read_spectral_table(tmp_path / "out" / "spectral_density.csv",
-                                            result.spectral_density.matrices.shape[1:])
+                                            result.spectral_density.values.shape[1:])
         assert np.array_equal(omegas, grid.nodes[:grid.n_nodes // 2 + 1])
         assert omegas[-1] == 0.0
-        assert np.array_equal(grid.mirror(half), result.spectral_density.matrices)
+        assert np.array_equal(grid.mirror(half), result.spectral_density.values)
 
         smoothing = json.loads((tmp_path / "out" / "summary.json").read_text())["smoothing_operator"]
         assert smoothing["tau"] == result.fit.eval_tau.tolist()

@@ -35,7 +35,7 @@ class TestFrequencyResponse:
         grid = FrequencyGrid(16)
         f_spec = _white_field(grid, 1, scale=0.4)
         c = 2.5
-        cross = field_from_values(CrossSpectralField, grid, c * np.broadcast_to(f_spec.matrices[:, :, 0], (16, 1)).reshape(16, 1, 1).copy())
+        cross = field_from_values(CrossSpectralField, grid, c * np.broadcast_to(f_spec.values[:, :, 0], (16, 1)).reshape(16, 1, 1).copy())
         resp = frequency_response(cross, f_spec, 1e8)
         assert np.abs(resp.values - c).max() <= 1e-12
 
@@ -59,7 +59,7 @@ class TestFrequencyResponse:
         values = np.einsum("kl,lrd->krd", np.exp(-1j * np.outer(grid.nodes, lags)), coef)
         cross = field_from_values(CrossSpectralField, grid, values)
         resp = frequency_response(cross, spec, 1e10)
-        reproduced = np.einsum("krd,kde->kre", resp.values, spec.matrices)
+        reproduced = np.einsum("krd,kde->kre", resp.values, spec.values)
         assert np.abs(reproduced - cross.values).max() <= 1e-10
 
     def test_ill_conditioned_aborts_with_frequency(self, rng):
@@ -83,11 +83,11 @@ class TestFrequencyResponse:
         mats[:, 0, 0], mats[:, 1, 1] = 1.0, 1.0 / spread
         spec = field_from_values(SpectralDensityField, grid, mats)
         cross = field_from_values(CrossSpectralField, grid, np.zeros((16, 1, 2), dtype=complex))
-        worst = int(np.argmax(np.linalg.cond(spec.matrices)))
+        worst = int(np.argmax(np.linalg.cond(spec.values)))
         with pytest.raises(IllConditioned) as err:
             frequency_response(cross, spec, 1e8)
         assert err.value.omega == grid.nodes[worst]
-        assert err.value.cond == pytest.approx(np.linalg.cond(spec.matrices)[worst], rel=1e-12)
+        assert err.value.cond == pytest.approx(np.linalg.cond(spec.values)[worst], rel=1e-12)
 
     def test_grid_mismatch_rejected(self, rng):
         spec = _white_field(FrequencyGrid(16), 1)
@@ -181,7 +181,7 @@ class TestFieldsAreImmutable:
     def test_no_attribute_can_be_set_or_deleted(self, read_first):
         arrays = ["knot_values", "operator", "half", "values"]
         for field in self._fields():
-            names = arrays + (["matrices", "condition_numbers"] if isinstance(field, SpectralDensityField) else [])
+            names = arrays + (["condition_numbers"] if isinstance(field, SpectralDensityField) else [])
             if read_first:                  # the lazy attributes, cached or not, stay read-only
                 before = {name: getattr(field, name) for name in names}
             for name in names + ["grid", "n_series", "undeclared"]:

@@ -1,12 +1,13 @@
 import math
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sparselag import (AutocovarianceSet, FrequencyGrid, MacroPanel, SpectralDensityField,
-                       bartlett_weights, empirical_mean, estimate_autocovariances,
+                       bartlett_weights, estimate_autocovariances,
                        spectral_density_matrix, simulate_var1, var1_spectral_density,
                        SyntheticSpec, MaturityGrid, US_MATURITIES)
 from sparselag.mv_spectral import lag_window_kernel, lag_window_transform, lagged_products
@@ -21,17 +22,21 @@ def _panel(values):
     return MacroPanel(values=values, series_names=tuple(f"X{j+1}" for j in range(values.shape[1])))
 
 
+def _mean(panel):
+    return estimate_autocovariances(panel, 1).mean
+
+
 class TestEmpiricalMean:
     def test_two_point(self):
-        assert np.allclose(empirical_mean(_panel([[1.0, 2.0], [3.0, 4.0]])), [2.0, 3.0])
+        assert np.allclose(_mean(_panel([[1.0, 2.0], [3.0, 4.0]])), [2.0, 3.0])
 
     def test_constant(self):
-        assert np.allclose(empirical_mean(_panel(np.full((7, 3), 2.5))), 2.5)
+        assert np.allclose(_mean(_panel(np.full((7, 3), 2.5))), 2.5)
 
     def test_standard_normal_monte_carlo(self):
         rng = np.random.default_rng(7)
         panel = _panel(rng.standard_normal((1000, 2)))
-        assert np.abs(empirical_mean(panel)).max() <= 0.1  # CLT: 3/sqrt(T) ~ 0.095
+        assert np.abs(_mean(panel)).max() <= 0.1  # CLT: 3/sqrt(T) ~ 0.095
 
 
 class TestEmpiricalAutocov:
@@ -156,7 +161,7 @@ class TestSpectralDensityMatrix:
         acov = estimate_autocovariances(panel, 1)
         field = spectral_density_matrix(acov, FrequencyGrid(16))
         expected = acov.matrix(0) / (2 * np.pi)
-        assert np.abs(field.matrices - expected).max() <= 1e-14
+        assert np.abs(field.values - expected).max() <= 1e-14
 
     def test_matches_naive_triple_loop(self, rng):
         panel = random_macro_panel(rng, 50, 3)
@@ -164,7 +169,7 @@ class TestSpectralDensityMatrix:
         grid = FrequencyGrid(32)
         field = spectral_density_matrix(acov, grid)
         naive = naive_spectral_density(acov.matrices, acov.lags, bartlett_weights(5), grid.nodes)
-        assert np.abs(field.matrices - naive).max() <= 1e-12
+        assert np.abs(field.values - naive).max() <= 1e-12
 
     def test_ar1_closed_form_reduced_scale(self):
         spec = SyntheticSpec(maturity_grid=MaturityGrid(np.array(US_MATURITIES)),
@@ -175,7 +180,7 @@ class TestSpectralDensityMatrix:
         est = spectral_density_matrix(estimate_autocovariances(macro, 224), grid)
         exact = var1_spectral_density(spec.ar_coef, spec.innovation_cov, grid)
         assert exact[32, 0, 0].real == pytest.approx(1 / (2 * np.pi * 0.25), rel=1e-12)
-        rel = np.abs(est.matrices - exact)[:, 0, 0] / np.abs(exact)[:, 0, 0]
+        rel = np.abs(est.values - exact)[:, 0, 0] / np.abs(exact)[:, 0, 0]
         assert rel.max() <= 0.15
 
     def test_inverse_transform_recovers_weighted_autocov(self, rng):
@@ -186,22 +191,22 @@ class TestSpectralDensityMatrix:
         field = spectral_density_matrix(acov, grid)
         weights = bartlett_weights(q)
         phases = np.exp(1j * np.outer(grid.nodes, acov.lags))
-        recovered = np.einsum("kl,kab->lab", phases, field.matrices) * grid.quadrature_weight
+        recovered = np.einsum("kl,kab->lab", phases, field.values) * grid.quadrature_weight
         assert np.abs(recovered - weights[:, None, None] * acov.matrices).max() <= 1e-10
 
     def test_real_nonnegative_diagonal(self, rng):
         panel = random_macro_panel(rng, 40, 2)
         field = spectral_density_matrix(estimate_autocovariances(panel, 4), FrequencyGrid(32))
-        diag = np.diagonal(field.matrices, axis1=1, axis2=2)
+        diag = np.diagonal(field.values, axis1=1, axis2=2)
         assert np.abs(diag.imag).max() <= 1e-12
         field_q1 = spectral_density_matrix(estimate_autocovariances(panel, 1), FrequencyGrid(32))
-        diag1 = np.diagonal(field_q1.matrices, axis1=1, axis2=2)
+        diag1 = np.diagonal(field_q1.values, axis1=1, axis2=2)
         assert diag1.real.min() >= 0.0
 
     def test_hermitian_and_conjugate_symmetric(self, rng):
         panel = random_macro_panel(rng, 60, 3)
         field = spectral_density_matrix(estimate_autocovariances(panel, 7), FrequencyGrid(64))
-        mats = field.matrices
+        mats = field.values
         assert np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() <= 1e-12
         flipped = mats[(-np.arange(64)) % 64]
         assert np.abs(flipped - np.conj(mats)).max() <= 1e-12
@@ -269,7 +274,7 @@ class TestConditionNumbers:
     def test_match_svd_condition_numbers(self, rng, d):
         for _ in range(5):
             field = self._hermitian_pd(rng, 32, d)
-            expected = np.linalg.cond(field.matrices)
+            expected = np.linalg.cond(field.values)
             assert np.abs(field.condition_numbers / expected - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("singular", [np.diag([2.0, 0.0]), np.diag([0.0, -3.0]),
@@ -283,7 +288,7 @@ class TestConditionNumbers:
             conds = field.condition_numbers
         assert conds[4] == np.inf
         assert np.array_equal(np.delete(conds, 4), np.ones(7))
-        assert np.linalg.cond(field.matrices)[4] == np.inf
+        assert np.linalg.cond(field.values)[4] == np.inf
 
     def test_indefinite_matrix_uses_eigenvalue_magnitudes(self):
         mats = np.tile(np.diag([-4.0, 1.0]).astype(complex), (4, 1, 1))
@@ -308,7 +313,7 @@ class TestAutocovarianceSet:
         mats = acov.matrices.copy()
         mats[1, 0, 1] += 1.0          # lag -2
         with pytest.raises(ValueError, match="R_-2 must equal the transpose of R_2"):
-            AutocovarianceSet(lags=acov.lags, matrices=mats, mean=acov.mean, q=4)
+            AutocovarianceSet(mats, acov.mean)
 
     @pytest.mark.parametrize("h, first", [(0, 0), (1, -1)])
     def test_non_finite_matrix_names_the_first_lag(self, rng, h, first):
@@ -318,4 +323,31 @@ class TestAutocovarianceSet:
         mats = acov.matrices.copy()
         mats[3 + h, 0, 1] = mats[3 - h, 1, 0] = np.inf
         with pytest.raises(ValueError, match=f"^autocovariance at lag {first} not finite$"):
-            AutocovarianceSet(lags=acov.lags, matrices=mats, mean=acov.mean, q=4)
+            AutocovarianceSet(mats, acov.mean)
+
+
+class TestAutocovarianceSpan:
+    """The span q and the lags -(q-1)..q-1 are read from the odd first axis of ``matrices``."""
+
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    def test_derived_span_and_lags(self, rng, q):
+        acov = estimate_autocovariances(random_macro_panel(rng, 20, 2), q)
+        assert acov.q == q and type(acov.q) is int
+        assert np.array_equal(acov.lags, np.arange(1 - q, q)) and acov.lags.dtype == int
+        assert acov.lags is acov.lags and not acov.lags.flags.writeable
+        for name in ("lags", "q"):
+            with pytest.raises(AttributeError):
+                setattr(acov, name, np.arange(3))
+        assert [f.name for f in fields(acov)] == ["matrices", "mean"]
+
+    @pytest.mark.parametrize("n_lags", [0, 2, 4])
+    def test_even_lag_count_rejected(self, n_lags):
+        mats = np.zeros((n_lags, 2, 2))
+        with pytest.raises(ValueError, match="odd number of lags"):
+            AutocovarianceSet(mats, np.zeros(2))
+
+    @pytest.mark.parametrize("extra", [{"lags": np.arange(-1, 2)}, {"q": 2}])
+    def test_span_keywords_removed(self, rng, extra):
+        acov = estimate_autocovariances(random_macro_panel(rng, 20, 2), 2)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            AutocovarianceSet(matrices=acov.matrices, mean=acov.mean, **extra)

@@ -1,10 +1,12 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from sparselag import (Config, FrequencyResponseField, analyze, recovery_spec,
-                       simulate_lagged_regression)
+import sparselag
+from sparselag import (Config, FrequencyResponseField, analyze, build_warp,
+                       estimate_autocovariances, recovery_spec, simulate_lagged_regression,
+                       warp_apply)
 from sparselag.pipeline import evaluation_grid
 from conftest import random_macro_panel, random_sparse_panel
 
@@ -58,7 +60,7 @@ class TestAnalyze:
         d = result.diagnostics
         assert d.max_imag_residual < 1e-10
         assert d.truncation_tail_mass >= 0.0
-        assert d.condition_numbers.shape == (512,)
+        assert result.spectral_density.condition_numbers.shape == (512,)
         assert d.max_condition_number == 1.0    # scalar regressor
 
     def test_intercept_curve_consistent(self, rng):
@@ -78,7 +80,7 @@ class TestAnalyze:
             result = analyze(panel, macro, cfg)
             n = 64
             pair = (-np.arange(n)) % n
-            f = result.spectral_density.matrices
+            f = result.spectral_density.values
             assert np.abs(f[pair] - np.conj(f)).max() <= 1e-12 * max(1, np.abs(f).max())
             g = result.cross_spectral.values
             assert np.abs(g[pair] - np.conj(g)).max() <= 1e-10 * max(1, np.abs(g).max())
@@ -114,7 +116,25 @@ class TestAnalyze:
         macro = random_macro_panel(rng, 60, 2)
         result = analyze(panel, macro, Config.defaults(60, 4, n_omega=64))
         conds = result.spectral_density.condition_numbers
-        assert conds is result.diagnostics.condition_numbers
+        assert result.diagnostics.max_condition_number == conds.max()
+        assert type(result.diagnostics.max_condition_number) is float
         assert not conds.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            result.diagnostics.condition_numbers[0] = 0.0
+            conds[0] = 0.0
+
+    def test_each_quantity_has_one_attribute(self, rng):
+        panel = random_sparse_panel(rng, 40, 4)
+        macro = random_macro_panel(rng, 40, 2)
+        result = analyze(panel, macro, Config.defaults(40, 4, n_omega=32))
+        assert [f.name for f in fields(result)] == [
+            "config", "fit", "spectral_density", "cross_spectral", "frequency_response", "diagnostics"]
+        assert [f.name for f in fields(result.diagnostics)] == [
+            "max_imag_residual", "truncation_tail_mass", "max_condition_number"]
+        assert not hasattr(result.spectral_density, "matrices")
+        assert not hasattr(sparselag, "empirical_mean") and "empirical_mean" not in sparselag.__all__
+        assert not hasattr(sparselag.mv_spectral, "empirical_mean")
+        # the objects the result no longer carries are rebuilt from the inputs, bit for bit
+        assert np.array_equal(warp_apply(build_warp(panel.maturity_grid), result.fit.eval_warped),
+                              result.fit.eval_tau)
+        acov = estimate_autocovariances(macro, result.config.q)
+        assert np.array_equal(acov.mean, result.fit.macro_means)

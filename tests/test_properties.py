@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from sparselag import (AutocovarianceSet, Config, CrossSpectralField, FrequencyGrid,
                        FrequencyResponseField, MacroPanel, MaturityGrid, SparseYieldPanel,
                        SpectralDensityField, SyntheticSpec, US_MATURITIES, analyze,
-                       cross_spectral_density, empirical_mean, filter_coefficients,
+                       cross_spectral_density, filter_coefficients,
                        frequency_response, mean_curve_warped, naive_cross_spectral_density,
                        raw_cross_cov, spectral_density_matrix)
 from sparselag.mv_spectral import lag_window_transform
@@ -53,7 +53,7 @@ def test_cross_spectral_density_matches_naive_path(instance, d):
     panel, rng, q, b_r = instance
     macro = random_macro_panel(rng, panel.n_times, d)
     mean_curve = mean_curve_warped(panel, b_r, np.linspace(0, 1, panel.n_maturities))
-    mu_x = empirical_mean(macro)
+    mu_x = macro.values.mean(axis=0)
     grid = FrequencyGrid(16)
     eval_warped = rng.uniform(size=3)
     raw = raw_cross_cov(panel, macro, mean_curve, mu_x, q)
@@ -122,7 +122,7 @@ def real_lag_problems(draw):
     base = base + np.transpose(base[::-1], (0, 2, 1))                  # R_{-h} = R_h'
     # a dominant lag-0 term keeps every node positive definite
     base[q - 1] += (np.sqrt((base ** 2).sum(axis=(1, 2))).sum() + 0.5) * np.eye(d)
-    acov = AutocovarianceSet(lags=np.arange(1 - q, q), matrices=base, mean=np.zeros(d), q=q)
+    acov = AutocovarianceSet(base, np.zeros(d))
     operator = rng.standard_normal((n_eval, n_knots))
     return FrequencyGrid(n), cross_lags, acov, operator, draw(st.integers(0, (n - 2) // 2))
 
@@ -136,7 +136,7 @@ def test_half_spectrum_steps_mirror_to_the_full_grid_reference(problem):
     assert knots.shape[0] == grid.n_nodes // 2 + 1
     assert np.array_equal(grid.mirror(knots), z)
     spec = spectral_density_matrix(acov, grid)
-    assert np.array_equal(spec.matrices, f)
+    assert np.array_equal(spec.values, f)
     assert np.array_equal(spec.condition_numbers, cond)
     resp = frequency_response(CrossSpectralField.from_knots(grid, knots, operator), spec, 1e12)
     assert np.array_equal(grid.mirror(resp.knot_values), b)
