@@ -4,18 +4,20 @@ Each check compares an estimator against an independent reference at reduced
 scale: the factorized cross-spectral smoother against per-frequency least
 squares, the filter quadrature against a synthesized trigonometric
 polynomial, the lag-window spectral estimate against the VAR(1) closed form,
-plus warp round trips, symmetry/inverse-transform identities, and exact
-affine reproduction of the mean smoother.  Tolerances are loose enough to
-hold across seeds.
+plus warp round trips, symmetry/inverse-transform identities, exact
+affine reproduction of the mean smoother, and the bulk number formatter of
+the result files against ``repr``.  Tolerances are loose enough to hold
+across seeds.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import cross_spectral, lagreg, mv_spectral, simulate, smoother
+from . import cross_spectral, io, lagreg, mv_spectral, simulate, smoother
 from .model import FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel
 from .warp import build_warp, warp_apply, warp_inverse
 
@@ -169,6 +171,44 @@ def check_affine_reproduction(rng: np.random.Generator) -> CheckResult:
                        f"max error = {err:.2e} (tol {tol:.0e})")
 
 
+def float_edge_cases() -> np.ndarray:
+    """Doubles on which shortest round-trip formatting is easiest to get wrong, both signs.
+
+    Powers of two and ten with their neighbours, both ends of the formatter's
+    exact range (1e-6 and 1e15), the switches to exponent notation (1e-4 and
+    1e16), 15-, 16- and 17-digit decimals, exact halfway cases, zeros,
+    subnormals, the largest double and the non-finite values.
+    """
+    centres = np.array([2.0 ** j for j in range(-30, 61)] + [10.0 ** j for j in range(-7, 17)]
+                       + [1e-6, 1e-4, 1e15, 1e16, 5e-324, 2.2250738585072014e-308])
+    decimals = [0.1, 0.3, 0.30000000000000004, 123456789012345.0, 0.123456789012345,
+                0.1234567890123456, 0.12345678901234567, 9.999999999999999,
+                999999999999999.9, 1.2345678901234567e-05, 98765.43210987654,
+                # exact binary fractions whose decimal ends in 5, one digit beyond 15, 16, 17
+                12345678901234.25, 1234567890123.125, 1234567890123.0625, 0.5000000000000001]
+    values = np.concatenate([centres, np.nextafter(centres, 0.0),
+                             np.nextafter(centres, np.inf), decimals,
+                             [sys.float_info.max, 0.0, np.inf, np.nan]])
+    return np.concatenate([values, -values])
+
+
+def check_float_text(rng: np.random.Generator) -> CheckResult:
+    """The bulk formatter of the result files against ``repr``, byte for byte.
+
+    It relies on numpy's uint64 arithmetic wrapping and shifting as it should;
+    this runs it on the edge cases and on random bit patterns, half of them
+    with exponents inside its exact range.
+    """
+    bits = rng.integers(0, 2 ** 64, size=20_000, dtype=np.uint64)
+    exponents = rng.integers(1003, 1073, size=10_000, dtype=np.uint64)    # 2^-20 .. 2^50
+    bits[:10_000] = (bits[:10_000] & np.uint64(0x800FFFFFFFFFFFFF)) | (exponents << np.uint64(52))
+    values = np.concatenate([float_edge_cases(), bits.view(np.float64)])
+    expected = [repr(v).encode() for v in values.tolist()]
+    wrong = sum(got != want for got, want in zip(io.float_texts(values), expected))
+    return CheckResult("result-file number text equals repr", wrong == 0,
+                       f"{wrong} of {len(expected)} values differ")
+
+
 def run_builtin_checks(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     return [
@@ -178,4 +218,5 @@ def run_builtin_checks(seed: int = 0) -> list[CheckResult]:
         check_bartlett_symmetry(rng),
         check_warp_round_trip(rng),
         check_affine_reproduction(rng),
+        check_float_text(rng),
     ]

@@ -2,12 +2,15 @@
 
 Formats are deliberately plain: UTF-8, LF line endings, comma separator,
 dot decimal point, no locale dependence.  Numbers are written in Python's
-shortest round-trip form, so save/load round trips are bit-exact.  The
-yields format carries the maturity grid (decimal years) in its header and
-encodes missing cells as empty fields; the regressor format has a name
-header and admits no missing cells.  The cross-spectral and response tables
-hold their fields at the quoted maturities; summary.json holds the operator
-that smooths them onto the evaluation grid.
+shortest round-trip form, the text of ``repr``, so save/load round trips are
+bit-exact.  Whole arrays are formatted at once by an exact integer routine
+(``_floattext``) that falls back to ``repr`` for the few values it cannot
+decide, and tables are joined into byte lines in bulk.  The yields format
+carries the maturity grid (decimal years) in its header and encodes missing
+cells as empty fields; the regressor format has a name header and admits no
+missing cells.  The cross-spectral and response tables hold their fields at
+the quoted maturities; summary.json holds the operator that smooths them
+onto the evaluation grid.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _floattext
 from .errors import ParseError
 from .lagreg import predict_panel
 from .model import MacroPanel, MaturityGrid, SparseYieldPanel
@@ -56,8 +60,8 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
-def _parse_cells(rows, n_cols: int, missing_ok: bool) -> np.ndarray:
-    """The rows after the header as a float matrix; an empty cell is NaN if ``missing_ok``."""
+def _parse_cells_one_by_one(rows, n_cols: int, missing_ok: bool) -> np.ndarray:
+    """``_parse_cells`` cell by cell: raises the ParseError of the first bad row or cell."""
     values = np.full((len(rows) - 1, n_cols), np.nan)
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != n_cols:
@@ -69,6 +73,25 @@ def _parse_cells(rows, n_cols: int, missing_ok: bool) -> np.ndarray:
             elif not missing_ok:
                 raise ParseError("missing value in regressor panel", row=r, column=c + 1)
     return values
+
+
+def _parse_cells(rows, n_cols: int, missing_ok: bool) -> np.ndarray:
+    """The rows after the header as a float matrix; an empty cell is NaN if ``missing_ok``.
+
+    Parses every non-empty cell in one pass with ``float``; on any error the
+    cell-by-cell parse runs again to raise the ParseError that locates it.
+    """
+    body = rows[1:]
+    if all(len(row) == n_cols for row in body):
+        cells = [cell.strip() for row in body for cell in row]
+        present = np.fromiter(map(bool, cells), bool, len(cells))
+        with contextlib.suppress(ValueError):
+            found = np.fromiter(map(float, filter(None, cells)), float)
+            if np.isfinite(found).all() and (missing_ok or present.all()):
+                values = np.full(len(cells), np.nan)
+                values[present] = found
+                return values.reshape(len(body), n_cols)
+    return _parse_cells_one_by_one(rows, n_cols, missing_ok)
 
 
 def load_yields_csv(path) -> SparseYieldPanel:
@@ -102,13 +125,14 @@ def load_macro_csv(path) -> MacroPanel:
 
 
 def write_yields_csv(panel: SparseYieldPanel, path) -> None:
-    cells, width = _cells(panel), panel.n_maturities
-    _write_table(_column(panel.maturity_grid.maturities),
-                 [cells[k: k + width] for k in range(0, len(cells), width)], Path(path))
+    header = b",".join(float_texts(panel.maturity_grid.maturities))
+    cells = _cells(panel.observed, _floattext.texts(panel.values[panel.observed]))
+    _write_table(header, _lines(*_columns_of(cells, panel.n_maturities)), Path(path))
 
 
 def write_macro_csv(macro: MacroPanel, path) -> None:
-    _write_table(macro.series_names, map(_column, macro.values), Path(path))
+    header = ",".join(macro.series_names).encode()
+    _write_table(header, _lines(*macro.values.T), Path(path))
 
 
 def sha256_digest(path) -> str:
@@ -117,9 +141,13 @@ def sha256_digest(path) -> str:
 
 @dataclass(frozen=True)
 class ResultBundle:
-    """Plot-ready tables plus a JSON summary; every table carries its grids."""
+    """Plot-ready tables plus a JSON summary; every table carries its grids.
 
-    mean_curve: tuple        # (columns, rows)
+    A table is (column names, lines): one line of comma-joined UTF-8 bytes per
+    row, without its line end.
+    """
+
+    mean_curve: tuple        # (columns, lines)
     filter_coefficients: tuple
     spectral_density: tuple
     cross_spectral: tuple
@@ -133,20 +161,69 @@ class ResultBundle:
     )
 
 
-def _column(values) -> list[str]:
-    """Shortest round-trip text of every value of a real array, in C order."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+# Rows joined at a time.  It keeps each temporary near 150 KB: the allocator then
+# reuses freed blocks, where larger ones grew the process's peak memory.
+_BLOCK = 1024
+
+# A text column is an (n, width) uint8 array holding one text per row: the row's
+# UTF-8 bytes with ``_floattext.PAD`` bytes (which UTF-8 never uses) in and after them.
+
+def float_texts(values) -> list[bytes]:
+    """``repr`` of every value of a real array in C order, as ASCII bytes."""
+    return _lines(np.ravel(values))
 
 
-def _cells(panel: SparseYieldPanel) -> list[str]:
-    """Every cell of a curve panel in C order: its value's text, or an empty string if missing."""
-    return [text if seen else "" for text, seen in
-            zip(_column(panel.values), panel.observed.ravel().tolist())]
+def _labels(texts):
+    """A text column of the given UTF-8 texts, no wider than the longest."""
+    texts = list(texts)
+    width = max(map(len, texts), default=0)
+    padded = b"".join(text.ljust(width, bytes([_floattext.PAD])) for text in texts)
+    return np.frombuffer(padded, np.uint8).reshape(len(texts), width)
 
 
-def _grid_column(labels, inner: int, outer: int) -> list[str]:
-    """Each label repeated ``inner`` times, the whole run repeated ``outer`` times."""
-    return [label for label in labels for _ in range(inner)] * outer
+def _repeat(column, inner: int, outer: int):
+    """Each row repeated ``inner`` times, the whole run repeated ``outer`` times."""
+    return column[np.tile(np.repeat(np.arange(len(column)), inner), outer)]
+
+
+def _columns_of(cells, width: int):
+    """The ``width`` text columns of a table whose cells ``cells`` holds in C order."""
+    return [cells[i::width] for i in range(width)]
+
+
+def _cells(observed, text):
+    """A text column over every cell of a panel in C order: the rows of ``text`` at the
+    observed cells, in order, and empty texts at the missing ones."""
+    cells = np.full((observed.size, text.shape[1]), _floattext.PAD, np.uint8)
+    cells[observed.ravel()] = text
+    return cells
+
+
+def _join(*columns, end=b""):
+    """One text column: each row's texts joined by commas, followed by ``end``."""
+    rows = len(columns[0])
+    comma = np.full((rows, 1), ord(","), np.uint8)
+    parts = [part for column in columns for part in (comma, column)][1:]
+    return np.hstack(parts + [np.full((rows, 1), end[0], np.uint8)] if end else parts)
+
+
+def _lines(*columns) -> list[bytes]:
+    """One line per row, the row's texts joined by commas, without its line end.
+
+    A column is a text column or a 1-D array of numbers, which is formatted
+    here.  Rows are joined a block at a time, and the numbers of a block are
+    formatted in one pass; this bounds the temporaries.
+    """
+    lines, pad = [], bytes([_floattext.PAD])
+    numeric = [i for i, column in enumerate(columns) if column.ndim == 1]
+    for start in range(0, len(columns[0]), _BLOCK):
+        block = [column[start:start + _BLOCK] for column in columns]
+        if numeric:
+            text = _floattext.texts(np.concatenate([block[i] for i in numeric]))
+            for i, part in zip(numeric, np.split(text, len(numeric))):
+                block[i] = part
+        lines += _join(*block, end=b"\n").tobytes().translate(None, pad).split(b"\n")[:-1]
+    return lines
 
 
 def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: MacroPanel,
@@ -162,50 +239,54 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
     holds the real (R, I) operator L they share, so that their half at the R
     evaluation maturities is L @ Z (``SpectralField.from_knots``).
 
-    Tables are built column by column: every grid value (frequency,
-    maturity, lag, series name) is formatted once and its string reused on
-    every row that carries it.
+    Lines are joined from text columns in bulk (``_lines``).  Grid values
+    (frequency, maturity, lag, series name) are formatted once and their
+    text repeated on every row that carries them; the cross-spectral and
+    response tables share one (omega, tau, series) prefix.
     """
     fit = result.fit
-    names = macro.series_names
-    n_series, n_eval = len(names), fit.eval_tau.size
-    spec = result.spectral_density.half
-    n_nodes = len(spec)
-    omegas = _column(result.spectral_density.grid.nodes[:n_nodes])
-    taus = _column(fit.eval_tau)
+    density = result.spectral_density
+    n_nodes = len(density.half)
     maturities = panel.maturity_grid.maturities
-    knot_taus = _column(maturities)
+    omegas, taus, knot_taus = (_labels(float_texts(values)) for values in
+                               (density.grid.nodes[:n_nodes], fit.eval_tau, maturities))
+    names = _labels(name.encode() for name in macro.series_names)
+    n_series, n_eval, n_lags = macro.n_series, fit.eval_tau.size, fit.lags.size
 
-    mean_rows = list(zip(taus, _column(fit.eval_warped), _column(fit.mean_curve)))
+    def field_prefix(labels):
+        """omega, row label, series: one row per entry of a (nodes, labels, series) half."""
+        n_labels = len(labels)
+        return _join(_repeat(omegas, n_labels * n_series, 1), _repeat(labels, n_series, n_nodes),
+                     _repeat(names, 1, n_nodes * n_labels))
 
-    n_lags = fit.lags.size
-    filt_rows = list(zip(
-        _grid_column(names, n_lags * n_eval, 1),
-        _grid_column([str(int(h)) for h in fit.lags], n_eval, n_series),
-        _grid_column(taus, 1, n_series * n_lags),
-        _column(fit.filter_coef.transpose(2, 0, 1)),
-    ))
+    def field_rows(prefix, half):
+        """A field's lines: each row's prefix, then the real and imaginary part of its value."""
+        return _lines(prefix, half.real.ravel(), half.imag.ravel())
 
-    def field_rows(half, rows):
-        """One row per entry of a (nodes, rows, series) half: omega, row label, series, value."""
-        return list(zip(_grid_column(omegas, len(rows) * n_series, 1),
-                        _grid_column(rows, n_series, n_nodes),
-                        _grid_column(names, 1, n_nodes * len(rows)),
-                        _column(half.real), _column(half.imag), strict=True))
+    mean_rows = _lines(taus, fit.eval_warped, fit.mean_curve)
 
-    fitted_rows = list(zip(
-        _grid_column([str(t + 1) for t in range(panel.n_times)], panel.n_maturities, 1),
-        _grid_column(knot_taus, 1, panel.n_times),
-        _cells(panel),
-        _column(predict_panel(fit, macro, maturities)),
-    ))
+    filt_rows = _lines(
+        _repeat(names, n_lags * n_eval, 1),
+        _repeat(_labels(b"%d" % h for h in fit.lags), n_eval, n_series),
+        _repeat(taus, 1, n_series * n_lags),
+        fit.filter_coef.transpose(2, 0, 1).ravel(),
+    )
+
+    knot_prefix = field_prefix(knot_taus)
+
+    fitted_rows = _lines(
+        _repeat(_labels(b"%d" % t for t in range(1, panel.n_times + 1)), panel.n_maturities, 1),
+        _repeat(knot_taus, 1, panel.n_times),
+        _cells(panel.observed, _floattext.texts(panel.values[panel.observed])),
+        predict_panel(fit, macro, maturities).ravel(),
+    )
 
     summary = {
         "r_squared": fit.r_squared,
         "n_times": panel.n_times,
         "n_maturities": panel.n_maturities,
         "n_series": macro.n_series,
-        "series_names": list(names),
+        "series_names": list(macro.series_names),
         "config": asdict(result.config),
         "diagnostics": {
             "max_imag_residual": result.diagnostics.max_imag_residual,
@@ -221,11 +302,11 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         mean_curve=(("tau", "tau_warped", "mean"), mean_rows),
         filter_coefficients=(("series", "lag", "tau", "coefficient"), filt_rows),
         spectral_density=(("omega", "row_series", "col_series", "real", "imag"),
-                          field_rows(spec, names)),
+                          field_rows(field_prefix(names), density.half)),
         cross_spectral=(("omega", "tau", "series", "real", "imag"),
-                        field_rows(result.cross_spectral.knot_values, knot_taus)),
+                        field_rows(knot_prefix, result.cross_spectral.knot_values)),
         frequency_response=(("omega", "tau", "series", "real", "imag"),
-                            field_rows(result.frequency_response.knot_values, knot_taus)),
+                            field_rows(knot_prefix, result.frequency_response.knot_values)),
         fitted=(("t", "tau", "observed", "fitted"), fitted_rows),
         summary=summary,
     )
@@ -262,10 +343,9 @@ def write_staged(out_dir, writers: dict) -> list[Path]:
     return moved
 
 
-def _write_table(columns, rows, path) -> None:
-    """The header and one line per row, each LF-terminated, in one write."""
-    path.write_text("\n".join([",".join(columns), *map(",".join, rows), ""]),
-                    encoding="utf-8", newline="\n")
+def _write_table(header: bytes, lines, path) -> None:
+    """The header and the lines, each LF-terminated, in one write."""
+    path.write_bytes(b"\n".join([header, *lines, b""]))
 
 
 def write_results(bundle: ResultBundle, out_dir) -> list[Path]:
@@ -274,8 +354,10 @@ def write_results(bundle: ResultBundle, out_dir) -> list[Path]:
     The files appear all or nothing (see ``write_staged``).  Re-running with
     identical inputs reproduces byte-identical files.
     """
-    writers = {f"{name}.csv": functools.partial(_write_table, *getattr(bundle, name))
-               for name in ResultBundle.TABLES}
+    writers = {}
+    for name in ResultBundle.TABLES:
+        columns, lines = getattr(bundle, name)
+        writers[f"{name}.csv"] = functools.partial(_write_table, ",".join(columns).encode(), lines)
     summary = json.dumps(bundle.summary, indent=2, sort_keys=True) + "\n"
     writers["summary.json"] = lambda path: path.write_text(summary, encoding="utf-8")
     return write_staged(out_dir, writers)

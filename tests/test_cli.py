@@ -411,7 +411,8 @@ _CONFIG_FAILURES = {     # case: (config text or None for a missing file, messag
 
 class TestFailureContract:
     """Every documented load and config failure: exit 2, one stderr line naming the stage,
-    and nothing written, neither ``--out`` nor a staged ``.partial`` sibling."""
+    and nothing written, neither ``--out`` nor a staged ``.partial`` sibling; a failed
+    write exits 1 with one ``error [write]`` line and leaves nothing either."""
 
     @staticmethod
     def _run(tmp_path, capsys, files, config=None):
@@ -457,12 +458,27 @@ class TestFailureContract:
         code, err = self._run(tmp_path, capsys, {"yields": _YIELDS, "macro": _MACRO})
         assert code == 2 and len(err) == 1 and err[0].startswith("error [load] cannot open")
 
+    @pytest.mark.parametrize("case", ["out below a regular file", "out is a regular file"])
+    def test_write_failure(self, tmp_path, capsys, case):
+        """A failed write: exit 1, one ``error [write]`` line, no result file, no staged sibling."""
+        for name, text in {"yields": _YIELDS, "macro": _MACRO}.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker / "out" if case == "out below a regular file" else blocker
+        code = main(["analyze", "--yields", str(tmp_path / "yields.csv"),
+                     "--macro", str(tmp_path / "macro.csv"), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error [write] ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "macro.csv", "yields.csv"]
+        assert blocker.read_text() == "not a directory\n"
+
 
 class TestCheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6 and "FAIL" not in out
+        assert out.count("PASS") == 7 and "FAIL" not in out
 
     def test_seed_sweep_is_robust(self, capsys):
         for seed in range(10):
@@ -475,7 +491,7 @@ class TestCheckCommand:
                               capture_output=True, text=True, timeout=300,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        assert "6/6 checks passed" in proc.stdout
+        assert "7/7 checks passed" in proc.stdout
 
     def test_injected_sign_error_is_caught(self, capsys):
         def mutant_spectral(acov, grid):

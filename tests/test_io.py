@@ -14,6 +14,7 @@ from sparselag import (Config, MacroPanel, MaturityGrid, ParseError, ResultBundl
                        load_macro_csv, load_yields_csv, r_squared, recovery_spec,
                        simulate_lagged_regression, write_macro_csv, write_results,
                        write_yields_csv)
+from sparselag import io as sio
 from sparselag.io import sha256_digest
 from conftest import random_macro_panel, random_sparse_panel
 from oracles import naive_result_rows
@@ -61,6 +62,23 @@ class TestLoadYields:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
             load_yields_csv(tmp_path / "absent.csv")
+
+
+    def test_one_pass_parse_equals_the_cell_by_cell_parse(self, tmp_path):
+        # missing cells, cells padded with spaces, exponent notation, signs and underscores
+        text = ("0.25, 1 ,5e0\n"
+                "1.5e-3,,  -2.5E+2\n"
+                " 4 ,0.1,\n"
+                "1_000,-0.0,  \n"
+                "+7,.5,3.\n")
+        path = tmp_path / "y.csv"
+        path.write_text(text)
+        rows = sio._read_rows(path)
+        fast = sio._parse_cells(rows, 3, missing_ok=True)
+        slow = sio._parse_cells_one_by_one(rows, 3, missing_ok=True)
+        assert np.array_equal(_bits(fast), _bits(slow))
+        assert np.isnan(fast).sum() == 3 and fast[2, 0] == 1000.0
+        assert np.array_equal(load_yields_csv(path).values, slow, equal_nan=True)
 
 
 class TestLoadMacro:
@@ -244,8 +262,13 @@ def _sparse_analysis(n_series, seed, missing_frac=0.1):
 _SPECTRAL_TABLES = ("spectral_density", "cross_spectral", "frequency_response")
 
 
+def _split(line):
+    """A table line's cells, as strings."""
+    return tuple(line.decode().split(","))
+
+
 def _table_rows(bundle):
-    return {name: list(getattr(bundle, name)[1]) for name in ResultBundle.TABLES}
+    return {name: list(map(_split, getattr(bundle, name)[1])) for name in ResultBundle.TABLES}
 
 
 def _written_nodes(rows, result):
@@ -330,7 +353,7 @@ class TestHalfSpectrumTables:
                   "cross_spectral": result.cross_spectral.knot_values,
                   "frequency_response": result.frequency_response.knot_values}
         for name, stored in fields.items():
-            rows = getattr(bundle, name)[1]
+            rows = map(_split, getattr(bundle, name)[1])
             written = np.array([complex(float(row[-2]), float(row[-1])) for row in rows])
             assert np.array_equal(written, stored.ravel()), name
         assert bundle.summary["smoothing_operator"]["weights"] == result.cross_spectral.operator.tolist()
