@@ -24,6 +24,11 @@ Everything the bulk path cannot decide goes to ``repr`` itself: NaN, the
 infinities, subnormals and other magnitudes outside the range (zeros are laid
 out directly), an X halfway between two candidates, and an N_p outside its
 decade (k misjudged next to a power of ten).
+
+The module also owns the layout of a table's text.  A text column is an (n,
+width) uint8 array with one text per row: its UTF-8 bytes, with PAD bytes in
+and after them.  ``lines`` joins columns into CSV lines; a NaN in a numeric
+column is an empty cell there, as the loaders read an empty cell as NaN.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ _SLOT = np.frombuffer(b"-0.000" + b"0." * 17 + b"e-05", np.uint8)
 WIDTH = len(_SLOT)                # 44; the longest repr of a double has 24 bytes
 PAD = 0xFF
 CHUNK = 2048                      # values per pass; bounds the (CHUNK, WIDTH) temporaries
+# Rows joined at a time.  It keeps each temporary near 150 KB: the allocator then
+# reuses freed blocks, where larger ones grew the process's peak memory.
+_BLOCK = 1024
 _K_MIN, _K_MAX = -6, 14           # decades of the bulk path: 1e-6 <= |x| < 1e15
 _DIGITS = slice(6, 40, 2)         # slot columns of the 17 digits
 
@@ -184,3 +192,46 @@ def texts(values):
     for start in range(0, values.size, CHUNK):
         text[start:start + CHUNK] = _chunk_text(values[start:start + CHUNK])
     return text
+
+
+def labels(texts):
+    """A text column of the given UTF-8 texts, no wider than the longest."""
+    texts = list(texts)
+    width = max(map(len, texts), default=0)
+    padded = b"".join(text.ljust(width, bytes([PAD])) for text in texts)
+    return np.frombuffer(padded, np.uint8).reshape(len(texts), width)
+
+
+def _join(columns):
+    """One text column: each row's texts joined by commas, then a line end."""
+    rows = len(columns[0])
+    comma, end = (np.full((rows, 1), ord(byte), np.uint8) for byte in ",\n")
+    return np.hstack([part for column in columns for part in (column, comma)][:-1] + [end])
+
+
+def lines(*columns) -> list[bytes]:
+    """One line per row, the row's texts joined by commas, without its line end.
+
+    A column is a text column or a 1-D array of numbers, which is formatted
+    here: NaN as an empty cell, any other value as its ``repr``.  Rows are
+    joined a block at a time, and the numbers of a block are formatted in one
+    pass; this bounds the temporaries.
+    """
+    out, pad = [], bytes([PAD])
+    numeric = [i for i, column in enumerate(columns) if column.ndim == 1]
+    for start in range(0, len(columns[0]), _BLOCK):
+        block = [column[start:start + _BLOCK] for column in columns]
+        if numeric:
+            values = np.concatenate([block[i] for i in numeric])
+            missing = np.isnan(values)
+            text = texts(np.where(missing, 0.0, values))
+            text[missing] = PAD
+            for i, part in zip(numeric, np.split(text, len(numeric))):
+                block[i] = part
+        out += _join(block).tobytes().translate(None, pad).split(b"\n")[:-1]
+    return out
+
+
+def float_texts(values) -> list[bytes]:
+    """``repr`` of every value of a real array in C order, as ASCII bytes (NaN as ``nan``)."""
+    return lines(texts(values))

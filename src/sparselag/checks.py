@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cross_spectral, io, lagreg, mv_spectral, simulate, smoother
+from . import cross_spectral, lagreg, mv_spectral, simulate, smoother
+from ._floattext import float_texts
 from .model import FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel
 from .warp import build_warp, warp_apply, warp_inverse
 
@@ -204,7 +205,7 @@ def check_float_text(rng: np.random.Generator) -> CheckResult:
     bits[:10_000] = (bits[:10_000] & np.uint64(0x800FFFFFFFFFFFFF)) | (exponents << np.uint64(52))
     values = np.concatenate([float_edge_cases(), bits.view(np.float64)])
     expected = [repr(v).encode() for v in values.tolist()]
-    wrong = sum(got != want for got, want in zip(io.float_texts(values), expected))
+    wrong = sum(got != want for got, want in zip(float_texts(values), expected))
     return CheckResult("result-file number text equals repr", wrong == 0,
                        f"{wrong} of {len(expected)} values differ")
 

@@ -138,6 +138,8 @@ def run_analyze(args) -> int:
     try:
         panel = sio.load_yields_csv(args.yields)
         macro = sio.load_macro_csv(args.macro)
+        if macro.n_times != panel.n_times:
+            raise ParseError(f"yields has {panel.n_times} rows, macro {macro.n_times}")
         digests = {"yields": sio.sha256_digest(args.yields), "macro": sio.sha256_digest(args.macro)}
     except (ParseError, OSError) as exc:
         raise StageError("load", exc, 2) from exc
@@ -211,6 +213,8 @@ def run_simulate(args) -> int:
 
 
 def run_check(args) -> int:
+    if args.seed < 0:
+        raise StageError("config", f"seed must be nonnegative, got {args.seed}", 2)
     results = run_builtin_checks(seed=args.seed)
     width = max(len(r.name) for r in results)
     failures = 0

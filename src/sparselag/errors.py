@@ -47,7 +47,7 @@ class ResidualImaginary(RuntimeError):
 
 
 class DegenerateTotal(ValueError):
-    """Total sum of squares is zero (constant panel); R^2 is undefined."""
+    """The panel is constant in time at every maturity; R^2 is undefined."""
 
 
 class ParseError(ValueError):

@@ -3,14 +3,14 @@
 Formats are deliberately plain: UTF-8, LF line endings, comma separator,
 dot decimal point, no locale dependence.  Numbers are written in Python's
 shortest round-trip form, the text of ``repr``, so save/load round trips are
-bit-exact.  Whole arrays are formatted at once by an exact integer routine
-(``_floattext``) that falls back to ``repr`` for the few values it cannot
-decide, and tables are joined into byte lines in bulk.  The yields format
-carries the maturity grid (decimal years) in its header and encodes missing
-cells as empty fields; the regressor format has a name header and admits no
-missing cells.  The cross-spectral and response tables hold their fields at
-the quoted maturities; summary.json holds the operator that smooths them
-onto the evaluation grid.
+bit-exact; an empty cell is a missing value (NaN) both ways.  The private
+``_floattext`` formats whole arrays at once and joins the lines.  A result
+table is an array in C order, one row per entry after a label column per
+axis.  The yields format carries the maturity grid (decimal years) in its
+header; the regressor format has a name header and admits no missing
+cells.  The cross-spectral and response tables hold their fields at the
+quoted maturities; summary.json holds the operator that smooths them onto
+the evaluation grid.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _floattext
+from ._floattext import float_texts, labels, lines
 from .errors import ParseError
 from .lagreg import predict_panel
 from .model import MacroPanel, MaturityGrid, SparseYieldPanel
@@ -126,13 +126,12 @@ def load_macro_csv(path) -> MacroPanel:
 
 def write_yields_csv(panel: SparseYieldPanel, path) -> None:
     header = b",".join(float_texts(panel.maturity_grid.maturities))
-    cells = _cells(panel.observed, _floattext.texts(panel.values[panel.observed]))
-    _write_table(header, _lines(*_columns_of(cells, panel.n_maturities)), Path(path))
+    _write_table(header, lines(*panel.values.T), Path(path))
 
 
 def write_macro_csv(macro: MacroPanel, path) -> None:
     header = ",".join(macro.series_names).encode()
-    _write_table(header, _lines(*macro.values.T), Path(path))
+    _write_table(header, lines(*macro.values.T), Path(path))
 
 
 def sha256_digest(path) -> str:
@@ -161,69 +160,15 @@ class ResultBundle:
     )
 
 
-# Rows joined at a time.  It keeps each temporary near 150 KB: the allocator then
-# reuses freed blocks, where larger ones grew the process's peak memory.
-_BLOCK = 1024
+def _axes(*axis_labels):
+    """The label columns of an array's long-format table, one text column per axis.
 
-# A text column is an (n, width) uint8 array holding one text per row: the row's
-# UTF-8 bytes with ``_floattext.PAD`` bytes (which UTF-8 never uses) in and after them.
-
-def float_texts(values) -> list[bytes]:
-    """``repr`` of every value of a real array in C order, as ASCII bytes."""
-    return _lines(np.ravel(values))
-
-
-def _labels(texts):
-    """A text column of the given UTF-8 texts, no wider than the longest."""
-    texts = list(texts)
-    width = max(map(len, texts), default=0)
-    padded = b"".join(text.ljust(width, bytes([_floattext.PAD])) for text in texts)
-    return np.frombuffer(padded, np.uint8).reshape(len(texts), width)
-
-
-def _repeat(column, inner: int, outer: int):
-    """Each row repeated ``inner`` times, the whole run repeated ``outer`` times."""
-    return column[np.tile(np.repeat(np.arange(len(column)), inner), outer)]
-
-
-def _columns_of(cells, width: int):
-    """The ``width`` text columns of a table whose cells ``cells`` holds in C order."""
-    return [cells[i::width] for i in range(width)]
-
-
-def _cells(observed, text):
-    """A text column over every cell of a panel in C order: the rows of ``text`` at the
-    observed cells, in order, and empty texts at the missing ones."""
-    cells = np.full((observed.size, text.shape[1]), _floattext.PAD, np.uint8)
-    cells[observed.ravel()] = text
-    return cells
-
-
-def _join(*columns, end=b""):
-    """One text column: each row's texts joined by commas, followed by ``end``."""
-    rows = len(columns[0])
-    comma = np.full((rows, 1), ord(","), np.uint8)
-    parts = [part for column in columns for part in (comma, column)][1:]
-    return np.hstack(parts + [np.full((rows, 1), end[0], np.uint8)] if end else parts)
-
-
-def _lines(*columns) -> list[bytes]:
-    """One line per row, the row's texts joined by commas, without its line end.
-
-    A column is a text column or a 1-D array of numbers, which is formatted
-    here.  Rows are joined a block at a time, and the numbers of a block are
-    formatted in one pass; this bounds the temporaries.
+    The array has shape ``(len(labels) for labels in axis_labels)`` and is
+    written in C order; row i of a column holds the label of that axis's index
+    at the array's i-th entry.
     """
-    lines, pad = [], bytes([_floattext.PAD])
-    numeric = [i for i, column in enumerate(columns) if column.ndim == 1]
-    for start in range(0, len(columns[0]), _BLOCK):
-        block = [column[start:start + _BLOCK] for column in columns]
-        if numeric:
-            text = _floattext.texts(np.concatenate([block[i] for i in numeric]))
-            for i, part in zip(numeric, np.split(text, len(numeric))):
-                block[i] = part
-        lines += _join(*block, end=b"\n").tobytes().translate(None, pad).split(b"\n")[:-1]
-    return lines
+    index = np.indices([len(axis) for axis in axis_labels]).reshape(len(axis_labels), -1)
+    return [labels(axis)[i] for axis, i in zip(axis_labels, index)]
 
 
 def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: MacroPanel,
@@ -239,47 +184,34 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
     holds the real (R, I) operator L they share, so that their half at the R
     evaluation maturities is L @ Z (``SpectralField.from_knots``).
 
-    Lines are joined from text columns in bulk (``_lines``).  Grid values
-    (frequency, maturity, lag, series name) are formatted once and their
-    text repeated on every row that carries them; the cross-spectral and
-    response tables share one (omega, tau, series) prefix.
+    Each table is an array written in C order, one row per entry, after one
+    label column per axis (``_axes``); ``_floattext.lines`` joins the rows.
+    Grid values (frequency, maturity, lag, series name) are formatted once.
     """
-    fit = result.fit
-    density = result.spectral_density
-    n_nodes = len(density.half)
+    fit, density = result.fit, result.spectral_density
     maturities = panel.maturity_grid.maturities
-    omegas, taus, knot_taus = (_labels(float_texts(values)) for values in
-                               (density.grid.nodes[:n_nodes], fit.eval_tau, maturities))
-    names = _labels(name.encode() for name in macro.series_names)
-    n_series, n_eval, n_lags = macro.n_series, fit.eval_tau.size, fit.lags.size
-
-    def field_prefix(labels):
-        """omega, row label, series: one row per entry of a (nodes, labels, series) half."""
-        n_labels = len(labels)
-        return _join(_repeat(omegas, n_labels * n_series, 1), _repeat(labels, n_series, n_nodes),
-                     _repeat(names, 1, n_nodes * n_labels))
-
-    def field_rows(prefix, half):
-        """A field's lines: each row's prefix, then the real and imaginary part of its value."""
-        return _lines(prefix, half.real.ravel(), half.imag.ravel())
-
-    mean_rows = _lines(taus, fit.eval_warped, fit.mean_curve)
-
-    filt_rows = _lines(
-        _repeat(names, n_lags * n_eval, 1),
-        _repeat(_labels(b"%d" % h for h in fit.lags), n_eval, n_series),
-        _repeat(taus, 1, n_series * n_lags),
-        fit.filter_coef.transpose(2, 0, 1).ravel(),
-    )
-
-    knot_prefix = field_prefix(knot_taus)
-
-    fitted_rows = _lines(
-        _repeat(_labels(b"%d" % t for t in range(1, panel.n_times + 1)), panel.n_maturities, 1),
-        _repeat(knot_taus, 1, panel.n_times),
-        _cells(panel.observed, _floattext.texts(panel.values[panel.observed])),
-        predict_panel(fit, macro, maturities).ravel(),
-    )
+    omegas, taus, knot_taus = (float_texts(values) for values in
+                               (density.grid.nodes[:len(density.half)], fit.eval_tau, maturities))
+    names = [name.encode() for name in macro.series_names]
+    tables = {
+        "mean_curve": (("tau", "tau_warped", "mean"),
+                       lines(fit.eval_tau, fit.eval_warped, fit.mean_curve)),
+        "filter_coefficients": (("series", "lag", "tau", "coefficient"), lines(
+            *_axes(names, [b"%d" % h for h in fit.lags], taus),
+            fit.filter_coef.transpose(2, 0, 1).ravel())),
+        "fitted": (("t", "tau", "observed", "fitted"), lines(
+            *_axes([b"%d" % t for t in range(1, panel.n_times + 1)], knot_taus),
+            panel.values.ravel(), predict_panel(fit, macro, maturities).ravel())),
+    }
+    knot_axes = _axes(omegas, knot_taus, names)
+    for name, heads, axes, half in (
+            ("spectral_density", ("omega", "row_series", "col_series"),
+             _axes(omegas, names, names), density.half),
+            ("cross_spectral", ("omega", "tau", "series"), knot_axes,
+             result.cross_spectral.knot_values),
+            ("frequency_response", ("omega", "tau", "series"), knot_axes,
+             result.frequency_response.knot_values)):
+        tables[name] = ((*heads, "real", "imag"), lines(*axes, half.real.ravel(), half.imag.ravel()))
 
     summary = {
         "r_squared": fit.r_squared,
@@ -297,19 +229,7 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         "smoothing_operator": {"tau": fit.eval_tau.tolist(), "knot_tau": maturities.tolist(),
                                "weights": result.cross_spectral.operator.tolist()},
     }
-
-    return ResultBundle(
-        mean_curve=(("tau", "tau_warped", "mean"), mean_rows),
-        filter_coefficients=(("series", "lag", "tau", "coefficient"), filt_rows),
-        spectral_density=(("omega", "row_series", "col_series", "real", "imag"),
-                          field_rows(field_prefix(names), density.half)),
-        cross_spectral=(("omega", "tau", "series", "real", "imag"),
-                        field_rows(knot_prefix, result.cross_spectral.knot_values)),
-        frequency_response=(("omega", "tau", "series", "real", "imag"),
-                            field_rows(knot_prefix, result.frequency_response.knot_values)),
-        fitted=(("t", "tau", "observed", "fitted"), fitted_rows),
-        summary=summary,
-    )
+    return ResultBundle(**tables, summary=summary)
 
 
 def write_staged(out_dir, writers: dict) -> list[Path]:

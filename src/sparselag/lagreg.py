@@ -114,7 +114,8 @@ def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPan
 
     R^2 = 1 - SS_residual / SS_total with SS_total measured around the
     estimated mean curve.  The fit's evaluation grid must cover the panel's
-    maturities.
+    maturities.  Raises DegenerateTotal if no maturity's observed values vary
+    over time, an exact test: the smoothed mean leaves round-off in SS_total.
     """
     if panel.n_times != macro.n_times:
         raise ValueError("panel horizons differ between curves and regressors")
@@ -128,6 +129,8 @@ def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPan
         ss_residual, ss_total = float(np.sum(resid * resid)), float(np.sum(total * total))
     if not np.isfinite([ss_residual, ss_total]).all():
         raise ValueError(f"sums of squares overflow: SS_residual = {ss_residual!r}, SS_total = {ss_total!r}")
-    if ss_total == 0.0:
-        raise DegenerateTotal("total sum of squares is zero; R^2 is undefined for a constant panel")
+    first = panel.values[np.argmax(obs, axis=0), np.arange(panel.n_maturities)]
+    if ss_total == 0.0 or ((panel.values == first) | ~obs).all():
+        raise DegenerateTotal("total sum of squares is zero or no maturity's quotes vary in time; "
+                              "R^2 is undefined")
     return 1.0 - ss_residual / ss_total

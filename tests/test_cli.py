@@ -347,6 +347,17 @@ class TestAnalyzeCommand:
         assert code == 1 and "[estimate]" in err and "total sum of squares" in err
         assert not out.exists()
 
+    def test_panel_constant_in_time_exits_1_degenerate_total(self, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("0.5,1,2,5,10,30\n" + "3.0,3.0,3.0,3.0,3.0,3.0\n" * 60)
+        macro = tmp_path / "m.csv"
+        sio.write_macro_csv(sparselag.MacroPanel(
+            values=np.random.default_rng(1).standard_normal((60, 2)), series_names=("X1", "X2")), macro)
+        out = tmp_path / "o"
+        code, err = self._analyze_exit(flat, macro, out, capsys)
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error [estimate] ")
+        assert not out.exists()
+
     @staticmethod
     def _scaled_csv(path, scale, out):
         lines = path.read_text().splitlines()
@@ -396,6 +407,7 @@ _LOAD_FAILURES = {  # case: (input, its text or bytes, None for a directory or "
     "macro empty name": ("macro", "X1,\n1.0,2.0\n", "series names must be non-empty"),
     "macro duplicate name": ("macro", "X1,X1\n1.0,2.0\n", "duplicate series name"),
     "macro name with a comma": ("macro", '"a,b",X2\n1.0,2.0\n', "contains a comma"),
+    "macro shorter than yields": ("macro", "X1,X2\n1.0,0.5\n2.0,-1.0\n", "yields has 4 rows, macro 2"),
 }
 _CONFIG_FAILURES = {     # case: (config text or None for a missing file, message fragment)
     "config file missing": (None, "No such file"),
@@ -483,6 +495,11 @@ class TestCheckCommand:
     def test_seed_sweep_is_robust(self, capsys):
         for seed in range(10):
             assert main(["check", "--seed", str(seed)]) == 0
+
+    def test_negative_seed_is_a_config_error(self):
+        proc = _run_module("check", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error [config] seed must be nonnegative, got -1"]
 
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(sparselag.__file__).resolve().parent.parent)

@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sparselag import _floattext
+from sparselag._floattext import float_texts
 from sparselag.checks import float_edge_cases
-from sparselag.io import float_texts
 
 
 def _assert_repr(values):

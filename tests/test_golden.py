@@ -3,9 +3,10 @@
 Two fixed simulated panel pairs (d = 1 and d = 3, 10% missing quotes,
 ``n_omega = 64``) go through the CLI, and each of the seven result files must
 match its pinned digest byte for byte; the d = 3 files must match with one
-BLAS thread and with two.  A refactor that promises identical outputs is
-checked here; a change that alters outputs on purpose re-records the digests
-and says so in CHANGES.md.
+BLAS thread and with two.  The three files of ``sparselag simulate`` with
+``preset = recovery``, seed 0, are pinned the same way.  A refactor that
+promises identical outputs is checked here; a change that alters outputs on
+purpose re-records the digests and says so in CHANGES.md.
 """
 
 import os
@@ -41,6 +42,12 @@ GOLDEN = {
         "fitted.csv": "8dc829e82331f119abf285166b0e036784017c9045c9743503e98800a401d301",
         "summary.json": "434ad91801950d52c8d447143de693a23cbef07c070c6c8010f5981e63a778d8",
     },
+}
+
+SIMULATE_GOLDEN = {
+    "yields.csv": "808485b61648da851b71921c2344f011c09fb6eb76ecbb43d86219b049f2b2cf",
+    "macro.csv": "b293b2dc81eb00942f6f74bde38107a01dc11996bfd791c768ab0d2836ad8332",
+    "truth.json": "796ba7dca36ecc60531d4ee050463d7d030446d59e0c5197f2f565751c585892",
 }
 
 
@@ -89,3 +96,10 @@ def test_result_files_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         digests.append({p.name: sha256_digest(p) for p in out.iterdir()})
     assert digests[0] == digests[1] == GOLDEN[3]
+
+
+def test_simulate_files_match_pinned_digests(tmp_path):
+    (tmp_path / "sim.cfg").write_text("preset = recovery\nseed = 0\n", encoding="utf-8")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(tmp_path / "sim.cfg"), "--out", str(out)]) == 0
+    assert {p.name: sha256_digest(p) for p in out.iterdir()} == SIMULATE_GOLDEN

@@ -105,13 +105,18 @@ class TestLoadMacro:
 
 class TestRoundTrips:
     def test_yields_round_trip_bit_exact(self, rng, tmp_path):
-        panel = random_sparse_panel(rng, 25, 5)
-        path = tmp_path / "y.csv"
-        write_yields_csv(panel, path)
-        back = load_yields_csv(path)
-        assert np.array_equal(back.observed, panel.observed)
-        assert np.array_equal(back.values[back.observed], panel.values[panel.observed])
-        assert np.array_equal(back.maturity_grid.maturities, panel.maturity_grid.maturities)
+        # T = 1500 has missing cells on both sides of row 1,024, where the writer starts a block
+        for t_len in (25, 1500):
+            panel = random_sparse_panel(rng, t_len, 5)
+            path = tmp_path / "y.csv"
+            write_yields_csv(panel, path)
+            back = load_yields_csv(path)
+            assert np.array_equal(back.values, panel.values, equal_nan=True)
+            assert np.array_equal(back.maturity_grid.maturities, panel.maturity_grid.maturities)
+            with open(path, newline="", encoding="utf-8") as fh:
+                cells = np.array(list(csv.reader(fh))[1:])
+            assert np.array_equal(cells == "", ~panel.observed)
+        assert not panel.observed[1014:1024].all() and not panel.observed[1024:1034].all()
 
     def test_macro_round_trip_bit_exact(self, rng, tmp_path):
         macro = random_macro_panel(rng, 40, 3)

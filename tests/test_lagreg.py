@@ -7,7 +7,7 @@ import pytest
 
 from sparselag import (DegenerateTotal, FrequencyGrid, FrequencyResponseField,
                        IllConditioned, LaggedRegressionFit, MacroPanel, ResidualImaginary,
-                       SparseYieldPanel, SpectralDensityField,
+                       SparseYieldPanel, SpectralDensityField, analyze,
                        filter_coefficients, frequency_response, predict_panel, r_squared)
 from sparselag.cross_spectral import CrossSpectralField
 from sparselag.lagreg import _eval_indices
@@ -364,6 +364,25 @@ class TestRSquared:
         # data sits exactly on the stored mean curve: total sum of squares is zero
         with pytest.raises(DegenerateTotal):
             r_squared(panel, fit, macro)
+
+    @pytest.mark.parametrize("alpha, beta, t_len", [
+        *[(level, 0.0, t_len) for level in (0.0, 0.1, 1.0, 3.0, 5.25, 7.3, 100.0, -2.5)
+          for t_len in (40, 120)],
+        (0.3, 7.0, 60), (2.0, 0.1, 60), (1.0, -1.0, 60)])
+    def test_panel_constant_in_time_is_degenerate(self, us_grid, alpha, beta, t_len):
+        # alpha + beta tau~ at every date; the smoothed mean can miss it by round-off, which
+        # leaves SS_total above 0.0
+        values = np.tile(alpha + beta * np.linspace(0, 1, 9), (t_len, 1))
+        panel = SparseYieldPanel.from_values(values, us_grid)
+        with pytest.raises(DegenerateTotal):
+            analyze(panel, random_macro_panel(np.random.default_rng(1), t_len, 2))
+
+    def test_one_varying_maturity_is_enough(self, us_grid, rng):
+        fit = _toy_fit(us_grid, np.zeros((3, 9, 1)))
+        values = np.tile(fit.mean_curve, (6, 1))
+        values[2, 4] += 1.0
+        panel = SparseYieldPanel.from_values(values, us_grid)
+        assert r_squared(panel, fit, random_macro_panel(rng, 6, 1)) == 0.0
 
     def test_zero_filter_gives_zero(self, us_grid, rng):
         fit = _toy_fit(us_grid, np.zeros((3, 9, 1)))
