@@ -11,10 +11,12 @@ results behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 import typing
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,7 @@ import numpy as np
 from . import io as sio
 from . import simulate as sim
 from .checks import run_builtin_checks
-from .errors import (DegenerateTotal, IllConditioned, ParseError, ResidualImaginary,
-                     SingularDesign)
+from .errors import IllConditioned, ParseError, ResidualImaginary
 from .model import Config, MaturityGrid
 from .pipeline import analyze
 
@@ -34,10 +35,19 @@ class StageError(Exception):
         self.exit_code = exit_code
 
 
+@contextlib.contextmanager
+def _stage(name, exit_code, *errors):
+    """Re-raise any of ``errors`` as the StageError of stage ``name``."""
+    try:
+        yield
+    except errors as exc:
+        raise StageError(name, exc, exit_code) from exc
+
+
 def read_key_values(path) -> dict[str, str]:
     """Parse ``key = value`` lines; keys are case-insensitive and may appear once."""
     out, seen_at = {}, {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -71,9 +81,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _poly_fn(coeffs: np.ndarray):
-    # an overflow gives inf or nan without a warning; the panel's finiteness check reports it
-    return np.errstate(over="ignore", invalid="ignore")(
-        lambda t, c=np.asarray(coeffs, dtype=float): np.polynomial.polynomial.polyval(t, c))
+    return lambda t, c=np.asarray(coeffs, dtype=float): np.polynomial.polynomial.polyval(t, c)
 
 
 def parse_synthetic_config(path, seed_flag=None) -> sim.SyntheticSpec:
@@ -135,56 +143,33 @@ def parse_synthetic_config(path, seed_flag=None) -> sim.SyntheticSpec:
 
 
 def run_analyze(args) -> int:
-    try:
+    with _stage("load", 2, ParseError, OSError):
         panel = sio.load_yields_csv(args.yields)
         macro = sio.load_macro_csv(args.macro)
         if macro.n_times != panel.n_times:
             raise ParseError(f"yields has {panel.n_times} rows, macro {macro.n_times}")
         digests = {"yields": sio.sha256_digest(args.yields), "macro": sio.sha256_digest(args.macro)}
-    except (ParseError, OSError) as exc:
-        raise StageError("load", exc, 2) from exc
-
-    try:
+    with _stage("config", 2, ValueError, OSError):
         config = _build_config(panel.n_times, panel.n_maturities, args.config)
-    except (ValueError, OSError) as exc:
-        raise StageError("config", exc, 2) from exc
-
-    try:
+    with _stage("estimate", 1, ValueError, IllConditioned, ResidualImaginary, MemoryError):
         result = analyze(panel, macro, config)
-    except SingularDesign as exc:
-        raise StageError("estimate", f"{exc} -- consider a larger bandwidth", 1) from exc
-    except IllConditioned as exc:
-        raise StageError("estimate", f"{exc} -- consider a different window span q", 1) from exc
-    except (ResidualImaginary, DegenerateTotal, ValueError) as exc:
-        raise StageError("estimate", exc, 1) from exc
-
-    try:
+    with _stage("write", 1, OSError):
         bundle = sio.build_result_bundle(result, panel, macro, digests)
         manifest = sio.write_results(bundle, args.out)
-    except OSError as exc:
-        raise StageError("write", exc, 1) from exc
 
-    d = result.diagnostics
     print(f"T={panel.n_times} I={panel.n_maturities} d={macro.n_series} "
           f"q={config.q} b_mu={config.b_mu:.4g} b_r={config.b_r:.4g} h_max={config.h_max}")
     print(f"r_squared={result.fit.r_squared:.4f}")
-    print(f"diagnostics: max_imag_residual={d.max_imag_residual:.3e} "
-          f"truncation_tail_mass={d.truncation_tail_mass:.3e} "
-          f"max_condition_number={d.max_condition_number:.3e}")
+    print("diagnostics:", *(f"{name}={value:.3e}" for name, value in asdict(result.diagnostics).items()))
     print(f"wrote {len(manifest)} files to {Path(args.out).resolve()}")
     return 0
 
 
 def run_simulate(args) -> int:
-    try:
+    with _stage("config", 2, ValueError, OSError, KeyError):
         spec = parse_synthetic_config(args.config, args.seed)
-    except (ValueError, OSError, KeyError) as exc:
-        raise StageError("config", exc, 2) from exc
-
-    try:
+    with _stage("simulate", 1, ValueError):
         panel, macro, truth = sim.simulate_lagged_regression(spec)
-    except ValueError as exc:
-        raise StageError("simulate", exc, 1) from exc
     out_dir = Path(args.out)
     truth_doc = {
         "maturities": [float(v) for v in spec.maturity_grid.maturities],
@@ -200,14 +185,12 @@ def run_simulate(args) -> int:
         "seed": spec.seed,
     }
     truth_text = json.dumps(truth_doc, indent=2, sort_keys=True) + "\n"
-    try:
+    with _stage("write", 1, OSError):
         sio.write_staged(out_dir, {
             "yields.csv": functools.partial(sio.write_yields_csv, panel),
             "macro.csv": functools.partial(sio.write_macro_csv, macro),
             "truth.json": lambda path: path.write_text(truth_text, encoding="utf-8"),
         })
-    except OSError as exc:
-        raise StageError("write", exc, 1) from exc
     print(f"wrote yields.csv, macro.csv, truth.json to {out_dir.resolve()}")
     return 0
 
@@ -254,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow surfaces as a typed error
+            return args.func(args)
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)
         return exc.exit_code

@@ -15,7 +15,7 @@ class SingularDesign(ValueError):
             message += f"; a bandwidth above {min_bandwidth:.6g} would capture 2 distinct points"
         if eval_point is not None:
             message += f" (evaluation point {eval_point:.6g})"
-        super().__init__(message)
+        super().__init__(message + " -- consider a larger bandwidth")
         self.min_bandwidth = min_bandwidth
         self.eval_point = eval_point
 
@@ -27,7 +27,7 @@ class IllConditioned(RuntimeError):
         super().__init__(
             f"spectral density matrix at frequency {omega:.6f} has condition number "
             f"{cond:.3e}, above the threshold {threshold:.3e}; the regressor spectrum "
-            "is near singular there"
+            "is near singular there -- consider a different window span q"
         )
         self.omega = omega
         self.cond = cond

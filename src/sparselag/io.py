@@ -49,7 +49,7 @@ def _parse_float(text: str, row: int, column: int) -> float:
 def _read_rows(path) -> list[list[str]]:
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise ParseError(f"file not found: {path}") from None
@@ -220,11 +220,7 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         "n_series": macro.n_series,
         "series_names": list(macro.series_names),
         "config": asdict(result.config),
-        "diagnostics": {
-            "max_imag_residual": result.diagnostics.max_imag_residual,
-            "truncation_tail_mass": result.diagnostics.truncation_tail_mass,
-            "max_condition_number": result.diagnostics.max_condition_number,
-        },
+        "diagnostics": asdict(result.diagnostics),
         "input_digests": input_digests or {},
         "smoothing_operator": {"tau": fit.eval_tau.tolist(), "knot_tau": maturities.tolist(),
                                "weights": result.cross_spectral.operator.tolist()},

@@ -104,8 +104,7 @@ def predict_panel(fit: LaggedRegressionFit, macro: MacroPanel, eval_points=None)
     # window t covers rows t - reach..t + reach; reversed, its entry l is X_{t-h} - mu_X at h = lags[l]
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * reach + 1, axis=0)[:, :, ::-1]
     design = np.ascontiguousarray(windows).reshape(t_len, -1)     # column j * n_lags + l
-    with np.errstate(over="ignore", invalid="ignore"):   # overflows: r_squared's finiteness check reports them
-        columns = [fit.mean_curve[c] + design @ fit.filter_coef[:, c].T.ravel() for c in cols]
+    columns = [fit.mean_curve[c] + design @ fit.filter_coef[:, c].T.ravel() for c in cols]
     return np.reshape(columns, (len(cols), t_len)).T
 
 
@@ -125,8 +124,7 @@ def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPan
     obs = panel.observed
     resid = np.where(obs, panel.values - pred, 0.0)
     total = np.where(obs, panel.values - mean, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ss_residual, ss_total = float(np.sum(resid * resid)), float(np.sum(total * total))
+    ss_residual, ss_total = float(np.sum(resid * resid)), float(np.sum(total * total))
     if not np.isfinite([ss_residual, ss_total]).all():
         raise ValueError(f"sums of squares overflow: SS_residual = {ss_residual!r}, SS_total = {ss_total!r}")
     first = panel.values[np.argmax(obs, axis=0), np.arange(panel.n_maturities)]

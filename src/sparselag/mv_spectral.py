@@ -43,9 +43,8 @@ def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     padded[:, q - 1: q - 1 + len(a)] = a.T
     b_cols = np.ascontiguousarray(b.T, dtype=float)
     out = np.empty((2 * q - 1, len(padded), len(b_cols)))
-    with np.errstate(over="ignore", invalid="ignore"):   # overflows: the callers' finiteness checks report them
-        for i, j in np.ndindex(out.shape[1:]):
-            out[:, i, j] = np.correlate(padded[i], b_cols[j], "valid")
+    for i, j in np.ndindex(out.shape[1:]):
+        out[:, i, j] = np.correlate(padded[i], b_cols[j], "valid")
     return out
 
 
@@ -69,8 +68,7 @@ def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndar
 
     Returns shape (N/2+1, *lag_values.shape[1:]), nodes k <= N/2, without the 1/2pi factor.
     """
-    with np.errstate(over="ignore", invalid="ignore"):   # overflows: the fields' finiteness checks report them
-        return np.tensordot(lag_window_kernel(grid, (lag_values.shape[0] + 1) // 2), lag_values, axes=1)
+    return np.tensordot(lag_window_kernel(grid, (lag_values.shape[0] + 1) // 2), lag_values, axes=1)
 
 
 @dataclass(frozen=True)

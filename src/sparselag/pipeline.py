@@ -61,6 +61,7 @@ def _tail_mass(fit: LaggedRegressionFit) -> float:
     return float(per_lag.sum())
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow fails the next finiteness check
 def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = None) -> AnalysisResult:
     """Run the full lagged-regression estimation on a pair of panels."""
     if panel.n_times != macro.n_times:

@@ -78,8 +78,7 @@ def mean_curve_warped(panel: SparseYieldPanel, b_mu: float, eval_warped) -> np.n
     per-maturity counts and sums without changing the fit.
     """
     operator = local_linear_operator(panel.observed.sum(axis=0).astype(float), eval_warped, b_mu)
-    with np.errstate(over="ignore", invalid="ignore"):   # overflows: the callers' finiteness checks report them
-        return operator @ np.where(panel.observed, panel.values, 0.0).sum(axis=0)
+    return operator @ np.where(panel.observed, panel.values, 0.0).sum(axis=0)
 
 
 def estimate_mean_curve(panel: SparseYieldPanel, warp: Warp, b_mu: float, eval_points) -> np.ndarray:

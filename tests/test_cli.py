@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import sparselag
-from sparselag import checks, simulate
+from sparselag import checks, cli, simulate
 from sparselag import io as sio
 from sparselag.cli import main, parse_synthetic_config, read_key_values
+from sparselag.errors import ResidualImaginary
 from sparselag.io import sha256_digest
 from sparselag.model import Config
 from sparselag.mv_spectral import bartlett_weights, SpectralDensityField
+from sparselag.pipeline import Diagnostics
 from conftest import field_from_values
 from oracles import loop_var1_deviations
 
@@ -89,7 +91,6 @@ class TestSimulateCommand:
         assert "error [config]" in err and "'t'" in err and "line 1" in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_simulation_exits_1_without_traceback(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("t = 50\nmaturities = 0.25, 1, 5, 10\nar = 0.5\nmean_poly = 1e308, 1e308\n")
@@ -180,6 +181,30 @@ class TestAnalyzeCommand:
         assert summary["n_times"] == 2000 and summary["config"]["q"] == 45
         assert summary["r_squared"] > 0.9
         assert set(summary["input_digests"]) == {"yields", "macro"}
+        names = [f.name for f in dataclasses.fields(Diagnostics)]
+        [line] = [line for line in printed.splitlines() if line.startswith("diagnostics: ")]
+        assert [item.split("=")[0] for item in line.split()[1:]] == names
+        assert sorted(summary["diagnostics"]) == sorted(names)
+
+    def test_utf8_bom_inputs_give_the_same_results(self, sim_dir, tmp_path):
+        """Excel's "CSV UTF-8" export starts each file with a byte-order mark."""
+        bom = {}
+        for name in ("yields.csv", "macro.csv"):
+            bom[name] = tmp_path / f"bom_{name}"
+            bom[name].write_bytes(b"\xef\xbb\xbf" + (sim_dir / name).read_bytes())
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfq = 10\n")
+        runs = {}
+        for label, files in (("plain", {n: sim_dir / n for n in bom}), ("bom", bom)):
+            runs[label] = tmp_path / label
+            assert main(["analyze", "--yields", str(files["yields.csv"]), "--macro",
+                         str(files["macro.csv"]), "--config", str(cfg), "--out", str(runs[label])]) == 0
+        for path in sorted(runs["plain"].glob("*.csv")):
+            assert (runs["bom"] / path.name).read_bytes() == path.read_bytes(), path.name
+        plain, with_bom = (json.loads((runs[k] / "summary.json").read_text()) for k in runs)
+        assert plain["input_digests"] != with_bom["input_digests"]
+        assert {**plain, "input_digests": None} == {**with_bom, "input_digests": None}
+        assert with_bom["config"]["q"] == 10 and with_bom["series_names"] == ["X1"]
 
     def test_null_model_fixture_gives_near_zero_r_squared(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -409,6 +434,17 @@ _LOAD_FAILURES = {  # case: (input, its text or bytes, None for a directory or "
     "macro name with a comma": ("macro", '"a,b",X2\n1.0,2.0\n', "contains a comma"),
     "macro shorter than yields": ("macro", "X1,X2\n1.0,0.5\n2.0,-1.0\n", "yields has 4 rows, macro 2"),
 }
+_ESTIMATE_FAILURES = {   # case: (yields text, config text, exception analyze raises, message fragment)
+    "window holds one knot": (_YIELDS, "b_mu = 0.05\n", None, "-- consider a larger bandwidth"),
+    "b_mu overflows the kernel": (_YIELDS, "b_mu = 1e-200\n", None, "fewer than 2 observed knots"),
+    "b_r overflows the kernel": (_YIELDS, "b_r = 5e-324\n", None, "fewer than 2 observed knots"),
+    "ill-conditioned spectrum": (_YIELDS, "cond_threshold = 1.0001\n", None,
+                                 "-- consider a different window span q"),
+    "panel constant in time": ("1,2,3\n" + "3.0,3.0,3.0\n" * 4, None, None, "R^2 is undefined"),
+    "imaginary residue": (_YIELDS, None, ResidualImaginary(1e-3, 1e-8), "max imaginary part"),
+    "out of memory": (_YIELDS, None, MemoryError("Unable to allocate 745. GiB for an array"),
+                      "Unable to allocate"),
+}
 _CONFIG_FAILURES = {     # case: (config text or None for a missing file, message fragment)
     "config file missing": (None, "No such file"),
     "unknown key": ("bandwidth = 0.3\n", "unknown config keys: bandwidth"),
@@ -424,7 +460,8 @@ _CONFIG_FAILURES = {     # case: (config text or None for a missing file, messag
 class TestFailureContract:
     """Every documented load and config failure: exit 2, one stderr line naming the stage,
     and nothing written, neither ``--out`` nor a staged ``.partial`` sibling; a failed
-    write exits 1 with one ``error [write]`` line and leaves nothing either."""
+    estimate or write exits 1 with one ``error [estimate]`` or ``error [write]`` line and
+    leaves nothing either."""
 
     @staticmethod
     def _run(tmp_path, capsys, files, config=None):
@@ -461,6 +498,42 @@ class TestFailureContract:
         code, err = self._run(tmp_path, capsys, {"yields": _YIELDS, "macro": _MACRO}, config)
         assert code == 2 and len(err) == 1
         assert err[0].startswith("error [config] ") and fragment in err[0]
+
+    @pytest.mark.parametrize("case", _ESTIMATE_FAILURES)
+    def test_estimate_failure(self, tmp_path, capsys, monkeypatch, case):
+        yields, text, raised, fragment = _ESTIMATE_FAILURES[case]
+        config = None
+        if text is not None:
+            config = tmp_path / "run.cfg"
+            config.write_text(text)
+        if raised is not None:
+            def failing(*args):
+                raise raised
+
+            monkeypatch.setattr(cli, "analyze", failing)
+        code, err = self._run(tmp_path, capsys, {"yields": yields, "macro": _MACRO}, config)
+        assert code == 1 and len(err) == 1
+        assert err[0].startswith("error [estimate] ") and fragment in err[0]
+
+    def test_subnormal_maturity_succeeds_silently(self, tmp_path, capsys):
+        for name, text in {"yields": _YIELDS.replace("1,2,3", "0,1e-310,1", 1), "macro": _MACRO}.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        code = main(["analyze", "--yields", str(tmp_path / "yields.csv"),
+                     "--macro", str(tmp_path / "macro.csv"), "--out", str(tmp_path / "out")])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert len(list((tmp_path / "out").iterdir())) == 7
+
+    def test_tiny_bandwidth_prints_no_warning_in_a_fresh_interpreter(self, tmp_path):
+        for name, text in {"yields.csv": _YIELDS, "macro.csv": _MACRO, "run.cfg": "b_mu = 1e-200\n"}.items():
+            (tmp_path / name).write_text(text)
+        proc = _run_module("analyze", "--yields", str(tmp_path / "yields.csv"), "--macro",
+                           str(tmp_path / "macro.csv"), "--config", str(tmp_path / "run.cfg"),
+                           "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error [estimate] ")
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_digest_is_a_load_failure(self, tmp_path, capsys, monkeypatch):
         def unreadable(path):
@@ -539,6 +612,11 @@ class TestConfigParsing:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\nA = 1\nb=2 # trailing\n\n")
         assert read_key_values(cfg) == {"a": "1", "b": "2"}
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfq = 3\n")
+        assert read_key_values(cfg) == {"q": "3"}
 
     def test_malformed_line_raises(self, tmp_path):
         cfg = tmp_path / "c.cfg"

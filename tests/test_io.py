@@ -103,6 +103,23 @@ class TestLoadMacro:
             load_macro_csv(path)
 
 
+@pytest.mark.parametrize("load, text", [
+    (load_yields_csv, "0.0833,1,5\n5.1,,5.3\n5.2,5.25,5.4\n"),
+    (load_macro_csv, "IP,INF\n1.5,-0.25\n2.0,0.75\n"),
+])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, load, text):
+    """Excel's "CSV UTF-8" export starts the file with a BOM; it is not part of the header."""
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text)
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    expected, loaded = load(plain), load(bom)
+    assert np.array_equal(loaded.values, expected.values, equal_nan=True)
+    if load is load_macro_csv:
+        assert loaded.series_names == expected.series_names == ("IP", "INF")
+    else:
+        assert np.array_equal(loaded.maturity_grid.maturities, expected.maturity_grid.maturities)
+
+
 class TestRoundTrips:
     def test_yields_round_trip_bit_exact(self, rng, tmp_path):
         # T = 1500 has missing cells on both sides of row 1,024, where the writer starts a block

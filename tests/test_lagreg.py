@@ -73,6 +73,7 @@ class TestFrequencyResponse:
             frequency_response(cross, spec, 1e8)
         assert err.value.cond > 1e8
         assert -np.pi <= err.value.omega < np.pi
+        assert str(err.value).endswith(" -- consider a different window span q")
 
     def test_ill_conditioned_names_the_worst_node(self, rng):
         grid = FrequencyGrid(16)

@@ -45,6 +45,19 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="exceeds the horizon"):
             analyze(panel, macro, Config(b_mu=0.5, b_r=0.5, q=31))
 
+    @pytest.mark.parametrize("b_mu, macro_scale, message", [
+        (1e-200, 1.0, "fewer than 2 observed knots"),
+        (0.5, 1e200, "autocovariance at lag"),
+    ])
+    def test_overflow_raises_a_typed_error_without_a_warning(self, rng, b_mu, macro_scale,
+                                                             message):
+        # RuntimeWarnings are errors under the test settings: a leaked one would fail here
+        panel = random_sparse_panel(rng, 30, 4)
+        macro = random_macro_panel(rng, 30, 1)
+        macro = replace(macro, values=macro.values * macro_scale)
+        with pytest.raises(ValueError, match=message):
+            analyze(panel, macro, Config(b_mu=b_mu, b_r=0.5, q=5))
+
     def test_deterministic(self, rng):
         spec = replace(recovery_spec(seed=4), n_times=150)
         panel, macro, _ = simulate_lagged_regression(spec)

@@ -133,6 +133,12 @@ class TestVar1SpectralDensity:
 
 
 class TestSimulateLaggedRegression:
+    def test_overflowing_mean_raises_a_typed_error_without_a_warning(self):
+        # RuntimeWarnings are errors under the test settings: a leaked one would fail here
+        spec = _spec(mean_fn=lambda t: 1e308 * (10.0 + t), n_times=50)
+        with pytest.raises(ValueError, match="observed values must all be finite"):
+            simulate_lagged_regression(spec)
+
     def test_pure_mean_when_everything_off(self):
         spec = _spec(mean_fn=lambda t: 2.0 + t, n_times=50)
         panel, macro, truth = simulate_lagged_regression(spec)

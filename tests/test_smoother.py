@@ -89,6 +89,7 @@ class TestLocallinFit:
         assert err.value.min_bandwidth == pytest.approx(0.5)
         assert err.value.eval_point == 0.5
         assert "bandwidth above" in str(err.value)
+        assert str(err.value).endswith(" -- consider a larger bandwidth")
 
     def test_coincident_support_raises(self):
         # one knot outweighs the other by 1e15: numerically a single support point
