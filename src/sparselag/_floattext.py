@@ -27,8 +27,8 @@ decade (k misjudged next to a power of ten).
 
 The module also owns the layout of a table's text.  A text column is an (n,
 width) uint8 array with one text per row: its UTF-8 bytes, with PAD bytes in
-and after them.  ``lines`` joins columns into CSV lines; a NaN in a numeric
-column is an empty cell there, as the loaders read an empty cell as NaN.
+and after them.  ``lines`` joins columns into one blob of LF-terminated CSV
+lines; a NaN in a numeric column is an empty cell, as the loaders read it.
 """
 
 from __future__ import annotations
@@ -209,15 +209,15 @@ def _join(columns):
     return np.hstack([part for column in columns for part in (column, comma)][:-1] + [end])
 
 
-def lines(*columns) -> list[bytes]:
-    """One line per row, the row's texts joined by commas, without its line end.
+def lines(*columns) -> bytes:
+    """One LF-terminated line per row, the row's texts joined by commas, as one blob.
 
     A column is a text column or a 1-D array of numbers, which is formatted
     here: NaN as an empty cell, any other value as its ``repr``.  Rows are
     joined a block at a time, and the numbers of a block are formatted in one
     pass; this bounds the temporaries.
     """
-    out, pad = [], bytes([PAD])
+    blocks, pad = [], bytes([PAD])
     numeric = [i for i, column in enumerate(columns) if column.ndim == 1]
     for start in range(0, len(columns[0]), _BLOCK):
         block = [column[start:start + _BLOCK] for column in columns]
@@ -228,10 +228,10 @@ def lines(*columns) -> list[bytes]:
             text[missing] = PAD
             for i, part in zip(numeric, np.split(text, len(numeric))):
                 block[i] = part
-        out += _join(block).tobytes().translate(None, pad).split(b"\n")[:-1]
-    return out
+        blocks.append(_join(block).tobytes().translate(None, pad))
+    return b"".join(blocks)
 
 
 def float_texts(values) -> list[bytes]:
     """``repr`` of every value of a real array in C order, as ASCII bytes (NaN as ``nan``)."""
-    return lines(texts(values))
+    return lines(texts(values)).split(b"\n")[:-1]

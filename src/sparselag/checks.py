@@ -6,12 +6,13 @@ squares, the filter quadrature against a synthesized trigonometric
 polynomial, the lag-window spectral estimate against the VAR(1) closed form,
 plus warp round trips, symmetry/inverse-transform identities, exact
 affine reproduction of the mean smoother, and the bulk number formatter of
-the result files against ``repr``.  Tolerances are loose enough to hold
-across seeds.
+the result files against ``repr`` (summary.json's against ``json.dumps``).
+Tolerances are loose enough to hold across seeds.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import cross_spectral, lagreg, mv_spectral, simulate, smoother
 from ._floattext import float_texts
+from .io import summary_json
 from .model import FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel
 from .warp import build_warp, warp_apply, warp_inverse
 
@@ -210,6 +212,16 @@ def check_float_text(rng: np.random.Generator) -> CheckResult:
                        f"{wrong} of {len(expected)} values differ")
 
 
+def check_operator_json(rng: np.random.Generator) -> CheckResult:
+    """summary.json's bulk text of a random smoothing operator against ``json.dumps``."""
+    edges = float_edge_cases()
+    weights = rng.choice(edges[np.isfinite(edges)], size=rng.integers(1, 40, size=2))
+    summary = {"smoothing_operator": {"tau": rng.random(3).tolist(), "weights": weights.tolist()}}
+    expected = (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+    return CheckResult("summary.json operator text equals json.dumps", summary_json(summary) == expected,
+                       "{} x {} operator of edge-case values".format(*weights.shape))
+
+
 def run_builtin_checks(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     return [
@@ -220,4 +232,5 @@ def run_builtin_checks(seed: int = 0) -> list[CheckResult]:
         check_warp_round_trip(rng),
         check_affine_reproduction(rng),
         check_float_text(rng),
+        check_operator_json(rng),
     ]

@@ -4,13 +4,13 @@ Formats are deliberately plain: UTF-8, LF line endings, comma separator,
 dot decimal point, no locale dependence.  Numbers are written in Python's
 shortest round-trip form, the text of ``repr``, so save/load round trips are
 bit-exact; an empty cell is a missing value (NaN) both ways.  The private
-``_floattext`` formats whole arrays at once and joins the lines.  A result
-table is an array in C order, one row per entry after a label column per
-axis.  The yields format carries the maturity grid (decimal years) in its
+``_floattext`` formats whole arrays at once into one blob of lines per table.
+A result table is an array in C order, one row per entry after a label column
+per axis.  The yields format carries the maturity grid (decimal years) in its
 header; the regressor format has a name header and admits no missing
 cells.  The cross-spectral and response tables hold their fields at the
 quoted maturities; summary.json holds the operator that smooths them onto
-the evaluation grid.
+the evaluation grid, its weights formatted in bulk like the tables.
 """
 
 from __future__ import annotations
@@ -142,11 +142,11 @@ def sha256_digest(path) -> str:
 class ResultBundle:
     """Plot-ready tables plus a JSON summary; every table carries its grids.
 
-    A table is (column names, lines): one line of comma-joined UTF-8 bytes per
-    row, without its line end.
+    A table is (column names, blob): one ``bytes`` of LF-terminated lines, one line
+    of comma-joined UTF-8 cells per row (``blob.splitlines()`` lists them).
     """
 
-    mean_curve: tuple        # (columns, lines)
+    mean_curve: tuple        # (columns, blob)
     filter_coefficients: tuple
     spectral_density: tuple
     cross_spectral: tuple
@@ -259,9 +259,28 @@ def write_staged(out_dir, writers: dict) -> list[Path]:
     return moved
 
 
-def _write_table(header: bytes, lines, path) -> None:
-    """The header and the lines, each LF-terminated, in one write."""
-    path.write_bytes(b"\n".join([header, *lines, b""]))
+def _write_table(header: bytes, blob: bytes, path) -> None:
+    """The header line, then the table's LF-terminated lines, without copying the blob."""
+    with path.open("wb") as fh:
+        fh.writelines((header, b"\n", blob))
+
+
+def summary_json(summary: dict) -> bytes:
+    """``json.dumps(summary, indent=2, sort_keys=True)`` and a line end, as UTF-8 bytes.
+
+    The operator weights, formatted in bulk, replace their empty stand-in in the
+    text of the rest (a key's quotes are never escaped); they must be a finite
+    matrix with a row and a column, or ValueError: json would write NaN.
+    """
+    operator = summary["smoothing_operator"]
+    weights = np.asarray(operator["weights"], dtype=float)
+    if weights.ndim != 2 or not weights.size or not np.isfinite(weights).all():
+        raise ValueError("smoothing operator weights must be a finite, non-empty matrix")
+    rest = {**summary, "smoothing_operator": {**operator, "weights": []}}
+    head, tail = json.dumps(rest, indent=2, sort_keys=True).encode().split(b'"weights": []')
+    rows = (row.replace(b",", b",\n        ") for row in lines(*weights.T).splitlines())
+    body = b"\n      ],\n      [\n        ".join(rows)
+    return head + b'"weights": [\n      [\n        ' + body + b"\n      ]\n    ]" + tail + b"\n"
 
 
 def write_results(bundle: ResultBundle, out_dir) -> list[Path]:
@@ -272,8 +291,8 @@ def write_results(bundle: ResultBundle, out_dir) -> list[Path]:
     """
     writers = {}
     for name in ResultBundle.TABLES:
-        columns, lines = getattr(bundle, name)
-        writers[f"{name}.csv"] = functools.partial(_write_table, ",".join(columns).encode(), lines)
-    summary = json.dumps(bundle.summary, indent=2, sort_keys=True) + "\n"
-    writers["summary.json"] = lambda path: path.write_text(summary, encoding="utf-8")
+        columns, blob = getattr(bundle, name)
+        writers[f"{name}.csv"] = functools.partial(_write_table, ",".join(columns).encode(), blob)
+    summary = summary_json(bundle.summary)
+    writers["summary.json"] = lambda path: path.write_bytes(summary)
     return write_staged(out_dir, writers)

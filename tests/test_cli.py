@@ -563,7 +563,7 @@ class TestCheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 7 and "FAIL" not in out
+        assert out.count("PASS") == 8 and "FAIL" not in out
 
     def test_seed_sweep_is_robust(self, capsys):
         for seed in range(10):
@@ -581,7 +581,7 @@ class TestCheckCommand:
                               capture_output=True, text=True, timeout=300,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        assert "7/7 checks passed" in proc.stdout
+        assert "8/8 checks passed" in proc.stdout
 
     def test_injected_sign_error_is_caught(self, capsys):
         def mutant_spectral(acov, grid):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparselag import (Config, MacroPanel, MaturityGrid, ParseError, ResultBundle, SparseYieldPanel,
@@ -264,6 +264,39 @@ class TestWriteResults:
         assert spec_head == "omega,row_series,col_series,real,imag"
 
 
+# the weights span the bulk range and the repr fallback outside it (1e-7, 1e300, 5e-324)
+_WEIGHTS = arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 5)), elements=st.one_of(
+    st.sampled_from(_EDGE_FLOATS + (1e-7, 1e300)), st.floats(allow_nan=False, allow_infinity=False)))
+
+
+def _with_weights(summary, weights):
+    return {**summary, "smoothing_operator": {**summary["smoothing_operator"], "weights": weights}}
+
+
+class TestSummaryJson:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(_WEIGHTS)
+    @example(np.array([[-0.0]]))
+    @example(np.array([[-0.0, 5e-324, 1e-7], [1e300, 0.1, -2.5e-300]]))
+    def test_bulk_text_equals_json_dumps(self, small_analysis, weights):
+        result, panel, macro = small_analysis
+        summary = build_result_bundle(result, panel, macro, {"yields": "abc"}).summary
+        summary = _with_weights(summary, weights.tolist())
+        assert sio.summary_json(summary) == \
+            (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_weight_raises_and_writes_nothing(self, small_analysis, tmp_path, bad):
+        result, panel, macro = small_analysis
+        bundle = build_result_bundle(result, panel, macro)
+        weights = result.cross_spectral.operator.copy()
+        weights[-1, 0] = bad
+        bundle = replace(bundle, summary=_with_weights(bundle.summary, weights.tolist()))
+        with pytest.raises(ValueError, match="finite"):
+            write_results(bundle, tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+
 def _sparse_analysis(n_series, seed, missing_frac=0.1):
     """Analysis of a simulated panel with missing cells, on small grids."""
     spec = SyntheticSpec(
@@ -289,8 +322,25 @@ def _split(line):
     return tuple(line.decode().split(","))
 
 
+def _table_lines(blob):
+    """A table blob's lines; the blob must be LF-terminated lines without a CR."""
+    assert isinstance(blob, bytes) and blob.endswith(b"\n") and b"\r" not in blob
+    return blob.splitlines()
+
+
 def _table_rows(bundle):
-    return {name: list(map(_split, getattr(bundle, name)[1])) for name in ResultBundle.TABLES}
+    return {name: list(map(_split, _table_lines(getattr(bundle, name)[1])))
+            for name in ResultBundle.TABLES}
+
+
+def _table_entries(result, panel):
+    """The number of entries of the array behind each table: one line each."""
+    return {"mean_curve": result.fit.mean_curve.size,
+            "filter_coefficients": result.fit.filter_coef.size,
+            "spectral_density": result.spectral_density.half.size,
+            "cross_spectral": result.cross_spectral.knot_values.size,
+            "frequency_response": result.frequency_response.knot_values.size,
+            "fitted": panel.values.size}
 
 
 def _written_nodes(rows, result):
@@ -308,7 +358,9 @@ class TestResultRowsMatchOracle:
         assert not panel.observed.all()
         rows = _table_rows(build_result_bundle(result, panel, macro))
         expected = _written_nodes(naive_result_rows(result, panel, macro), result)
+        entries = _table_entries(result, panel)
         for name in ResultBundle.TABLES:
+            assert len(rows[name]) == entries[name], name
             assert rows[name] == expected[name], name
         # the tables exercise exponent notation and empty (missing) cells
         cells = {cell for table in rows.values() for row in table for cell in row}
@@ -324,6 +376,7 @@ class TestResultRowsMatchOracle:
         fit = replace(result.fit, filter_coef=coef, mean_curve=mean)
         edited = replace(result, fit=fit)
         rows = _table_rows(build_result_bundle(edited, panel, macro))
+        assert {name: len(table) for name, table in rows.items()} == _table_entries(edited, panel)
         assert rows == _written_nodes(naive_result_rows(edited, panel, macro), edited)
         assert [row[3] for row in rows["filter_coefficients"][:4]] == \
             ["-0.0", "1e-300", "-2.5e+300", "5e-324"]
@@ -375,7 +428,9 @@ class TestHalfSpectrumTables:
                   "cross_spectral": result.cross_spectral.knot_values,
                   "frequency_response": result.frequency_response.knot_values}
         for name, stored in fields.items():
-            rows = map(_split, getattr(bundle, name)[1])
+            lines = _table_lines(getattr(bundle, name)[1])
+            assert len(lines) == stored.size, name
+            rows = map(_split, lines)
             written = np.array([complex(float(row[-2]), float(row[-1])) for row in rows])
             assert np.array_equal(written, stored.ravel()), name
         assert bundle.summary["smoothing_operator"]["weights"] == result.cross_spectral.operator.tolist()
