@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _frozen
+from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _check_horizons, _frozen
 from .mv_spectral import bartlett_weights, lag_window_transform, lagged_products
 from .smoother import epanechnikov, local_linear_operator
 
@@ -55,11 +55,7 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
     mean_curve holds mu_Y at the panel's own maturities; macro_means holds
     mu_X.  Missing curve cells are dropped from every (t, i) sum.
     """
-    if panel.n_times != macro.n_times:
-        raise ValueError(f"panel horizons differ: curves have T={panel.n_times}, "
-                         f"regressors T={macro.n_times}")
-    if not 1 <= q <= panel.n_times:
-        raise ValueError(f"window span must satisfy 1 <= q <= T, got q={q}")
+    _check_horizons(panel, macro)
     mean_curve = np.asarray(mean_curve, dtype=float)
     macro_means = np.asarray(macro_means, dtype=float)
     if mean_curve.shape != (panel.n_maturities,):

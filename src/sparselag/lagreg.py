@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateTotal, IllConditioned, ResidualImaginary
-from .model import LaggedRegressionFit, MacroPanel, SparseYieldPanel, SpectralField
+from .model import LaggedRegressionFit, MacroPanel, SparseYieldPanel, SpectralField, _check_horizons, _check_lag_reach
 from .cross_spectral import CrossSpectralField
 from .mv_spectral import SpectralDensityField
 
@@ -64,8 +64,7 @@ def filter_coefficients(resp: FrequencyResponseField, h_max: int):
     (1 + max |Re|), which signals broken conjugate symmetry upstream.
     """
     n = resp.grid.n_nodes
-    if n < 2 * h_max + 2:
-        raise ValueError(f"need n_omega >= {2 * h_max + 2} to integrate lags up to {h_max}, got {n}")
+    _check_lag_reach(h_max, n)
     # conjugate of the lag-to-frequency kernel: e^{+i h omega}, shape (2H+1, N)
     inverse = resp.grid.phases(np.arange(-h_max, h_max + 1)).conj().T
     raw = resp.operator @ (np.tensordot(inverse, resp.grid.mirror(resp.knot_values), axes=1) / n)
@@ -116,8 +115,7 @@ def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPan
     maturities.  Raises DegenerateTotal if no maturity's observed values vary
     over time, an exact test: the smoothed mean leaves round-off in SS_total.
     """
-    if panel.n_times != macro.n_times:
-        raise ValueError("panel horizons differ between curves and regressors")
+    _check_horizons(panel, macro)
     maturities = panel.maturity_grid.maturities
     pred = predict_panel(fit, macro, maturities)
     mean = fit.mean_curve[_eval_indices(fit, maturities)]

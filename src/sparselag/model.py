@@ -25,6 +25,30 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return out
 
 
+# The estimator's three input rules, each stated here once and checked wherever it applies.
+
+def _check_horizons(panel, macro) -> None:
+    """Curves and regressors cover the same T periods."""
+    if panel.n_times != macro.n_times:
+        raise ValueError(f"panel horizons differ: curves have T={panel.n_times}, regressors T={macro.n_times}")
+
+
+def _check_span(q: int, n_times: float = math.inf) -> None:
+    """The lag window has a span 1 <= q <= T."""
+    if q < 1:
+        raise ValueError(f"q must be a positive integer, got {q}")
+    if q > n_times:
+        raise ValueError(f"window span q={q} exceeds the horizon T={n_times}")
+
+
+def _check_lag_reach(h_max: int, n_omega: int) -> None:
+    """The filter's lags -h_max..h_max fit the quadrature grid: h_max >= 0 and n_omega even, >= 2 h_max + 2."""
+    if h_max < 0:
+        raise ValueError(f"h_max must be nonnegative, got {h_max}")
+    if n_omega % 2 != 0 or n_omega < 2 * h_max + 2:
+        raise ValueError(f"n_omega must be even and >= 2*h_max + 2 = {2 * h_max + 2}, got {n_omega}")
+
+
 @dataclass(frozen=True)
 class MaturityGrid:
     """Ordered quoted maturities tau_1 < ... < tau_I (years), I >= 3."""
@@ -276,18 +300,12 @@ class Config:
             raise ValueError(f"b_mu must lie in (0, 1], got {self.b_mu}")
         if not (0.0 < self.b_r <= 1.0):
             raise ValueError(f"b_r must lie in (0, 1], got {self.b_r}")
-        if self.q < 1:
-            raise ValueError(f"q must be a positive integer, got {self.q}")
-        if self.h_max < 0:
-            raise ValueError(f"h_max must be nonnegative, got {self.h_max}")
+        _check_span(self.q)
+        _check_lag_reach(self.h_max, self.n_omega)
         if self.n_eval < 2:
             raise ValueError(f"n_eval must be at least 2, got {self.n_eval}")
         if not (1.0 < self.cond_threshold < math.inf):
             raise ValueError(f"cond_threshold must be finite and exceed 1, got {self.cond_threshold}")
-        if self.n_omega % 2 != 0 or self.n_omega < 2 * self.h_max + 2:
-            raise ValueError(
-                f"n_omega must be even and >= 2*h_max + 2 = {2 * self.h_max + 2}, got {self.n_omega}"
-            )
 
     @classmethod
     def defaults(cls, n_times: int, n_maturities: int, **overrides) -> "Config":
@@ -304,8 +322,7 @@ class Config:
         )
         base.update(overrides)
         config = cls(**base)
-        if config.q > n_times:
-            raise ValueError(f"window span q={config.q} exceeds the horizon T={n_times}")
+        _check_span(config.q, n_times)
         return config
 
 
@@ -315,8 +332,8 @@ class LaggedRegressionFit:
 
     filter_coef[l, r, j] holds the lag lags[l] coefficient of regressor j at
     evaluation point r; its first axis has odd length 2H+1, so lags = -H..H.
-    The intercept is stored implicitly: together with ``mean_curve`` and
-    ``macro_means`` it is recoverable via :meth:`intercept_curve`.
+    The intercept is stored implicitly: it is
+    ``mean_curve - filter_coef.sum(axis=0) @ macro_means``.
     """
 
     filter_coef: np.ndarray     # (2H+1, R, d)
@@ -366,7 +383,3 @@ class LaggedRegressionFit:
         if idx.size == 0:
             raise ValueError(f"lag {h} outside the stored range {self.lags[0]}..{self.lags[-1]}")
         return int(idx[0])
-
-    def intercept_curve(self) -> np.ndarray:
-        """Implied intercept a(tau) = mean_curve - sum_j sum_h b_h^j * mean_X^j."""
-        return self.mean_curve - self.filter_coef.sum(axis=0) @ self.macro_means

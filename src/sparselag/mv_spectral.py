@@ -29,16 +29,17 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SpectralField, _frozen
+from .model import FrequencyGrid, MacroPanel, SpectralField, _check_span, _frozen
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Lag-h product sums P[l] = sum_t a[t+h]' b[t] for h = l - (q-1) = 1-q..q-1.
 
-    a is (T, m) and b is (T, n); t runs over the rows where both a[t+h] and
+    a is (T, m) and b is (T, n) with 1 <= q <= T; t runs over the rows where both a[t+h] and
     b[t] exist.  Returns shape (2q-1, m, n).  P[:, i, j] is one ``np.correlate``
     of column i of a, zero-padded by q-1 rows at both ends, with column j of b.
     """
+    _check_span(q, len(a))
     padded = np.zeros((a.shape[1], len(a) + 2 * q - 2))
     padded[:, q - 1: q - 1 + len(a)] = a.T
     b_cols = np.ascontiguousarray(b.T, dtype=float)
@@ -50,8 +51,7 @@ def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 def bartlett_weights(q: int) -> np.ndarray:
     """Triangular window weights W_h = 1 - |h|/q for h = -(q-1)..(q-1)."""
-    if q < 1:
-        raise ValueError(f"window span must be a positive integer, got {q}")
+    _check_span(q)
     h = np.arange(1 - q, q)
     return 1.0 - np.abs(h) / q
 
@@ -110,17 +110,9 @@ class AutocovarianceSet:
         """1-q..q-1, read-only: the lag of each matrix."""
         return _frozen(np.arange(1 - self.q, self.q), dtype=int)
 
-    def matrix(self, h: int) -> np.ndarray:
-        idx = h + self.q - 1
-        if not 0 <= idx < len(self.matrices):
-            raise ValueError(f"lag {h} outside |h| < {self.q}")
-        return self.matrices[idx]
-
 
 def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:
     """All autocovariances needed by a span-q window (|h| < q)."""
-    if not 1 <= q <= panel.n_times:
-        raise ValueError(f"window span must satisfy 1 <= q <= T, got q={q}, T={panel.n_times}")
     mean = panel.values.mean(axis=0)
     xc = panel.values - mean
     mats = lagged_products(xc, xc, q) / panel.n_times

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cross_spectral, lagreg, mv_spectral, smoother
-from .model import Config, FrequencyGrid, LaggedRegressionFit, MacroPanel, SparseYieldPanel
+from .model import Config, FrequencyGrid, LaggedRegressionFit, MacroPanel, SparseYieldPanel, _check_horizons
 from .warp import build_warp, warp_apply
 
 
@@ -61,48 +61,41 @@ def _tail_mass(fit: LaggedRegressionFit) -> float:
     return float(per_lag.sum())
 
 
-@np.errstate(over="ignore", invalid="ignore")   # an overflow fails the next finiteness check
 def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = None) -> AnalysisResult:
     """Run the full lagged-regression estimation on a pair of panels."""
-    if panel.n_times != macro.n_times:
-        raise ValueError(
-            f"panel horizons differ: curves have T={panel.n_times}, regressors T={macro.n_times}"
-        )
+    _check_horizons(panel, macro)
     if config is None:
         config = Config.defaults(panel.n_times, panel.n_maturities)
-    if config.q > panel.n_times:
-        raise ValueError(f"window span q={config.q} exceeds the horizon T={panel.n_times}")
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the next finiteness check
+        warp = build_warp(panel.maturity_grid)
+        grid = FrequencyGrid(config.n_omega)
+        eval_warped, knot_idx = evaluation_grid(config.n_eval, panel.n_maturities)
 
-    warp = build_warp(panel.maturity_grid)
-    grid = FrequencyGrid(config.n_omega)
-    eval_warped, knot_idx = evaluation_grid(config.n_eval, panel.n_maturities)
+        mean_curve = smoother.mean_curve_warped(panel, config.b_mu, eval_warped)
+        mean_at_knots = mean_curve[knot_idx]
 
-    mean_curve = smoother.mean_curve_warped(panel, config.b_mu, eval_warped)
-    mean_at_knots = mean_curve[knot_idx]
+        acov = mv_spectral.estimate_autocovariances(macro, config.q)
+        spec_density = mv_spectral.spectral_density_matrix(acov, grid)
 
-    acov = mv_spectral.estimate_autocovariances(macro, config.q)
-    spec_density = mv_spectral.spectral_density_matrix(acov, grid)
+        raw = cross_spectral.raw_cross_cov(panel, macro, mean_at_knots, acov.mean, config.q)
+        cross = cross_spectral.cross_spectral_density(raw, config.b_r, grid, eval_warped)
 
-    raw = cross_spectral.raw_cross_cov(panel, macro, mean_at_knots, acov.mean, config.q)
-    cross = cross_spectral.cross_spectral_density(raw, config.b_r, grid, eval_warped)
+        response = lagreg.frequency_response(cross, spec_density, config.cond_threshold)
+        coef, max_imag = lagreg.filter_coefficients(response, config.h_max)
 
-    response = lagreg.frequency_response(cross, spec_density, config.cond_threshold)
-    coef, max_imag = lagreg.filter_coefficients(response, config.h_max)
-
-    fit = LaggedRegressionFit(
-        filter_coef=coef,
-        eval_tau=np.asarray(warp_apply(warp, eval_warped), dtype=float),
-        eval_warped=eval_warped,
-        mean_curve=mean_curve,
-        macro_means=acov.mean,
-    )
-    fit = replace(fit, r_squared=lagreg.r_squared(panel, fit, macro))
-
-    diagnostics = Diagnostics(
-        max_imag_residual=max_imag,
-        truncation_tail_mass=_tail_mass(fit),
-        max_condition_number=float(spec_density.condition_numbers.max()),
-    )
+        fit = LaggedRegressionFit(
+            filter_coef=coef,
+            eval_tau=np.asarray(warp_apply(warp, eval_warped), dtype=float),
+            eval_warped=eval_warped,
+            mean_curve=mean_curve,
+            macro_means=acov.mean,
+        )
+        fit = replace(fit, r_squared=lagreg.r_squared(panel, fit, macro))
+        diagnostics = Diagnostics(
+            max_imag_residual=max_imag,
+            truncation_tail_mass=_tail_mass(fit),
+            max_condition_number=float(spec_density.condition_numbers.max()),
+        )
     return AnalysisResult(
         config=config,
         fit=fit,

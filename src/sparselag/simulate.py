@@ -162,49 +162,49 @@ class SimulationTruth:
     regression_curves: np.ndarray                # (T, I), noise- and e-free
 
 
-@np.errstate(over="ignore", invalid="ignore")   # an overflow fails the panel's finiteness check
 def simulate_lagged_regression(spec: SyntheticSpec):
     """Generate (SparseYieldPanel, MacroPanel, SimulationTruth) from a spec."""
-    rng = np.random.default_rng(spec.seed)
-    t_len = spec.n_times
-    n_mat = spec.maturity_grid.n_maturities
-    h_ext = spec.max_filter_lag
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the panel's finiteness check
+        rng = np.random.default_rng(spec.seed)
+        t_len = spec.n_times
+        n_mat = spec.maturity_grid.n_maturities
+        h_ext = spec.max_filter_lag
 
-    # One extended VAR path: rows cover t = 1-h_ext .. T+h_ext.
-    dev = _var1_deviations(spec, rng, t_len + 2 * h_ext)
-    tau_tilde = np.linspace(0.0, 1.0, n_mat)
+        # One extended VAR path: rows cover t = 1-h_ext .. T+h_ext.
+        dev = _var1_deviations(spec, rng, t_len + 2 * h_ext)
+        tau_tilde = np.linspace(0.0, 1.0, n_mat)
 
-    curves = np.tile(np.asarray(spec.mean_fn(tau_tilde), dtype=float), (t_len, 1))
-    for (h, j), fn in spec.filter_fns.items():
-        coef = np.asarray(fn(tau_tilde), dtype=float)
-        # X_{t-h} for t = 1..T sits at extended row (t - h) - (1 - h_ext) = t + h_ext - h - 1
-        rows = dev[h_ext - h: h_ext - h + t_len, j]
-        curves = curves + np.outer(rows, coef)
+        curves = np.tile(np.asarray(spec.mean_fn(tau_tilde), dtype=float), (t_len, 1))
+        for (h, j), fn in spec.filter_fns.items():
+            coef = np.asarray(fn(tau_tilde), dtype=float)
+            # X_{t-h} for t = 1..T sits at extended row (t - h) - (1 - h_ext) = t + h_ext - h - 1
+            rows = dev[h_ext - h: h_ext - h + t_len, j]
+            curves = curves + np.outer(rows, coef)
 
-    if spec.curve_error_scale > 0:
-        # Smooth disturbances: shifted-Legendre combination with decaying scores.
-        s = 2.0 * tau_tilde - 1.0
-        basis = np.stack([np.ones_like(s), s, 0.5 * (3 * s * s - 1), 0.5 * (5 * s ** 3 - 3 * s)])
-        amps = spec.curve_error_scale / (1.0 + np.arange(basis.shape[0]))
-        scores = rng.standard_normal((t_len, basis.shape[0])) * amps
-        noisy_curves = curves + scores @ basis
-    else:
-        noisy_curves = curves.copy()
+        if spec.curve_error_scale > 0:
+            # Smooth disturbances: shifted-Legendre combination with decaying scores.
+            s = 2.0 * tau_tilde - 1.0
+            basis = np.stack([np.ones_like(s), s, 0.5 * (3 * s * s - 1), 0.5 * (5 * s ** 3 - 3 * s)])
+            amps = spec.curve_error_scale / (1.0 + np.arange(basis.shape[0]))
+            scores = rng.standard_normal((t_len, basis.shape[0])) * amps
+            noisy_curves = curves + scores @ basis
+        else:
+            noisy_curves = curves.copy()
 
-    if spec.noise_sd > 0:
-        noisy_curves = noisy_curves + spec.noise_sd * rng.standard_normal((t_len, n_mat))
+        if spec.noise_sd > 0:
+            noisy_curves = noisy_curves + spec.noise_sd * rng.standard_normal((t_len, n_mat))
 
-    panel = SparseYieldPanel(values=noisy_curves, observed=np.ones((t_len, n_mat), dtype=bool),
-                             maturity_grid=spec.maturity_grid)
-    macro = MacroPanel(values=spec.macro_mean + dev[h_ext: h_ext + t_len],
-                       series_names=tuple(f"X{j + 1}" for j in range(spec.n_series)))
-    truth = SimulationTruth(
-        tau_warped=tau_tilde,
-        mean_at_maturities=np.asarray(spec.mean_fn(tau_tilde), dtype=float),
-        filter_at_maturities={key: np.asarray(fn(tau_tilde), dtype=float)
-                              for key, fn in spec.filter_fns.items()},
-        regression_curves=curves,
-    )
+        panel = SparseYieldPanel(values=noisy_curves, observed=np.ones((t_len, n_mat), dtype=bool),
+                                 maturity_grid=spec.maturity_grid)
+        macro = MacroPanel(values=spec.macro_mean + dev[h_ext: h_ext + t_len],
+                           series_names=tuple(f"X{j + 1}" for j in range(spec.n_series)))
+        truth = SimulationTruth(
+            tau_warped=tau_tilde,
+            mean_at_maturities=np.asarray(spec.mean_fn(tau_tilde), dtype=float),
+            filter_at_maturities={key: np.asarray(fn(tau_tilde), dtype=float)
+                                  for key, fn in spec.filter_fns.items()},
+            regression_curves=curves,
+        )
     return panel, macro, truth
 
 

@@ -452,8 +452,15 @@ _CONFIG_FAILURES = {     # case: (config text or None for a missing file, messag
     "repeated key": ("q = 2\nq = 3\n", "key 'q' already set on line 1"),
     "malformed line": ("q 2\n", "expected 'key = value'"),
     "non-integer n_eval": ("n_eval = 20.5\n", "invalid literal for int()"),
-    "q above T": ("q = 5\n", "window span q=5 exceeds the horizon T=4"),
     "non-finite cond_threshold": ("cond_threshold = nan\n", "cond_threshold"),
+}
+_RULE_FAILURES = {       # case: (config text, the whole stderr line) for the span and lag-reach rules
+    "q = 0": ("q = 0\n", "error [config] q must be a positive integer, got 0"),
+    "q above T": ("q = 5\n", "error [config] window span q=5 exceeds the horizon T=4"),
+    "h_max = -1": ("h_max = -1\n", "error [config] h_max must be nonnegative, got -1"),
+    "odd n_omega": ("n_omega = 25\n", "error [config] n_omega must be even and >= 2*h_max + 2 = 26, got 25"),
+    "n_omega below the default reach": ("n_omega = 16\n",
+                                        "error [config] n_omega must be even and >= 2*h_max + 2 = 26, got 16"),
 }
 
 
@@ -498,6 +505,13 @@ class TestFailureContract:
         code, err = self._run(tmp_path, capsys, {"yields": _YIELDS, "macro": _MACRO}, config)
         assert code == 2 and len(err) == 1
         assert err[0].startswith("error [config] ") and fragment in err[0]
+
+    @pytest.mark.parametrize("case", _RULE_FAILURES)
+    def test_rule_failure(self, tmp_path, capsys, case):
+        text, line = _RULE_FAILURES[case]
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        assert self._run(tmp_path, capsys, {"yields": _YIELDS, "macro": _MACRO}, config) == (2, [line])
 
     @pytest.mark.parametrize("case", _ESTIMATE_FAILURES)
     def test_estimate_failure(self, tmp_path, capsys, monkeypatch, case):

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from sparselag import Config, FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel
+from sparselag import (Config, FrequencyGrid, FrequencyResponseField, LaggedRegressionFit, MacroPanel,
+                       MaturityGrid, SparseYieldPanel, analyze, bartlett_weights, estimate_autocovariances,
+                       filter_coefficients, r_squared, raw_cross_cov)
+from conftest import field_from_values, random_macro_panel, random_sparse_panel
 
 
 class TestMaturityGrid:
@@ -178,3 +183,57 @@ class TestConfig:
         base.update(kwargs)
         with pytest.raises(ValueError, match=phrase):
             Config(**base)
+
+
+def _rows(macro, n):
+    """The regressor panel cut or extended (by repeating its first row) to n periods."""
+    values = np.resize(macro.values, (n, macro.n_series))
+    return MacroPanel(values, macro.series_names)
+
+
+def _fit(panel):
+    """A zero filter at the panel's maturities: enough for r_squared to reach its checks."""
+    r = panel.n_maturities
+    return LaggedRegressionFit(np.zeros((1, r, 1)), panel.maturity_grid.maturities,
+                               np.linspace(0.0, 1.0, r), np.zeros(r), np.zeros(1))
+
+
+def _response(n_omega):
+    return field_from_values(FrequencyResponseField, FrequencyGrid(n_omega),
+                             np.ones((n_omega, 1, 1), dtype=complex))
+
+
+_HORIZONS = "panel horizons differ: curves have T=30, regressors T={}"
+_RULE_VIOLATIONS = {   # case: (call on a T = 30 curve panel and 1-series regressor panel, message)
+    "analyze, unequal T": (lambda p, x: analyze(p, _rows(x, 31)), _HORIZONS.format(31)),
+    "analyze, Config q > T": (lambda p, x: analyze(p, x, Config(b_mu=0.5, b_r=0.5, q=31)),
+                              "window span q=31 exceeds the horizon T=30"),
+    "raw_cross_cov, q = 0": (lambda p, x: raw_cross_cov(p, x, np.zeros(4), np.zeros(1), 0),
+                             "q must be a positive integer, got 0"),
+    "raw_cross_cov, q > T": (lambda p, x: raw_cross_cov(p, x, np.zeros(4), np.zeros(1), 31),
+                             "window span q=31 exceeds the horizon T=30"),
+    "raw_cross_cov, unequal T": (lambda p, x: raw_cross_cov(p, _rows(x, 31), np.zeros(4), np.zeros(1), 2),
+                                 _HORIZONS.format(31)),
+    "estimate_autocovariances, q = 0": (lambda p, x: estimate_autocovariances(x, 0),
+                                        "q must be a positive integer, got 0"),
+    "estimate_autocovariances, q > T": (lambda p, x: estimate_autocovariances(x, 31),
+                                        "window span q=31 exceeds the horizon T=30"),
+    "bartlett_weights, q = 0": (lambda p, x: bartlett_weights(0), "q must be a positive integer, got 0"),
+    "r_squared, 1-row regressors": (lambda p, x: r_squared(p, _fit(p), _rows(x, 1)), _HORIZONS.format(1)),
+    "filter_coefficients, h_max = -1": (lambda p, x: filter_coefficients(_response(16), -1),
+                                        "h_max must be nonnegative, got -1"),
+    "filter_coefficients, N < 2 h_max + 2": (lambda p, x: filter_coefficients(_response(16), 8),
+                                             "n_omega must be even and >= 2*h_max + 2 = 18, got 16"),
+}
+
+
+class TestInputRules:
+    """Each input rule (equal horizons, window span 1 <= q <= T, lag reach h_max >= 0 and
+    n_omega >= 2 h_max + 2) raises the same ValueError from every public stage that needs it."""
+
+    @pytest.mark.parametrize("case", _RULE_VIOLATIONS)
+    def test_stage_raises_the_rules_error(self, rng, case):
+        call, message = _RULE_VIOLATIONS[case]
+        panel, macro = random_sparse_panel(rng, 30, 4), random_macro_panel(rng, 30, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(panel, macro)

@@ -76,14 +76,6 @@ class TestAnalyze:
         assert result.spectral_density.condition_numbers.shape == (512,)
         assert d.max_condition_number == 1.0    # scalar regressor
 
-    def test_intercept_curve_consistent(self, rng):
-        spec = replace(recovery_spec(seed=2), n_times=150, macro_mean=np.array([3.0]))
-        panel, macro, _ = simulate_lagged_regression(spec)
-        fit = analyze(panel, macro).fit
-        intercept = fit.intercept_curve()
-        rebuilt = intercept + fit.filter_coef.sum(axis=0) @ fit.macro_means
-        assert np.allclose(rebuilt, fit.mean_curve, atol=1e-12)
-
     def test_symmetry_invariants_on_random_instances(self, rng):
         for _ in range(5):
             t_len = int(rng.integers(40, 80))
