@@ -15,9 +15,10 @@ Every product at maturity i sits on the same warped knot, so the fit only
 sees the knot weights sum_h W_h n_{h,i} (n counts the realized products)
 and the knot field Z(omega)_i = sum_h W_h e^{-i h omega} sum_t G.  Both come
 from the primitives of :mod:`sparselag.mv_spectral`: the sums over t are
-lagged products of the centered panels (missing cells set to zero), the
-counts lagged products of the observation mask with a column of ones, and Z
-is the lag-window transform of the sums.  The intercept is then the knot-level
+lagged products of the centered panels (missing cells set to zero), and Z is
+the lag-window transform of the sums.  A count is the number of observed
+cells of a maturity in the rows its lag reaches, a difference of one
+cumulative sum of the observation mask.  The intercept is then the knot-level
 local-linear operator L of :mod:`sparselag.smoother` applied to Z(omega); L
 is real and frequency-free, so one matrix product covers every node.  The
 field keeps Z and (Q/2pi) L: the solve and quadrature of :mod:`sparselag.lagreg`
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _check_horizons, _frozen
+from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _frozen
 from .mv_spectral import bartlett_weights, lag_window_transform, lagged_products
 from .smoother import epanechnikov, local_linear_operator
 
@@ -55,7 +56,6 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
     mean_curve holds mu_Y at the panel's own maturities; macro_means holds
     mu_X.  Missing curve cells are dropped from every (t, i) sum.
     """
-    _check_horizons(panel, macro)
     mean_curve = np.asarray(mean_curve, dtype=float)
     macro_means = np.asarray(macro_means, dtype=float)
     if mean_curve.shape != (panel.n_maturities,):
@@ -64,7 +64,11 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
         raise ValueError("macro_means must hold one value per regressor series")
     y_centered = np.where(panel.observed, panel.values - mean_curve, 0.0)
     sums = lagged_products(y_centered, macro.values - macro_means, q)
-    counts = lagged_products(panel.observed, np.ones((panel.n_times, 1)), q)[:, :, 0]
+    # lag h reaches the curve rows max(h, 0)..T-1+min(h, 0)
+    seen = np.zeros((panel.n_times + 1, panel.n_maturities), dtype=int)
+    np.cumsum(panel.observed, axis=0, out=seen[1:])
+    h = np.arange(1 - q, q)
+    counts = seen[panel.n_times + np.minimum(h, 0)] - seen[np.maximum(h, 0)]
     return RawCrossCovariances(_frozen(sums), _frozen(counts))
 
 

@@ -165,10 +165,12 @@ def _axes(*axis_labels):
 
     The array has shape ``(len(labels) for labels in axis_labels)`` and is
     written in C order; row i of a column holds the label of that axis's index
-    at the array's i-th entry.
+    at the array's i-th entry: each label repeats once per entry of the later
+    axes, and that run repeats once per entry of the earlier ones.
     """
-    index = np.indices([len(axis) for axis in axis_labels]).reshape(len(axis_labels), -1)
-    return [labels(axis)[i] for axis, i in zip(axis_labels, index)]
+    sizes = [len(axis) for axis in axis_labels]
+    return [np.tile(np.repeat(labels(axis), math.prod(sizes[k + 1:]), axis=0), (math.prod(sizes[:k]), 1))
+            for k, axis in enumerate(axis_labels)]
 
 
 def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: MacroPanel,

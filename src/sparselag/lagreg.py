@@ -96,10 +96,16 @@ def predict_panel(fit: LaggedRegressionFit, macro: MacroPanel, eval_points=None)
     is one product of the zero-padded lag design with its filter, whatever else is asked.
     """
     cols = np.arange(fit.mean_curve.size) if eval_points is None else _eval_indices(fit, eval_points)
+    return _predict_columns(fit, macro, cols)
+
+
+def _predict_columns(fit: LaggedRegressionFit, macro: MacroPanel, cols) -> np.ndarray:
+    """Predicted curves (T, len(cols)) at the evaluation-grid columns cols."""
     if macro.n_series != fit.n_series:
         raise ValueError("fit and regressor panel disagree on the number of series")
     t_len, reach = macro.n_times, fit.lags.size // 2
-    padded = np.pad(macro.values - fit.macro_means, ((reach, reach), (0, 0)))
+    padded = np.zeros((t_len + 2 * reach, macro.n_series))
+    np.subtract(macro.values, fit.macro_means, out=padded[reach: reach + t_len])
     # window t covers rows t - reach..t + reach; reversed, its entry l is X_{t-h} - mu_X at h = lags[l]
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * reach + 1, axis=0)[:, :, ::-1]
     design = np.ascontiguousarray(windows).reshape(t_len, -1)     # column j * n_lags + l
@@ -115,10 +121,10 @@ def r_squared(panel: SparseYieldPanel, fit: LaggedRegressionFit, macro: MacroPan
     maturities.  Raises DegenerateTotal if no maturity's observed values vary
     over time, an exact test: the smoothed mean leaves round-off in SS_total.
     """
-    _check_horizons(panel, macro)
-    maturities = panel.maturity_grid.maturities
-    pred = predict_panel(fit, macro, maturities)
-    mean = fit.mean_curve[_eval_indices(fit, maturities)]
+    _check_horizons(panel.n_times, macro.n_times)
+    cols = _eval_indices(fit, panel.maturity_grid.maturities)
+    pred = _predict_columns(fit, macro, cols)
+    mean = fit.mean_curve[cols]
     obs = panel.observed
     resid = np.where(obs, panel.values - pred, 0.0)
     total = np.where(obs, panel.values - mean, 0.0)

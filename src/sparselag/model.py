@@ -27,10 +27,10 @@ def _frozen(values, dtype=float) -> np.ndarray:
 
 # The estimator's three input rules, each stated here once and checked wherever it applies.
 
-def _check_horizons(panel, macro) -> None:
-    """Curves and regressors cover the same T periods."""
-    if panel.n_times != macro.n_times:
-        raise ValueError(f"panel horizons differ: curves have T={panel.n_times}, regressors T={macro.n_times}")
+def _check_horizons(n_curves: int, n_regressors: int) -> None:
+    """Curves and regressors cover the same T periods: their row counts are equal."""
+    if n_curves != n_regressors:
+        raise ValueError(f"panel horizons differ: curves have T={n_curves}, regressors T={n_regressors}")
 
 
 def _check_span(q: int, n_times: float = math.inf) -> None:
@@ -200,7 +200,7 @@ class FrequencyGrid:
         n = self.n_nodes
         half = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
         half[-1] = -1.0                  # e^{-i pi} exactly, so root N/2 is its own conjugate
-        return self.mirror(half)[np.outer(np.arange(n) - n // 2, lags) % n]
+        return self.mirror(half).take(np.outer(np.arange(n) - n // 2, lags), mode="wrap")
 
     def mirror(self, half: np.ndarray) -> np.ndarray:
         """All N nodes (axis 0), read-only, from nodes k = 0..N/2: node N - k is the conjugate of node k."""

@@ -16,10 +16,12 @@ the same field type as the cross-spectral and response fields, checked on the
 nodes it holds: its knot values are the half, its operator the identity.
 
 Two primitives serve both spectral estimates: :func:`lagged_products` builds
-the lag-h product sums, one ``np.correlate`` (2Q-1 BLAS dots) per column pair
-of the zero-padded panels (here the regressors with themselves; in
-:mod:`sparselag.cross_spectral` the curves with the regressors), and
-:func:`lag_window_transform` takes any stack of lag values to frequency.
+the lag-h product sums of two panels over the same T periods, one
+``np.correlate`` (2Q-1 BLAS dots) per column pair of the zero-padded panels
+(here the regressors with themselves; in :mod:`sparselag.cross_spectral` the
+centered curves with the regressors, whose observation counts need no
+products), and :func:`lag_window_transform` takes any stack of lag values to
+frequency.
 """
 
 from __future__ import annotations
@@ -29,16 +31,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SpectralField, _check_span, _frozen
+from .model import FrequencyGrid, MacroPanel, SpectralField, _check_horizons, _check_span, _frozen
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Lag-h product sums P[l] = sum_t a[t+h]' b[t] for h = l - (q-1) = 1-q..q-1.
 
-    a is (T, m) and b is (T, n) with 1 <= q <= T; t runs over the rows where both a[t+h] and
-    b[t] exist.  Returns shape (2q-1, m, n).  P[:, i, j] is one ``np.correlate``
-    of column i of a, zero-padded by q-1 rows at both ends, with column j of b.
+    a is (T, m) and b is (T, n) with 1 <= q <= T, the rows of a read as curves and those of b
+    as regressors; t runs over the rows where both a[t+h] and b[t] exist.  Returns shape
+    (2q-1, m, n).  P[:, i, j] is one ``np.correlate`` of column i of a, zero-padded by q-1
+    rows at both ends, with column j of b.
     """
+    _check_horizons(len(a), len(b))
     _check_span(q, len(a))
     padded = np.zeros((a.shape[1], len(a) + 2 * q - 2))
     padded[:, q - 1: q - 1 + len(a)] = a.T

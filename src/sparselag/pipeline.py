@@ -63,7 +63,7 @@ def _tail_mass(fit: LaggedRegressionFit) -> float:
 
 def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = None) -> AnalysisResult:
     """Run the full lagged-regression estimation on a pair of panels."""
-    _check_horizons(panel, macro)
+    _check_horizons(panel.n_times, macro.n_times)
     if config is None:
         config = Config.defaults(panel.n_times, panel.n_maturities)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the next finiteness check

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,19 @@ def sim_dir(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     return out
+
+
+def _failed_run(capsys, argv, out):
+    """Run a failing ``cli.main(argv)`` in process; return its exit code and stderr lines once
+    it is seen to have warned of nothing and written nothing, neither ``out`` nor a staged
+    ``.partial`` sibling."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+    assert not [p for p in out.parent.iterdir() if p.name.endswith(".partial")]
+    return code, capsys.readouterr().err.splitlines()
 
 
 def _run_module(*args):
@@ -102,26 +116,26 @@ class TestSimulateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
 
     def test_overflowing_mean_curve_prints_one_error_line(self, tmp_path):
+        # the one fresh interpreter among these cases: its real stderr holds no traceback or warning
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("t = 50\nmaturities = 0.25, 1, 5, 10\nar = 0.5\nmean_poly = 1e308, 1e308\n")
         out = tmp_path / "o"
         proc = _run_module("simulate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error [simulate] observed values must all be finite"]
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [
         "innovation_cov = 1e300\nfilter_h0_j1 = 1e300\n",
         "curve_error_scale = 1e308\n",
     ])
-    def test_overflowing_curves_print_one_error_line(self, tmp_path, extra):
+    def test_overflowing_curves_print_one_error_line(self, tmp_path, capsys, extra):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("t = 50\nmaturities = 0.25, 1, 5, 10\nar = 0.5\n" + extra)
         out = tmp_path / "o"
-        proc = _run_module("simulate", "--config", str(cfg), "--out", str(out))
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == ["error [simulate] observed values must all be finite"]
-        assert not out.exists()
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        assert _failed_run(capsys, argv, out) == (1, ["error [simulate] observed values must all be finite"])
 
     @pytest.mark.parametrize("extra, flags, message", [
         ("curve_error_scale = nan\n", (), "noise scales must be finite and nonnegative"),
@@ -131,15 +145,13 @@ class TestSimulateCommand:
         ("seed = -1\n", (), "seed must be nonnegative, got -1"),
         ("", ("--seed", "-1"), "seed must be nonnegative, got -1"),
     ])
-    def test_non_finite_or_negative_values_are_config_errors(self, tmp_path, extra, flags,
+    def test_non_finite_or_negative_values_are_config_errors(self, tmp_path, capsys, extra, flags,
                                                              message):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("t = 50\nmaturities = 1, 2, 5\nar = 0.5\n" + extra)
         out = tmp_path / "o"
-        proc = _run_module("simulate", "--config", str(cfg), "--out", str(out), *flags)
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [f"error [config] {message}"]
-        assert not out.exists()
+        argv = ["simulate", "--config", str(cfg), "--out", str(out), *flags]
+        assert _failed_run(capsys, argv, out) == (2, [f"error [config] {message}"])
 
     def test_recovery_files_equal_the_matrix_loop_files(self, sim_dir, tmp_path, monkeypatch):
         monkeypatch.setattr(simulate, "_var1_deviations", loop_var1_deviations)
@@ -483,11 +495,7 @@ class TestFailureContract:
                 "--out", str(tmp_path / "out")]
         if config is not None:
             argv += ["--config", str(config)]
-        code = main(argv)
-        err = capsys.readouterr().err.splitlines()
-        assert not (tmp_path / "out").exists()
-        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".partial")]
-        return code, err
+        return _failed_run(capsys, argv, tmp_path / "out")
 
     @pytest.mark.parametrize("case", _LOAD_FAILURES)
     def test_load_failure(self, tmp_path, capsys, case):

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sparselag import (FrequencyGrid, MacroPanel, MaturityGrid, RawCrossCovariances,
                        SparseYieldPanel, cross_spectral_density, mean_curve_warped,
                        naive_cross_spectral_density, raw_cross_cov)
+from sparselag.mv_spectral import lagged_products
 from conftest import random_macro_panel, random_sparse_panel
 
 
@@ -67,6 +69,23 @@ class TestRawCrossCov:
         assert np.array_equal(counts[1], panel.observed.sum(axis=0))
         assert np.array_equal(counts[2], panel.observed[1:].sum(axis=0))
         assert np.array_equal(counts[0], panel.observed[:-1].sum(axis=0))
+
+    def test_counts_are_lagged_products_of_the_mask(self):
+        # the counts' definition holds for any mask, so the cases run on a bare stand-in for
+        # the panel: the panel type itself forbids empty columns and fewer than 3 maturities
+        rng = np.random.default_rng(20231)
+        for case in range(60):
+            t_len, n_mat = int(rng.integers(1, 301)), int(rng.integers(1, 10))
+            share = [0.0, 1.0, rng.random()][case % 3]
+            observed = rng.random((t_len, n_mat)) >= share
+            observed[:, rng.integers(n_mat)] = case % 3 != 2    # one column empty or full
+            panel = SimpleNamespace(values=np.where(observed, 1.0, np.nan), observed=observed,
+                                    n_times=t_len, n_maturities=n_mat)
+            macro = random_macro_panel(rng, t_len, 1)
+            for q in {1, int(rng.integers(1, t_len + 1)), t_len}:
+                raw = raw_cross_cov(panel, macro, np.zeros(n_mat), np.zeros(1), q)
+                oracle = lagged_products(observed, np.ones((t_len, 1)), q)[:, :, 0]
+                assert np.array_equal(raw.counts, oracle), (case, t_len, n_mat, q)
 
     def test_horizon_mismatch_rejected(self, rng):
         panel = random_sparse_panel(rng, 10, 3)

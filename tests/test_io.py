@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import tempfile
 from dataclasses import replace
@@ -15,6 +16,7 @@ from sparselag import (Config, MacroPanel, MaturityGrid, ParseError, ResultBundl
                        simulate_lagged_regression, write_macro_csv, write_results,
                        write_yields_csv)
 from sparselag import io as sio
+from sparselag._floattext import lines
 from sparselag.io import sha256_digest
 from conftest import random_macro_panel, random_sparse_panel
 from oracles import naive_result_rows
@@ -366,6 +368,12 @@ class TestResultRowsMatchOracle:
         cells = {cell for table in rows.values() for row in table for cell in row}
         assert any("e-" in cell for cell in cells)
         assert "" in {row[2] for row in rows["fitted"]}
+
+    @pytest.mark.parametrize("sizes", [(3,), (0, 2), (2, 1, 3), (1, 4, 0), (3, 2, 2, 1)])
+    def test_label_columns_follow_c_order(self, sizes):
+        axes = [[b"a" * (k + i % 2) + b"%d" % i for i in range(n)] for k, n in enumerate(sizes)]
+        expected = b"".join(b",".join(row) + b"\n" for row in itertools.product(*axes))
+        assert lines(*sio._axes(*axes)) == expected
 
     def test_signed_zero_and_exponents_format_like_oracle(self):
         result, panel, macro = _sparse_analysis(3, 7)

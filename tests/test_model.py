@@ -6,6 +6,7 @@ import pytest
 from sparselag import (Config, FrequencyGrid, FrequencyResponseField, LaggedRegressionFit, MacroPanel,
                        MaturityGrid, SparseYieldPanel, analyze, bartlett_weights, estimate_autocovariances,
                        filter_coefficients, r_squared, raw_cross_cov)
+from sparselag.mv_spectral import lagged_products
 from conftest import field_from_values, random_macro_panel, random_sparse_panel
 
 
@@ -214,6 +215,10 @@ _RULE_VIOLATIONS = {   # case: (call on a T = 30 curve panel and 1-series regres
                              "window span q=31 exceeds the horizon T=30"),
     "raw_cross_cov, unequal T": (lambda p, x: raw_cross_cov(p, _rows(x, 31), np.zeros(4), np.zeros(1), 2),
                                  _HORIZONS.format(31)),
+    "lagged_products, longer regressors": (lambda p, x: lagged_products(p.observed, _rows(x, 31).values, 2),
+                                           _HORIZONS.format(31)),
+    "lagged_products, shorter regressors": (lambda p, x: lagged_products(p.observed, _rows(x, 29).values, 2),
+                                            _HORIZONS.format(29)),
     "estimate_autocovariances, q = 0": (lambda p, x: estimate_autocovariances(x, 0),
                                         "q must be a positive integer, got 0"),
     "estimate_autocovariances, q > T": (lambda p, x: estimate_autocovariances(x, 31),
