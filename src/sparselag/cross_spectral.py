@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _frozen
+from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _lag_axis, _store
 from .mv_spectral import bartlett_weights, lag_window_transform, lagged_products
 from .smoother import epanechnikov, local_linear_operator
 
@@ -42,11 +42,15 @@ class RawCrossCovariances:
     """The centered products G aggregated over t, which is all the smoother needs.
 
     sums[l, i, j] = sum_t G[h, t, i, j] and counts[l, i] = number of realized
-    products at maturity i, for lags h = l - (q-1) = 1-q..q-1; q is read from len(sums).
+    products at maturity i, for lags h = lags[l] = 1-q..q-1; ``lags`` is read from sums.
     """
 
     sums: np.ndarray      # (2q-1, I, d)
     counts: np.ndarray    # (2q-1, I)
+
+    def __post_init__(self):
+        sums, counts = np.asarray(self.sums, dtype=float), np.asarray(self.counts, dtype=float)
+        _store(self, sums=sums, counts=counts, lags=_lag_axis("sums", sums, 3, counts=counts))
 
 
 def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
@@ -69,7 +73,7 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
     np.cumsum(panel.observed, axis=0, out=seen[1:])
     h = np.arange(1 - q, q)
     counts = seen[panel.n_times + np.minimum(h, 0)] - seen[np.maximum(h, 0)]
-    return RawCrossCovariances(_frozen(sums), _frozen(counts))
+    return RawCrossCovariances(sums, counts)
 
 
 class CrossSpectralField(SpectralField):
@@ -82,7 +86,7 @@ def cross_spectral_density(raw: RawCrossCovariances, b_r: float, grid: Frequency
                            eval_warped) -> CrossSpectralField:
     """Smoothed cross-spectral density: the knot operator applied to the knot field."""
     eval_warped = np.atleast_1d(np.asarray(eval_warped, dtype=float))
-    q = (len(raw.sums) + 1) // 2
+    q = int(raw.lags[-1]) + 1
     operator = local_linear_operator(bartlett_weights(q) @ raw.counts, eval_warped, b_r)
     knot_field = lag_window_transform(raw.sums, grid)   # (N/2+1, I, d): sum_l W_l e^{-i h_l omega} A_l
     return CrossSpectralField.from_knots(grid, knot_field, q / (2.0 * np.pi) * operator)

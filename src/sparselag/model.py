@@ -1,8 +1,8 @@
 """Shared domain types: panels, grids, configuration, and the fitted model.
 
 Pure data module. Every type validates its invariants on construction and is
-immutable afterwards (backing arrays are marked read-only), so instances can
-be shared across concurrent workers without copying.
+immutable afterwards (it stores read-only copies of its arrays), so instances
+can be shared across concurrent workers without copying.
 
 Units follow the monthly yield-curve convention: maturities in years, curve
 and regressor values in percent, lags in sampling periods (months).
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -19,13 +20,36 @@ from typing import Optional
 import numpy as np
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype, order="C")
-    out.flags.writeable = False
-    return out
+# Two construction facts the value types share, then the estimator's three input rules: each stated once.
+
+def _frozen(values, dtype=None):
+    """The read-only copy of an array field: a C-ordered array (of dtype, if given) that no caller can write.
+    An array already so that owns its memory is kept; a mapping becomes a new dict of such arrays."""
+    if isinstance(values, Mapping):
+        return {key: _frozen(item, dtype) for key, item in values.items()}
+    if not (type(values) is np.ndarray and dtype in (None, values.dtype) and values.base is None
+            and values.flags.c_contiguous and not values.flags.writeable):
+        values = np.array(values, dtype=dtype, order="C")
+        values.flags.writeable = False
+    return values
 
 
-# The estimator's three input rules, each stated here once and checked wherever it applies.
+def _store(instance, **arrays) -> None:
+    """Set each named array field of a frozen dataclass instance to its read-only copy."""
+    for name, values in arrays.items():
+        object.__setattr__(instance, name, _frozen(values))
+
+
+def _lag_axis(name: str, stack: np.ndarray, ndim: int, counts: Optional[np.ndarray] = None) -> np.ndarray:
+    """The lag-stack format: a stack has ndim axes, the first an odd number 2H+1 of lags with lag h at
+    index h + H; its counts, if any, have its shape without the last axis.  Returns the read-only lags."""
+    if stack.ndim != ndim or len(stack) % 2 == 0:
+        raise ValueError(f"{name} must have {ndim} axes, the first an odd number of lags (2H+1 lags -H..H), "
+                         f"got shape {stack.shape}")
+    if counts is not None and counts.shape != stack.shape[:-1]:
+        raise ValueError(f"counts must have shape {stack.shape[:-1]}, as {name} without its last axis")
+    return _frozen(np.arange(len(stack)) - len(stack) // 2)
+
 
 def _check_horizons(n_curves: int, n_regressors: int) -> None:
     """Curves and regressors cover the same T periods: their row counts are equal."""
@@ -67,7 +91,7 @@ class MaturityGrid:
             raise ValueError("maturities must be nonnegative")
         if np.any(np.diff(m) <= 0):
             raise ValueError("maturities must be strictly increasing")
-        object.__setattr__(self, "maturities", _frozen(m))
+        _store(self, maturities=m)
 
     @property
     def n_maturities(self) -> int:
@@ -88,8 +112,7 @@ class SparseYieldPanel:
     maturity_grid: MaturityGrid
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        observed = np.asarray(self.observed, dtype=bool)
+        values, observed = np.asarray(self.values, dtype=float), np.asarray(self.observed, dtype=bool)
         if values.ndim != 2:
             raise ValueError("panel values must be a T x I matrix")
         if observed.shape != values.shape:
@@ -109,9 +132,7 @@ class SparseYieldPanel:
             raise ValueError(f"every maturity needs at least one observation; column {i + 1} is empty")
         if not np.all(np.isfinite(values[observed])):
             raise ValueError("observed values must all be finite")
-        values = np.where(observed, values, np.nan)
-        object.__setattr__(self, "values", _frozen(values))
-        object.__setattr__(self, "observed", _frozen(observed, dtype=bool))
+        _store(self, values=np.where(observed, values, np.nan), observed=observed)
 
     @classmethod
     def from_values(cls, values, maturity_grid: MaturityGrid) -> "SparseYieldPanel":
@@ -153,7 +174,7 @@ class MacroPanel:
                                  "or contains a comma, quote or line break")
             if name in names[:k]:
                 raise ValueError(f"duplicate series name {name!r}")
-        object.__setattr__(self, "values", _frozen(values))
+        _store(self, values=values)
         object.__setattr__(self, "series_names", names)
 
     @property
@@ -229,7 +250,7 @@ class SpectralField:
 
     @classmethod
     def from_knots(cls, grid: FrequencyGrid, knot_values, operator):
-        knot_values, operator = _frozen(knot_values, dtype=complex), _frozen(operator)
+        knot_values, operator = _frozen(knot_values, dtype=complex), _frozen(operator, dtype=float)
         if (knot_values.ndim != 3 or len(knot_values) != grid.n_nodes // 2 + 1
                 or operator.shape[1:] != knot_values.shape[1:2]):
             raise ValueError("knot values must have shape (n_nodes/2 + 1, I, d) and the operator (R, I)")
@@ -331,7 +352,7 @@ class LaggedRegressionFit:
     """Fitted lagged-regression filter on a grid of evaluation points.
 
     filter_coef[l, r, j] holds the lag lags[l] coefficient of regressor j at
-    evaluation point r; its first axis has odd length 2H+1, so lags = -H..H.
+    evaluation point r; its first axis is a lag stack, so lags = -H..H.
     The intercept is stored implicitly: it is
     ``mean_curve - filter_coef.sum(axis=0) @ macro_means``.
     """
@@ -344,16 +365,9 @@ class LaggedRegressionFit:
     r_squared: Optional[float] = None
 
     def __post_init__(self):
-        coef = np.asarray(self.filter_coef, dtype=float)
-        eval_tau = np.asarray(self.eval_tau, dtype=float)
-        eval_warped = np.asarray(self.eval_warped, dtype=float)
-        mean_curve = np.asarray(self.mean_curve, dtype=float)
-        macro_means = np.asarray(self.macro_means, dtype=float)
-        if coef.ndim != 3:
-            raise ValueError("filter_coef must have shape (n_lags, n_eval, n_series)")
-        n_lags, n_eval, _ = coef.shape
-        if n_lags % 2 == 0:
-            raise ValueError(f"filter_coef must hold 2H+1 lags -H..H along its first axis, got {n_lags}")
+        coef, eval_tau, eval_warped, mean_curve, macro_means = (np.asarray(v, dtype=float) for v in (
+            self.filter_coef, self.eval_tau, self.eval_warped, self.mean_curve, self.macro_means))
+        lags, n_eval = _lag_axis("filter_coef", coef, 3), coef.shape[1]
         if eval_tau.shape != (n_eval,) or eval_warped.shape != (n_eval,) or mean_curve.shape != (n_eval,):
             raise ValueError("evaluation grids and mean curve must match filter_coef")
         if not np.all(np.isfinite(coef)):
@@ -362,24 +376,14 @@ class LaggedRegressionFit:
             raise ValueError("stored means must be finite")
         if self.r_squared is not None and not (self.r_squared <= 1.0):
             raise ValueError(f"r_squared cannot exceed 1, got {self.r_squared}")
-        object.__setattr__(self, "filter_coef", _frozen(coef))
-        object.__setattr__(self, "eval_tau", _frozen(eval_tau))
-        object.__setattr__(self, "eval_warped", _frozen(eval_warped))
-        object.__setattr__(self, "mean_curve", _frozen(mean_curve))
-        object.__setattr__(self, "macro_means", _frozen(macro_means))
+        _store(self, filter_coef=coef, eval_tau=eval_tau, eval_warped=eval_warped, mean_curve=mean_curve,
+               macro_means=macro_means, lags=lags)    # lags: -H..H, the lag of each row of filter_coef
 
     @property
     def n_series(self) -> int:
         return self.filter_coef.shape[2]
 
-    @cached_property
-    def lags(self) -> np.ndarray:
-        """-H..H, read-only: the lag of each row of filter_coef."""
-        n = len(self.filter_coef)
-        return _frozen(np.arange(n) - n // 2, dtype=int)
-
     def lag_index(self, h: int) -> int:
-        idx = np.flatnonzero(self.lags == h)
-        if idx.size == 0:
+        if h not in self.lags:
             raise ValueError(f"lag {h} outside the stored range {self.lags[0]}..{self.lags[-1]}")
-        return int(idx[0])
+        return int(h + self.lags[-1])

@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SpectralField, _check_horizons, _check_span, _frozen
+from .model import FrequencyGrid, MacroPanel, SpectralField, _check_horizons, _check_span, _frozen, _lag_axis, _store
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -63,8 +63,7 @@ def bartlett_weights(q: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def lag_window_kernel(grid: FrequencyGrid, q: int) -> np.ndarray:
     """The read-only (N/2+1, 2q-1) weighted phases W_h e^{-i h omega_k}, h = 1-q..q-1, k <= N/2."""
-    return _frozen(grid.phases(np.arange(1 - q, q))[: grid.n_nodes // 2 + 1] * bartlett_weights(q),
-                   dtype=complex)
+    return _frozen(grid.phases(np.arange(1 - q, q))[: grid.n_nodes // 2 + 1] * bartlett_weights(q))
 
 
 def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -72,25 +71,26 @@ def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndar
 
     Returns shape (N/2+1, *lag_values.shape[1:]), nodes k <= N/2, without the 1/2pi factor.
     """
-    return np.tensordot(lag_window_kernel(grid, (lag_values.shape[0] + 1) // 2), lag_values, axes=1)
+    q = int(_lag_axis("lag values", lag_values, lag_values.ndim)[-1]) + 1
+    return np.tensordot(lag_window_kernel(grid, q), lag_values, axes=1)
 
 
 @dataclass(frozen=True)
 class AutocovarianceSet:
-    """Autocovariances for lags -(q-1)..(q-1), plus the empirical mean; q is read from matrices."""
+    """Autocovariances for lags -(q-1)..(q-1), plus the empirical mean; ``lags`` and q are read from matrices."""
 
     matrices: np.ndarray    # (2q-1, d, d)
     mean: np.ndarray        # (d,)
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=float)
-        mean = np.asarray(self.mean, dtype=float)
-        if mats.ndim != 3 or len(mats) % 2 == 0 or mats.shape[1:] != (mean.size, mean.size):
-            raise ValueError("matrices must have shape (2q-1, d, d), an odd number of lags")
+        mats, mean = np.asarray(self.matrices, dtype=float), np.asarray(self.mean, dtype=float)
+        lags = _lag_axis("matrices", mats, 3)
+        if mats.shape[1:] != (mean.size, mean.size):
+            raise ValueError("matrices must have shape (2q-1, d, d)")
         finite = np.isfinite(mats).all(axis=(1, 2))
         if not finite.all():
-            raise ValueError(f"autocovariance at lag {np.argmin(finite) - len(mats) // 2} not finite")
-        center = len(mats) // 2
+            raise ValueError(f"autocovariance at lag {lags[np.argmin(finite)]} not finite")
+        center = lags[-1]       # the index of lag 0
         # mirrored[k - 1] says whether R_{-k} = R_k' for k = 1..q-1
         mirrored = (mats[:center][::-1] == np.swapaxes(mats[center + 1:], 1, 2)).all(axis=(1, 2))
         if not mirrored.all():
@@ -102,17 +102,11 @@ class AutocovarianceSet:
             raise ValueError("lag-0 autocovariance must be symmetric")
         if not np.linalg.eigvalsh(0.5 * (r0 + r0.T)).min() >= -1e-10 * scale:
             raise ValueError("lag-0 autocovariance must be positive semidefinite")
-        object.__setattr__(self, "matrices", _frozen(mats))
-        object.__setattr__(self, "mean", _frozen(mean))
+        _store(self, matrices=mats, mean=mean, lags=lags)
 
     @property
     def q(self) -> int:
-        return (len(self.matrices) + 1) // 2
-
-    @cached_property
-    def lags(self) -> np.ndarray:
-        """1-q..q-1, read-only: the lag of each matrix."""
-        return _frozen(np.arange(1 - self.q, self.q), dtype=int)
+        return int(self.lags[-1]) + 1
 
 
 def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:

@@ -45,18 +45,12 @@ def evaluation_grid(n_eval: int, n_maturities: int):
     base = np.linspace(0.0, 1.0, n_eval)
     knots = np.linspace(0.0, 1.0, n_maturities)
     grid = np.unique(np.concatenate([base, knots]))
-    knot_idx = np.searchsorted(grid, knots)
-    if not np.array_equal(grid[knot_idx], knots):
-        raise AssertionError("maturity knots lost while merging evaluation grids")
-    return grid, knot_idx
+    return grid, np.searchsorted(grid, knots)
 
 
 def _tail_mass(fit: LaggedRegressionFit) -> float:
     """Truncation diagnostic: sum of RMS filter norms at |h| in {h_max-1, h_max}."""
-    h_max = len(fit.lags) // 2
-    if h_max == 0:
-        return 0.0
-    edge = np.abs(fit.lags) >= max(h_max - 1, 1)
+    edge = np.abs(fit.lags) >= max(int(fit.lags[-1]) - 1, 1)     # none when h_max = 0
     per_lag = np.sqrt(np.mean(fit.filter_coef[edge] ** 2, axis=(1, 2)))
     return float(per_lag.sum())
 

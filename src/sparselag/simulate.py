@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel
+from .model import FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel, _store
 
 _BURN_IN = 500  # spectral radius <= 0.95 decays below 1e-10 well within this
 
@@ -48,7 +48,7 @@ class SyntheticSpec:
 
     ``filter_fns`` maps (lag h, series j) to the coefficient function of the
     warped coordinate; ``mean_fn`` is the mean curve in warped coordinates.
-    Series indices are zero-based.
+    Series indices are zero-based.  The spec holds read-only copies of its arrays.
     """
 
     maturity_grid: MaturityGrid
@@ -63,8 +63,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.ar_coef, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.innovation_cov, dtype=float))
+        a, cov = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (self.ar_coef, self.innovation_cov))
         mean = np.atleast_1d(np.asarray(self.macro_mean, dtype=float))
         d = a.shape[0]
         if a.shape != (d, d) or cov.shape != (d, d) or mean.shape != (d,):
@@ -90,9 +89,7 @@ class SyntheticSpec:
         for _, j in self.filter_fns:
             if not 0 <= j < d:
                 raise ValueError(f"filter series index {j} outside 0..{d - 1}")
-        object.__setattr__(self, "ar_coef", a)
-        object.__setattr__(self, "innovation_cov", cov)
-        object.__setattr__(self, "macro_mean", mean)
+        _store(self, ar_coef=a, innovation_cov=cov, macro_mean=mean)
 
     @property
     def n_series(self) -> int:
@@ -154,16 +151,20 @@ def var1_spectral_density(ar_coef, innovation_cov, grid: FrequencyGrid) -> np.nd
 
 @dataclass(frozen=True)
 class SimulationTruth:
-    """Ground truth emitted next to a synthetic data set."""
+    """Ground truth emitted next to a synthetic data set, held as read-only copies."""
 
     tau_warped: np.ndarray                       # (I,) warped maturity knots
     mean_at_maturities: np.ndarray               # (I,)
     filter_at_maturities: dict                   # (h, j) -> (I,)
     regression_curves: np.ndarray                # (T, I), noise- and e-free
 
+    def __post_init__(self):
+        _store(self, **vars(self))
+
 
 def simulate_lagged_regression(spec: SyntheticSpec):
-    """Generate (SparseYieldPanel, MacroPanel, SimulationTruth) from a spec."""
+    """Generate (SparseYieldPanel, MacroPanel, SimulationTruth) from a spec; the truth holds the one
+    evaluation of the mean and of each filter function at the warped knots, and the curves built from them."""
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the panel's finiteness check
         rng = np.random.default_rng(spec.seed)
         t_len = spec.n_times
@@ -173,14 +174,16 @@ def simulate_lagged_regression(spec: SyntheticSpec):
         # One extended VAR path: rows cover t = 1-h_ext .. T+h_ext.
         dev = _var1_deviations(spec, rng, t_len + 2 * h_ext)
         tau_tilde = np.linspace(0.0, 1.0, n_mat)
+        mean = np.asarray(spec.mean_fn(tau_tilde), dtype=float)
+        coefs = {key: np.asarray(fn(tau_tilde), dtype=float) for key, fn in spec.filter_fns.items()}
 
-        curves = np.tile(np.asarray(spec.mean_fn(tau_tilde), dtype=float), (t_len, 1))
-        for (h, j), fn in spec.filter_fns.items():
-            coef = np.asarray(fn(tau_tilde), dtype=float)
+        curves = np.tile(mean, (t_len, 1))
+        for (h, j), coef in coefs.items():
             # X_{t-h} for t = 1..T sits at extended row (t - h) - (1 - h_ext) = t + h_ext - h - 1
             rows = dev[h_ext - h: h_ext - h + t_len, j]
             curves = curves + np.outer(rows, coef)
 
+        noisy_curves = curves
         if spec.curve_error_scale > 0:
             # Smooth disturbances: shifted-Legendre combination with decaying scores.
             s = 2.0 * tau_tilde - 1.0
@@ -188,8 +191,6 @@ def simulate_lagged_regression(spec: SyntheticSpec):
             amps = spec.curve_error_scale / (1.0 + np.arange(basis.shape[0]))
             scores = rng.standard_normal((t_len, basis.shape[0])) * amps
             noisy_curves = curves + scores @ basis
-        else:
-            noisy_curves = curves.copy()
 
         if spec.noise_sd > 0:
             noisy_curves = noisy_curves + spec.noise_sd * rng.standard_normal((t_len, n_mat))
@@ -198,13 +199,9 @@ def simulate_lagged_regression(spec: SyntheticSpec):
                                  maturity_grid=spec.maturity_grid)
         macro = MacroPanel(values=spec.macro_mean + dev[h_ext: h_ext + t_len],
                            series_names=tuple(f"X{j + 1}" for j in range(spec.n_series)))
-        truth = SimulationTruth(
-            tau_warped=tau_tilde,
-            mean_at_maturities=np.asarray(spec.mean_fn(tau_tilde), dtype=float),
-            filter_at_maturities={key: np.asarray(fn(tau_tilde), dtype=float)
-                                  for key, fn in spec.filter_fns.items()},
-            regression_curves=curves,
-        )
+        curves.flags.writeable = False      # frozen in place, so the truth need not copy it
+        truth = SimulationTruth(tau_warped=tau_tilde, mean_at_maturities=mean,
+                                filter_at_maturities=coefs, regression_curves=curves)
     return panel, macro, truth
 
 

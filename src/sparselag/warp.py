@@ -16,18 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MaturityGrid, _frozen
+from .model import MaturityGrid, _store
 
 _DOMAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Warp:
-    """Piecewise-cubic monotone interpolant through ((i-1)/(I-1), tau_i)."""
+    """Piecewise-cubic monotone interpolant through ((i-1)/(I-1), tau_i); it holds read-only copies."""
 
     knots_x: np.ndarray   # (I,) equidistant in [0, 1]
     knots_y: np.ndarray   # (I,) maturities
     slopes: np.ndarray    # (I,) limited endpoint derivatives per knot
+
+    def __post_init__(self):
+        _store(self, **vars(self))
 
     @property
     def tau_min(self) -> float:
@@ -61,9 +64,9 @@ def build_warp(grid: MaturityGrid) -> Warp:
 
     The grid's own validation rejects duplicate (non-increasing) maturities.
     """
-    y = np.asarray(grid.maturities, dtype=float)
+    y = grid.maturities
     x = np.linspace(0.0, 1.0, y.size)
-    return Warp(knots_x=_frozen(x), knots_y=_frozen(y), slopes=_frozen(_limited_slopes(x, y)))
+    return Warp(knots_x=x, knots_y=y, slopes=_limited_slopes(x, y))
 
 
 def _hermite_eval(w: Warp, t: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
 import re
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from sparselag import (Config, FrequencyGrid, FrequencyResponseField, LaggedRegressionFit, MacroPanel,
-                       MaturityGrid, SparseYieldPanel, analyze, bartlett_weights, estimate_autocovariances,
-                       filter_coefficients, r_squared, raw_cross_cov)
-from sparselag.mv_spectral import lagged_products
+from sparselag import (AutocovarianceSet, Config, CrossSpectralField, FrequencyGrid, FrequencyResponseField,
+                       LaggedRegressionFit, MacroPanel, MaturityGrid, RawCrossCovariances, SimulationTruth,
+                       SparseYieldPanel, SpectralDensityField, SyntheticSpec, US_MATURITIES, Warp, analyze,
+                       bartlett_weights, estimate_autocovariances, filter_coefficients, r_squared, raw_cross_cov,
+                       simulate_var1)
+from sparselag.mv_spectral import lag_window_transform, lagged_products
 from conftest import field_from_values, random_macro_panel, random_sparse_panel
 
 
@@ -205,6 +208,7 @@ def _response(n_omega):
 
 
 _HORIZONS = "panel horizons differ: curves have T=30, regressors T={}"
+_EVEN_STACK = "{} must have 3 axes, the first an odd number of lags (2H+1 lags -H..H), got shape {}"
 _RULE_VIOLATIONS = {   # case: (call on a T = 30 curve panel and 1-series regressor panel, message)
     "analyze, unequal T": (lambda p, x: analyze(p, _rows(x, 31)), _HORIZONS.format(31)),
     "analyze, Config q > T": (lambda p, x: analyze(p, x, Config(b_mu=0.5, b_r=0.5, q=31)),
@@ -229,12 +233,27 @@ _RULE_VIOLATIONS = {   # case: (call on a T = 30 curve panel and 1-series regres
                                         "h_max must be nonnegative, got -1"),
     "filter_coefficients, N < 2 h_max + 2": (lambda p, x: filter_coefficients(_response(16), 8),
                                              "n_omega must be even and >= 2*h_max + 2 = 18, got 16"),
+    "AutocovarianceSet, even lag count": (lambda p, x: AutocovarianceSet(np.zeros((2, 1, 1)), np.zeros(1)),
+                                          _EVEN_STACK.format("matrices", (2, 1, 1))),
+    "RawCrossCovariances, even lag count": (lambda p, x: RawCrossCovariances(np.ones((4, 3, 1)), np.ones((4, 3))),
+                                            _EVEN_STACK.format("sums", (4, 3, 1))),
+    "RawCrossCovariances, counts not matching sums": (
+        lambda p, x: RawCrossCovariances(np.ones((3, 4, 1)), np.ones((3, 3))),
+        "counts must have shape (3, 4), as sums without its last axis"),
+    "LaggedRegressionFit, even lag count": (
+        lambda p, x: LaggedRegressionFit(np.zeros((2, 4, 1)), p.maturity_grid.maturities, np.linspace(0, 1, 4),
+                                         np.zeros(4), np.zeros(1)),
+        _EVEN_STACK.format("filter_coef", (2, 4, 1))),
+    "lag_window_transform, even lag count": (lambda p, x: lag_window_transform(np.ones((4, 3, 1)), FrequencyGrid(16)),
+                                             _EVEN_STACK.format("lag values", (4, 3, 1))),
 }
 
 
 class TestInputRules:
     """Each input rule (equal horizons, window span 1 <= q <= T, lag reach h_max >= 0 and
-    n_omega >= 2 h_max + 2) raises the same ValueError from every public stage that needs it."""
+    n_omega >= 2 h_max + 2, the lag-stack format: an odd first axis of 2H+1 lags, which the
+    counts of the raw cross-covariances share) raises the same ValueError from every public
+    stage or type that needs it."""
 
     @pytest.mark.parametrize("case", _RULE_VIOLATIONS)
     def test_stage_raises_the_rules_error(self, rng, case):
@@ -242,3 +261,93 @@ class TestInputRules:
         panel, macro = random_sparse_panel(rng, 30, 4), random_macro_panel(rng, 30, 1)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(panel, macro)
+
+
+def _spec(ar_coef):
+    return SyntheticSpec(maturity_grid=MaturityGrid(np.array(US_MATURITIES)), n_times=40, ar_coef=ar_coef,
+                         innovation_cov=np.eye(1), macro_mean=np.zeros(1), seed=3)
+
+
+def _spectral_holder(cls):
+    knots, operator = np.ones((5, 2, 1), dtype=complex), np.full((3, 2), 0.5)
+    return cls.from_knots(FrequencyGrid(8), knots, operator), [knots, operator]
+
+
+def _density_holder():
+    knots, operator = np.tile(np.eye(2, dtype=complex), (5, 1, 1)), np.eye(2)
+    return SpectralDensityField.from_knots(FrequencyGrid(8), knots, operator), [knots, operator]
+
+
+def _holder(cls, *arrays, **keywords):
+    """An instance built from the positional arrays, which the caller keeps; keywords are not inputs."""
+    return cls(*arrays, **keywords), list(arrays)
+
+
+_HOLDERS = {   # type: () -> (instance, the caller's arrays it was built from)
+    "MaturityGrid": lambda: _holder(MaturityGrid, np.array([0.5, 1.0, 2.0])),
+    "SparseYieldPanel": lambda: _holder(SparseYieldPanel, np.arange(12.0).reshape(4, 3), np.ones((4, 3), bool),
+                                        maturity_grid=MaturityGrid(np.array([0.5, 1.0, 2.0]))),
+    "MacroPanel": lambda: _holder(MacroPanel, np.arange(8.0).reshape(4, 2), series_names=("a", "b")),
+    "LaggedRegressionFit": lambda: _holder(LaggedRegressionFit, np.ones((3, 2, 1)), np.array([1.0, 2.0]),
+                                           np.array([0.0, 1.0]), np.zeros(2), np.zeros(1)),
+    "AutocovarianceSet": lambda: _holder(AutocovarianceSet, np.array([[[0.5]], [[1.0]], [[0.5]]]), np.zeros(1)),
+    "RawCrossCovariances": lambda: _holder(RawCrossCovariances, np.ones((3, 2, 1)), np.ones((3, 2))),
+    "Warp": lambda: _holder(Warp, np.linspace(0.0, 1.0, 3), np.array([0.5, 1.0, 2.0]), np.ones(3)),
+    "SyntheticSpec": lambda: _holder(_spec, np.array([[0.5]])),
+    "SimulationTruth": lambda: _holder(SimulationTruth, np.linspace(0.0, 1.0, 3), np.zeros(3),
+                                       {(0, 0): np.ones(3)}, np.ones((4, 3))),
+    "CrossSpectralField": lambda: _spectral_holder(CrossSpectralField),
+    "FrequencyResponseField": lambda: _spectral_holder(FrequencyResponseField),
+    "SpectralDensityField": _density_holder,
+}
+
+
+def _array_attributes(instance):
+    """Every array an instance exposes, by attribute name; a mapping's arrays under name[key]."""
+    out = {}
+    for name in dir(instance):
+        value = None if name.startswith("_") else getattr(instance, name)
+        if isinstance(value, np.ndarray):
+            out[name] = value
+        elif isinstance(value, Mapping):
+            out.update({f"{name}[{key}]": item for key, item in value.items() if isinstance(item, np.ndarray)})
+    return out
+
+
+def _overwrite(inputs):
+    for values in inputs:
+        if isinstance(values, dict):
+            for item in values.values():
+                item[...] = 1234.5
+            values.clear()
+        elif values.dtype == bool:
+            values[...] = ~values
+        else:
+            values[...] = 1234.5
+
+
+class TestReadOnlyCopies:
+    """Every type that holds arrays keeps read-only copies: no attribute can be written, and writing
+    to the caller's arrays after construction leaves the instance as it was."""
+
+    @pytest.mark.parametrize("name", _HOLDERS)
+    def test_arrays_are_read_only_copies(self, name):
+        instance, inputs = _HOLDERS[name]()
+        before = {key: array.copy() for key, array in _array_attributes(instance).items()}
+        assert before and all(not array.flags.writeable for array in _array_attributes(instance).values())
+        _overwrite(inputs)
+        after = _array_attributes(instance)
+        assert after.keys() == before.keys()
+        for key, array in before.items():
+            assert np.array_equal(after[key], array), key
+
+    def test_monte_carlo_loop_reusing_one_ar_array(self):
+        ar = np.empty((1, 1))
+        specs = []
+        for coef in (0.5, 0.9, 0.3):
+            ar[0, 0] = coef
+            specs.append(_spec(ar))
+        ar[0, 0] = 3.0
+        assert [spec.ar_coef[0, 0] for spec in specs] == [0.5, 0.9, 0.3]
+        for spec, coef in zip(specs, (0.5, 0.9, 0.3)):
+            assert np.array_equal(simulate_var1(spec).values, simulate_var1(_spec(np.array([[coef]]))).values)

@@ -158,6 +158,28 @@ class TestSimulateLaggedRegression:
                         + 0.5 * tau_tilde * macro.values[t - 3, 0])
             assert np.allclose(panel.values[t - 1], expected, atol=1e-12)
 
+    def test_each_curve_function_is_evaluated_once(self):
+        calls = []
+
+        def counted(name, fn):
+            def curve(t):
+                calls.append(name)
+                return fn(t)
+            return curve
+
+        spec = _spec(mean_fn=counted("mean", lambda t: 1.0 + t), n_times=30, noise_sd=0.1,
+                     filter_fns={(0, 0): counted("b0", lambda t: 1.0 - t), (-1, 0): counted("b-1", lambda t: t * t)})
+        panel, macro, truth = simulate_lagged_regression(spec)
+        assert sorted(calls) == ["b-1", "b0", "mean"]
+        tau_tilde = np.linspace(0, 1, 9)
+        assert np.array_equal(truth.mean_at_maturities, 1.0 + tau_tilde)
+        assert np.array_equal(truth.filter_at_maturities[(-1, 0)], tau_tilde * tau_tilde)
+        # the curves are built from the same evaluations that the truth holds
+        x = macro.values[:, 0]
+        expected = (truth.mean_at_maturities + np.outer(x, truth.filter_at_maturities[(0, 0)])
+                    + np.outer(np.append(x[1:], np.nan), truth.filter_at_maturities[(-1, 0)]))
+        assert np.allclose(truth.regression_curves[:-1], expected[:-1], rtol=0, atol=1e-12)
+
     def test_truth_consistency_with_predict_panel(self):
         spec = _spec(filter_fns={(0, 0): lambda t: 1.0 - t, (1, 0): lambda t: 0.25 + 0 * t},
                      mean_fn=lambda t: 4.0 + t * t, n_times=40)
