@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _lag_axis, _store
+from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _store, _store_lags
 from .mv_spectral import bartlett_weights, lag_window_transform, lagged_products
 from .smoother import epanechnikov, local_linear_operator
 
@@ -42,15 +42,18 @@ class RawCrossCovariances:
     """The centered products G aggregated over t, which is all the smoother needs.
 
     sums[l, i, j] = sum_t G[h, t, i, j] and counts[l, i] = number of realized
-    products at maturity i, for lags h = lags[l] = 1-q..q-1; ``lags`` is read from sums.
+    products at maturity i, for lags h = lags[l] = 1-q..q-1; ``lags`` and ``max_lag`` = q - 1
+    are read from sums.
     """
 
     sums: np.ndarray      # (2q-1, I, d)
     counts: np.ndarray    # (2q-1, I)
 
     def __post_init__(self):
-        sums, counts = np.asarray(self.sums, dtype=float), np.asarray(self.counts, dtype=float)
-        _store(self, sums=sums, counts=counts, lags=_lag_axis("sums", sums, 3, counts=counts))
+        sums = np.asarray(self.sums, dtype=float)
+        counts = np.asarray(self.counts, dtype=float)
+        _store_lags(self, "sums", sums, counts)
+        _store(self, sums=sums, counts=counts)
 
 
 def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
@@ -86,7 +89,7 @@ def cross_spectral_density(raw: RawCrossCovariances, b_r: float, grid: Frequency
                            eval_warped) -> CrossSpectralField:
     """Smoothed cross-spectral density: the knot operator applied to the knot field."""
     eval_warped = np.atleast_1d(np.asarray(eval_warped, dtype=float))
-    q = int(raw.lags[-1]) + 1
+    q = raw.max_lag + 1
     operator = local_linear_operator(bartlett_weights(q) @ raw.counts, eval_warped, b_r)
     knot_field = lag_window_transform(raw.sums, grid)   # (N/2+1, I, d): sum_l W_l e^{-i h_l omega} A_l
     return CrossSpectralField.from_knots(grid, knot_field, q / (2.0 * np.pi) * operator)

@@ -103,7 +103,7 @@ def _predict_columns(fit: LaggedRegressionFit, macro: MacroPanel, cols) -> np.nd
     """Predicted curves (T, len(cols)) at the evaluation-grid columns cols."""
     if macro.n_series != fit.n_series:
         raise ValueError("fit and regressor panel disagree on the number of series")
-    t_len, reach = macro.n_times, int(fit.lags[-1])
+    t_len, reach = macro.n_times, fit.max_lag
     padded = np.zeros((t_len + 2 * reach, macro.n_series))
     np.subtract(macro.values, fit.macro_means, out=padded[reach: reach + t_len])
     # window t covers rows t - reach..t + reach; reversed, its entry l is X_{t-h} - mu_X at h = lags[l]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -23,15 +22,13 @@ import numpy as np
 # Two construction facts the value types share, then the estimator's three input rules: each stated once.
 
 def _frozen(values, dtype=None):
-    """The read-only copy of an array field: a C-ordered array (of dtype, if given) that no caller can write.
-    An array already so that owns its memory is kept; a mapping becomes a new dict of such arrays."""
-    if isinstance(values, Mapping):
+    """The read-only copy of an array field: a new C-ordered array (of dtype, if given) that no caller
+    can write, whatever it was given; a dict becomes a new dict of such arrays."""
+    if isinstance(values, dict):
         return {key: _frozen(item, dtype) for key, item in values.items()}
-    if not (type(values) is np.ndarray and dtype in (None, values.dtype) and values.base is None
-            and values.flags.c_contiguous and not values.flags.writeable):
-        values = np.array(values, dtype=dtype, order="C")
-        values.flags.writeable = False
-    return values
+    out = np.array(values, dtype=dtype, order="C")
+    out.flags.writeable = False
+    return out
 
 
 def _store(instance, **arrays) -> None:
@@ -40,15 +37,24 @@ def _store(instance, **arrays) -> None:
         object.__setattr__(instance, name, _frozen(values))
 
 
-def _lag_axis(name: str, stack: np.ndarray, ndim: int, counts: Optional[np.ndarray] = None) -> np.ndarray:
-    """The lag-stack format: a stack has ndim axes, the first an odd number 2H+1 of lags with lag h at
-    index h + H; its counts, if any, have its shape without the last axis.  Returns the read-only lags."""
-    if stack.ndim != ndim or len(stack) % 2 == 0:
-        raise ValueError(f"{name} must have {ndim} axes, the first an odd number of lags (2H+1 lags -H..H), "
+def _max_lag(name: str, stack: np.ndarray, ndim: Optional[int] = None, counts=None) -> int:
+    """The lag-stack format: a stack (of ndim axes, if given) has an odd first axis of 2H+1 lags, lag h
+    at index h + H, and its counts, if any, have its shape without the last axis.  Returns H."""
+    if (stack.ndim == 0 if ndim is None else stack.ndim != ndim) or len(stack) % 2 == 0:
+        axes = "a first axis of" if ndim is None else f"{ndim} axes, the first"
+        raise ValueError(f"{name} must have {axes} an odd number of lags (2H+1 lags -H..H), "
                          f"got shape {stack.shape}")
     if counts is not None and counts.shape != stack.shape[:-1]:
         raise ValueError(f"counts must have shape {stack.shape[:-1]}, as {name} without its last axis")
-    return _frozen(np.arange(len(stack)) - len(stack) // 2)
+    return len(stack) // 2
+
+
+def _store_lags(instance, name: str, stack: np.ndarray, counts=None) -> None:
+    """Give a type holding a 3-axis lag stack its max_lag H and read-only lags -H..H, one per stack row."""
+    h = _max_lag(name, stack, 3, counts)
+    lags = np.arange(-h, h + 1)
+    lags.flags.writeable = False
+    vars(instance).update(max_lag=h, lags=lags)
 
 
 def _check_horizons(n_curves: int, n_regressors: int) -> None:
@@ -112,7 +118,8 @@ class SparseYieldPanel:
     maturity_grid: MaturityGrid
 
     def __post_init__(self):
-        values, observed = np.asarray(self.values, dtype=float), np.asarray(self.observed, dtype=bool)
+        values = np.asarray(self.values, dtype=float)
+        observed = np.asarray(self.observed, dtype=bool)
         if values.ndim != 2:
             raise ValueError("panel values must be a T x I matrix")
         if observed.shape != values.shape:
@@ -352,7 +359,7 @@ class LaggedRegressionFit:
     """Fitted lagged-regression filter on a grid of evaluation points.
 
     filter_coef[l, r, j] holds the lag lags[l] coefficient of regressor j at
-    evaluation point r; its first axis is a lag stack, so lags = -H..H.
+    evaluation point r; its first axis is a lag stack, so lags = -H..H with H = max_lag.
     The intercept is stored implicitly: it is
     ``mean_curve - filter_coef.sum(axis=0) @ macro_means``.
     """
@@ -365,9 +372,13 @@ class LaggedRegressionFit:
     r_squared: Optional[float] = None
 
     def __post_init__(self):
-        coef, eval_tau, eval_warped, mean_curve, macro_means = (np.asarray(v, dtype=float) for v in (
-            self.filter_coef, self.eval_tau, self.eval_warped, self.mean_curve, self.macro_means))
-        lags, n_eval = _lag_axis("filter_coef", coef, 3), coef.shape[1]
+        coef = np.asarray(self.filter_coef, dtype=float)
+        eval_tau = np.asarray(self.eval_tau, dtype=float)
+        eval_warped = np.asarray(self.eval_warped, dtype=float)
+        mean_curve = np.asarray(self.mean_curve, dtype=float)
+        macro_means = np.asarray(self.macro_means, dtype=float)
+        _store_lags(self, "filter_coef", coef)
+        n_eval = coef.shape[1]
         if eval_tau.shape != (n_eval,) or eval_warped.shape != (n_eval,) or mean_curve.shape != (n_eval,):
             raise ValueError("evaluation grids and mean curve must match filter_coef")
         if not np.all(np.isfinite(coef)):
@@ -377,7 +388,7 @@ class LaggedRegressionFit:
         if self.r_squared is not None and not (self.r_squared <= 1.0):
             raise ValueError(f"r_squared cannot exceed 1, got {self.r_squared}")
         _store(self, filter_coef=coef, eval_tau=eval_tau, eval_warped=eval_warped, mean_curve=mean_curve,
-               macro_means=macro_means, lags=lags)    # lags: -H..H, the lag of each row of filter_coef
+               macro_means=macro_means)
 
     @property
     def n_series(self) -> int:
@@ -385,5 +396,5 @@ class LaggedRegressionFit:
 
     def lag_index(self, h: int) -> int:
         if h not in self.lags:
-            raise ValueError(f"lag {h} outside the stored range {self.lags[0]}..{self.lags[-1]}")
-        return int(h + self.lags[-1])
+            raise ValueError(f"lag {h} outside the stored range {-self.max_lag}..{self.max_lag}")
+        return int(h + self.max_lag)

@@ -31,7 +31,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SpectralField, _check_horizons, _check_span, _frozen, _lag_axis, _store
+from .model import (FrequencyGrid, MacroPanel, SpectralField, _check_horizons, _check_span, _frozen, _max_lag,
+                    _store, _store_lags)
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -71,26 +72,28 @@ def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndar
 
     Returns shape (N/2+1, *lag_values.shape[1:]), nodes k <= N/2, without the 1/2pi factor.
     """
-    q = int(_lag_axis("lag values", lag_values, lag_values.ndim)[-1]) + 1
+    q = _max_lag("lag values", lag_values) + 1
     return np.tensordot(lag_window_kernel(grid, q), lag_values, axes=1)
 
 
 @dataclass(frozen=True)
 class AutocovarianceSet:
-    """Autocovariances for lags -(q-1)..(q-1), plus the empirical mean; ``lags`` and q are read from matrices."""
+    """Autocovariances for lags -(q-1)..(q-1), plus the empirical mean; ``lags``, ``max_lag`` = q - 1 and q
+    are read from matrices."""
 
     matrices: np.ndarray    # (2q-1, d, d)
     mean: np.ndarray        # (d,)
 
     def __post_init__(self):
-        mats, mean = np.asarray(self.matrices, dtype=float), np.asarray(self.mean, dtype=float)
-        lags = _lag_axis("matrices", mats, 3)
+        mats = np.asarray(self.matrices, dtype=float)
+        mean = np.asarray(self.mean, dtype=float)
+        _store_lags(self, "matrices", mats)
         if mats.shape[1:] != (mean.size, mean.size):
             raise ValueError("matrices must have shape (2q-1, d, d)")
         finite = np.isfinite(mats).all(axis=(1, 2))
         if not finite.all():
-            raise ValueError(f"autocovariance at lag {lags[np.argmin(finite)]} not finite")
-        center = lags[-1]       # the index of lag 0
+            raise ValueError(f"autocovariance at lag {self.lags[np.argmin(finite)]} not finite")
+        center = self.max_lag       # the index of lag 0
         # mirrored[k - 1] says whether R_{-k} = R_k' for k = 1..q-1
         mirrored = (mats[:center][::-1] == np.swapaxes(mats[center + 1:], 1, 2)).all(axis=(1, 2))
         if not mirrored.all():
@@ -102,11 +105,11 @@ class AutocovarianceSet:
             raise ValueError("lag-0 autocovariance must be symmetric")
         if not np.linalg.eigvalsh(0.5 * (r0 + r0.T)).min() >= -1e-10 * scale:
             raise ValueError("lag-0 autocovariance must be positive semidefinite")
-        _store(self, matrices=mats, mean=mean, lags=lags)
+        _store(self, matrices=mats, mean=mean)
 
     @property
     def q(self) -> int:
-        return int(self.lags[-1]) + 1
+        return self.max_lag + 1
 
 
 def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:

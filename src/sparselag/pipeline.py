@@ -50,7 +50,7 @@ def evaluation_grid(n_eval: int, n_maturities: int):
 
 def _tail_mass(fit: LaggedRegressionFit) -> float:
     """Truncation diagnostic: sum of RMS filter norms at |h| in {h_max-1, h_max}."""
-    edge = np.abs(fit.lags) >= max(int(fit.lags[-1]) - 1, 1)     # none when h_max = 0
+    edge = np.abs(fit.lags) >= max(fit.max_lag - 1, 1)     # none when h_max = 0
     per_lag = np.sqrt(np.mean(fit.filter_coef[edge] ** 2, axis=(1, 2)))
     return float(per_lag.sum())
 

@@ -63,7 +63,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        a, cov = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (self.ar_coef, self.innovation_cov))
+        a = np.atleast_2d(np.asarray(self.ar_coef, dtype=float))
+        cov = np.atleast_2d(np.asarray(self.innovation_cov, dtype=float))
         mean = np.atleast_1d(np.asarray(self.macro_mean, dtype=float))
         d = a.shape[0]
         if a.shape != (d, d) or cov.shape != (d, d) or mean.shape != (d,):
@@ -199,7 +200,6 @@ def simulate_lagged_regression(spec: SyntheticSpec):
                                  maturity_grid=spec.maturity_grid)
         macro = MacroPanel(values=spec.macro_mean + dev[h_ext: h_ext + t_len],
                            series_names=tuple(f"X{j + 1}" for j in range(spec.n_series)))
-        curves.flags.writeable = False      # frozen in place, so the truth need not copy it
         truth = SimulationTruth(tau_warped=tau_tilde, mean_at_maturities=mean,
                                 filter_at_maturities=coefs, regression_curves=curves)
     return panel, macro, truth

@@ -335,7 +335,7 @@ class TestPrediction:
                 replace(_toy_fit(us_grid, np.zeros((1, 9, 1))), filter_coef=np.zeros((n_lags, 9, 1)))
         fit = _toy_fit(us_grid, np.zeros((7, 9, 1)))
         assert np.array_equal(fit.lags, np.arange(-3, 4)) and not fit.lags.flags.writeable
-        assert fit.lags is fit.lags and fit.lag_index(-3) == 0
+        assert fit.lags is fit.lags and fit.max_lag == 3 and fit.lag_index(-3) == 0
         with pytest.raises(FrozenInstanceError):
             fit.lags = np.arange(7)
         with pytest.raises(TypeError, match="lags"):

@@ -1,5 +1,6 @@
 import re
 from collections.abc import Mapping
+from functools import partial
 
 import numpy as np
 import pytest
@@ -244,8 +245,9 @@ _RULE_VIOLATIONS = {   # case: (call on a T = 30 curve panel and 1-series regres
         lambda p, x: LaggedRegressionFit(np.zeros((2, 4, 1)), p.maturity_grid.maturities, np.linspace(0, 1, 4),
                                          np.zeros(4), np.zeros(1)),
         _EVEN_STACK.format("filter_coef", (2, 4, 1))),
-    "lag_window_transform, even lag count": (lambda p, x: lag_window_transform(np.ones((4, 3, 1)), FrequencyGrid(16)),
-                                             _EVEN_STACK.format("lag values", (4, 3, 1))),
+    "lag_window_transform, even lag count": (
+        lambda p, x: lag_window_transform(np.ones((4, 3, 1)), FrequencyGrid(16)),
+        "lag values must have a first axis of an odd number of lags (2H+1 lags -H..H), got shape (4, 3, 1)"),
 }
 
 
@@ -268,37 +270,45 @@ def _spec(ar_coef):
                          innovation_cov=np.eye(1), macro_mean=np.zeros(1), seed=3)
 
 
-def _spectral_holder(cls):
-    knots, operator = np.ones((5, 2, 1), dtype=complex), np.full((3, 2), 0.5)
-    return cls.from_knots(FrequencyGrid(8), knots, operator), [knots, operator]
+def _arrays_in(inputs):
+    """The caller's arrays, a dict's values included."""
+    for values in inputs:
+        yield from values.values() if isinstance(values, dict) else [values]
 
 
-def _density_holder():
-    knots, operator = np.tile(np.eye(2, dtype=complex), (5, 1, 1)), np.eye(2)
-    return SpectralDensityField.from_knots(FrequencyGrid(8), knots, operator), [knots, operator]
-
-
-def _holder(cls, *arrays, **keywords):
-    """An instance built from the positional arrays, which the caller keeps; keywords are not inputs."""
+def _holder(lock, cls, *arrays, **keywords):
+    """An instance built from the positional arrays, which the caller keeps; keywords are not inputs.
+    With lock the arrays are read-only when the instance is built; the caller owns them, so it can
+    make them writeable again."""
+    for array in _arrays_in(arrays):
+        array.flags.writeable = not lock
     return cls(*arrays, **keywords), list(arrays)
 
 
-_HOLDERS = {   # type: () -> (instance, the caller's arrays it was built from)
-    "MaturityGrid": lambda: _holder(MaturityGrid, np.array([0.5, 1.0, 2.0])),
-    "SparseYieldPanel": lambda: _holder(SparseYieldPanel, np.arange(12.0).reshape(4, 3), np.ones((4, 3), bool),
-                                        maturity_grid=MaturityGrid(np.array([0.5, 1.0, 2.0]))),
-    "MacroPanel": lambda: _holder(MacroPanel, np.arange(8.0).reshape(4, 2), series_names=("a", "b")),
-    "LaggedRegressionFit": lambda: _holder(LaggedRegressionFit, np.ones((3, 2, 1)), np.array([1.0, 2.0]),
-                                           np.array([0.0, 1.0]), np.zeros(2), np.zeros(1)),
-    "AutocovarianceSet": lambda: _holder(AutocovarianceSet, np.array([[[0.5]], [[1.0]], [[0.5]]]), np.zeros(1)),
-    "RawCrossCovariances": lambda: _holder(RawCrossCovariances, np.ones((3, 2, 1)), np.ones((3, 2))),
-    "Warp": lambda: _holder(Warp, np.linspace(0.0, 1.0, 3), np.array([0.5, 1.0, 2.0]), np.ones(3)),
-    "SyntheticSpec": lambda: _holder(_spec, np.array([[0.5]])),
-    "SimulationTruth": lambda: _holder(SimulationTruth, np.linspace(0.0, 1.0, 3), np.zeros(3),
-                                       {(0, 0): np.ones(3)}, np.ones((4, 3))),
-    "CrossSpectralField": lambda: _spectral_holder(CrossSpectralField),
-    "FrequencyResponseField": lambda: _spectral_holder(FrequencyResponseField),
-    "SpectralDensityField": _density_holder,
+def _spectral_holder(lock, cls):
+    return _holder(lock, partial(cls.from_knots, FrequencyGrid(8)), np.ones((5, 2, 1), dtype=complex),
+                   np.full((3, 2), 0.5))
+
+
+_HOLDERS = {   # type: lock -> (instance, the caller's arrays it was built from)
+    "MaturityGrid": lambda lock: _holder(lock, MaturityGrid, np.array([0.5, 1.0, 2.0])),
+    "SparseYieldPanel": lambda lock: _holder(lock, SparseYieldPanel, np.arange(12.0).reshape(4, 3),
+                                             np.ones((4, 3), bool),
+                                             maturity_grid=MaturityGrid(np.array([0.5, 1.0, 2.0]))),
+    "MacroPanel": lambda lock: _holder(lock, MacroPanel, np.arange(8.0).reshape(4, 2), series_names=("a", "b")),
+    "LaggedRegressionFit": lambda lock: _holder(lock, LaggedRegressionFit, np.ones((3, 2, 1)), np.array([1.0, 2.0]),
+                                                np.array([0.0, 1.0]), np.zeros(2), np.zeros(1)),
+    "AutocovarianceSet": lambda lock: _holder(lock, AutocovarianceSet, np.array([[[0.5]], [[1.0]], [[0.5]]]),
+                                              np.zeros(1)),
+    "RawCrossCovariances": lambda lock: _holder(lock, RawCrossCovariances, np.ones((3, 2, 1)), np.ones((3, 2))),
+    "Warp": lambda lock: _holder(lock, Warp, np.linspace(0.0, 1.0, 3), np.array([0.5, 1.0, 2.0]), np.ones(3)),
+    "SyntheticSpec": lambda lock: _holder(lock, _spec, np.array([[0.5]])),
+    "SimulationTruth": lambda lock: _holder(lock, SimulationTruth, np.linspace(0.0, 1.0, 3), np.zeros(3),
+                                            {(0, 0): np.ones(3)}, np.ones((4, 3))),
+    "CrossSpectralField": lambda lock: _spectral_holder(lock, CrossSpectralField),
+    "FrequencyResponseField": lambda lock: _spectral_holder(lock, FrequencyResponseField),
+    "SpectralDensityField": lambda lock: _holder(lock, partial(SpectralDensityField.from_knots, FrequencyGrid(8)),
+                                                 np.tile(np.eye(2, dtype=complex), (5, 1, 1)), np.eye(2)),
 }
 
 
@@ -315,24 +325,24 @@ def _array_attributes(instance):
 
 
 def _overwrite(inputs):
+    """Make the caller's arrays writeable, overwrite them and clear its dicts."""
+    for values in _arrays_in(inputs):
+        values.flags.writeable = True
+        values[...] = ~values if values.dtype == bool else 1234.5
     for values in inputs:
         if isinstance(values, dict):
-            for item in values.values():
-                item[...] = 1234.5
             values.clear()
-        elif values.dtype == bool:
-            values[...] = ~values
-        else:
-            values[...] = 1234.5
 
 
 class TestReadOnlyCopies:
     """Every type that holds arrays keeps read-only copies: no attribute can be written, and writing
-    to the caller's arrays after construction leaves the instance as it was."""
+    to the caller's arrays after construction leaves the instance as it was, also when they were
+    read-only at construction and the caller made them writeable again."""
 
+    @pytest.mark.parametrize("lock", [False, True], ids=["writeable inputs", "read-only inputs"])
     @pytest.mark.parametrize("name", _HOLDERS)
-    def test_arrays_are_read_only_copies(self, name):
-        instance, inputs = _HOLDERS[name]()
+    def test_arrays_are_read_only_copies(self, name, lock):
+        instance, inputs = _HOLDERS[name](lock)
         before = {key: array.copy() for key, array in _array_attributes(instance).items()}
         assert before and all(not array.flags.writeable for array in _array_attributes(instance).values())
         _overwrite(inputs)

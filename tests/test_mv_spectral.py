@@ -333,10 +333,10 @@ class TestAutocovarianceSpan:
     @pytest.mark.parametrize("q", [1, 2, 5])
     def test_derived_span_and_lags(self, rng, q):
         acov = estimate_autocovariances(random_macro_panel(rng, 20, 2), q)
-        assert acov.q == q and type(acov.q) is int
+        assert acov.q == q and type(acov.q) is int and acov.max_lag == q - 1
         assert np.array_equal(acov.lags, np.arange(1 - q, q)) and acov.lags.dtype == int
         assert acov.lags is acov.lags and not acov.lags.flags.writeable
-        for name in ("lags", "q"):
+        for name in ("lags", "max_lag", "q"):
             with pytest.raises(AttributeError):
                 setattr(acov, name, np.arange(3))
         assert [f.name for f in fields(acov)] == ["matrices", "mean"]
