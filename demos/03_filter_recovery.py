@@ -33,6 +33,6 @@ for l, h in enumerate(fit.lags):
         bar = "#" * int(60 * rms)
         print(f"  h = {int(h):+d}: {rms:7.4f} {bar}")
 
-print(f"\nin-sample R^2 = {fit.r_squared:.4f}")
+print(f"\nin-sample R^2 = {result.r_squared:.4f}")
 print(f"truncation tail mass = {result.diagnostics.truncation_tail_mass:.2e} "
       "(how much filter lives at the kept lags' edge)")

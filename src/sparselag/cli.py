@@ -159,7 +159,7 @@ def run_analyze(args) -> int:
 
     print(f"T={panel.n_times} I={panel.n_maturities} d={macro.n_series} "
           f"q={config.q} b_mu={config.b_mu:.4g} b_r={config.b_r:.4g} h_max={config.h_max}")
-    print(f"r_squared={result.fit.r_squared:.4f}")
+    print(f"r_squared={result.r_squared:.4f}")
     print("diagnostics:", *(f"{name}={value:.3e}" for name, value in asdict(result.diagnostics).items()))
     print(f"wrote {len(manifest)} files to {Path(args.out).resolve()}")
     return 0

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _store, _store_lags
+from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _check_means, _store, _store_lags
 from .mv_spectral import bartlett_weights, lag_window_transform, lagged_products
 from .smoother import epanechnikov, local_linear_operator
 
@@ -67,8 +67,7 @@ def raw_cross_cov(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,
     macro_means = np.asarray(macro_means, dtype=float)
     if mean_curve.shape != (panel.n_maturities,):
         raise ValueError("mean_curve must hold one value per panel maturity")
-    if macro_means.shape != (macro.n_series,):
-        raise ValueError("macro_means must hold one value per regressor series")
+    _check_means(macro_means, macro.n_series)
     y_centered = np.where(panel.observed, panel.values - mean_curve, 0.0)
     sums = lagged_products(y_centered, macro.values - macro_means, q)
     # lag h reaches the curve rows max(h, 0)..T-1+min(h, 0)

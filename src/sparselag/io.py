@@ -216,7 +216,7 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         tables[name] = ((*heads, "real", "imag"), lines(*axes, half.real.ravel(), half.imag.ravel()))
 
     summary = {
-        "r_squared": fit.r_squared,
+        "r_squared": result.r_squared,
         "n_times": panel.n_times,
         "n_maturities": panel.n_maturities,
         "n_series": macro.n_series,

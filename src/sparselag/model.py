@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 
-# Two construction facts the value types share, then the estimator's three input rules: each stated once.
+# Two construction facts the value types share, then the estimator's four input rules: each stated once.
 
 def _frozen(values, dtype=None):
     """The read-only copy of an array field: a new C-ordered array (of dtype, if given) that no caller
@@ -77,6 +77,14 @@ def _check_lag_reach(h_max: int, n_omega: int) -> None:
         raise ValueError(f"h_max must be nonnegative, got {h_max}")
     if n_omega % 2 != 0 or n_omega < 2 * h_max + 2:
         raise ValueError(f"n_omega must be even and >= 2*h_max + 2 = {2 * h_max + 2}, got {n_omega}")
+
+
+def _check_means(means: np.ndarray, d: int, name: str = "macro_means") -> None:
+    """Regressor means are a finite vector of d values, one per regressor series."""
+    if means.shape != (d,):
+        raise ValueError(f"{name} must hold one value per regressor series")
+    if not np.all(np.isfinite(means)):
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -236,13 +244,6 @@ class FrequencyGrid:
         full.flags.writeable = False
         return full
 
-    def require_finite(self, values: np.ndarray, what: str) -> None:
-        """Raise ValueError naming the first node (axis 0) that holds a NaN or infinity;
-        an array shared by every node comes with a length-1 axis 0."""
-        finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"{what} not finite at omega = {float(self.nodes[np.argmin(finite)])!r}")
-
 
 class SpectralField:
     """Spectral field (N, R, d) of real series, held on the nodes k = 0..N/2 as the (N/2+1, I, d)
@@ -261,8 +262,12 @@ class SpectralField:
         if (knot_values.ndim != 3 or len(knot_values) != grid.n_nodes // 2 + 1
                 or operator.shape[1:] != knot_values.shape[1:2]):
             raise ValueError("knot values must have shape (n_nodes/2 + 1, I, d) and the operator (R, I)")
-        grid.require_finite(knot_values, f"{cls.__name__} knot values")
-        grid.require_finite(operator[None], f"{cls.__name__} operator")
+        finite = np.isfinite(knot_values).all(axis=(1, 2))
+        if not finite.all():
+            omega = float(grid.nodes[np.argmin(finite)])
+            raise ValueError(f"{cls.__name__} knot values not finite at omega = {omega!r}")
+        if not np.all(np.isfinite(operator)):
+            raise ValueError(f"{cls.__name__} operator not finite")
         identity = operator.shape[0] == operator.shape[1] and np.array_equal(operator, np.eye(len(operator)))
         cls._verify_nodes(knot_values, identity)
         self_paired = 2.0 * np.abs(knot_values[[0, -1]].imag).max()
@@ -369,7 +374,6 @@ class LaggedRegressionFit:
     eval_warped: np.ndarray     # (R,) warped coordinates in [0, 1]
     mean_curve: np.ndarray      # (R,) estimated mean at eval_tau
     macro_means: np.ndarray     # (d,)
-    r_squared: Optional[float] = None
 
     def __post_init__(self):
         coef = np.asarray(self.filter_coef, dtype=float)
@@ -383,10 +387,9 @@ class LaggedRegressionFit:
             raise ValueError("evaluation grids and mean curve must match filter_coef")
         if not np.all(np.isfinite(coef)):
             raise ValueError("filter coefficients must be finite")
-        if not (np.all(np.isfinite(mean_curve)) and np.all(np.isfinite(macro_means))):
-            raise ValueError("stored means must be finite")
-        if self.r_squared is not None and not (self.r_squared <= 1.0):
-            raise ValueError(f"r_squared cannot exceed 1, got {self.r_squared}")
+        if not np.all(np.isfinite(mean_curve)):
+            raise ValueError("mean_curve must be finite")
+        _check_means(macro_means, coef.shape[2])
         _store(self, filter_coef=coef, eval_tau=eval_tau, eval_warped=eval_warped, mean_curve=mean_curve,
                macro_means=macro_means)
 

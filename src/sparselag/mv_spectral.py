@@ -31,8 +31,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import (FrequencyGrid, MacroPanel, SpectralField, _check_horizons, _check_span, _frozen, _max_lag,
-                    _store, _store_lags)
+from .model import (FrequencyGrid, MacroPanel, SpectralField, _check_horizons, _check_means, _check_span, _frozen,
+                    _max_lag, _store, _store_lags)
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -88,11 +88,12 @@ class AutocovarianceSet:
         mats = np.asarray(self.matrices, dtype=float)
         mean = np.asarray(self.mean, dtype=float)
         _store_lags(self, "matrices", mats)
-        if mats.shape[1:] != (mean.size, mean.size):
+        if mats.shape[1] != mats.shape[2]:
             raise ValueError("matrices must have shape (2q-1, d, d)")
         finite = np.isfinite(mats).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"autocovariance at lag {self.lags[np.argmin(finite)]} not finite")
+        _check_means(mean, mats.shape[1], "mean")
         center = self.max_lag       # the index of lag 0
         # mirrored[k - 1] says whether R_{-k} = R_k' for k = 1..q-1
         mirrored = (mats[:center][::-1] == np.swapaxes(mats[center + 1:], 1, 2)).all(axis=(1, 2))

@@ -9,7 +9,7 @@ so predictions at the observed maturities never interpolate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ class Diagnostics:
 class AnalysisResult:
     config: Config
     fit: LaggedRegressionFit
+    r_squared: float                  # in-sample R^2 of fit on the analyzed panels
     spectral_density: mv_spectral.SpectralDensityField
     cross_spectral: cross_spectral.CrossSpectralField
     frequency_response: lagreg.FrequencyResponseField
@@ -84,7 +85,7 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
             mean_curve=mean_curve,
             macro_means=acov.mean,
         )
-        fit = replace(fit, r_squared=lagreg.r_squared(panel, fit, macro))
+        r_squared = lagreg.r_squared(panel, fit, macro)
         diagnostics = Diagnostics(
             max_imag_residual=max_imag,
             truncation_tail_mass=_tail_mass(fit),
@@ -93,6 +94,7 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
     return AnalysisResult(
         config=config,
         fit=fit,
+        r_squared=r_squared,
         spectral_density=spec_density,
         cross_spectral=cross,
         frequency_response=response,

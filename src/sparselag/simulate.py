@@ -25,6 +25,7 @@ that a coupled A keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -48,7 +49,7 @@ class SyntheticSpec:
 
     ``filter_fns`` maps (lag h, series j) to the coefficient function of the
     warped coordinate; ``mean_fn`` is the mean curve in warped coordinates.
-    Series indices are zero-based.  The spec holds read-only copies of its arrays.
+    Series indices are zero-based.  The spec holds read-only copies of its arrays and of ``filter_fns``.
     """
 
     maturity_grid: MaturityGrid
@@ -87,6 +88,7 @@ class SyntheticSpec:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValueError("innovation covariance must be positive definite") from None
+        object.__setattr__(self, "filter_fns", MappingProxyType(dict(self.filter_fns)))
         for _, j in self.filter_fns:
             if not 0 <= j < d:
                 raise ValueError(f"filter series index {j} outside 0..{d - 1}")

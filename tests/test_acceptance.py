@@ -124,7 +124,7 @@ def test_06_null_model_r_squared():
     values = []
     for seed in range(10):
         panel, macro, _ = sl.simulate_lagged_regression(sl.recovery_spec(seed=seed, null_model=True))
-        values.append(sl.analyze(panel, macro).fit.r_squared)
+        values.append(sl.analyze(panel, macro).r_squared)
     lo, hi = min(values), max(values)
     assert -0.05 <= lo and hi <= 0.05, f"null R^2 range [{lo:.4f}, {hi:.4f}]"
     _report(6, f"null-model R^2 within [-0.05, 0.05] over 10 seeds "
@@ -142,7 +142,7 @@ def test_07_us_treasury_case_study():
     macro = sl.load_macro_csv(macro_path)
     config = sl.Config.defaults(panel.n_times, panel.n_maturities, q=14)
     result = sl.analyze(panel, macro, config)
-    r2 = result.fit.r_squared
+    r2 = result.r_squared
     assert 0.73 <= r2 <= 0.83, f"case-study R^2 = {r2:.4f}"
     ffr = [j for j, name in enumerate(macro.series_names) if "ffr" in name.lower()]
     assert ffr, "expected a federal-funds-rate series (name containing 'FFR')"

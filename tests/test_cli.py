@@ -153,6 +153,21 @@ class TestSimulateCommand:
         argv = ["simulate", "--config", str(cfg), "--out", str(out), *flags]
         assert _failed_run(capsys, argv, out) == (2, [f"error [config] {message}"])
 
+    @pytest.mark.parametrize("text, message", [
+        ("preset = recovery\nt = 50\n", "preset config admits only 'seed', found: t"),
+        ("preset = bogus\n", "unknown preset 'bogus' (expected 'recovery' or 'null')"),
+        ("t = 50\nar = 0.5\n", "missing required key 'maturities'"),
+        ("t = 50\nmaturities = 1, 2, 5\nar = 0.5\nfilter_hx_j1 = 1\n", "cannot parse filter key 'filter_hx_j1'"),
+        ("t = 50\nmaturities = 1, 2, 5\nar = 0.5\nfilter_h0_j2 = 1\n",
+         "filter key 'filter_h0_j2': series index must lie in 1..1"),
+    ])
+    def test_malformed_spec_keys_are_config_errors(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        assert _failed_run(capsys, argv, out) == (2, [f"error [config] {message}"])
+
     def test_recovery_files_equal_the_matrix_loop_files(self, sim_dir, tmp_path, monkeypatch):
         monkeypatch.setattr(simulate, "_var1_deviations", loop_var1_deviations)
         cfg = tmp_path / "loop.cfg"

@@ -247,10 +247,8 @@ class TestWriteResults:
 
     def test_zeroed_filter_reports_r_squared_zero(self, small_analysis, tmp_path):
         result, panel, macro = small_analysis
-        zero_fit = replace(result.fit, filter_coef=np.zeros_like(result.fit.filter_coef),
-                           r_squared=None)
-        zero_fit = replace(zero_fit, r_squared=r_squared(panel, zero_fit, macro))
-        zeroed = replace(result, fit=zero_fit)
+        zero_fit = replace(result.fit, filter_coef=np.zeros_like(result.fit.filter_coef))
+        zeroed = replace(result, fit=zero_fit, r_squared=r_squared(panel, zero_fit, macro))
         bundle = build_result_bundle(zeroed, panel, macro)
         write_results(bundle, tmp_path / "out")
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())

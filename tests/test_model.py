@@ -1,5 +1,6 @@
 import re
 from collections.abc import Mapping
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from sparselag import (AutocovarianceSet, Config, CrossSpectralField, FrequencyGrid, FrequencyResponseField,
                        LaggedRegressionFit, MacroPanel, MaturityGrid, RawCrossCovariances, SimulationTruth,
                        SparseYieldPanel, SpectralDensityField, SyntheticSpec, US_MATURITIES, Warp, analyze,
-                       bartlett_weights, estimate_autocovariances, filter_coefficients, r_squared, raw_cross_cov,
-                       simulate_var1)
+                       bartlett_weights, estimate_autocovariances, filter_coefficients, frequency_response,
+                       local_linear_operator, predict_panel, r_squared, raw_cross_cov, simulate_var1,
+                       var1_spectral_density)
 from sparselag.mv_spectral import lag_window_transform, lagged_products
 from conftest import field_from_values, random_macro_panel, random_sparse_panel
 
@@ -248,18 +250,97 @@ _RULE_VIOLATIONS = {   # case: (call on a T = 30 curve panel and 1-series regres
     "lag_window_transform, even lag count": (
         lambda p, x: lag_window_transform(np.ones((4, 3, 1)), FrequencyGrid(16)),
         "lag values must have a first axis of an odd number of lags (2H+1 lags -H..H), got shape (4, 3, 1)"),
+    "raw_cross_cov, two means for one series": (lambda p, x: raw_cross_cov(p, x, np.zeros(4), np.zeros(2), 2),
+                                                "macro_means must hold one value per regressor series"),
+    "LaggedRegressionFit, one mean for two series": (
+        lambda p, x: replace(_fit(p), filter_coef=np.zeros((1, 4, 2)), macro_means=[0.5]),
+        "macro_means must hold one value per regressor series"),
+    "AutocovarianceSet, non-finite mean": (lambda p, x: AutocovarianceSet(np.eye(2)[None], [np.nan, np.inf]),
+                                           "mean must be finite"),
+    "AutocovarianceSet, (2, 1) mean": (lambda p, x: AutocovarianceSet(np.eye(2)[None], np.zeros((2, 1))),
+                                       "mean must hold one value per regressor series"),
 }
 
 
 class TestInputRules:
     """Each input rule (equal horizons, window span 1 <= q <= T, lag reach h_max >= 0 and
-    n_omega >= 2 h_max + 2, the lag-stack format: an odd first axis of 2H+1 lags, which the
-    counts of the raw cross-covariances share) raises the same ValueError from every public
-    stage or type that needs it."""
+    n_omega >= 2 h_max + 2, regressor means a finite vector of d values, the lag-stack format:
+    an odd first axis of 2H+1 lags, which the counts of the raw cross-covariances share) raises
+    the same ValueError from every public stage or type that needs it."""
 
     @pytest.mark.parametrize("case", _RULE_VIOLATIONS)
     def test_stage_raises_the_rules_error(self, rng, case):
         call, message = _RULE_VIOLATIONS[case]
+        panel, macro = random_sparse_panel(rng, 30, 4), random_macro_panel(rng, 30, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(panel, macro)
+
+
+_INPUT_CHECKS = {   # case: (call on a T = 30 curve panel of 4 maturities and 1-series regressor panel, message)
+    "MaturityGrid, 2-d maturities": (lambda p, x: MaturityGrid(np.ones((3, 1))),
+                                     "maturities must be a one-dimensional sequence"),
+    "SparseYieldPanel, 1-d values": (lambda p, x: SparseYieldPanel(np.ones(4), np.ones(4, bool), p.maturity_grid),
+                                     "panel values must be a T x I matrix"),
+    "SparseYieldPanel, mask of another shape": (lambda p, x: replace(p, observed=p.observed[1:]),
+                                                "observed mask must match the shape of values"),
+    "SparseYieldPanel, columns not matching the grid": (
+        lambda p, x: replace(p, values=p.values[:, 1:], observed=p.observed[:, 1:]),
+        "panel has 3 columns but the maturity grid has 4 points"),
+    "SparseYieldPanel, no time point": (lambda p, x: replace(p, values=p.values[:0], observed=p.observed[:0]),
+                                        "panel must contain at least one time point"),
+    "MacroPanel, 1-d values": (lambda p, x: replace(x, values=x.values[:, 0]),
+                               "regressor values must be a T x d matrix"),
+    "MacroPanel, no time point": (lambda p, x: replace(x, values=x.values[:0]), "regressor panel must be non-empty"),
+    "LaggedRegressionFit, grid not matching filter_coef": (lambda p, x: replace(_fit(p), eval_tau=np.ones(3)),
+                                                           "evaluation grids and mean curve must match filter_coef"),
+    "LaggedRegressionFit, non-finite filter": (
+        lambda p, x: replace(_fit(p), filter_coef=np.full((1, 4, 1), np.nan)), "filter coefficients must be finite"),
+    "LaggedRegressionFit, non-finite mean curve": (lambda p, x: replace(_fit(p), mean_curve=np.full(4, np.inf)),
+                                                   "mean_curve must be finite"),
+    "LaggedRegressionFit, non-finite regressor mean": (lambda p, x: replace(_fit(p), macro_means=[np.nan]),
+                                                       "macro_means must be finite"),
+    "LaggedRegressionFit.lag_index, lag outside the stack": (lambda p, x: _fit(p).lag_index(1),
+                                                             "lag 1 outside the stored range 0..0"),
+    "AutocovarianceSet, matrices not square": (lambda p, x: AutocovarianceSet(np.zeros((1, 1, 2)), np.zeros(1)),
+                                               "matrices must have shape (2q-1, d, d)"),
+    "AutocovarianceSet, asymmetric lag 0": (lambda p, x: AutocovarianceSet([[[1.0, 0.5], [0.0, 1.0]]], np.zeros(2)),
+                                            "lag-0 autocovariance must be symmetric"),
+    "AutocovarianceSet, negative lag 0": (lambda p, x: AutocovarianceSet([[[-1.0]]], np.zeros(1)),
+                                          "lag-0 autocovariance must be positive semidefinite"),
+    "SyntheticSpec, dimensions disagree": (lambda p, x: replace(_spec([[0.5]]), macro_mean=np.zeros(2)),
+                                           "ar_coef, innovation_cov and macro_mean disagree on the dimension d"),
+    "SyntheticSpec, no time point": (lambda p, x: replace(_spec([[0.5]]), n_times=0), "n_times must be positive"),
+    "SyntheticSpec, asymmetric covariance": (
+        lambda p, x: replace(_spec([[0.5]]), ar_coef=0.5 * np.eye(2), innovation_cov=[[1.0, 0.5], [0.0, 1.0]],
+                             macro_mean=np.zeros(2)),
+        "innovation covariance must be symmetric"),
+    "SyntheticSpec, filter of a missing series": (
+        lambda p, x: replace(_spec([[0.5]]), filter_fns={(0, 1): np.ones_like}), "filter series index 1 outside 0..0"),
+    "var1_spectral_density, unit root": (lambda p, x: var1_spectral_density([[1.0]], [[1.0]], FrequencyGrid(8)),
+                                         "ar_coef spectral radius must be < 1, got 1.0000"),
+    "local_linear_operator, zero bandwidth": (lambda p, x: local_linear_operator(np.ones(4), [0.5], 0.0),
+                                              "bandwidth must be positive, got 0.0"),
+    "raw_cross_cov, mean curve not at the maturities": (lambda p, x: raw_cross_cov(p, x, np.zeros(3), np.zeros(1), 2),
+                                                        "mean_curve must hold one value per panel maturity"),
+    "frequency_response, d disagrees": (
+        lambda p, x: frequency_response(CrossSpectralField.from_knots(FrequencyGrid(8), np.ones((5, 2, 1)), np.eye(2)),
+                                        _HOLDERS["SpectralDensityField"](False)[0], 1e8),
+        "cross-spectral field and spectral density disagree on d"),
+    "predict_panel, d disagrees": (lambda p, x: predict_panel(_fit(p), MacroPanel(np.ones((5, 2)), ("a", "b"))),
+                                   "fit and regressor panel disagree on the number of series"),
+    "CrossSpectralField, non-finite operator": (
+        lambda p, x: CrossSpectralField.from_knots(FrequencyGrid(8), np.ones((5, 3, 1)), np.full((2, 3), np.nan)),
+        "CrossSpectralField operator not finite"),
+}
+
+
+class TestInputChecks:
+    """Each input check of a public type or stage outside the rules above raises its ValueError with its exact
+    message."""
+
+    @pytest.mark.parametrize("case", _INPUT_CHECKS)
+    def test_check_raises_its_error(self, rng, case):
+        call, message = _INPUT_CHECKS[case]
         panel, macro = random_sparse_panel(rng, 30, 4), random_macro_panel(rng, 30, 1)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(panel, macro)

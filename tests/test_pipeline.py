@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import sparselag
-from sparselag import (Config, FrequencyResponseField, analyze, build_warp,
-                       estimate_autocovariances, recovery_spec, simulate_lagged_regression,
+from sparselag import (Config, FrequencyResponseField, LaggedRegressionFit, analyze, build_warp,
+                       estimate_autocovariances, r_squared, recovery_spec, simulate_lagged_regression,
                        warp_apply)
 from sparselag.pipeline import evaluation_grid
 from conftest import random_macro_panel, random_sparse_panel
@@ -30,7 +30,7 @@ class TestAnalyze:
         macro = random_macro_panel(rng, 120, 2)
         result = analyze(panel, macro)
         assert result.config.q == 11    # ceil(sqrt(120))
-        assert result.fit.r_squared is not None
+        assert isinstance(result.r_squared, float)
         assert result.fit.filter_coef.shape[0] == 25
 
     def test_horizon_mismatch_rejected(self, rng):
@@ -64,7 +64,7 @@ class TestAnalyze:
         a = analyze(panel, macro)
         b = analyze(panel, macro)
         assert np.array_equal(a.fit.filter_coef, b.fit.filter_coef)
-        assert a.fit.r_squared == b.fit.r_squared
+        assert a.r_squared == b.r_squared
 
     def test_diagnostics_populated(self, rng):
         spec = replace(recovery_spec(seed=9), n_times=150)
@@ -132,7 +132,11 @@ class TestAnalyze:
         macro = random_macro_panel(rng, 40, 2)
         result = analyze(panel, macro, Config.defaults(40, 4, n_omega=32))
         assert [f.name for f in fields(result)] == [
-            "config", "fit", "spectral_density", "cross_spectral", "frequency_response", "diagnostics"]
+            "config", "fit", "r_squared", "spectral_density", "cross_spectral", "frequency_response",
+            "diagnostics"]
+        # the fit is the model alone; the result scores it on the analyzed panels
+        assert "r_squared" not in [f.name for f in fields(LaggedRegressionFit)]
+        assert type(result.r_squared) is float and result.r_squared == r_squared(panel, result.fit, macro)
         assert [f.name for f in fields(result.diagnostics)] == [
             "max_imag_residual", "truncation_tail_mass", "max_condition_number"]
         assert not hasattr(result.spectral_density, "matrices")
@@ -143,3 +147,13 @@ class TestAnalyze:
                               result.fit.eval_tau)
         acov = estimate_autocovariances(macro, result.config.q)
         assert np.array_equal(acov.mean, result.fit.macro_means)
+
+    def test_analyze_builds_the_fit_once(self, rng, monkeypatch):
+        panel = random_sparse_panel(rng, 40, 4)
+        macro = random_macro_panel(rng, 40, 2)
+        built = []
+        check = LaggedRegressionFit.__post_init__
+        monkeypatch.setattr(LaggedRegressionFit, "__post_init__", lambda fit: built.append(check(fit)))
+        for _ in range(3):
+            analyze(panel, macro, Config.defaults(40, 4, n_omega=32))
+        assert len(built) == 3

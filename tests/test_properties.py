@@ -102,12 +102,12 @@ def test_regressor_permutation_permutes_the_filter(instance):
     config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=32, n_eval=11, h_max=6)
     permuted = MacroPanel(values=macro.values[:, perm],
                           series_names=tuple(macro.series_names[j] for j in perm))
-    base = analyze(panel, macro, config).fit
-    fit = analyze(panel, permuted, config).fit
-    scale = np.abs(base.filter_coef).max()
-    assert np.abs(fit.filter_coef - base.filter_coef[..., perm]).max() <= 1e-10 * scale
-    assert np.array_equal(fit.mean_curve, base.mean_curve)
-    assert abs(fit.r_squared - base.r_squared) <= 1e-10
+    base = analyze(panel, macro, config)
+    result = analyze(panel, permuted, config)
+    scale = np.abs(base.fit.filter_coef).max()
+    assert np.abs(result.fit.filter_coef - base.fit.filter_coef[..., perm]).max() <= 1e-10 * scale
+    assert np.array_equal(result.fit.mean_curve, base.fit.mean_curve)
+    assert abs(result.r_squared - base.r_squared) <= 1e-10
 
 
 @st.composite
@@ -189,13 +189,15 @@ def test_knot_symmetry_check_is_at_least_as_strict_as_the_value_check(problem, r
 @_SETTINGS
 @given(symmetric_knot_fields(), st.booleans())
 def test_knot_construction_names_the_first_non_finite_node(problem, in_operator):
+    """A non-finite knot value is reported at its node; the operator, shared by every node, at none."""
     cls, grid, knots, operator, (k, i, j) = problem
     if in_operator:
-        operator[-1, i] = np.nan        # reaches every node of operator @ knots
-        k = 0
+        operator[-1, i] = np.nan
+        message = f"{cls.__name__} operator not finite"
     else:
         knots[k, i, j] = np.nan
-    with pytest.raises(ValueError, match=re.escape(f"omega = {float(grid.nodes[k])!r}")):
+        message = f"{cls.__name__} knot values not finite at omega = {float(grid.nodes[k])!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls.from_knots(grid, knots, operator)
 
 
@@ -218,11 +220,11 @@ def test_knot_level_solve_and_quadrature_match_materialised_fields(problem):
     assert _rel(coef, quadrature.real / grid.n_nodes) <= 1e-12
 
 
-def _scaled_fits(panel, macro, a, c, config):
+def _scaled_results(panel, macro, a, c, config):
     scaled_panel = SparseYieldPanel(values=a * panel.values, observed=panel.observed,
                                     maturity_grid=panel.maturity_grid)
     scaled_macro = MacroPanel(values=c * macro.values, series_names=macro.series_names)
-    return analyze(panel, macro, config).fit, analyze(scaled_panel, scaled_macro, config).fit
+    return analyze(panel, macro, config), analyze(scaled_panel, scaled_macro, config)
 
 
 @_SETTINGS
@@ -231,10 +233,10 @@ def test_power_of_two_rescaling_is_bit_exact(instance, log_a, log_c):
     panel, macro, _ = instance
     config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=32, n_eval=11, h_max=6)
     a, c = 2.0 ** log_a, 2.0 ** log_c
-    base, fit = _scaled_fits(panel, macro, a, c, config)
-    assert np.array_equal(fit.filter_coef, base.filter_coef * (a / c))
-    assert np.array_equal(fit.mean_curve, base.mean_curve * a)
-    assert fit.r_squared == base.r_squared
+    base, result = _scaled_results(panel, macro, a, c, config)
+    assert np.array_equal(result.fit.filter_coef, base.fit.filter_coef * (a / c))
+    assert np.array_equal(result.fit.mean_curve, base.fit.mean_curve * a)
+    assert result.r_squared == base.r_squared
 
 
 @_SETTINGS
@@ -242,10 +244,10 @@ def test_power_of_two_rescaling_is_bit_exact(instance, log_a, log_c):
 def test_rescaling_scales_filter_and_mean_and_keeps_r_squared(instance, a, c):
     panel, macro, _ = instance
     config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=32, n_eval=11, h_max=6)
-    base, fit = _scaled_fits(panel, macro, a, c, config)
-    assert _rel(fit.filter_coef, base.filter_coef * (a / c)) <= 1e-10
-    assert _rel(fit.mean_curve, base.mean_curve * a) <= 1e-10
-    assert abs(fit.r_squared - base.r_squared) <= 1e-10
+    base, result = _scaled_results(panel, macro, a, c, config)
+    assert _rel(result.fit.filter_coef, base.fit.filter_coef * (a / c)) <= 1e-10
+    assert _rel(result.fit.mean_curve, base.fit.mean_curve * a) <= 1e-10
+    assert abs(result.r_squared - base.r_squared) <= 1e-10
 
 
 @st.composite

@@ -235,3 +235,12 @@ class TestSimulateLaggedRegression:
         assert spec.max_filter_lag == 0
         null = recovery_spec(null_model=True)
         assert not null.filter_fns
+
+    def test_filter_fns_are_the_specs_own(self):
+        fns = {(0, 0): lambda t: 1.0 - t}
+        spec = _spec(filter_fns=fns, n_times=30)
+        fns[(0, 3)] = fns[(0, 0)]        # a series the spec does not have, added after validation
+        assert list(spec.filter_fns) == [(0, 0)] and spec.max_filter_lag == 0
+        assert list(simulate_lagged_regression(spec)[2].filter_at_maturities) == [(0, 0)]
+        with pytest.raises(TypeError):
+            spec.filter_fns[(0, 3)] = fns[(0, 0)]
