@@ -171,14 +171,15 @@ def run_simulate(args) -> int:
     with _stage("simulate", 1, ValueError):
         panel, macro, truth = sim.simulate_lagged_regression(spec)
     out_dir = Path(args.out)
+    model = truth.model
     truth_doc = {
         "maturities": [float(v) for v in spec.maturity_grid.maturities],
-        "tau_warped": [float(v) for v in truth.tau_warped],
-        "mean_at_maturities": [float(v) for v in truth.mean_at_maturities],
+        "tau_warped": [float(v) for v in model.eval_warped],
+        "mean_at_maturities": [float(v) for v in model.mean_curve],
         "filter": [
             {"lag": int(h), "series": int(j) + 1,
-             "values_at_maturities": [float(v) for v in vals]}
-            for (h, j), vals in sorted(truth.filter_at_maturities.items())
+             "values_at_maturities": [float(v) for v in model.filter_coef[model.lag_index(h), :, j]]}
+            for h, j in sorted(dict(spec.filter_fns))
         ],
         "curve_error_scale": spec.curve_error_scale,
         "noise_sd": spec.noise_sd,

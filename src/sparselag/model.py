@@ -23,9 +23,7 @@ import numpy as np
 
 def _frozen(values, dtype=None):
     """The read-only copy of an array field: a new C-ordered array (of dtype, if given) that no caller
-    can write, whatever it was given; a dict becomes a new dict of such arrays."""
-    if isinstance(values, dict):
-        return {key: _frozen(item, dtype) for key, item in values.items()}
+    can write, whatever it was given."""
     out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
     return out

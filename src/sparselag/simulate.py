@@ -24,13 +24,12 @@ that a coupled A keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel, _store
+from .model import FrequencyGrid, LaggedRegressionFit, MacroPanel, MaturityGrid, SparseYieldPanel, _store
 
 _BURN_IN = 500  # spectral radius <= 0.95 decays below 1e-10 well within this
 
@@ -47,9 +46,9 @@ def _spectral_radius(a: np.ndarray) -> float:
 class SyntheticSpec:
     """Everything needed to generate one synthetic data set.
 
-    ``filter_fns`` maps (lag h, series j) to the coefficient function of the
-    warped coordinate; ``mean_fn`` is the mean curve in warped coordinates.
-    Series indices are zero-based.  The spec holds read-only copies of its arrays and of ``filter_fns``.
+    ``filter_fns`` pairs (lag h, series j) with the coefficient function of the warped coordinate,
+    as a dict or ((h, j), fn) pairs; ``mean_fn`` is the mean curve in warped coordinates.  Series indices
+    are zero-based.  The spec holds read-only copies of its arrays, its terms as a tuple in the order given.
     """
 
     maturity_grid: MaturityGrid
@@ -58,7 +57,7 @@ class SyntheticSpec:
     innovation_cov: np.ndarray   # (d, d), symmetric positive definite
     macro_mean: np.ndarray       # (d,)
     mean_fn: CurveFn = lambda t: np.zeros_like(t)
-    filter_fns: Mapping[tuple[int, int], CurveFn] = field(default_factory=dict)
+    filter_fns: tuple[tuple[tuple[int, int], CurveFn], ...] = ()
     curve_error_scale: float = 0.0
     noise_sd: float = 0.0
     seed: int = 0
@@ -88,8 +87,8 @@ class SyntheticSpec:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValueError("innovation covariance must be positive definite") from None
-        object.__setattr__(self, "filter_fns", MappingProxyType(dict(self.filter_fns)))
-        for _, j in self.filter_fns:
+        object.__setattr__(self, "filter_fns", tuple(dict(self.filter_fns).items()))
+        for (_, j), _ in self.filter_fns:
             if not 0 <= j < d:
                 raise ValueError(f"filter series index {j} outside 0..{d - 1}")
         _store(self, ar_coef=a, innovation_cov=cov, macro_mean=mean)
@@ -100,7 +99,7 @@ class SyntheticSpec:
 
     @property
     def max_filter_lag(self) -> int:
-        return max((abs(h) for h, _ in self.filter_fns), default=0)
+        return max((abs(h) for (h, _), _ in self.filter_fns), default=0)
 
 
 def _scalar_ar1(a: float, shocks: Iterable[float]) -> Iterator[float]:
@@ -154,19 +153,27 @@ def var1_spectral_density(ar_coef, innovation_cov, grid: FrequencyGrid) -> np.nd
 
 @dataclass(frozen=True)
 class SimulationTruth:
-    """Ground truth emitted next to a synthetic data set, held as read-only copies."""
+    """Ground truth emitted next to a synthetic data set: the model that made it, and its curves (read-only)."""
 
-    tau_warped: np.ndarray                       # (I,) warped maturity knots
-    mean_at_maturities: np.ndarray               # (I,)
-    filter_at_maturities: dict                   # (h, j) -> (I,)
-    regression_curves: np.ndarray                # (T, I), noise- and e-free
+    model: LaggedRegressionFit     # the generating filter, lags -H..H, at the maturities and warped knots
+    regression_curves: np.ndarray  # (T, I), noise- and e-free
 
     def __post_init__(self):
-        _store(self, **vars(self))
+        if np.shape(self.regression_curves)[1:] != self.model.eval_tau.shape:
+            raise ValueError(f"regression_curves must be (T, {self.model.eval_tau.size}): one column per grid point")
+        _store(self, regression_curves=self.regression_curves)
+
+
+def _on_knots(name: str, fn: CurveFn, knots: np.ndarray) -> np.ndarray:
+    """fn at the warped knots, one value per maturity; a scalar result holds at every maturity."""
+    values = np.asarray(fn(knots), dtype=float)
+    if values.ndim and values.shape != knots.shape:
+        raise ValueError(f"{name} returned shape {values.shape}, not one value per maturity ({knots.size})")
+    return np.broadcast_to(values, knots.shape)
 
 
 def simulate_lagged_regression(spec: SyntheticSpec):
-    """Generate (SparseYieldPanel, MacroPanel, SimulationTruth) from a spec; the truth holds the one
+    """Generate (SparseYieldPanel, MacroPanel, SimulationTruth) from a spec; the truth's model holds the one
     evaluation of the mean and of each filter function at the warped knots, and the curves built from them."""
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the panel's finiteness check
         rng = np.random.default_rng(spec.seed)
@@ -177,14 +184,15 @@ def simulate_lagged_regression(spec: SyntheticSpec):
         # One extended VAR path: rows cover t = 1-h_ext .. T+h_ext.
         dev = _var1_deviations(spec, rng, t_len + 2 * h_ext)
         tau_tilde = np.linspace(0.0, 1.0, n_mat)
-        mean = np.asarray(spec.mean_fn(tau_tilde), dtype=float)
-        coefs = {key: np.asarray(fn(tau_tilde), dtype=float) for key, fn in spec.filter_fns.items()}
+        mean = _on_knots("mean function", spec.mean_fn, tau_tilde)
+        coef = np.zeros((2 * h_ext + 1, n_mat, spec.n_series))
 
         curves = np.tile(mean, (t_len, 1))
-        for (h, j), coef in coefs.items():
+        for (h, j), fn in spec.filter_fns:
+            coef[h_ext + h, :, j] = _on_knots(f"filter function {(h, j)}", fn, tau_tilde)
             # X_{t-h} for t = 1..T sits at extended row (t - h) - (1 - h_ext) = t + h_ext - h - 1
             rows = dev[h_ext - h: h_ext - h + t_len, j]
-            curves = curves + np.outer(rows, coef)
+            curves = curves + np.outer(rows, coef[h_ext + h, :, j])
 
         noisy_curves = curves
         if spec.curve_error_scale > 0:
@@ -202,8 +210,8 @@ def simulate_lagged_regression(spec: SyntheticSpec):
                                  maturity_grid=spec.maturity_grid)
         macro = MacroPanel(values=spec.macro_mean + dev[h_ext: h_ext + t_len],
                            series_names=tuple(f"X{j + 1}" for j in range(spec.n_series)))
-        truth = SimulationTruth(tau_warped=tau_tilde, mean_at_maturities=mean,
-                                filter_at_maturities=coefs, regression_curves=curves)
+        model = LaggedRegressionFit(coef, spec.maturity_grid.maturities, tau_tilde, mean, spec.macro_mean)
+        truth = SimulationTruth(model=model, regression_curves=curves)
     return panel, macro, truth
 
 

@@ -87,11 +87,13 @@ def _hermite_eval(w: Warp, t: np.ndarray) -> np.ndarray:
 
 
 def warp_apply(w: Warp, t):
-    """Evaluate phi at t in [0, 1] (scalar or array); NaN is outside the domain."""
+    """Evaluate phi at t in [0, 1] (scalar or array); NaN is outside the domain, and a phi that overflows raises."""
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr >= -_DOMAIN_TOL) & (t_arr <= 1.0 + _DOMAIN_TOL)):
         raise ValueError(f"warp argument outside [0, 1]: {t}")
     out = _hermite_eval(w, np.clip(t_arr, 0.0, 1.0))
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"warp overflows on maturities up to {w.tau_max!r}")
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 

@@ -81,7 +81,7 @@ class TestSimulateCommand:
         )
         spec = parse_synthetic_config(cfg)
         assert spec.n_times == 50 and spec.n_series == 1
-        assert spec.filter_fns[(0, 0)](np.array([0.0, 1.0])).tolist() == [1.0, 0.0]
+        assert dict(spec.filter_fns)[(0, 0)](np.array([0.0, 1.0])).tolist() == [1.0, 0.0]
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
 
@@ -471,6 +471,10 @@ _ESTIMATE_FAILURES = {   # case: (yields text, config text, exception analyze ra
     "imaginary residue": (_YIELDS, None, ResidualImaginary(1e-3, 1e-8), "max imaginary part"),
     "out of memory": (_YIELDS, None, MemoryError("Unable to allocate 745. GiB for an array"),
                       "Unable to allocate"),
+    "warp slopes overflow": (_YIELDS.replace("1,2,3", "1e307,5e307,1.7e308"), None, None,
+                             "warp overflows on maturities up to 1.7e+308"),
+    "warp cubic overflows": (_YIELDS.replace("1,2,3", "1e308,1.5e308,1.7e308"), None, None,
+                             "warp overflows on maturities up to 1.7e+308"),
 }
 _CONFIG_FAILURES = {     # case: (config text or None for a missing file, message fragment)
     "config file missing": (None, "No such file"),

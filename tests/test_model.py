@@ -351,17 +351,11 @@ def _spec(ar_coef):
                          innovation_cov=np.eye(1), macro_mean=np.zeros(1), seed=3)
 
 
-def _arrays_in(inputs):
-    """The caller's arrays, a dict's values included."""
-    for values in inputs:
-        yield from values.values() if isinstance(values, dict) else [values]
-
-
 def _holder(lock, cls, *arrays, **keywords):
     """An instance built from the positional arrays, which the caller keeps; keywords are not inputs.
     With lock the arrays are read-only when the instance is built; the caller owns them, so it can
     make them writeable again."""
-    for array in _arrays_in(arrays):
+    for array in arrays:
         array.flags.writeable = not lock
     return cls(*arrays, **keywords), list(arrays)
 
@@ -384,8 +378,8 @@ _HOLDERS = {   # type: lock -> (instance, the caller's arrays it was built from)
     "RawCrossCovariances": lambda lock: _holder(lock, RawCrossCovariances, np.ones((3, 2, 1)), np.ones((3, 2))),
     "Warp": lambda lock: _holder(lock, Warp, np.linspace(0.0, 1.0, 3), np.array([0.5, 1.0, 2.0]), np.ones(3)),
     "SyntheticSpec": lambda lock: _holder(lock, _spec, np.array([[0.5]])),
-    "SimulationTruth": lambda lock: _holder(lock, SimulationTruth, np.linspace(0.0, 1.0, 3), np.zeros(3),
-                                            {(0, 0): np.ones(3)}, np.ones((4, 3))),
+    "SimulationTruth": lambda lock: _holder(
+        lock, partial(SimulationTruth, _HOLDERS["LaggedRegressionFit"](False)[0]), np.ones((4, 2))),
     "CrossSpectralField": lambda lock: _spectral_holder(lock, CrossSpectralField),
     "FrequencyResponseField": lambda lock: _spectral_holder(lock, FrequencyResponseField),
     "SpectralDensityField": lambda lock: _holder(lock, partial(SpectralDensityField.from_knots, FrequencyGrid(8)),
@@ -393,26 +387,21 @@ _HOLDERS = {   # type: lock -> (instance, the caller's arrays it was built from)
 }
 
 
+def _attributes(instance):
+    """Every public attribute an instance exposes, by name."""
+    return {name: getattr(instance, name) for name in dir(instance) if not name.startswith("_")}
+
+
 def _array_attributes(instance):
-    """Every array an instance exposes, by attribute name; a mapping's arrays under name[key]."""
-    out = {}
-    for name in dir(instance):
-        value = None if name.startswith("_") else getattr(instance, name)
-        if isinstance(value, np.ndarray):
-            out[name] = value
-        elif isinstance(value, Mapping):
-            out.update({f"{name}[{key}]": item for key, item in value.items() if isinstance(item, np.ndarray)})
-    return out
+    """Every array an instance exposes, by attribute name."""
+    return {name: value for name, value in _attributes(instance).items() if isinstance(value, np.ndarray)}
 
 
 def _overwrite(inputs):
-    """Make the caller's arrays writeable, overwrite them and clear its dicts."""
-    for values in _arrays_in(inputs):
+    """Make the caller's arrays writeable and overwrite them."""
+    for values in inputs:
         values.flags.writeable = True
         values[...] = ~values if values.dtype == bool else 1234.5
-    for values in inputs:
-        if isinstance(values, dict):
-            values.clear()
 
 
 class TestReadOnlyCopies:
@@ -431,6 +420,11 @@ class TestReadOnlyCopies:
         assert after.keys() == before.keys()
         for key, array in before.items():
             assert np.array_equal(after[key], array), key
+
+    @pytest.mark.parametrize("name", _HOLDERS)
+    def test_no_attribute_is_a_mapping(self, name):
+        instance, _ = _HOLDERS[name](False)
+        assert [key for key, value in _attributes(instance).items() if isinstance(value, Mapping)] == []
 
     def test_monte_carlo_loop_reusing_one_ar_array(self):
         ar = np.empty((1, 1))

@@ -1,8 +1,12 @@
+import copy
+import re
+from dataclasses import asdict, fields, replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
-from sparselag import (FrequencyGrid, MaturityGrid, SyntheticSpec, US_MATURITIES,
+from sparselag import (FrequencyGrid, MaturityGrid, SimulationTruth, SyntheticSpec, US_MATURITIES,
                        predict_panel, recovery_spec, simulate_lagged_regression,
                        simulate_var1, var1_spectral_density)
 from sparselag import simulate
@@ -94,10 +98,8 @@ class TestDiagonalFastPath:
         assert np.array_equal(p_fast.values, p_loop.values)
         assert np.array_equal(m_fast.values, m_loop.values)
         assert np.array_equal(t_fast.regression_curves, t_loop.regression_curves)
-        assert np.array_equal(t_fast.mean_at_maturities, t_loop.mean_at_maturities)
-        assert t_fast.filter_at_maturities.keys() == t_loop.filter_at_maturities.keys()
-        for key, vals in t_fast.filter_at_maturities.items():
-            assert np.array_equal(vals, t_loop.filter_at_maturities[key])
+        assert np.array_equal(t_fast.model.mean_curve, t_loop.model.mean_curve)
+        assert np.array_equal(t_fast.model.filter_coef, t_loop.model.filter_coef)
 
 
 class TestVar1SpectralDensity:
@@ -172,12 +174,13 @@ class TestSimulateLaggedRegression:
         panel, macro, truth = simulate_lagged_regression(spec)
         assert sorted(calls) == ["b-1", "b0", "mean"]
         tau_tilde = np.linspace(0, 1, 9)
-        assert np.array_equal(truth.mean_at_maturities, 1.0 + tau_tilde)
-        assert np.array_equal(truth.filter_at_maturities[(-1, 0)], tau_tilde * tau_tilde)
+        model = truth.model
+        assert np.array_equal(model.mean_curve, 1.0 + tau_tilde)
+        assert np.array_equal(model.filter_coef[model.lag_index(-1), :, 0], tau_tilde * tau_tilde)
         # the curves are built from the same evaluations that the truth holds
         x = macro.values[:, 0]
-        expected = (truth.mean_at_maturities + np.outer(x, truth.filter_at_maturities[(0, 0)])
-                    + np.outer(np.append(x[1:], np.nan), truth.filter_at_maturities[(-1, 0)]))
+        expected = (model.mean_curve + np.outer(x, model.filter_coef[model.lag_index(0), :, 0])
+                    + np.outer(np.append(x[1:], np.nan), model.filter_coef[model.lag_index(-1), :, 0]))
         assert np.allclose(truth.regression_curves[:-1], expected[:-1], rtol=0, atol=1e-12)
 
     def test_truth_consistency_with_predict_panel(self):
@@ -185,31 +188,24 @@ class TestSimulateLaggedRegression:
                      mean_fn=lambda t: 4.0 + t * t, n_times=40)
         panel, macro, truth = simulate_lagged_regression(spec)
         h_true = 1
+        tau_tilde = np.linspace(0, 1, 9)
         coef = np.zeros((3, 9, 1))            # lags -1, 0, +1
-        coef[1, :, 0] = 1.0 - truth.tau_warped
+        coef[1, :, 0] = 1.0 - tau_tilde
         coef[2, :, 0] = 0.25
-        fit = LaggedRegressionFit(
-            filter_coef=coef,
-            eval_tau=spec.maturity_grid.maturities.copy(),
-            eval_warped=truth.tau_warped,
-            mean_curve=truth.mean_at_maturities,
-            macro_means=np.zeros(1),
-        )
-        pred = predict_panel(fit, macro)
+        model = truth.model
+        assert np.array_equal(model.filter_coef, coef) and np.array_equal(model.eval_warped, tau_tilde)
+        assert np.array_equal(model.eval_tau, spec.maturity_grid.maturities)
+        assert np.array_equal(model.mean_curve, 4.0 + tau_tilde * tau_tilde)
+        assert np.array_equal(model.macro_means, spec.macro_mean)
+        pred = predict_panel(model, macro)
         for t in range(1 + h_true, 40 - h_true + 1):
             assert np.abs(pred[t - 1] - panel.values[t - 1]).max() <= 1e-10
 
     def test_lag_zero_filter_consistent_at_every_t(self):
         spec = _spec(filter_fns={(0, 0): lambda t: 1.0 - t}, n_times=30)
         panel, macro, truth = simulate_lagged_regression(spec)
-        fit = LaggedRegressionFit(
-            filter_coef=(1.0 - truth.tau_warped)[None, :, None],
-            eval_tau=spec.maturity_grid.maturities.copy(),
-            eval_warped=truth.tau_warped,
-            mean_curve=truth.mean_at_maturities,
-            macro_means=np.zeros(1),
-        )
-        pred = predict_panel(fit, macro)
+        assert np.array_equal(truth.model.filter_coef, (1.0 - np.linspace(0, 1, 9))[None, :, None])
+        pred = predict_panel(truth.model, macro)
         for t in range(1, 31):
             assert np.abs(pred[t - 1] - panel.values[t - 1]).max() <= 1e-10
 
@@ -240,7 +236,82 @@ class TestSimulateLaggedRegression:
         fns = {(0, 0): lambda t: 1.0 - t}
         spec = _spec(filter_fns=fns, n_times=30)
         fns[(0, 3)] = fns[(0, 0)]        # a series the spec does not have, added after validation
-        assert list(spec.filter_fns) == [(0, 0)] and spec.max_filter_lag == 0
-        assert list(simulate_lagged_regression(spec)[2].filter_at_maturities) == [(0, 0)]
+        assert spec.filter_fns == (((0, 0), fns[(0, 0)]),) and spec.max_filter_lag == 0
+        assert simulate_lagged_regression(spec)[2].model.filter_coef.shape == (1, 9, 1)
         with pytest.raises(TypeError):
-            spec.filter_fns[(0, 3)] = fns[(0, 0)]
+            spec.filter_fns[0] = ((0, 3), fns[(0, 0)])
+
+
+class TestTruthIsTheModel:
+    """The truth holds the generating model as a LaggedRegressionFit; the spec holds its terms as a tuple."""
+
+    def test_truth_fields(self):
+        truth = simulate_lagged_regression(_spec(filter_fns={(1, 0): lambda t: t}, n_times=20))[2]
+        assert [f.name for f in fields(SimulationTruth)] == ["model", "regression_curves"]
+        assert isinstance(truth.model, LaggedRegressionFit)
+        assert truth.model.max_lag == 1 and truth.model.lags.tolist() == [-1, 0, 1]
+        assert not truth.model.filter_coef[truth.model.lag_index(-1)].any()
+
+    def test_curves_need_one_column_per_grid_point(self):
+        model = simulate_lagged_regression(_spec(n_times=20))[2].model
+        with pytest.raises(ValueError, match=re.escape("regression_curves must be (T, 9): one column per grid point")):
+            SimulationTruth(model, np.zeros((20, 8)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_model_predicts_the_curves_bit_for_bit(self, seed):
+        _, macro, truth = simulate_lagged_regression(recovery_spec(seed=seed))
+        assert np.array_equal(predict_panel(truth.model, macro), truth.regression_curves)
+
+    def test_spec_copies_and_replaces(self):
+        spec = recovery_spec(seed=0)
+        assert asdict(spec)["filter_fns"] == (((0, 0), spec.filter_fns[0][1]),)
+        assert copy.deepcopy(spec).filter_fns == spec.filter_fns
+        replaced = replace(spec, seed=4)
+        assert replaced.filter_fns == spec.filter_fns
+        panel, macro, truth = simulate_lagged_regression(replaced)
+        fresh_panel, fresh_macro, fresh_truth = simulate_lagged_regression(recovery_spec(seed=4))
+        assert np.array_equal(panel.values, fresh_panel.values) and np.array_equal(macro.values, fresh_macro.values)
+        assert np.array_equal(truth.regression_curves, fresh_truth.regression_curves)
+
+    def test_terms_add_in_the_order_given(self):
+        terms = {(2, 0): lambda t: 0.3 * t, (-1, 1): lambda t: 1.0 - t, (0, 0): lambda t: np.sin(3.0 * t),
+                 (1, 1): lambda t: 0.7 + t * t}
+        spec = _spec(ar_coef=np.diag([0.5, -0.4]), innovation_cov=np.eye(2), macro_mean=np.zeros(2),
+                     filter_fns=terms, mean_fn=lambda t: 1.0 + t, n_times=50)
+        assert [key for key, _ in spec.filter_fns] == list(terms)
+        dev = simulate._var1_deviations(spec, np.random.default_rng(spec.seed), 50 + 4)
+        tau_tilde = np.linspace(0, 1, 9)
+        expected = np.tile(1.0 + tau_tilde, (50, 1))
+        for (h, j), fn in terms.items():
+            expected = expected + np.outer(dev[2 - h: 52 - h, j], fn(tau_tilde))
+        assert np.array_equal(simulate_lagged_regression(spec)[2].regression_curves, expected)
+
+
+class TestCurveFunctionOutputs:
+    """Each curve function gives one value per maturity, or a scalar that holds at every maturity."""
+
+    def test_filter_with_one_value_too_many(self):
+        spec = _spec(filter_fns={(0, 0): lambda t: np.append(t, 1.0)}, n_times=20)
+        message = "filter function (0, 0) returned shape (10,), not one value per maturity (9)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_lagged_regression(spec)
+
+    def test_mean_of_the_wrong_shape(self):
+        spec = _spec(mean_fn=lambda t: np.outer(t, t), n_times=20)
+        message = "mean function returned shape (9, 9), not one value per maturity (9)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_lagged_regression(spec)
+
+    def test_scalar_mean_holds_at_every_maturity(self):
+        truth = simulate_lagged_regression(_spec(mean_fn=lambda t: 1.0, noise_sd=0.1, n_times=20))[2]
+        assert truth.model.mean_curve.shape == (9,) and np.all(truth.model.mean_curve == 1.0)
+
+    def test_scalar_mean_without_noise(self):
+        panel, _, truth = simulate_lagged_regression(_spec(mean_fn=lambda t: 1.0, n_times=20))
+        assert np.all(panel.values == 1.0) and np.array_equal(truth.regression_curves, panel.values)
+
+    def test_scalar_filter_is_the_constant_curve(self):
+        constant = simulate_lagged_regression(_spec(filter_fns={(0, 0): lambda t: 0.5}, n_times=20))[2]
+        curve = simulate_lagged_regression(_spec(filter_fns={(0, 0): lambda t: 0.5 + 0 * t}, n_times=20))[2]
+        assert np.array_equal(constant.regression_curves, curve.regression_curves)
+        assert np.array_equal(constant.model.filter_coef, curve.model.filter_coef)
