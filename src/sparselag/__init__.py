@@ -14,7 +14,7 @@ from .errors import (DegenerateTotal, IllConditioned, ParseError, ResidualImagin
                      SingularDesign)
 from .model import (Config, FrequencyGrid, LaggedRegressionFit, MacroPanel, MaturityGrid,
                     SparseYieldPanel)
-from .warp import Warp, build_warp, warp_apply, warp_inverse
+from .warp import warp_apply, warp_inverse
 from .smoother import (epanechnikov, estimate_mean_curve, local_linear_operator,
                        mean_curve_warped)
 from .mv_spectral import (AutocovarianceSet, SpectralDensityField, bartlett_weights,
@@ -37,8 +37,8 @@ __all__ = [
     "LaggedRegressionFit", "MacroPanel", "MaturityGrid", "ParseError",
     "RawCrossCovariances", "ResidualImaginary", "ResultBundle", "SimulationTruth",
     "SingularDesign", "SparseYieldPanel", "SpectralDensityField", "SyntheticSpec",
-    "US_MATURITIES", "Warp", "analyze", "bartlett_weights", "build_result_bundle",
-    "build_warp", "cross_spectral_density", "epanechnikov",
+    "US_MATURITIES", "analyze", "bartlett_weights", "build_result_bundle",
+    "cross_spectral_density", "epanechnikov",
     "estimate_autocovariances", "estimate_mean_curve", "evaluation_grid",
     "filter_coefficients", "frequency_response", "load_macro_csv", "load_yields_csv",
     "local_linear_operator", "mean_curve_warped", "naive_cross_spectral_density",

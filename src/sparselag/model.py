@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 
-# Two construction facts the value types share, then the estimator's four input rules: each stated once.
+# Two construction facts the value types share, then five input rules: each stated once.
 
 def _frozen(values, dtype=None):
     """The read-only copy of an array field: a new C-ordered array (of dtype, if given) that no caller
@@ -53,6 +53,14 @@ def _store_lags(instance, name: str, stack: np.ndarray, counts=None) -> None:
     lags = np.arange(-h, h + 1)
     lags.flags.writeable = False
     vars(instance).update(max_lag=h, lags=lags)
+
+
+def _check_integers(instance, *names: str) -> None:
+    """Count and seed fields hold integers (a numpy integer is one)."""
+    for name in names:
+        value = getattr(instance, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_horizons(n_curves: int, n_regressors: int) -> None:
@@ -323,10 +331,7 @@ class Config:
     cond_threshold: float = 1e8
 
     def __post_init__(self):
-        for name in ("q", "n_omega", "h_max", "n_eval"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(self, "q", "n_omega", "h_max", "n_eval")
         if not (0.0 < self.b_mu <= 1.0):
             raise ValueError(f"b_mu must lie in (0, 1], got {self.b_mu}")
         if not (0.0 < self.b_r <= 1.0):
@@ -387,6 +392,10 @@ class LaggedRegressionFit:
             raise ValueError("filter coefficients must be finite")
         if not np.all(np.isfinite(mean_curve)):
             raise ValueError("mean_curve must be finite")
+        if not (np.all(np.isfinite(eval_tau)) and np.all(np.isfinite(eval_warped))):
+            raise ValueError("eval_tau and eval_warped must be finite")
+        if not np.all((eval_warped >= 0.0) & (eval_warped <= 1.0)):
+            raise ValueError("eval_warped must lie in [0, 1]")
         _check_means(macro_means, coef.shape[2])
         _store(self, filter_coef=coef, eval_tau=eval_tau, eval_warped=eval_warped, mean_curve=mean_curve,
                macro_means=macro_means)

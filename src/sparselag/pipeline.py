@@ -1,10 +1,11 @@
 """End-to-end estimation: panels in, fitted lagged regression out.
 
-Stage order: warp construction, mean-curve smoothing, regressor spectral
-density, raw cross-covariances, cross-spectral smoothing, frequency-response
-solve, filter quadrature, prediction and R^2.  The curve evaluation grid is
-the requested equispaced warped grid joined with the warped maturity knots,
-so predictions at the observed maturities never interpolate.
+Stage order: mean-curve smoothing, regressor spectral density, raw
+cross-covariances, cross-spectral smoothing, frequency-response solve, filter
+quadrature, warp of the evaluation grid to maturities, prediction and R^2.
+The curve evaluation grid is the requested equispaced warped grid joined with
+the warped maturity knots, so predictions at the observed maturities never
+interpolate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import cross_spectral, lagreg, mv_spectral, smoother
 from .model import Config, FrequencyGrid, LaggedRegressionFit, MacroPanel, SparseYieldPanel, _check_horizons
-from .warp import build_warp, warp_apply
+from .warp import warp_apply
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
     if config is None:
         config = Config.defaults(panel.n_times, panel.n_maturities)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the next finiteness check
-        warp = build_warp(panel.maturity_grid)
         grid = FrequencyGrid(config.n_omega)
         eval_warped, knot_idx = evaluation_grid(config.n_eval, panel.n_maturities)
 
@@ -80,7 +80,7 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
 
         fit = LaggedRegressionFit(
             filter_coef=coef,
-            eval_tau=np.asarray(warp_apply(warp, eval_warped), dtype=float),
+            eval_tau=np.asarray(warp_apply(panel.maturity_grid, eval_warped), dtype=float),
             eval_warped=eval_warped,
             mean_curve=mean_curve,
             macro_means=acov.mean,

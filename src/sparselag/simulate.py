@@ -29,7 +29,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .model import FrequencyGrid, LaggedRegressionFit, MacroPanel, MaturityGrid, SparseYieldPanel, _store
+from .model import (FrequencyGrid, LaggedRegressionFit, MacroPanel, MaturityGrid, SparseYieldPanel, _check_integers,
+                    _store)
 
 _BURN_IN = 500  # spectral radius <= 0.95 decays below 1e-10 well within this
 
@@ -69,6 +70,7 @@ class SyntheticSpec:
         d = a.shape[0]
         if a.shape != (d, d) or cov.shape != (d, d) or mean.shape != (d,):
             raise ValueError("ar_coef, innovation_cov and macro_mean disagree on the dimension d")
+        _check_integers(self, "n_times", "seed")
         if self.n_times < 1:
             raise ValueError("n_times must be positive")
         if self.seed < 0:

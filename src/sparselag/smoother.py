@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SingularDesign
 from .model import SparseYieldPanel
-from .warp import Warp, warp_inverse
+from .warp import warp_inverse
 
 # Relative determinant floor: catches exact collinearity, tolerates roundoff.
 _SINGULAR_REL_TOL = 1e-12
@@ -81,8 +81,8 @@ def mean_curve_warped(panel: SparseYieldPanel, b_mu: float, eval_warped) -> np.n
     return operator @ np.where(panel.observed, panel.values, 0.0).sum(axis=0)
 
 
-def estimate_mean_curve(panel: SparseYieldPanel, warp: Warp, b_mu: float, eval_points) -> np.ndarray:
-    """Mean curve mu_Y(tau) at the given maturities (smoothing happens in warped space)."""
+def estimate_mean_curve(panel: SparseYieldPanel, b_mu: float, eval_points) -> np.ndarray:
+    """Mean curve mu_Y(tau) at the given maturities (smoothing happens in the panel grid's warped space)."""
     eval_points = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    eval_warped = np.asarray(warp_inverse(warp, eval_points), dtype=float)
+    eval_warped = np.asarray(warp_inverse(panel.maturity_grid, eval_points), dtype=float)
     return mean_curve_warped(panel, b_mu, eval_warped)

@@ -6,8 +6,8 @@ The three exceptions take library pieces because their subject is another
 step: ``full_grid_reference`` takes the library's phase table and window
 weights, because its subject is the restriction of the spectral steps to the
 nodes k = 0..N/2, which must match all N nodes bit for bit;
-``brentq_warp_inverse`` evaluates phi with the library's
-Hermite evaluator to pin the inverse, and ``naive_result_rows`` takes its
+``brentq_warp_inverse`` evaluates phi with the library's knots, slopes
+and Hermite evaluator to pin the inverse, and ``naive_result_rows`` takes its
 predictions from the full-grid ``predict_panel``, its maturity lookup from
 the library and the knot fields' N nodes from ``FrequencyGrid.mirror``,
 because its subject is the text formatting, which must match bit for bit.  ``loop_var1_deviations`` is the simulator's original
@@ -138,21 +138,24 @@ def _edge_slope(h0, h1, d0, d1):
     return m
 
 
-def brentq_warp_inverse(w, tau):
-    """Per-point root bracketing of phi(x) = tau on the cubic piece holding tau.
+def brentq_warp_inverse(grid, tau):
+    """Per-point root bracketing of the grid's phi(x) = tau on the cubic piece holding tau.
 
     Takes phi from the library's Hermite evaluator; its subject is the inverse.
     """
-    from sparselag.warp import _hermite_eval
+    from sparselag.warp import _hermite_eval, _knots
+
+    knots = _knots(grid)
+    knots_x, knots_y, _ = knots
 
     def one(t):
-        piece = int(np.clip(np.searchsorted(w.knots_y, t, side="right") - 1, 0, w.knots_y.size - 2))
-        if t == w.knots_y[piece]:
-            return float(w.knots_x[piece])
-        if t == w.knots_y[piece + 1]:
-            return float(w.knots_x[piece + 1])
-        a, b = w.knots_x[piece], w.knots_x[piece + 1]
-        return float(brentq(lambda s: _hermite_eval(w, np.asarray(s)) - t, a, b,
+        piece = int(np.clip(np.searchsorted(knots_y, t, side="right") - 1, 0, knots_y.size - 2))
+        if t == knots_y[piece]:
+            return float(knots_x[piece])
+        if t == knots_y[piece + 1]:
+            return float(knots_x[piece + 1])
+        a, b = knots_x[piece], knots_x[piece + 1]
+        return float(brentq(lambda s: _hermite_eval(knots, np.asarray(s)) - t, a, b,
                             xtol=1e-14, rtol=4.0 * np.finfo(float).eps))
 
     return np.array([one(t) for t in np.asarray(tau, dtype=float)])

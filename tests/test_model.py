@@ -8,7 +8,7 @@ import pytest
 
 from sparselag import (AutocovarianceSet, Config, CrossSpectralField, FrequencyGrid, FrequencyResponseField,
                        LaggedRegressionFit, MacroPanel, MaturityGrid, RawCrossCovariances, SimulationTruth,
-                       SparseYieldPanel, SpectralDensityField, SyntheticSpec, US_MATURITIES, Warp, analyze,
+                       SparseYieldPanel, SpectralDensityField, SyntheticSpec, US_MATURITIES, analyze,
                        bartlett_weights, estimate_autocovariances, filter_coefficients, frequency_response,
                        local_linear_operator, predict_panel, r_squared, raw_cross_cov, simulate_var1,
                        var1_spectral_density)
@@ -299,6 +299,13 @@ _INPUT_CHECKS = {   # case: (call on a T = 30 curve panel of 4 maturities and 1-
                                                    "mean_curve must be finite"),
     "LaggedRegressionFit, non-finite regressor mean": (lambda p, x: replace(_fit(p), macro_means=[np.nan]),
                                                        "macro_means must be finite"),
+    "LaggedRegressionFit, non-finite evaluation grids": (
+        lambda p, x: LaggedRegressionFit(np.zeros((1, 2, 1)), [np.nan, np.inf], [5.0, -3.0], [0.0, 0.0], [0.0]),
+        "eval_tau and eval_warped must be finite"),
+    "LaggedRegressionFit, non-finite warped point": (
+        lambda p, x: replace(_fit(p), eval_warped=[0.0, np.nan, 0.5, 1.0]), "eval_tau and eval_warped must be finite"),
+    "LaggedRegressionFit, warped point outside [0, 1]": (
+        lambda p, x: replace(_fit(p), eval_warped=np.linspace(-0.5, 1.0, 4)), "eval_warped must lie in [0, 1]"),
     "LaggedRegressionFit.lag_index, lag outside the stack": (lambda p, x: _fit(p).lag_index(1),
                                                              "lag 1 outside the stored range 0..0"),
     "AutocovarianceSet, matrices not square": (lambda p, x: AutocovarianceSet(np.zeros((1, 1, 2)), np.zeros(1)),
@@ -310,6 +317,9 @@ _INPUT_CHECKS = {   # case: (call on a T = 30 curve panel of 4 maturities and 1-
     "SyntheticSpec, dimensions disagree": (lambda p, x: replace(_spec([[0.5]]), macro_mean=np.zeros(2)),
                                            "ar_coef, innovation_cov and macro_mean disagree on the dimension d"),
     "SyntheticSpec, no time point": (lambda p, x: replace(_spec([[0.5]]), n_times=0), "n_times must be positive"),
+    "SyntheticSpec, fractional n_times": (lambda p, x: replace(_spec([[0.5]]), n_times=20.5),
+                                          "n_times must be an integer, got 20.5"),
+    "SyntheticSpec, fractional seed": (lambda p, x: replace(_spec([[0.5]]), seed=1.5), "seed must be an integer, got 1.5"),
     "SyntheticSpec, asymmetric covariance": (
         lambda p, x: replace(_spec([[0.5]]), ar_coef=0.5 * np.eye(2), innovation_cov=[[1.0, 0.5], [0.0, 1.0]],
                              macro_mean=np.zeros(2)),
@@ -376,7 +386,6 @@ _HOLDERS = {   # type: lock -> (instance, the caller's arrays it was built from)
     "AutocovarianceSet": lambda lock: _holder(lock, AutocovarianceSet, np.array([[[0.5]], [[1.0]], [[0.5]]]),
                                               np.zeros(1)),
     "RawCrossCovariances": lambda lock: _holder(lock, RawCrossCovariances, np.ones((3, 2, 1)), np.ones((3, 2))),
-    "Warp": lambda lock: _holder(lock, Warp, np.linspace(0.0, 1.0, 3), np.array([0.5, 1.0, 2.0]), np.ones(3)),
     "SyntheticSpec": lambda lock: _holder(lock, _spec, np.array([[0.5]])),
     "SimulationTruth": lambda lock: _holder(
         lock, partial(SimulationTruth, _HOLDERS["LaggedRegressionFit"](False)[0]), np.ones((4, 2))),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sparselag
-from sparselag import (Config, FrequencyResponseField, LaggedRegressionFit, analyze, build_warp,
+from sparselag import (Config, FrequencyResponseField, LaggedRegressionFit, analyze,
                        estimate_autocovariances, r_squared, recovery_spec, simulate_lagged_regression,
                        warp_apply)
 from sparselag.pipeline import evaluation_grid
@@ -143,7 +143,7 @@ class TestAnalyze:
         assert not hasattr(sparselag, "empirical_mean") and "empirical_mean" not in sparselag.__all__
         assert not hasattr(sparselag.mv_spectral, "empirical_mean")
         # the objects the result no longer carries are rebuilt from the inputs, bit for bit
-        assert np.array_equal(warp_apply(build_warp(panel.maturity_grid), result.fit.eval_warped),
+        assert np.array_equal(warp_apply(panel.maturity_grid, result.fit.eval_warped),
                               result.fit.eval_tau)
         acov = estimate_autocovariances(macro, result.config.q)
         assert np.array_equal(acov.mean, result.fit.macro_means)

@@ -72,6 +72,10 @@ class TestSimulateVar1:
         with pytest.raises(ValueError, match=message):
             _spec(**{field: value})
 
+    def test_numpy_integer_counts_pass_the_integer_rule(self):
+        as_numpy = simulate_var1(_spec(n_times=np.int64(50), seed=np.int64(3)))
+        assert np.array_equal(as_numpy.values, simulate_var1(_spec(n_times=50, seed=3)).values)
+
 
 class TestDiagonalFastPath:
     """A diagonal A runs as scalar recursions; outputs must equal the matrix loop."""

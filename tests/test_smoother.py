@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparselag import (SingularDesign, SparseYieldPanel, build_warp, epanechnikov,
+from sparselag import (SingularDesign, SparseYieldPanel, epanechnikov,
                        estimate_mean_curve, local_linear_operator, mean_curve_warped)
 from conftest import random_sparse_panel
 from oracles import lstsq_locallin
@@ -114,9 +114,8 @@ class TestMeanCurve:
     def test_estimate_mean_curve_maps_through_warp(self, us_grid):
         tau_tilde = np.linspace(0, 1, 9)
         panel = SparseYieldPanel.from_values(np.tile(2.0 + 3.0 * tau_tilde, (10, 1)), us_grid)
-        warp = build_warp(us_grid)
         taus = np.asarray([1 / 12, 1.0, 3.0, 30.0])
-        est = estimate_mean_curve(panel, warp, 0.25, taus)
+        est = estimate_mean_curve(panel, 0.25, taus)
         assert np.abs(est - (2.0 + 3.0 * np.array([0, 0.25, 0.5, 1.0]))).max() <= 1e-10
 
     def test_sine_mean_recovered_monte_carlo(self):
