@@ -10,8 +10,7 @@ into a cross-spectral density, solve for the frequency response, and
 integrate back to time-domain filter coefficients.
 """
 
-from .errors import (DegenerateTotal, IllConditioned, ParseError, ResidualImaginary,
-                     SingularDesign)
+from .errors import DegenerateTotal, IllConditioned, ParseError, SingularDesign
 from .model import (Config, FrequencyGrid, LaggedRegressionFit, MacroPanel, MaturityGrid,
                     SparseYieldPanel)
 from .warp import warp_apply, warp_inverse
@@ -35,7 +34,7 @@ __all__ = [
     "AnalysisResult", "AutocovarianceSet", "Config", "CrossSpectralField", "DegenerateTotal",
     "Diagnostics", "FrequencyGrid", "FrequencyResponseField", "IllConditioned",
     "LaggedRegressionFit", "MacroPanel", "MaturityGrid", "ParseError",
-    "RawCrossCovariances", "ResidualImaginary", "ResultBundle", "SimulationTruth",
+    "RawCrossCovariances", "ResultBundle", "SimulationTruth",
     "SingularDesign", "SparseYieldPanel", "SpectralDensityField", "SyntheticSpec",
     "US_MATURITIES", "analyze", "bartlett_weights", "build_result_bundle",
     "cross_spectral_density", "epanechnikov",

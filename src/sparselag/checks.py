@@ -82,7 +82,7 @@ def check_quadrature_round_trip(rng: np.random.Generator) -> CheckResult:
     lags = np.arange(-h_true, h_true + 1)
     half = np.einsum("ln,lrd->nrd", np.exp(-1j * np.outer(lags, grid.nodes[: n_omega // 2 + 1])), coef)
     resp = lagreg.FrequencyResponseField.from_knots(grid, half, np.eye(coef.shape[1]))
-    recovered, _ = lagreg.filter_coefficients(resp, h_max)
+    recovered = lagreg.filter_coefficients(resp, h_max)
     center = h_max - h_true
     err_inside = float(np.abs(recovered[center: center + 2 * h_true + 1] - coef).max())
     err_outside = float(max(np.abs(recovered[:center]).max(), np.abs(recovered[-center:]).max()))

@@ -24,7 +24,7 @@ import numpy as np
 from . import io as sio
 from . import simulate as sim
 from .checks import run_builtin_checks
-from .errors import IllConditioned, ParseError, ResidualImaginary
+from .errors import IllConditioned, ParseError
 from .model import Config, MaturityGrid
 from .pipeline import analyze
 
@@ -151,7 +151,7 @@ def run_analyze(args) -> int:
         digests = {"yields": sio.sha256_digest(args.yields), "macro": sio.sha256_digest(args.macro)}
     with _stage("config", 2, ValueError, OSError):
         config = _build_config(panel.n_times, panel.n_maturities, args.config)
-    with _stage("estimate", 1, ValueError, IllConditioned, ResidualImaginary, MemoryError):
+    with _stage("estimate", 1, ValueError, IllConditioned, MemoryError):
         result = analyze(panel, macro, config)
     with _stage("write", 1, OSError):
         bundle = sio.build_result_bundle(result, panel, macro, digests)

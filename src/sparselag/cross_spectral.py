@@ -32,13 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _check_means, _store, _store_lags
+from .model import (FrequencyGrid, MacroPanel, SparseYieldPanel, SpectralField, _ArrayHolder, _check_means, _store,
+                    _store_lags)
 from .mv_spectral import bartlett_weights, lag_window_transform, lagged_products
 from .smoother import epanechnikov, local_linear_operator
 
 
 @dataclass(frozen=True)
-class RawCrossCovariances:
+class RawCrossCovariances(_ArrayHolder):
     """The centered products G aggregated over t, which is all the smoother needs.
 
     sums[l, i, j] = sum_t G[h, t, i, j] and counts[l, i] = number of realized

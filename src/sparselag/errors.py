@@ -34,18 +34,6 @@ class IllConditioned(RuntimeError):
         self.threshold = threshold
 
 
-class ResidualImaginary(RuntimeError):
-    """Imaginary residue of the filter quadrature exceeded its bound."""
-
-    def __init__(self, max_imag, bound):
-        super().__init__(
-            f"filter coefficients carry a max imaginary part {max_imag:.3e} "
-            f"(allowed {bound:.3e}); conjugate symmetry is broken upstream"
-        )
-        self.max_imag = max_imag
-        self.bound = bound
-
-
 class DegenerateTotal(ValueError):
     """The panel is constant in time at every maturity; R^2 is undefined."""
 

@@ -10,23 +10,23 @@ coefficients come back to the time domain by rectangle-rule quadrature,
 
     b_hat_h = (1/N) * sum_k B_hat(omega_k) * e^{i h omega_k},
 
-which is exact for trigonometric polynomials of degree < N - |h|.  The
-quadrature of a conjugate-symmetric field is real up to roundoff; the
-discarded imaginary part is returned as a diagnostic and bounded.  Both steps
-are linear in f_hat = L Z(omega) with a real, frequency-free smoother L, so they
-run on the I maturity knots (B_hat = L Z F_hat^-1) and L is applied afterwards.
+which is exact for trigonometric polynomials of degree < N - |h|.  For real
+series B_hat(-omega) = conj(B_hat(omega)), so node N - k adds the conjugate of
+node k's term and the sum is the real one over the nodes k <= N/2 that the
+field holds, with weight 1 at the self-paired nodes omega = -pi, 0 and 2
+elsewhere.  Both steps are linear in f_hat = L Z(omega) with a real,
+frequency-free smoother L, so they run on the I maturity knots
+(B_hat = L Z F_hat^-1) and L is applied afterwards.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateTotal, IllConditioned, ResidualImaginary
+from .errors import DegenerateTotal, IllConditioned
 from .model import LaggedRegressionFit, MacroPanel, SparseYieldPanel, SpectralField, _check_horizons, _check_lag_reach
 from .cross_spectral import CrossSpectralField
 from .mv_spectral import SpectralDensityField
-
-_IMAG_RESIDUAL_TOL = 1e-8
 
 
 class FrequencyResponseField(SpectralField):
@@ -56,23 +56,18 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
     return FrequencyResponseField.from_knots(cross.grid, np.conj(z), cross.operator)
 
 
-def filter_coefficients(resp: FrequencyResponseField, h_max: int):
-    """Quadrature back to lag space; returns (coefficients, max imaginary part).
+def filter_coefficients(resp: FrequencyResponseField, h_max: int) -> np.ndarray:
+    """Quadrature back to lag space: the real coefficients[l, r, j] for lags -h_max..h_max.
 
-    coefficients[l, r, j] covers lags -h_max..h_max (integrated at the knots).
-    Raises ResidualImaginary when the discarded imaginary part exceeds 1e-8 *
-    (1 + max |Re|), which signals broken conjugate symmetry upstream.
+    Integrated at the knots over the nodes k <= N/2: Re sum_k c_k e^{i h omega_k} Z_k / N,
+    with c_k = 1 at the self-paired nodes k = 0, N/2 and 2 elsewhere, then the operator.
     """
     n = resp.grid.n_nodes
     _check_lag_reach(h_max, n)
-    # conjugate of the lag-to-frequency kernel: e^{+i h omega}, shape (2H+1, N)
-    inverse = resp.grid.phases(np.arange(-h_max, h_max + 1)).conj().T
-    raw = resp.operator @ (np.tensordot(inverse, resp.grid.mirror(resp.knot_values), axes=1) / n)
-    max_imag = float(np.abs(raw.imag).max())
-    bound = _IMAG_RESIDUAL_TOL * (1.0 + float(np.abs(raw.real).max()))
-    if max_imag > bound:
-        raise ResidualImaginary(max_imag, bound)
-    return raw.real, max_imag
+    # conjugate of the lag-to-frequency kernel: e^{+i h omega}, shape (2H+1, N/2+1)
+    kernel = resp.grid.phases(np.arange(-h_max, h_max + 1))[: n // 2 + 1].conj().T
+    kernel[:, 1:-1] *= 2.0
+    return resp.operator @ (np.tensordot(kernel, resp.knot_values, axes=1).real / n)
 
 
 def _eval_indices(fit: LaggedRegressionFit, eval_points) -> np.ndarray:

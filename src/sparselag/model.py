@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 
-# Two construction facts the value types share, then five input rules: each stated once.
+# Three construction facts the value types share, then five input rules: each stated once.
 
 def _frozen(values, dtype=None):
     """The read-only copy of an array field: a new C-ordered array (of dtype, if given) that no caller
@@ -33,6 +33,17 @@ def _store(instance, **arrays) -> None:
     """Set each named array field of a frozen dataclass instance to its read-only copy."""
     for name, values in arrays.items():
         object.__setattr__(instance, name, _frozen(values))
+
+
+class _ArrayHolder:
+    """Base of every type that stores arrays: what copy.deepcopy or pickle rebuilds of an instance,
+    cached arrays included, is read-only as the instance is."""
+
+    def __setstate__(self, state):
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        vars(self).update(state)
 
 
 def _max_lag(name: str, stack: np.ndarray, ndim: Optional[int] = None, counts=None) -> int:
@@ -94,7 +105,7 @@ def _check_means(means: np.ndarray, d: int, name: str = "macro_means") -> None:
 
 
 @dataclass(frozen=True)
-class MaturityGrid:
+class MaturityGrid(_ArrayHolder):
     """Ordered quoted maturities tau_1 < ... < tau_I (years), I >= 3."""
 
     maturities: np.ndarray
@@ -119,7 +130,7 @@ class MaturityGrid:
 
 
 @dataclass(frozen=True)
-class SparseYieldPanel:
+class SparseYieldPanel(_ArrayHolder):
     """T x I panel of noisy curve observations on a fixed maturity grid.
 
     ``observed`` marks the available cells; ``values`` is NaN wherever a
@@ -171,7 +182,7 @@ class SparseYieldPanel:
 
 
 @dataclass(frozen=True)
-class MacroPanel:
+class MacroPanel(_ArrayHolder):
     """T x d panel of scalar regressor series, fully observed."""
 
     values: np.ndarray
@@ -251,7 +262,7 @@ class FrequencyGrid:
         return full
 
 
-class SpectralField:
+class SpectralField(_ArrayHolder):
     """Spectral field (N, R, d) of real series, held on the nodes k = 0..N/2 as the (N/2+1, I, d)
     knot values Z at I maturity knots and a real (R, I) operator L; half = L @ Z and values =
     grid.mirror(half), all N nodes, are built on first read.  ``Cls.from_knots(grid, Z, L)`` is
@@ -363,7 +374,7 @@ class Config:
 
 
 @dataclass(frozen=True)
-class LaggedRegressionFit:
+class LaggedRegressionFit(_ArrayHolder):
     """Fitted lagged-regression filter on a grid of evaluation points.
 
     filter_coef[l, r, j] holds the lag lags[l] coefficient of regressor j at

@@ -31,8 +31,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import (FrequencyGrid, MacroPanel, SpectralField, _check_horizons, _check_means, _check_span, _frozen,
-                    _max_lag, _store, _store_lags)
+from .model import (FrequencyGrid, MacroPanel, SpectralField, _ArrayHolder, _check_horizons, _check_means, _check_span,
+                    _frozen, _max_lag, _store, _store_lags)
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -77,7 +77,7 @@ def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndar
 
 
 @dataclass(frozen=True)
-class AutocovarianceSet:
+class AutocovarianceSet(_ArrayHolder):
     """Autocovariances for lags -(q-1)..(q-1), plus the empirical mean; ``lags``, ``max_lag`` = q - 1 and q
     are read from matrices."""
 

@@ -21,9 +21,9 @@ from .warp import warp_apply
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Numerical health indicators collected along the pipeline."""
+    """Numerical health indicators collected along the pipeline.  The filter quadrature is a real sum
+    over the half spectrum, so it discards no imaginary part to report."""
 
-    max_imag_residual: float          # discarded imaginary part of the filter quadrature
     truncation_tail_mass: float       # sum of ||b_h|| over the two outermost lag pairs
     max_condition_number: float       # max over the nodes of cond(F_hat)
 
@@ -76,7 +76,7 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
         cross = cross_spectral.cross_spectral_density(raw, config.b_r, grid, eval_warped)
 
         response = lagreg.frequency_response(cross, spec_density, config.cond_threshold)
-        coef, max_imag = lagreg.filter_coefficients(response, config.h_max)
+        coef = lagreg.filter_coefficients(response, config.h_max)
 
         fit = LaggedRegressionFit(
             filter_coef=coef,
@@ -87,7 +87,6 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
         )
         r_squared = lagreg.r_squared(panel, fit, macro)
         diagnostics = Diagnostics(
-            max_imag_residual=max_imag,
             truncation_tail_mass=_tail_mass(fit),
             max_condition_number=float(spec_density.condition_numbers.max()),
         )

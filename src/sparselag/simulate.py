@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .model import (FrequencyGrid, LaggedRegressionFit, MacroPanel, MaturityGrid, SparseYieldPanel, _check_integers,
-                    _store)
+from .model import (FrequencyGrid, LaggedRegressionFit, MacroPanel, MaturityGrid, SparseYieldPanel, _ArrayHolder,
+                    _check_integers, _store)
 
 _BURN_IN = 500  # spectral radius <= 0.95 decays below 1e-10 well within this
 
@@ -44,7 +44,7 @@ def _spectral_radius(a: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(_ArrayHolder):
     """Everything needed to generate one synthetic data set.
 
     ``filter_fns`` pairs (lag h, series j) with the coefficient function of the warped coordinate,
@@ -154,7 +154,7 @@ def var1_spectral_density(ar_coef, innovation_cov, grid: FrequencyGrid) -> np.nd
 
 
 @dataclass(frozen=True)
-class SimulationTruth:
+class SimulationTruth(_ArrayHolder):
     """Ground truth emitted next to a synthetic data set: the model that made it, and its curves (read-only)."""
 
     model: LaggedRegressionFit     # the generating filter, lags -H..H, at the maturities and warped knots

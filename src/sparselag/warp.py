@@ -46,6 +46,7 @@ def _knots(grid: MaturityGrid):
 
 
 def _hermite_eval(knots, t: np.ndarray) -> np.ndarray:
+    """phi at t in [0, 1] for both directions; raises where the slopes or the cubic overflow."""
     x, y, m = knots
     idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
     h = x[idx + 1] - x[idx]
@@ -55,12 +56,15 @@ def _hermite_eval(knots, t: np.ndarray) -> np.ndarray:
     # Hermite basis kept in factored form: (1 - s) is exact at both knot ends,
     # so phi reproduces the knots to the last bit.
     one_m = 1.0 - s
-    return (
+    out = (
         y0 * (1.0 + 2.0 * s) * one_m * one_m
         + h * m0 * s * one_m * one_m
         + y1 * s * s * (3.0 - 2.0 * s)
         + h * m1 * s * s * (s - 1.0)
     )
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"warp overflows on maturities up to {float(y[-1])!r}")
+    return out
 
 
 def warp_apply(grid: MaturityGrid, t):
@@ -69,8 +73,6 @@ def warp_apply(grid: MaturityGrid, t):
     if not np.all((t_arr >= -_DOMAIN_TOL) & (t_arr <= 1.0 + _DOMAIN_TOL)):
         raise ValueError(f"warp argument outside [0, 1]: {t}")
     out = _hermite_eval(_knots(grid), np.clip(t_arr, 0.0, 1.0))
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"warp overflows on maturities up to {float(grid.maturities[-1])!r}")
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -79,6 +81,7 @@ def warp_inverse(grid: MaturityGrid, tau):
 
     Each bracket shrinks until its ends are adjacent floats, then the end with
     the smaller residual wins.  A tau equal to a knot returns that knot's x exactly.
+    An overflow raises, as in warp_apply.
     """
     knots = _knots(grid)
     x, y, _ = knots

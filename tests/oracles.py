@@ -55,6 +55,38 @@ def full_grid_reference(grid, cross_lags, density_lags):
     return z, f, cond, b
 
 
+def lag_domain_filter(autocov, cross_sums, smoother, n_omega, h_max, reach=300):
+    """The filter (2H+1, R, d) from the lag-domain normal equations, one dense solve.
+
+    With the triangular weights W_h = 1 - |h|/q, A_h = W_h R_h / 2pi and C_h = W_h S_h for the
+    autocovariances R (2q-1, d, d) and the raw cross sums S (2q-1, I, d), the knot response is the
+    lag sequence kappa solving sum_k kappa_k A_{h-k} = C_h (Brillinger 1981), taken on the finite
+    section |h|, |k| <= reach.  The rectangle rule on n_omega nodes returns kappa folded modulo
+    n_omega (Gray 2006), and the smoother (q/2pi) L (L the real (R, I) knot operator) maps the
+    folded lags to the evaluation points.
+    """
+    q = (len(autocov) + 1) // 2
+    d, n_knots, size = autocov.shape[1], cross_sums.shape[1], 2 * reach + 1
+    weights = 1.0 - np.abs(np.arange(1 - q, q)) / q
+    a = weights[:, None, None] * autocov / (2.0 * np.pi)
+    c = weights[:, None, None] * cross_sums
+    # block (k, h) of the system matrix is A_{h-k}; kappa is one row vector per knot
+    blocks = np.zeros((size, size, d, d))
+    for l, lag in enumerate(range(1 - q, q)):
+        k = np.arange(max(0, -lag), min(size, size - lag))
+        blocks[k, k + lag] = a[l]
+    system = blocks.transpose(0, 2, 1, 3).reshape(size * d, size * d)
+    rhs = np.zeros((n_knots, size, d))
+    rhs[:, reach + 1 - q: reach + q] = np.swapaxes(c, 0, 1)
+    kappa = np.linalg.solve(system.T, rhs.reshape(n_knots, -1).T).T.reshape(n_knots, size, d)
+    folded = np.zeros((2 * h_max + 1, n_knots, d))
+    for k in range(-reach, reach + 1):
+        h = (k + n_omega // 2) % n_omega - n_omega // 2
+        if abs(h) <= h_max:
+            folded[h + h_max] += kappa[:, k + reach]
+    return np.einsum("ri,lid->lrd", q / (2.0 * np.pi) * smoother, folded)
+
+
 def loop_var1_deviations(spec, rng, n_steps):
     """VAR(1) deviations by one ``A @ x + shock`` matrix step per date."""
     chol = np.linalg.cholesky(spec.innovation_cov)

@@ -13,7 +13,6 @@ import sparselag
 from sparselag import checks, cli, simulate
 from sparselag import io as sio
 from sparselag.cli import main, parse_synthetic_config, read_key_values
-from sparselag.errors import ResidualImaginary
 from sparselag.io import sha256_digest
 from sparselag.model import Config
 from sparselag.mv_spectral import bartlett_weights, SpectralDensityField
@@ -468,7 +467,6 @@ _ESTIMATE_FAILURES = {   # case: (yields text, config text, exception analyze ra
     "ill-conditioned spectrum": (_YIELDS, "cond_threshold = 1.0001\n", None,
                                  "-- consider a different window span q"),
     "panel constant in time": ("1,2,3\n" + "3.0,3.0,3.0\n" * 4, None, None, "R^2 is undefined"),
-    "imaginary residue": (_YIELDS, None, ResidualImaginary(1e-3, 1e-8), "max imaginary part"),
     "out of memory": (_YIELDS, None, MemoryError("Unable to allocate 745. GiB for an array"),
                       "Unable to allocate"),
     "warp slopes overflow": (_YIELDS.replace("1,2,3", "1e307,5e307,1.7e308"), None, None,

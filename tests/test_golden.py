@@ -7,11 +7,16 @@ BLAS thread and with two.  The three files of ``sparselag simulate`` with
 ``preset = recovery``, seed 0, are pinned the same way.  A refactor that
 promises identical outputs is checked here; a change that alters outputs on
 purpose re-records the digests and says so in CHANGES.md.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints the current checkout's
+digests in the layout of ``GOLDEN`` and ``SIMULATE_GOLDEN`` below.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,21 +31,21 @@ from sparselag.io import sha256_digest
 GOLDEN = {
     1: {
         "mean_curve.csv": "4fe450214b5aabccc8603a9c72667e7184fb0fef2be18fea816493c598b6cd59",
-        "filter_coefficients.csv": "e1663eb9467a992b99b697335a28de096fd5b5e79704069d8928dc779d0efeb9",
+        "filter_coefficients.csv": "f68098cd50e02f959b0ae966c56979e0bb76f263ac450a20a67932aefd3c10e7",
         "spectral_density.csv": "3310a22f82d43e236a68560dd058988cd6c8fedce184d13acdcb0f453ef57442",
         "cross_spectral.csv": "9b5a69a66732e1f6fe316d18813fd41609da6d703b59bf28675fd9c521807c1a",
         "frequency_response.csv": "61c71141bde032896c3fbe0c3b97b7a6b5c5d09eeadaa01c6761bb22a740e92a",
-        "fitted.csv": "306579391cbb83b071235430c85b8ecd53693c4b4c8bc953095b4c5cc8688510",
-        "summary.json": "3055a406e34741bb6172fa3d78491bf572403889854189e7cf946b5e1e26da86",
+        "fitted.csv": "87d6bb3c9b207d7bc1fae7d789391f850dcc48e04ffb77524275b2c37773a386",
+        "summary.json": "0cf1328f44cc49259b0eea4b60258b81f88d6b74527ca36165c2970b7410fbb4",
     },
     3: {
         "mean_curve.csv": "411746a8ea0707ba690678fbd1255af79324ebf7aceb1c941f45c57891699d5b",
-        "filter_coefficients.csv": "5001c3255dc67d3a6abcd028759280a306e57a7466e0e1c5076b02eb8aafca1a",
+        "filter_coefficients.csv": "09f7070fcd418fff2553fc3fe4d3d21422f1ce46de730920af696ad602f7a9fa",
         "spectral_density.csv": "be457c60a839f23cd6805159be3e00342f0a195e1e7ba015f572e2f773059f9f",
         "cross_spectral.csv": "f1229490d36c4c9020b324f1b5ba2ff8fdc3662a5db571f612419dc16b40073d",
         "frequency_response.csv": "e080ea08b9a326e7dfb741bd2dbf6d38e047e9d821ab391ae30df1377579dd02",
-        "fitted.csv": "8dc829e82331f119abf285166b0e036784017c9045c9743503e98800a401d301",
-        "summary.json": "434ad91801950d52c8d447143de693a23cbef07c070c6c8010f5981e63a778d8",
+        "fitted.csv": "6abfea97e3338502932f9e73e11ca2c29122587fa616cc6eb3b3308388299402",
+        "summary.json": "b6ed7669c36c23f50ad918fe187a2c3b7deb6b9caf8d5d711ce3f8e9ec5e73b7",
     },
 }
 
@@ -68,16 +73,30 @@ def _write_panels(n_series, out_dir):
     (out_dir / "analyze.cfg").write_text("n_omega = 64\n", encoding="utf-8")
 
 
+def _analyze_digests(n_series, work_dir):
+    """The digest of every file ``sparselag analyze`` writes for the d = n_series panel pair, by name."""
+    _write_panels(n_series, work_dir)
+    out = work_dir / "results"
+    assert main(["analyze", "--yields", str(work_dir / "yields.csv"),
+                 "--macro", str(work_dir / "macro.csv"),
+                 "--config", str(work_dir / "analyze.cfg"), "--out", str(out)]) == 0
+    return {p.name: sha256_digest(p) for p in out.iterdir()}
+
+
+def _simulate_digests(work_dir):
+    """The digest of every file ``sparselag simulate`` writes for the recovery preset at seed 0, by name."""
+    (work_dir / "sim.cfg").write_text("preset = recovery\nseed = 0\n", encoding="utf-8")
+    out = work_dir / "sim"
+    assert main(["simulate", "--config", str(work_dir / "sim.cfg"), "--out", str(out)]) == 0
+    return {p.name: sha256_digest(p) for p in out.iterdir()}
+
+
 @pytest.mark.parametrize("n_series", sorted(GOLDEN))
 def test_result_files_match_pinned_digests(n_series, tmp_path):
-    _write_panels(n_series, tmp_path)
-    out = tmp_path / "results"
-    assert main(["analyze", "--yields", str(tmp_path / "yields.csv"),
-                 "--macro", str(tmp_path / "macro.csv"),
-                 "--config", str(tmp_path / "analyze.cfg"), "--out", str(out)]) == 0
-    assert sorted(p.name for p in out.iterdir()) == sorted(GOLDEN[n_series])
+    digests = _analyze_digests(n_series, tmp_path)
+    assert sorted(digests) == sorted(GOLDEN[n_series])
     for name, digest in GOLDEN[n_series].items():
-        assert sha256_digest(out / name) == digest, name
+        assert digests[name] == digest, name
 
 
 def test_result_files_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -99,7 +118,29 @@ def test_result_files_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_simulate_files_match_pinned_digests(tmp_path):
-    (tmp_path / "sim.cfg").write_text("preset = recovery\nseed = 0\n", encoding="utf-8")
-    out = tmp_path / "sim"
-    assert main(["simulate", "--config", str(tmp_path / "sim.cfg"), "--out", str(out)]) == 0
-    assert {p.name: sha256_digest(p) for p in out.iterdir()} == SIMULATE_GOLDEN
+    assert _simulate_digests(tmp_path) == SIMULATE_GOLDEN
+
+
+def _print_digests(pinned, digests, indent):
+    """One line per file, in the pinned order, then any file not pinned yet."""
+    for name in [*(n for n in pinned if n in digests), *sorted(set(digests) - set(pinned))]:
+        print(f'{indent}"{name}": "{digests[name]}",')
+
+
+if __name__ == "__main__":
+    # print this checkout's digests in the layout of GOLDEN and SIMULATE_GOLDEN, to paste above
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        analyzed = {}
+        for n_series in sorted(GOLDEN):
+            work_dir = Path(tmp) / f"d{n_series}"
+            work_dir.mkdir()
+            analyzed[n_series] = _analyze_digests(n_series, work_dir)
+        simulated = _simulate_digests(Path(tmp))
+    print("GOLDEN = {")
+    for n_series, digests in analyzed.items():
+        print(f"    {n_series}: {{")
+        _print_digests(GOLDEN[n_series], digests, " " * 8)
+        print("    },")
+    print("}\n\nSIMULATE_GOLDEN = {")
+    _print_digests(SIMULATE_GOLDEN, simulated, " " * 4)
+    print("}")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from collections.abc import Mapping
 from dataclasses import replace
@@ -406,6 +408,22 @@ def _array_attributes(instance):
     return {name: value for name, value in _attributes(instance).items() if isinstance(value, np.ndarray)}
 
 
+def _stored_arrays(instance, prefix=""):
+    """Every array an instance stores, also inside the value types it stores, by dotted attribute path."""
+    found = {}
+    for name, value in vars(instance).items():
+        if isinstance(value, np.ndarray):
+            found[prefix + name] = value
+        elif type(value).__module__.startswith("sparselag."):
+            found.update(_stored_arrays(value, f"{prefix}{name}."))
+    return found
+
+
+_COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda instance: pickle.loads(pickle.dumps(instance))}
+# a SyntheticSpec holds its default mean_fn, a lambda, which pickle cannot serialize
+_COPY_CASES = [(name, how) for name in _HOLDERS for how in _COPIES if (name, how) != ("SyntheticSpec", "pickle")]
+
+
 def _overwrite(inputs):
     """Make the caller's arrays writeable and overwrite them."""
     for values in inputs:
@@ -429,6 +447,17 @@ class TestReadOnlyCopies:
         assert after.keys() == before.keys()
         for key, array in before.items():
             assert np.array_equal(after[key], array), key
+
+    @pytest.mark.parametrize("name, how", _COPY_CASES)
+    def test_copies_keep_arrays_read_only(self, name, how):
+        instance, _ = _HOLDERS[name](False)
+        _array_attributes(instance)           # computes the cached arrays, so that the copy carries them
+        stored = _stored_arrays(instance)
+        copied = _stored_arrays(_COPIES[how](instance))
+        assert copied.keys() == stored.keys()
+        for key, array in copied.items():
+            assert not array.flags.writeable, key
+            assert np.array_equal(array, stored[key]), key
 
     @pytest.mark.parametrize("name", _HOLDERS)
     def test_no_attribute_is_a_mapping(self, name):

@@ -71,7 +71,6 @@ class TestAnalyze:
         panel, macro, _ = simulate_lagged_regression(spec)
         result = analyze(panel, macro)
         d = result.diagnostics
-        assert d.max_imag_residual < 1e-10
         assert d.truncation_tail_mass >= 0.0
         assert result.spectral_density.condition_numbers.shape == (512,)
         assert d.max_condition_number == 1.0    # scalar regressor
@@ -137,8 +136,7 @@ class TestAnalyze:
         # the fit is the model alone; the result scores it on the analyzed panels
         assert "r_squared" not in [f.name for f in fields(LaggedRegressionFit)]
         assert type(result.r_squared) is float and result.r_squared == r_squared(panel, result.fit, macro)
-        assert [f.name for f in fields(result.diagnostics)] == [
-            "max_imag_residual", "truncation_tail_mass", "max_condition_number"]
+        assert [f.name for f in fields(result.diagnostics)] == ["truncation_tail_mass", "max_condition_number"]
         assert not hasattr(result.spectral_density, "matrices")
         assert not hasattr(sparselag, "empirical_mean") and "empirical_mean" not in sparselag.__all__
         assert not hasattr(sparselag.mv_spectral, "empirical_mean")

@@ -1,8 +1,9 @@
 """Property tests: the operator-based smoothers against their definitions, the
 half-spectrum transform, conditioning, solve and quadrature against the same
 steps on all N nodes, the knot-level field checks against the value-level
-ones, the whole
-estimator's equivariance under relabelling and rescaling, and the simulator's
+ones, the response solve and quadrature against the lag-domain normal
+equations, the whole estimator's equivariance under relabelling and
+rescaling, and the simulator's
 scalar VAR(1) recursion for diagonal A against the matrix loop.
 
 Hypothesis draws the panel shape, the window span, the bandwidth and the
@@ -19,14 +20,14 @@ from hypothesis.extra.numpy import arrays
 
 from sparselag import (AutocovarianceSet, Config, CrossSpectralField, FrequencyGrid,
                        FrequencyResponseField, MacroPanel, MaturityGrid, SparseYieldPanel,
-                       SpectralDensityField, SyntheticSpec, US_MATURITIES, analyze,
-                       cross_spectral_density, filter_coefficients,
-                       frequency_response, mean_curve_warped, naive_cross_spectral_density,
-                       raw_cross_cov, spectral_density_matrix)
+                       SpectralDensityField, SyntheticSpec, US_MATURITIES, analyze, bartlett_weights,
+                       cross_spectral_density, estimate_autocovariances, evaluation_grid, filter_coefficients,
+                       frequency_response, local_linear_operator, mean_curve_warped,
+                       naive_cross_spectral_density, raw_cross_cov, spectral_density_matrix)
 from sparselag.mv_spectral import lag_window_transform
 from sparselag.simulate import _var1_deviations
 from conftest import random_macro_panel
-from oracles import full_grid_reference, loop_var1_deviations
+from oracles import full_grid_reference, lag_domain_filter, loop_var1_deviations
 
 _SETTINGS = settings(max_examples=20, derandomize=True, database=None, deadline=None)
 
@@ -108,6 +109,34 @@ def test_regressor_permutation_permutes_the_filter(instance):
     assert np.abs(result.fit.filter_coef - base.fit.filter_coef[..., perm]).max() <= 1e-10 * scale
     assert np.array_equal(result.fit.mean_curve, base.fit.mean_curve)
     assert abs(result.r_squared - base.r_squared) <= 1e-10
+
+
+@st.composite
+def lag_domain_instances(draw):
+    """(panel, macro, config): a regression instance on its first 1..3 regressors, n_omega 16..64, any h_max."""
+    panel, macro, _ = draw(regression_instances())
+    d = draw(st.integers(1, macro.n_series))
+    n_omega = 2 * draw(st.integers(8, 32))
+    config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=n_omega, n_eval=11,
+                             h_max=draw(st.integers(0, n_omega // 2 - 1)))
+    return panel, MacroPanel(macro.values[:, :d], macro.series_names[:d]), config
+
+
+@_SETTINGS
+@given(lag_domain_instances())
+def test_response_and_quadrature_match_the_lag_domain_normal_equations(instance):
+    panel, macro, config = instance
+    result = analyze(panel, macro, config)
+    _, knot_idx = evaluation_grid(config.n_eval, panel.n_maturities)
+    acov = estimate_autocovariances(macro, config.q)
+    raw = raw_cross_cov(panel, macro, result.fit.mean_curve[knot_idx], acov.mean, config.q)
+    smoother = local_linear_operator(bartlett_weights(config.q) @ raw.counts, result.fit.eval_warped, config.b_r)
+    reference = lag_domain_filter(acov.matrices, raw.sums, smoother, config.n_omega, config.h_max)
+    # Both sides solve systems conditioned like F_hat and sum O(N) terms, so each rounds to a few
+    # eps per unit of cond(F_hat) (measured: at most 3.5 eps here); the section |k| <= 300 truncates
+    # kappa far below that.
+    tol = 16 * np.finfo(float).eps * result.diagnostics.max_condition_number
+    assert _rel(result.fit.filter_coef, reference) <= tol
 
 
 @st.composite
@@ -216,7 +245,7 @@ def test_knot_level_solve_and_quadrature_match_materialised_fields(problem):
     assert _rel(resp.values, values) <= 1e-12
     lags = np.arange(-h_max, h_max + 1)
     quadrature = np.einsum("lk,krd->lrd", np.exp(1j * np.outer(lags, grid.nodes)), values)
-    coef, _ = filter_coefficients(resp, h_max)
+    coef = filter_coefficients(resp, h_max)
     assert _rel(coef, quadrature.real / grid.n_nodes) <= 1e-12
 
 

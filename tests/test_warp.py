@@ -78,6 +78,14 @@ class TestWarpApply:
                 warp_apply(grid, np.linspace(0.0, 1.0, 5))
         assert str(raised.value) == "warp overflows on maturities up to 1.7e+308"
 
+    def test_inverse_overflow_warns_then_raises(self):
+        # phi is NaN on the second piece (its end slope overflows), so a bisection there would close on either end
+        grid = MaturityGrid(np.array([1e307, 5e307, 1.7e308]))
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ValueError) as raised:
+                warp_inverse(grid, np.array([1e307, 3e307, 1e308, 1.7e308]))
+        assert str(raised.value) == "warp overflows on maturities up to 1.7e+308"
+
     def test_strict_monotonicity_random_pairs(self, us_grid, rng):
         t = np.sort(rng.uniform(size=500))
         vals = np.asarray(warp_apply(us_grid, t))
