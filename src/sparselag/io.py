@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._floattext import float_texts, labels, lines
+from ._floattext import encode, float_texts, labels, lines
 from .errors import ParseError
 from .lagreg import predict_panel
 from .model import MacroPanel, MaturityGrid, SparseYieldPanel
@@ -188,32 +188,32 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
 
     Each table is an array written in C order, one row per entry, after one
     label column per axis (``_axes``); ``_floattext.lines`` joins the rows.
-    Grid values (frequency, maturity, lag, series name) are formatted once.
+    Every number of the tables, the grids' included, goes through one digit
+    search (``_floattext.encode``), and each grid is formatted once.
     """
     fit, density = result.fit, result.spectral_density
     maturities = panel.maturity_grid.maturities
-    omegas, taus, knot_taus = (float_texts(values) for values in
-                               (density.grid.nodes[:len(density.half)], fit.eval_tau, maturities))
+    halves = (density.half, result.cross_spectral.knot_values, result.frequency_response.knot_values)
+    omegas, taus, knot_taus, warped, mean, coef, observed, fitted, *parts = encode(
+        density.grid.nodes[:len(density.half)], fit.eval_tau, maturities, fit.eval_warped, fit.mean_curve,
+        fit.filter_coef.transpose(2, 0, 1), panel.values, predict_panel(fit, macro, maturities),
+        *(part for half in halves for part in (half.real, half.imag)))
+    omega_texts, tau_texts, knot_texts = (lines(grid).splitlines() for grid in (omegas, taus, knot_taus))
     names = [name.encode() for name in macro.series_names]
     tables = {
-        "mean_curve": (("tau", "tau_warped", "mean"),
-                       lines(fit.eval_tau, fit.eval_warped, fit.mean_curve)),
+        "mean_curve": (("tau", "tau_warped", "mean"), lines(taus, warped, mean)),
         "filter_coefficients": (("series", "lag", "tau", "coefficient"), lines(
-            *_axes(names, [b"%d" % h for h in fit.lags], taus),
-            fit.filter_coef.transpose(2, 0, 1).ravel())),
+            *_axes(names, [b"%d" % h for h in fit.lags], tau_texts), coef)),
         "fitted": (("t", "tau", "observed", "fitted"), lines(
-            *_axes([b"%d" % t for t in range(1, panel.n_times + 1)], knot_taus),
-            panel.values.ravel(), predict_panel(fit, macro, maturities).ravel())),
+            *_axes([b"%d" % t for t in range(1, panel.n_times + 1)], knot_texts), observed, fitted)),
     }
-    knot_axes = _axes(omegas, knot_taus, names)
-    for name, heads, axes, half in (
+    knot_axes = _axes(omega_texts, knot_texts, names)
+    for name, heads, axes, real, imag in (
             ("spectral_density", ("omega", "row_series", "col_series"),
-             _axes(omegas, names, names), density.half),
-            ("cross_spectral", ("omega", "tau", "series"), knot_axes,
-             result.cross_spectral.knot_values),
-            ("frequency_response", ("omega", "tau", "series"), knot_axes,
-             result.frequency_response.knot_values)):
-        tables[name] = ((*heads, "real", "imag"), lines(*axes, half.real.ravel(), half.imag.ravel()))
+             _axes(omega_texts, names, names), *parts[0:2]),
+            ("cross_spectral", ("omega", "tau", "series"), knot_axes, *parts[2:4]),
+            ("frequency_response", ("omega", "tau", "series"), knot_axes, *parts[4:6])):
+        tables[name] = ((*heads, "real", "imag"), lines(*axes, real, imag))
 
     summary = {
         "r_squared": result.r_squared,
