@@ -13,7 +13,9 @@ matrix with the stacked lag values, at the nodes k = 0..N/2 that determine a
 spectrum of real series.  The matrix depends on (N, Q) alone, so an 8-entry
 cache keeps it, read-only, for both estimates and later runs.  The estimate is
 the same field type as the cross-spectral and response fields, checked on the
-nodes it holds: its knot values are the half, its operator the identity.
+nodes it holds: its knot values are the half, its operator the identity.  It
+is Hermitian by construction: above the diagonal it holds the conjugate of
+the transform below it, and on the diagonal the transform's real part.
 
 Two primitives serve both spectral estimates: :func:`lagged_products` builds
 the lag-h product sums of two panels over the same T periods, one
@@ -150,6 +152,15 @@ class SpectralDensityField(SpectralField):
 
 
 def spectral_density_matrix(acov: AutocovarianceSet, grid: FrequencyGrid) -> SpectralDensityField:
-    """Evaluate the triangular-window estimator on the nodes k <= N/2 of the frequency grid."""
+    """Evaluate the triangular-window estimator on the nodes k <= N/2 of the frequency grid.
+
+    The spectrum of a real series is Hermitian, but each entry's transform is so only to
+    rounding.  The matrices keep the transform's lower triangle, its conjugate above the
+    diagonal and the real part on it, so they equal their conjugate transpose exactly.
+    """
     half = lag_window_transform(acov.matrices, grid) / (2.0 * np.pi)
+    rows, cols = np.triu_indices(half.shape[1], 1)
+    half[:, rows, cols] = np.conj(half[:, cols, rows])
+    diagonal = np.arange(half.shape[1])
+    half[:, diagonal, diagonal] = half[:, diagonal, diagonal].real
     return SpectralDensityField.from_knots(grid, half, np.eye(half.shape[1]))

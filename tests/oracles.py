@@ -41,13 +41,19 @@ def full_grid_reference(grid, cross_lags, density_lags):
     """The spectral steps on all N nodes: (Z, F, cond, B).
 
     Z is the lag-window transform of the cross lags with the (N, 2q-1) kernel,
-    F that of the density lags over 2pi, cond the per-node |eigenvalue| ratio
-    of F (inf where singular) and B the response knots solving B F = Z.
+    F that of the density lags over 2pi, made Hermitian as the estimator makes
+    it (the conjugate of the lower triangle above the diagonal, the real part
+    on it), cond the per-node |eigenvalue| ratio of F (inf where singular) and
+    B the response knots solving B F = Z.
     """
     q = (len(cross_lags) + 1) // 2
     kernel = grid.phases(np.arange(1 - q, q)) * bartlett_weights(q)
     z = np.tensordot(kernel, cross_lags, axes=1)
     f = np.tensordot(kernel, density_lags, axes=1) / (2.0 * np.pi)
+    for i in range(f.shape[1]):
+        f[:, i, i] = f[:, i, i].real
+        for j in range(i + 1, f.shape[1]):
+            f[:, i, j] = np.conj(f[:, j, i])
     mags = np.abs(np.linalg.eigvalsh(f))
     lo, hi = mags.min(axis=1), mags.max(axis=1)
     cond = np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0)

@@ -31,20 +31,20 @@ from sparselag.io import sha256_digest
 GOLDEN = {
     1: {
         "mean_curve.csv": "4fe450214b5aabccc8603a9c72667e7184fb0fef2be18fea816493c598b6cd59",
-        "filter_coefficients.csv": "f68098cd50e02f959b0ae966c56979e0bb76f263ac450a20a67932aefd3c10e7",
-        "spectral_density.csv": "3310a22f82d43e236a68560dd058988cd6c8fedce184d13acdcb0f453ef57442",
+        "filter_coefficients.csv": "ab933425defcbdee87ec083b1b5415b17edd0440c7ea6437be8ee1b22049c12a",
+        "spectral_density.csv": "c96df14e3b66bfdabe25c4d0c29b5c53f5a6a666c8134b976a357a2c05a63e54",
         "cross_spectral.csv": "9b5a69a66732e1f6fe316d18813fd41609da6d703b59bf28675fd9c521807c1a",
-        "frequency_response.csv": "61c71141bde032896c3fbe0c3b97b7a6b5c5d09eeadaa01c6761bb22a740e92a",
-        "fitted.csv": "87d6bb3c9b207d7bc1fae7d789391f850dcc48e04ffb77524275b2c37773a386",
-        "summary.json": "0cf1328f44cc49259b0eea4b60258b81f88d6b74527ca36165c2970b7410fbb4",
+        "frequency_response.csv": "047b247cad67f8124cddc94e5f0387ad96436b23f4a4c5f8c3f6b24057cf3266",
+        "fitted.csv": "ce13f8be66e8889ca1201aa1b2619fc08c145e38944ec65a82456a228a67116d",
+        "summary.json": "9daba9950f40b50d1316ff8a21837600bda087bb662e029099958da988cdb2ac",
     },
     3: {
         "mean_curve.csv": "411746a8ea0707ba690678fbd1255af79324ebf7aceb1c941f45c57891699d5b",
-        "filter_coefficients.csv": "09f7070fcd418fff2553fc3fe4d3d21422f1ce46de730920af696ad602f7a9fa",
-        "spectral_density.csv": "be457c60a839f23cd6805159be3e00342f0a195e1e7ba015f572e2f773059f9f",
+        "filter_coefficients.csv": "6e97aba51b02d9883c83d72ab6559b74d382b555f6bcac3bf9576f5d837810bb",
+        "spectral_density.csv": "5317ad16481473d1cd9092e646a07b5c32a10802cfc0919f3817a46999aed602",
         "cross_spectral.csv": "f1229490d36c4c9020b324f1b5ba2ff8fdc3662a5db571f612419dc16b40073d",
-        "frequency_response.csv": "e080ea08b9a326e7dfb741bd2dbf6d38e047e9d821ab391ae30df1377579dd02",
-        "fitted.csv": "6abfea97e3338502932f9e73e11ca2c29122587fa616cc6eb3b3308388299402",
+        "frequency_response.csv": "4702513c0f1acda3ccd4086a2bd00946da3997a644361f27da20919e1b4ea030",
+        "fitted.csv": "d77758f144e2f5da55511dd0da91eb11d309820ce5de5b5b7f7cd087824bb786",
         "summary.json": "b6ed7669c36c23f50ad918fe187a2c3b7deb6b9caf8d5d711ce3f8e9ec5e73b7",
     },
 }

@@ -231,7 +231,12 @@ class TestHalfPath:
         monkeypatch.setattr(FrequencyGrid, "mirror", counted)
         field = spectral_density_matrix(acov, grid)
         assert calls == []
-        assert np.array_equal(field.half, half) and field.half is field.knot_values
+        below = np.tril(np.ones((3, 3), bool), -1)
+        assert np.array_equal(field.half[:, below], half[:, below]) and field.half is field.knot_values
+        # Hermitian by construction: a real diagonal, the conjugate of the lower triangle above it
+        diagonal = np.einsum("kii->ki", field.half)
+        assert np.array_equal(diagonal.real, np.einsum("kii->ki", half).real) and not diagonal.imag.any()
+        assert np.array_equal(field.half, np.conj(np.swapaxes(field.half, 1, 2)))
         assert not field.half[[0, -1]].imag.any()           # omega = -pi, 0
         assert np.array_equal(field.operator, np.eye(3)) and not field.operator.flags.writeable
 
