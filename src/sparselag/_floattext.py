@@ -185,8 +185,7 @@ def encode(*arrays) -> list[Numbers]:
         _encode_chunk(values[part], layout[part], digits[part], slow)
     template = _TEMPLATE
     if slow:
-        texts = b"".join(text.ljust(WIDTH, bytes([PAD])) for text in slow)
-        template = np.concatenate([template, np.frombuffer(texts, np.uint8).reshape(-1, WIDTH)])
+        template = np.concatenate([template, labels(text.ljust(WIDTH, bytes([PAD])) for text in slow)])
     ends = np.cumsum([np.size(array) for array in arrays])
     return [Numbers(layout[end - np.size(array):end], digits[end - np.size(array):end], template)
             for end, array in zip(ends, arrays)]
@@ -194,10 +193,9 @@ def encode(*arrays) -> list[Numbers]:
 
 def labels(texts):
     """A text column of the given UTF-8 texts, no wider than the longest."""
-    texts = list(texts)
+    texts, pad = list(texts), bytes([PAD])
     width = max(map(len, texts), default=0)
-    padded = b"".join(text.ljust(width, bytes([PAD])) for text in texts)
-    return np.frombuffer(padded, np.uint8).reshape(len(texts), width)
+    return np.frombuffer(b"".join([text.ljust(width, pad) for text in texts]), np.uint8).reshape(len(texts), width)
 
 
 def lines(*columns) -> bytes:
