@@ -81,7 +81,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _poly_fn(coeffs: np.ndarray):
-    return lambda t, c=np.asarray(coeffs, dtype=float): np.polynomial.polynomial.polyval(t, c)
+    return functools.partial(np.polynomial.polynomial.polyval, c=np.asarray(coeffs, dtype=float))
 
 
 def parse_synthetic_config(path, seed_flag=None) -> sim.SyntheticSpec:

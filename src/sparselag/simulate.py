@@ -43,6 +43,16 @@ def _spectral_radius(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(a)).max())
 
 
+def _zero_mean(t):
+    """The default mean curve: zero at every warped maturity."""
+    return np.zeros_like(t)
+
+
+def _falling_line(t):
+    """The recovery experiment's lag-0 coefficient function 1 - tau~."""
+    return 1.0 - t
+
+
 @dataclass(frozen=True)
 class SyntheticSpec(_ArrayHolder):
     """Everything needed to generate one synthetic data set.
@@ -57,7 +67,7 @@ class SyntheticSpec(_ArrayHolder):
     ar_coef: np.ndarray          # (d, d), spectral radius < 1
     innovation_cov: np.ndarray   # (d, d), symmetric positive definite
     macro_mean: np.ndarray       # (d,)
-    mean_fn: CurveFn = lambda t: np.zeros_like(t)
+    mean_fn: CurveFn = _zero_mean
     filter_fns: tuple[tuple[tuple[int, int], CurveFn], ...] = ()
     curve_error_scale: float = 0.0
     noise_sd: float = 0.0
@@ -223,14 +233,14 @@ def recovery_spec(seed: int = 0, null_model: bool = False) -> SyntheticSpec:
     The lag-0 coefficient function is 1 - tau~ in warped coordinates; the
     null variant keeps the same generator with the filter switched off.
     """
-    filter_fns = {} if null_model else {(0, 0): lambda t: 1.0 - t}
+    filter_fns = {} if null_model else {(0, 0): _falling_line}
     return SyntheticSpec(
         maturity_grid=MaturityGrid(np.array(US_MATURITIES)),
         n_times=2000,
         ar_coef=np.array([[0.7]]),
         innovation_cov=np.array([[1.0]]),
         macro_mean=np.zeros(1),
-        mean_fn=lambda t: np.zeros_like(t),
+        mean_fn=_zero_mean,
         filter_fns=filter_fns,
         curve_error_scale=0.1,
         noise_sd=0.05,

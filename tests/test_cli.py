@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -83,6 +84,13 @@ class TestSimulateCommand:
         assert dict(spec.filter_fns)[(0, 0)](np.array([0.0, 1.0])).tolist() == [1.0, 0.0]
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_config_spec_survives_a_pickle_round_trip(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("t = 50\nmaturities = 1, 2, 5\nar = 0.4\nmean_poly = 2.0, 1.0\nfilter_h0_j1 = 1.0, -1.0\n")
+        twin = pickle.loads(pickle.dumps(parse_synthetic_config(cfg)))
+        assert twin.mean_fn(np.array([0.0, 1.0])).tolist() == [2.0, 3.0]
+        assert dict(twin.filter_fns)[(0, 0)](np.array([0.0, 1.0])).tolist() == [1.0, 0.0]
 
     def test_nonstationary_spec_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

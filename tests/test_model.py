@@ -420,8 +420,7 @@ def _stored_arrays(instance, prefix=""):
 
 
 _COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda instance: pickle.loads(pickle.dumps(instance))}
-# a SyntheticSpec holds its default mean_fn, a lambda, which pickle cannot serialize
-_COPY_CASES = [(name, how) for name in _HOLDERS for how in _COPIES if (name, how) != ("SyntheticSpec", "pickle")]
+_COPY_CASES = [(name, how) for name in _HOLDERS for how in _COPIES]
 
 
 def _overwrite(inputs):

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import re
 from dataclasses import asdict, fields, replace
 
@@ -235,6 +236,14 @@ class TestSimulateLaggedRegression:
         assert spec.max_filter_lag == 0
         null = recovery_spec(null_model=True)
         assert not null.filter_fns
+
+    def test_recovery_specs_survive_a_pickle_round_trip(self):
+        # a spec can go to a worker process: its curve functions are module-level, not lambdas
+        for spec in (recovery_spec(seed=2), recovery_spec(seed=2, null_model=True)):
+            twin = pickle.loads(pickle.dumps(spec))
+            (panel, macro, truth), (panel2, macro2, truth2) = map(simulate_lagged_regression, (spec, twin))
+            assert np.array_equal(panel.values, panel2.values) and np.array_equal(macro.values, macro2.values)
+            assert np.array_equal(truth.model.filter_coef, truth2.model.filter_coef)
 
     def test_filter_fns_are_the_specs_own(self):
         fns = {(0, 0): lambda t: 1.0 - t}
