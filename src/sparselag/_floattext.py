@@ -43,7 +43,7 @@ import numpy as np
 WIDTH = 44                        # the longest repr of a double has 24 bytes
 PAD = 0xFF
 CHUNK = 8192                      # values per pass of the digit search; bounds its temporaries
-_BLOCK = 4096                     # rows laid out at a time; whole tables took more memory
+_BLOCK = 2048                     # rows laid out at a time; larger blocks took more memory
 _K_MIN, _K_MAX = -6, 14           # decades of the bulk path: 1e-6 <= |x| < 1e15
 _DIGITS = slice(6, 40, 2)         # slot columns of the 17 digits
 
