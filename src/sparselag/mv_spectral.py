@@ -159,8 +159,7 @@ def spectral_density_matrix(acov: AutocovarianceSet, grid: FrequencyGrid) -> Spe
     diagonal and the real part on it, so they equal their conjugate transpose exactly.
     """
     half = lag_window_transform(acov.matrices, grid) / (2.0 * np.pi)
-    rows, cols = np.triu_indices(half.shape[1], 1)
-    half[:, rows, cols] = np.conj(half[:, cols, rows])
-    diagonal = np.arange(half.shape[1])
-    half[:, diagonal, diagonal] = half[:, diagonal, diagonal].real
+    for i in range(half.shape[1] - 1):
+        half[:, i, i + 1:] = np.conj(half[:, i + 1:, i])
+    np.einsum("kii->ki", half).imag = 0.0
     return SpectralDensityField.from_knots(grid, half, np.eye(half.shape[1]))
