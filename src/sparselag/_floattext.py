@@ -31,11 +31,14 @@ values; a value left to ``repr`` gets a template row holding its text.
 (rows, width) uint8 buffer with its commas and LFs set once: a label column
 (UTF-8 texts, PAD in and after them) is copied in, a numeric column is one
 gather of template rows with the digits OR-ed in (NaN: an empty cell), and
-one ``bytes.translate`` drops the PAD bytes.
+one ``bytes.translate`` drops the PAD bytes.  An array's table has a row per
+entry in C order, after one label column per axis: a label repeats once per
+entry of the later axes, and that run once per entry of the earlier ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,14 +201,17 @@ def labels(texts):
     return np.frombuffer(b"".join([text.ljust(width, pad) for text in texts]), np.uint8).reshape(len(texts), width)
 
 
-def lines(*columns) -> bytes:
+def lines(*columns, axes=()) -> bytes:
     """One LF-terminated line per row, the row's texts joined by commas, as one blob.
 
     A column is a text column, ``Numbers``, or a 1-D array of numbers, which is
     encoded here, all such columns in one pass.  A NaN is an empty cell, any
-    other number its ``repr``.
+    other number its ``repr``.  ``axes`` holds the label texts of each axis of
+    an array whose entries are the rows, laid out first (see above).
     """
-    columns = list(columns)
+    sizes = [len(axis) for axis in axes]
+    columns = [np.tile(np.repeat(labels(axis), math.prod(sizes[k + 1:]), axis=0), (math.prod(sizes[:k]), 1))
+               for k, axis in enumerate(axes)] + list(columns)
     numeric = [i for i, column in enumerate(columns) if isinstance(column, np.ndarray) and column.ndim == 1]
     for i, numbers in zip(numeric, encode(*(columns[i] for i in numeric)) if numeric else ()):
         columns[i] = numbers

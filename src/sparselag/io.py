@@ -154,23 +154,7 @@ class ResultBundle:
     fitted: tuple
     summary: dict
 
-    TABLES = (
-        "mean_curve", "filter_coefficients", "spectral_density",
-        "cross_spectral", "frequency_response", "fitted",
-    )
-
-
-def _axes(*axis_labels):
-    """The label columns of an array's long-format table, one text column per axis.
-
-    The array has shape ``(len(labels) for labels in axis_labels)`` and is
-    written in C order; row i of a column holds the label of that axis's index
-    at the array's i-th entry: each label repeats once per entry of the later
-    axes, and that run repeats once per entry of the earlier ones.
-    """
-    sizes = [len(axis) for axis in axis_labels]
-    return [np.tile(np.repeat(labels(axis), math.prod(sizes[k + 1:]), axis=0), (math.prod(sizes[:k]), 1))
-            for k, axis in enumerate(axis_labels)]
+    TABLES = ("mean_curve", "filter_coefficients", "spectral_density", "cross_spectral", "frequency_response", "fitted")
 
 
 def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: MacroPanel,
@@ -187,9 +171,9 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
     evaluation maturities is L @ Z (``SpectralField.from_knots``).
 
     Each table is an array written in C order, one row per entry, after one
-    label column per axis (``_axes``); ``_floattext.lines`` joins the rows.
-    Every number of the tables, the grids' included, goes through one digit
-    search (``_floattext.encode``), and each grid is formatted once.
+    label column per axis; ``_floattext.lines`` lays both out.  Every number of
+    the tables, the grids' included, goes through one digit search
+    (``_floattext.encode``), and each grid is formatted once.
     """
     fit, density = result.fit, result.spectral_density
     maturities = panel.maturity_grid.maturities
@@ -200,21 +184,17 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         *(part for half in halves for part in (half.real, half.imag)))
     omega_texts, tau_texts, knot_texts = (lines(grid).splitlines() for grid in (omegas, taus, knot_taus))
     names = [name.encode() for name in macro.series_names]
-    tables = {
-        "mean_curve": (("tau", "tau_warped", "mean"), lines(taus, warped, mean)),
-        "filter_coefficients": (("series", "lag", "tau", "coefficient"), lines(
-            *_axes(names, [b"%d" % h for h in fit.lags], tau_texts), coef)),
-        "fitted": (("t", "tau", "observed", "fitted"), lines(
-            *_axes([b"%d" % t for t in range(1, panel.n_times + 1)], knot_texts), observed, fitted)),
-    }
-    knot_axes = _axes(omega_texts, knot_texts, names)
-    for name, heads, axes, real, imag in (
-            ("spectral_density", ("omega", "row_series", "col_series"),
-             _axes(omega_texts, names, names), *parts[0:2]),
-            ("cross_spectral", ("omega", "tau", "series"), knot_axes, *parts[2:4]),
-            ("frequency_response", ("omega", "tau", "series"), knot_axes, *parts[4:6])):
-        tables[name] = ((*heads, "real", "imag"), lines(*axes, real, imag))
-
+    t_texts, lag_texts = [b"%d" % t for t in range(1, panel.n_times + 1)], [b"%d" % h for h in fit.lags]
+    at_knots = ("omega", "tau", "series", "real", "imag"), (omega_texts, knot_texts, names)
+    tables = (
+        ("mean_curve", ("tau", "tau_warped", "mean"), (), (taus, warped, mean)),
+        ("filter_coefficients", ("series", "lag", "tau", "coefficient"), (names, lag_texts, tau_texts), (coef,)),
+        ("spectral_density", ("omega", "row_series", "col_series", "real", "imag"), (omega_texts, names, names),
+         parts[0:2]),
+        ("cross_spectral", *at_knots, parts[2:4]),
+        ("frequency_response", *at_knots, parts[4:6]),
+        ("fitted", ("t", "tau", "observed", "fitted"), (t_texts, knot_texts), (observed, fitted)),
+    )
     summary = {
         "r_squared": result.r_squared,
         "n_times": panel.n_times,
@@ -227,7 +207,8 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         "smoothing_operator": {"tau": fit.eval_tau.tolist(), "knot_tau": maturities.tolist(),
                                "weights": result.cross_spectral.operator.tolist()},
     }
-    return ResultBundle(**tables, summary=summary)
+    return ResultBundle(**{name: (heads, lines(*values, axes=axes)) for name, heads, axes, values in tables},
+                        summary=summary)
 
 
 def write_staged(out_dir, writers: dict) -> list[Path]:

@@ -395,7 +395,7 @@ class TestResultRowsMatchOracle:
     def test_label_columns_follow_c_order(self, sizes):
         axes = [[b"a" * (k + i % 2) + b"%d" % i for i in range(n)] for k, n in enumerate(sizes)]
         expected = b"".join(b",".join(row) + b"\n" for row in itertools.product(*axes))
-        assert lines(*sio._axes(*axes)) == expected
+        assert lines(axes=axes) == expected
 
     def test_signed_zero_and_exponents_format_like_oracle(self):
         result, panel, macro = _sparse_analysis(3, 7)
