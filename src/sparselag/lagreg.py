@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateTotal, IllConditioned
 from .model import LaggedRegressionFit, MacroPanel, SparseYieldPanel, SpectralField, _check_horizons, _check_lag_reach
 from .cross_spectral import CrossSpectralField
-from .mv_spectral import SpectralDensityField
+from .mv_spectral import SpectralDensityField, summed_product
 
 
 class FrequencyResponseField(SpectralField):
@@ -67,7 +67,7 @@ def filter_coefficients(resp: FrequencyResponseField, h_max: int) -> np.ndarray:
     # conjugate of the lag-to-frequency kernel: e^{+i h omega}, shape (2H+1, N/2+1)
     kernel = resp.grid.phases(np.arange(-h_max, h_max + 1))[: n // 2 + 1].conj().T
     kernel[:, 1:-1] *= 2.0
-    return resp.operator @ (np.tensordot(kernel, resp.knot_values, axes=1).real / n)
+    return resp.operator @ (summed_product(kernel, resp.knot_values).real / n)
 
 
 def _eval_indices(fit: LaggedRegressionFit, eval_points) -> np.ndarray:

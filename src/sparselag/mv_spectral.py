@@ -20,16 +20,16 @@ the transform below it, and on the diagonal the transform's real part.
 Two primitives serve both spectral estimates: :func:`lagged_products` builds
 the lag-h product sums of two panels over the same T periods, one
 ``np.correlate`` (2Q-1 BLAS dots) per column pair of the zero-padded panels
-(here the regressors with themselves; in :mod:`sparselag.cross_spectral` the
-centered curves with the regressors, whose observation counts need no
-products), and :func:`lag_window_transform` takes any stack of lag values to
-frequency.
+and CHUNK periods (here the regressors with themselves; in
+:mod:`sparselag.cross_spectral` the centered curves with the regressors, whose
+observation counts need no products), and :func:`lag_window_transform` takes
+any stack of lag values to frequency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -37,13 +37,24 @@ from .model import (FrequencyGrid, MacroPanel, SpectralField, _ArrayHolder, _che
                     _frozen, _max_lag, _store, _store_lags)
 
 
+# OpenBLAS runs a dot product of at most 10,000 terms on one thread and, at 0.3.31 (Haswell kernels), sums
+# a complex matrix product of at most 128 terms alike on any thread count; longer sums go in such parts, in order.
+CHUNK, TERMS = 8192, 128     # terms per dot product of the lag sums; per entry of a complex matrix product
+
+
+def summed_product(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.tensordot(kernel, values, axes=1)`` as one product per TERMS terms of the sum, added in order."""
+    return reduce(np.add, (np.tensordot(kernel[:, k:k + TERMS], values[k:k + TERMS], axes=1)
+                           for k in range(0, len(values), TERMS)))
+
+
 def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Lag-h product sums P[l] = sum_t a[t+h]' b[t] for h = l - (q-1) = 1-q..q-1.
 
     a is (T, m) and b is (T, n) with 1 <= q <= T, the rows of a read as curves and those of b
     as regressors; t runs over the rows where both a[t+h] and b[t] exist.  Returns shape
-    (2q-1, m, n).  P[:, i, j] is one ``np.correlate`` of column i of a, zero-padded by q-1
-    rows at both ends, with column j of b.
+    (2q-1, m, n).  P[:, i, j] adds, in order, one ``np.correlate`` per CHUNK rows of column j
+    of b with column i of a, zero-padded by q-1 rows at both ends.
     """
     _check_horizons(len(a), len(b))
     _check_span(q, len(a))
@@ -52,7 +63,8 @@ def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     b_cols = np.ascontiguousarray(b.T, dtype=float)
     out = np.empty((2 * q - 1, len(padded), len(b_cols)))
     for i, j in np.ndindex(out.shape[1:]):
-        out[:, i, j] = np.correlate(padded[i], b_cols[j], "valid")
+        out[:, i, j] = reduce(np.add, (np.correlate(padded[i, t:t + CHUNK + 2 * q - 2], b_cols[j, t:t + CHUNK], "valid")
+                                       for t in range(0, len(a), CHUNK)))
     return out
 
 
@@ -75,7 +87,7 @@ def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndar
     Returns shape (N/2+1, *lag_values.shape[1:]), nodes k <= N/2, without the 1/2pi factor.
     """
     q = _max_lag("lag values", lag_values) + 1
-    return np.tensordot(lag_window_kernel(grid, q), lag_values, axes=1)
+    return summed_product(lag_window_kernel(grid, q), lag_values)
 
 
 @dataclass(frozen=True)

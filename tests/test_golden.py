@@ -3,7 +3,8 @@
 Two fixed simulated panel pairs (d = 1 and d = 3, 10% missing quotes,
 ``n_omega = 64``) go through the CLI, and each of the seven result files must
 match its pinned digest byte for byte; the d = 3 files must match with one
-BLAS thread and with two.  The three files of ``sparselag simulate`` with
+BLAS thread and with two, and so must those of a T = 12,000 panel at the
+default settings.  The three files of ``sparselag simulate`` with
 ``preset = recovery``, seed 0, are pinned the same way.  A refactor that
 promises identical outputs is checked here; a change that alters outputs on
 purpose re-records the digests and says so in CHANGES.md.
@@ -56,10 +57,10 @@ SIMULATE_GOLDEN = {
 }
 
 
-def _write_panels(n_series, out_dir):
-    """A T = 150 panel pair with series 1 driving the curves at lag 0; seed 11 + d."""
+def _write_panels(n_series, out_dir, n_times=150, config="n_omega = 64\n"):
+    """A T = n_times panel pair with series 1 driving the curves at lag 0; seed 11 + d."""
     spec = SyntheticSpec(
-        maturity_grid=MaturityGrid(np.array(US_MATURITIES)), n_times=150,
+        maturity_grid=MaturityGrid(np.array(US_MATURITIES)), n_times=n_times,
         ar_coef=np.diag([0.8, 0.6, 0.9][:n_series]), innovation_cov=np.eye(n_series),
         macro_mean=np.full(n_series, 2.0), filter_fns={(0, 0): lambda t: 1.0 - t},
         curve_error_scale=0.3, noise_sd=0.1, seed=11 + n_series)
@@ -70,7 +71,7 @@ def _write_panels(n_series, out_dir):
                                          panel.maturity_grid)
     write_yields_csv(panel, out_dir / "yields.csv")
     write_macro_csv(macro, out_dir / "macro.csv")
-    (out_dir / "analyze.cfg").write_text("n_omega = 64\n", encoding="utf-8")
+    (out_dir / "analyze.cfg").write_text(config, encoding="utf-8")
 
 
 def _analyze_digests(n_series, work_dir):
@@ -100,21 +101,26 @@ def test_result_files_match_pinned_digests(n_series, tmp_path):
 
 
 def test_result_files_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """``python -m sparselag analyze`` on the d = 3 panel under 1 and 2 OpenBLAS/OpenMP threads."""
-    _write_panels(3, tmp_path)
+    """``python -m sparselag analyze`` under 1 and 2 OpenBLAS/OpenMP threads, on the d = 3 panel and on a
+    T = 12,000 one whose lag sums, lag-window transform and filter quadrature each take more than one part
+    (``mv_spectral.CHUNK`` and ``TERMS``)."""
     src = str(Path(sparselag.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    digests = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-m", "sparselag", "analyze",
-                               "--yields", str(tmp_path / "yields.csv"), "--macro", str(tmp_path / "macro.csv"),
-                               "--config", str(tmp_path / "analyze.cfg"), "--out", str(out)],
-                              capture_output=True, text=True, timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        digests.append({p.name: sha256_digest(p) for p in out.iterdir()})
-    assert digests[0] == digests[1] == GOLDEN[3]
+    for n_times, config, pinned in ((150, "n_omega = 64\n", GOLDEN[3]), (12000, "", None)):
+        work = tmp_path / f"T{n_times}"
+        work.mkdir()
+        _write_panels(3, work, n_times, config)
+        digests = []
+        for threads in ("1", "2"):
+            out = work / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-m", "sparselag", "analyze",
+                                   "--yields", str(work / "yields.csv"), "--macro", str(work / "macro.csv"),
+                                   "--config", str(work / "analyze.cfg"), "--out", str(out)],
+                                  capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.append({p.name: sha256_digest(p) for p in out.iterdir()})
+        assert digests[0] == digests[1] == (pinned or digests[0]), n_times
 
 
 def test_simulate_files_match_pinned_digests(tmp_path):

@@ -10,7 +10,7 @@ from sparselag import (AutocovarianceSet, FrequencyGrid, MacroPanel, SpectralDen
                        bartlett_weights, estimate_autocovariances,
                        spectral_density_matrix, simulate_var1, var1_spectral_density,
                        SyntheticSpec, MaturityGrid, US_MATURITIES)
-from sparselag.mv_spectral import lag_window_kernel, lag_window_transform, lagged_products
+from sparselag.mv_spectral import CHUNK, TERMS, lag_window_kernel, lag_window_transform, lagged_products, summed_product
 from conftest import field_from_values, random_macro_panel
 from oracles import loop_autocovariance, naive_spectral_density
 
@@ -97,7 +97,7 @@ class TestLaggedProducts:
                 terms = a[:, i] * a[:, j]
                 assert abs(prods[0, i, j] - math.fsum(terms)) <= 1e-15 * np.abs(terms).sum()
 
-    @pytest.mark.parametrize("t_len, m, n, q", [(2000, 9, 1, 45), (192, 9, 3, 14)])
+    @pytest.mark.parametrize("t_len, m, n, q", [(2000, 9, 1, 45), (192, 9, 3, 14), (2 * CHUNK + 1, 2, 1, 3)])
     def test_matches_exactly_rounded_sum(self, rng, t_len, m, n, q):
         a, b = rng.standard_normal((t_len, m)), rng.standard_normal((t_len, n))
         prods = lagged_products(a, b, q)
@@ -126,6 +126,21 @@ class TestLagWindowTransform:
         half = lag_window_transform(stack, grid)
         assert half.shape == (9, 1)
         assert np.abs(grid.mirror(half)[:, 0] - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("terms", [TERMS - 1, TERMS, TERMS + 1, 2 * TERMS + 1])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_summed_product_adds_every_term(self, rng, terms, complex_values):
+        kernel = rng.standard_normal((5, terms)) + 1j * rng.standard_normal((5, terms))
+        values = rng.standard_normal((terms, 2, 3)) + 1j * complex_values * rng.standard_normal((terms, 2, 3))
+        product = summed_product(kernel, values)
+        assert product.shape == (5, 2, 3)
+        for k, i, j in np.ndindex(product.shape):
+            a, b = kernel[k], values[:, i, j]
+            for part, terms_of in ((product.real, (a.real * b.real, -a.imag * b.imag)),
+                                   (product.imag, (a.real * b.imag, a.imag * b.real))):
+                every = np.concatenate(terms_of)
+                # recursive summation of n terms errs by at most n eps sum|terms| (Higham 2002, 4.2)
+                assert abs(part[k, i, j] - math.fsum(every)) <= len(every) * 2.0 ** -52 * np.abs(every).sum()
 
     def test_kernel_is_built_once_per_grid_and_span(self):
         grid, q = FrequencyGrid(64), 7
