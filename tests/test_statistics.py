@@ -1,0 +1,85 @@
+"""The paper's two findings, checked on a synthetic twin of its US Treasury study.
+
+The abstract claims a strong effect of the federal funds rate on the short end
+of the curve and a moderate effect of inflation on the long end.  Acceptance
+test 07 checks them on the 1985-2000 data, which are not redistributed, so it
+skips.  The twin has the study's shape: T = 192 months, the 9 US maturities,
+d = 3 regressors and test 07's Config.  The regressors are AR(1) with
+coefficients (0.9, 0.8, 0.7), innovations 1 and 2 correlated at 0.3.  At lag 0
+series 1 (the "FFR") loads 1 - tau~ and series 2 (the "inflation") 0.4 tau~;
+series 3 has no effect.  The noise is set so that the median R^2 lies in test
+07's band.
+
+Every bound below comes from the spread measured over the 40 seeds, with the
+margin given next to it.  A band on a median is its measured deviation from the
+truth plus three standard errors of a median of 40 draws (1.2533 sd / sqrt 40);
+a band on each seed is 1.5 times the largest deviation measured.  Both are
+rounded up to the next 0.01.
+"""
+
+import numpy as np
+import pytest
+
+import sparselag as sl
+
+SEEDS = range(40)             # the first 40 seeds, none chosen or left out
+SHORT, LONG = 0, -1           # rows of the evaluation grid at 1 month and 30 years
+
+
+def _twin(seed):
+    return sl.SyntheticSpec(
+        maturity_grid=sl.MaturityGrid(np.array(sl.US_MATURITIES)), n_times=192,
+        ar_coef=np.diag([0.9, 0.8, 0.7]),
+        innovation_cov=np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        macro_mean=np.zeros(3), filter_fns={(0, 0): lambda t: 1.0 - t, (0, 1): lambda t: 0.4 * t},
+        # R^2 read 0.93-0.98 at 0.3 and 0.1; at these, its median is 0.787 (range 0.721-0.875)
+        curve_error_scale=0.75, noise_sd=0.25, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def fits():
+    """R^2 and the lag-0 filter (points x series) of every seed."""
+    config = sl.Config.defaults(192, 9, q=14)
+    r_squared, lag0 = [], []
+    for seed in SEEDS:
+        panel, macro, _ = sl.simulate_lagged_regression(_twin(seed))
+        result = sl.analyze(panel, macro, config)
+        assert result.fit.eval_tau[[SHORT, LONG]].tolist() == [sl.US_MATURITIES[0], sl.US_MATURITIES[-1]]
+        r_squared.append(result.r_squared)
+        lag0.append(result.fit.filter_coef[result.fit.lag_index(0)])
+    return np.array(r_squared), np.array(lag0)
+
+
+def test_fit_is_as_good_as_the_case_study(fits):
+    r_squared, _ = fits
+    assert 0.73 <= np.median(r_squared) <= 0.83
+
+
+def test_federal_funds_rate_moves_the_short_end(fits):
+    # test 07's bound; the median measured 1.035, and 39 of the 40 seeds met it (lowest 0.792)
+    assert np.median(fits[1][:, SHORT, 0]) >= 0.8
+
+
+# (row, series, truth, band on the median, band on each seed), measured as
+# median deviation, sd and largest deviation over the 40 seeds
+LOADINGS = {
+    "ffr_short": (SHORT, 0, 1.0, 0.08, 0.32),         # +0.035, 0.075, 0.208
+    "ffr_long": (LONG, 0, 0.0, 0.06, 0.24),           # -0.018, 0.058, 0.160
+    "inflation_short": (SHORT, 1, 0.0, 0.06, 0.26),   # +0.009, 0.081, 0.168
+    "inflation_long": (LONG, 1, 0.4, 0.07, 0.35),     # +0.018, 0.077, 0.227
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADINGS))
+def test_loading_recovers_its_truth(fits, name):
+    row, series, truth, median_band, seed_band = LOADINGS[name]
+    loading = fits[1][:, row, series]
+    assert abs(np.median(loading) - truth) <= median_band
+    assert np.abs(loading - truth).max() <= seed_band
+
+
+def test_third_series_has_no_effect(fits):
+    # the largest |b0| of series 3 over the grid: median 0.073, sd 0.034, largest 0.155
+    largest = np.abs(fits[1][:, :, 2]).max(axis=1)
+    assert np.median(largest) <= 0.10
+    assert largest.max() <= 0.24
