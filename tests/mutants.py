@@ -1,0 +1,138 @@
+"""A catalogue of mutants of ``src/sparselag``: faults the test suite must reject.
+
+A mutant replaces one exact text of one source file.  The runner copies
+``src/`` to a temporary directory, applies the mutant there and runs the
+mutant's test files against the copy with ``pytest -x``.  The mutant is killed
+if a test fails, and survives if all pass.
+
+    python tests/mutants.py                 # every mutant
+    python tests/mutants.py NAME [NAME ...]  # the named ones
+    python tests/mutants.py --list           # names, files and sources
+
+It prints one line per mutant and exits 1 if any survives (or its tests cannot
+run).  It needs only the standard library and pytest.  ``tests/test_mutants.py``
+checks that each ``old`` text occurs exactly once in its file, so a refactor
+that changes a mutated line has to update its entry here.  A survivor is a gap
+in the tests: record it as a FOUND line in CHANGES.md, and never weaken a test
+to decide a mutant's fate.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str                  # under src/sparselag
+    old: str                   # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]     # under tests/
+    source: str                # a phrase of the CHANGES.md line that reports the fault or the code
+
+
+MUTANTS = (
+    Mutant("label-axis-stride", "_floattext.py",
+           "math.prod(sizes[k + 1:])", "math.prod(sizes[k:])",
+           ("test_io.py",), "One layout rule for every result table"),
+    Mutant("label-repeat-tile-swapped", "_floattext.py",
+           "np.tile(np.repeat(labels(axis), math.prod(sizes[k + 1:]), axis=0), (math.prod(sizes[:k]), 1))",
+           "np.repeat(np.tile(labels(axis), (math.prod(sizes[k + 1:]), 1)), math.prod(sizes[:k]), axis=0)",
+           ("test_io.py",), "One layout rule for every result table"),
+    Mutant("lag-sum-chunk-edge", "mv_spectral.py",
+           "for t in range(0, len(a), CHUNK)", "for t in range(0, len(a), CHUNK + 1)",
+           ("test_mv_spectral.py",), "Thread-invariant lag sums"),
+    Mutant("lag-sum-last-chunk-dropped", "mv_spectral.py",
+           "for t in range(0, len(a), CHUNK)", "for t in range(0, len(a) - 1, CHUNK)",
+           ("test_mv_spectral.py",), "Thread-invariant lag sums"),
+    Mutant("product-last-part-dropped", "mv_spectral.py",
+           "for k in range(0, len(values), TERMS)", "for k in range(0, len(values) - 1, TERMS)",
+           ("test_mv_spectral.py",), "Thread-invariant lag sums"),
+    Mutant("quadrature-self-paired-weight", "lagreg.py",
+           "kernel[:, 1:-1] *= 2.0", "kernel[:, 1:] *= 2.0",
+           ("test_properties.py", "test_lagreg.py"), "The filter quadrature integrates the half spectrum"),
+    Mutant("lines-block-offset", "_floattext.py",
+           "slice(start, start + _BLOCK)", "slice(start + 1, start + 1 + _BLOCK)",
+           ("test_floattext.py",), "Every number of a result bundle in one digit search"),
+    Mutant("digits-halfway-unchecked", "_floattext.py",
+           "(unique16 & (trips16 |", "((trips16 |",
+           ("test_floattext.py",), "Result numbers turned into text in bulk by an exact shortest-round-trip kernel"),
+    Mutant("digits-nearest-the-far-way", "_floattext.py",
+           "return (n + (above < below)) * q", "return (n + (above > below)) * q",
+           ("test_floattext.py",), "Result numbers turned into text in bulk by an exact shortest-round-trip kernel"),
+    Mutant("density-not-conjugated", "mv_spectral.py",
+           "half[:, i, i + 1:] = np.conj(half[:, i + 1:, i])", "half[:, i, i + 1:] = half[:, i + 1:, i]",
+           ("test_mv_spectral.py",), "an exactly Hermitian regressor spectrum"),
+    Mutant("autocovariance-mirror-untransposed", "mv_spectral.py",
+           "mats[: q - 1] = np.swapaxes(mats[: q - 1: -1], 1, 2)", "mats[: q - 1] = mats[: q - 1: -1]",
+           ("test_mv_spectral.py",), "One lagged-product kernel and one Fourier convention"),
+    Mutant("cross-counts-shifted", "cross_spectral.py",
+           "seen[panel.n_times + np.minimum(h, 0)] - seen[np.maximum(h, 0)]",
+           "seen[panel.n_times + np.minimum(h, 0) - 1] - seen[np.maximum(h, 0)]",
+           ("test_cross_spectral.py",), "lag counts by prefix sums"),
+    Mutant("bartlett-span", "mv_spectral.py",
+           "return 1.0 - np.abs(h) / q", "return 1.0 - np.abs(h) / (q + 1)",
+           ("test_mv_spectral.py",), "One lagged-product kernel and one Fourier convention"),
+    Mutant("analyze-overflow-unguarded", "pipeline.py",
+           'with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the next finiteness check',
+           "if True:",
+           ("test_cli.py", "test_pipeline.py"), "One owner for the failure policy"),
+    Mutant("staged-file-left-behind", "io.py",
+           "                path.unlink()", "                pass",
+           ("test_io.py", "test_cli.py"), "writes every file into a temporary sibling"),
+    Mutant("warp-domain-nan", "warp.py",
+           "if not np.all((t_arr >= -_DOMAIN_TOL) & (t_arr <= 1.0 + _DOMAIN_TOL)):",
+           "if np.any((t_arr < -_DOMAIN_TOL) | (t_arr > 1.0 + _DOMAIN_TOL)):",
+           ("test_warp.py",), "`warp_apply` (`src/sparselag/warp.py`) accepts NaN"),
+    Mutant("smoother-determinant-sign", "smoother.py",
+           "det = s0 * s2 - s1 * s1", "det = s0 * s2 + s1 * s1",
+           ("test_smoother.py",), "One knot-level local-linear operator"),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', or 'error' (the tests did not run to a verdict)."""
+    with tempfile.TemporaryDirectory(prefix="sparselag-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = src / "sparselag" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return "error"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        tests = [str(ROOT / "tests" / name) for name in mutant.tests]
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                              cwd=ROOT, env=env, capture_output=True, text=True)
+    return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for mutant in MUTANTS:
+            print(f"{mutant.name}  {mutant.file}  ({mutant.source})")
+        return 0
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    verdicts = {}
+    for mutant in (by_name[name] for name in argv) if argv else MUTANTS:
+        verdicts[mutant.name] = run(mutant)
+        print(f"{verdicts[mutant.name]:8}  {mutant.name}", flush=True)
+    killed = sum(verdict == "killed" for verdict in verdicts.values())
+    print(f"{killed} of {len(verdicts)} killed")
+    return 0 if killed == len(verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
