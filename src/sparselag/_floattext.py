@@ -17,7 +17,9 @@ N_17.  A power of two, whose interval is narrower below it, is a decimal of at
 most 15 digits here.  (A k one too high gives X < 10^16, and N_17 reaches
 10^16 only from within 1/2.)  The rest goes to ``repr``: the infinities,
 magnitudes outside the range (zeros are laid out directly), an X halfway
-between two candidates, and an N_p outside its decade (k misjudged by one).
+between two 16- or 17-digit candidates (a 15-digit one halfway is 50 units of
+the 17th digit from X, but the interval is X/M < 10^17/2^52 < 23 units wide),
+and an N_p outside its decade (k misjudged by one).
 
 A text is a subsequence of its WIDTH-byte slot: "-0.000", 17 digits each
 followed by ".", "e-0" and the exponent's last digit.  Its sign, count of
@@ -123,13 +125,13 @@ def _digits(values):
     whole <<= _U64 - shift
     whole |= low >> shift
     rest = low & ((_U1 << shift) - _U1)
-    n15, trips15, unique15 = _nearest(whole, rest, shift, five, np.uint64(100))
+    n15, trips15, _ = _nearest(whole, rest, shift, five, np.uint64(100))
     n16, trips16, unique16 = _nearest(whole, rest, shift, five, np.uint64(10))
     half = _U1 << (shift - _U1)
     whole += rest > half                                   # N_17
     n = np.where(trips16, np.where(trips15, n15, n16), whole)
     shown = 17 - trips16.view(np.int8) - trips15.view(np.int8)   # trips15 implies trips16
-    bulk &= unique15 & (trips15 | (unique16 & (trips16 | (rest != half))))
+    bulk &= trips15 | (unique16 & (trips16 | (rest != half)))
     bulk &= n - np.uint64(10 ** 16) < np.uint64(9 * 10 ** 16)   # n has 17 digits
     return n, shown, k, bulk
 

@@ -24,8 +24,8 @@ import numpy as np
 from . import io as sio
 from . import simulate as sim
 from .checks import run_builtin_checks
-from .errors import IllConditioned, ParseError
-from .model import Config, MaturityGrid
+from .errors import IllConditioned
+from .model import Config, MaturityGrid, _check_horizons
 from .pipeline import analyze
 
 
@@ -143,11 +143,10 @@ def parse_synthetic_config(path, seed_flag=None) -> sim.SyntheticSpec:
 
 
 def run_analyze(args) -> int:
-    with _stage("load", 2, ParseError, OSError):
+    with _stage("load", 2, ValueError, OSError):
         panel = sio.load_yields_csv(args.yields)
         macro = sio.load_macro_csv(args.macro)
-        if macro.n_times != panel.n_times:
-            raise ParseError(f"yields has {panel.n_times} rows, macro {macro.n_times}")
+        _check_horizons(panel.n_times, macro.n_times)
         digests = {"yields": sio.sha256_digest(args.yields), "macro": sio.sha256_digest(args.macro)}
     with _stage("config", 2, ValueError, OSError):
         config = _build_config(panel.n_times, panel.n_maturities, args.config)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._floattext import encode, float_texts, labels, lines
+from ._floattext import encode, float_texts, lines
 from .errors import ParseError
 from .lagreg import predict_panel
 from .model import MacroPanel, MaturityGrid, SparseYieldPanel

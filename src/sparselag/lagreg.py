@@ -65,7 +65,7 @@ def filter_coefficients(resp: FrequencyResponseField, h_max: int) -> np.ndarray:
     n = resp.grid.n_nodes
     _check_lag_reach(h_max, n)
     # conjugate of the lag-to-frequency kernel: e^{+i h omega}, shape (2H+1, N/2+1)
-    kernel = resp.grid.phases(np.arange(-h_max, h_max + 1))[: n // 2 + 1].conj().T
+    kernel = resp.grid.phases(np.arange(-h_max, h_max + 1)).conj().T
     kernel[:, 1:-1] *= 2.0
     return resp.operator @ (summed_product(kernel, resp.knot_values).real / n)
 

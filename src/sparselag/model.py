@@ -81,8 +81,8 @@ def _check_horizons(n_curves: int, n_regressors: int) -> None:
 
 
 def _check_span(q: int, n_times: float = math.inf) -> None:
-    """The lag window has a span 1 <= q <= T."""
-    if q < 1:
+    """The lag window has an integer span 1 <= q <= T."""
+    if not isinstance(q, numbers.Integral) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q}")
     if q > n_times:
         raise ValueError(f"window span q={q} exceeds the horizon T={n_times}")
@@ -230,10 +230,9 @@ class FrequencyGrid:
     n_nodes: int
 
     def __post_init__(self):
-        n = int(self.n_nodes)
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"frequency grid size must be even and >= 2, got {n}")
-        object.__setattr__(self, "n_nodes", n)
+        _check_integers(self, "n_nodes")
+        if self.n_nodes < 2 or self.n_nodes % 2 != 0:
+            raise ValueError(f"frequency grid size must be even and >= 2, got {self.n_nodes}")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -244,16 +243,17 @@ class FrequencyGrid:
         return 2.0 * np.pi / self.n_nodes
 
     def phases(self, lags) -> np.ndarray:
-        """Fourier kernel e^{-i h omega_k}, shape (N, len(lags)).
+        """Fourier kernel e^{-i h omega_k} on the nodes k = 0..N/2 a field holds, shape (N/2+1, len(lags)).
 
         The one sign convention shared by both spectral estimates (lag to
         frequency); the filter quadrature integrates back with its conjugate.
-        Entry (k, h) is e^{-2 pi i m / N} at m = h (k - N/2) mod N; roots m, N - m are conjugates.
+        Entry (k, h) is e^{-2 pi i m / N} at m = h (k - N/2) mod N; roots m, N - m are conjugates,
+        so ``mirror`` of the kernel is the kernel at all N nodes.
         """
         n = self.n_nodes
         half = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
         half[-1] = -1.0                  # e^{-i pi} exactly, so root N/2 is its own conjugate
-        return self.mirror(half).take(np.outer(np.arange(n) - n // 2, lags), mode="wrap")
+        return self.mirror(half).take(np.outer(np.arange(n // 2 + 1) - n // 2, lags), mode="wrap")
 
     def mirror(self, half: np.ndarray) -> np.ndarray:
         """All N nodes (axis 0), read-only, from nodes k = 0..N/2: node N - k is the conjugate of node k."""
@@ -342,7 +342,7 @@ class Config:
     cond_threshold: float = 1e8
 
     def __post_init__(self):
-        _check_integers(self, "q", "n_omega", "h_max", "n_eval")
+        _check_integers(self, "n_omega", "h_max", "n_eval")
         if not (0.0 < self.b_mu <= 1.0):
             raise ValueError(f"b_mu must lie in (0, 1], got {self.b_mu}")
         if not (0.0 < self.b_r <= 1.0):

@@ -78,7 +78,7 @@ def bartlett_weights(q: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def lag_window_kernel(grid: FrequencyGrid, q: int) -> np.ndarray:
     """The read-only (N/2+1, 2q-1) weighted phases W_h e^{-i h omega_k}, h = 1-q..q-1, k <= N/2."""
-    return _frozen(grid.phases(np.arange(1 - q, q))[: grid.n_nodes // 2 + 1] * bartlett_weights(q))
+    return _frozen(grid.phases(np.arange(1 - q, q)) * bartlett_weights(q))
 
 
 def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -157,10 +157,10 @@ class SpectralDensityField(SpectralField):
 
     @cached_property
     def condition_numbers(self) -> np.ndarray:
-        """cond_2 per node (all N, read-only), max/min |eigenvalue| of the Hermitian F_hat; inf where singular."""
+        """cond_2 per node k <= N/2 (node N - k has the same), read-only: max/min |eigenvalue|, inf if singular."""
         mags = np.abs(np.linalg.eigvalsh(self.half))
         lo, hi = mags.min(axis=1), mags.max(axis=1)
-        return self.grid.mirror(np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0))
+        return _frozen(np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0))
 
 
 def spectral_density_matrix(acov: AutocovarianceSet, grid: FrequencyGrid) -> SpectralDensityField:

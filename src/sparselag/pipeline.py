@@ -40,13 +40,12 @@ class AnalysisResult:
 
 
 def evaluation_grid(n_eval: int, n_maturities: int):
-    """Equispaced warped grid of size n_eval, joined with the maturity knots.
-
-    Returns (warped points, indices of the knots within them).
-    """
+    """Equispaced warped grid of size n_eval, joined with the maturity knots; a point within rounding
+    (1e-12) of a knot is that knot.  Returns (warped points, indices of the knots within them)."""
     base = np.linspace(0.0, 1.0, n_eval)
     knots = np.linspace(0.0, 1.0, n_maturities)
-    grid = np.unique(np.concatenate([base, knots]))
+    off_knot = np.abs(base[:, None] - knots).min(axis=1) > 1e-12
+    grid = np.unique(np.concatenate([base[off_knot], knots]))
     return grid, np.searchsorted(grid, knots)
 
 

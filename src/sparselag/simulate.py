@@ -39,8 +39,11 @@ US_MATURITIES = (1 / 12, 6 / 12, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 30.0)
 CurveFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _spectral_radius(a: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvals(a)).max())
+def _check_stationary(a: np.ndarray) -> None:
+    """A VAR(1) coefficient matrix is stationary: its spectral radius is below 1."""
+    rho = float(np.abs(np.linalg.eigvals(a)).max())
+    if rho >= 1.0:
+        raise ValueError(f"ar_coef spectral radius must be < 1 for stationarity, got {rho:.4f}")
 
 
 def _zero_mean(t):
@@ -90,9 +93,7 @@ class SyntheticSpec(_ArrayHolder):
                 raise ValueError(f"{name} must be finite")
         if not all(np.isfinite(v) and v >= 0 for v in (self.curve_error_scale, self.noise_sd)):
             raise ValueError("noise scales must be finite and nonnegative")
-        rho = _spectral_radius(a)
-        if rho >= 1.0:
-            raise ValueError(f"ar_coef spectral radius must be < 1 for stationarity, got {rho:.4f}")
+        _check_stationary(a)
         if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
             raise ValueError("innovation covariance must be symmetric")
         try:
@@ -153,9 +154,7 @@ def var1_spectral_density(ar_coef, innovation_cov, grid: FrequencyGrid) -> np.nd
     """Closed-form VAR(1) spectral density (N, d, d), computed at every node of the grid."""
     a = np.atleast_2d(np.asarray(ar_coef, dtype=float))
     cov = np.atleast_2d(np.asarray(innovation_cov, dtype=float))
-    rho = _spectral_radius(a)
-    if rho >= 1.0:
-        raise ValueError(f"ar_coef spectral radius must be < 1, got {rho:.4f}")
+    _check_stationary(a)
     d = a.shape[0]
     chol = np.linalg.cholesky(cov)
     m = np.eye(d)[None, :, :] - np.exp(-1j * grid.nodes)[:, None, None] * a[None, :, :]

@@ -95,6 +95,55 @@ MUTANTS = (
     Mutant("smoother-determinant-sign", "smoother.py",
            "det = s0 * s2 - s1 * s1", "det = s0 * s2 + s1 * s1",
            ("test_smoother.py",), "One knot-level local-linear operator"),
+    Mutant("grid-size-truncated", "model.py",
+           '_check_integers(self, "n_nodes")', 'object.__setattr__(self, "n_nodes", int(self.n_nodes))',
+           ("test_model.py",), "Each input rule has one raiser"),
+    Mutant("span-integer-clause-dropped", "model.py",
+           "if not isinstance(q, numbers.Integral) or q < 1:", "if q < 1:",
+           ("test_model.py",), "Each input rule has one raiser"),
+    Mutant("cli-horizons-unchecked", "cli.py",
+           "_check_horizons(panel.n_times, macro.n_times)", "None",
+           ("test_cli.py",), "Each input rule has one raiser"),
+    Mutant("stationarity-boundary", "simulate.py",
+           "if rho >= 1.0:", "if rho > 1.0:",
+           ("test_model.py",), "Each input rule has one raiser"),
+    Mutant("eval-grid-knot-twin-kept", "pipeline.py",
+           ".min(axis=1) > 1e-12", ".min(axis=1) > 0.0",
+           ("test_pipeline.py",), "Each maturity knot is in the evaluation grid once"),
+    Mutant("digits-high-part-uncarried", "_floattext.py",
+           "(mantissa * five - low.astype(np.float64)) * 2.0 ** -64", "mantissa * five * 2.0 ** -64",
+           ("test_floattext.py",), "dropping the 128-bit carry"),
+    Mutant("simulate-overflow-unguarded", "simulate.py",
+           'with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the panel\'s finiteness check',
+           "if True:",
+           ("test_cli.py", "test_simulate.py"), "so a finite but huge spec prints numpy RuntimeWarnings"),
+    Mutant("cli-overflow-unguarded", "cli.py",
+           'with np.errstate(over="ignore", invalid="ignore"):   # an overflow surfaces as a typed error',
+           "if True:",
+           ("test_cli.py",), "One owner for the failure policy"),
+    Mutant("self-paired-check-dropped", "model.py",
+           "if not np.abs(operator).sum(axis=1).max() * self_paired <= cls._symmetry[0]:", "if False:",
+           ("test_mv_spectral.py",), "no self-paired check in `from_knots`"),
+    Mutant("autocovariance-finiteness-dropped", "mv_spectral.py",
+           'raise ValueError(f"autocovariance at lag {self.lags[np.argmin(finite)]} not finite")', "pass",
+           ("test_model.py", "test_mv_spectral.py", "test_cli.py"), "no `AutocovarianceSet` finiteness raise"),
+    Mutant("quadrature-exponent-flipped", "lagreg.py",
+           "kernel = resp.grid.phases(np.arange(-h_max, h_max + 1)).conj().T",
+           "kernel = resp.grid.phases(np.arange(-h_max, h_max + 1)).T",
+           ("test_lagreg.py",), "a flipped quadrature exponent"),
+    Mutant("response-unconjugated", "lagreg.py",
+           "FrequencyResponseField.from_knots(cross.grid, np.conj(z), cross.operator)",
+           "FrequencyResponseField.from_knots(cross.grid, z, cross.operator)",
+           ("test_lagreg.py",), "`frequency_response` without its conjugation"),
+    Mutant("condition-singular-divided", "mv_spectral.py",
+           "where=lo > 0", "where=lo >= 0",
+           ("test_mv_spectral.py",), "`where=lo >= 0`"),
+    Mutant("condition-signed-eigenvalues", "mv_spectral.py",
+           "mags = np.abs(np.linalg.eigvalsh(self.half))", "mags = np.linalg.eigvalsh(self.half)",
+           ("test_mv_spectral.py",), "signed eigenvalues"),
+    Mutant("root-half-inexact", "model.py",
+           "half[-1] = -1.0", "half[-1] = half[-1]",
+           ("test_model.py",), "inexact root N/2"),
 )
 
 

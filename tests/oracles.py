@@ -40,14 +40,14 @@ def naive_spectral_density(matrices, lags, weights, nodes):
 def full_grid_reference(grid, cross_lags, density_lags):
     """The spectral steps on all N nodes: (Z, F, cond, B).
 
-    Z is the lag-window transform of the cross lags with the (N, 2q-1) kernel,
+    Z is the lag-window transform of the cross lags with the (N, 2q-1) kernel, the mirrored phases,
     F that of the density lags over 2pi, made Hermitian as the estimator makes
     it (the conjugate of the lower triangle above the diagonal, the real part
     on it), cond the per-node |eigenvalue| ratio of F (inf where singular) and
     B the response knots solving B F = Z.
     """
     q = (len(cross_lags) + 1) // 2
-    kernel = grid.phases(np.arange(1 - q, q)) * bartlett_weights(q)
+    kernel = grid.mirror(grid.phases(np.arange(1 - q, q))) * bartlett_weights(q)
     z = np.tensordot(kernel, cross_lags, axes=1)
     f = np.tensordot(kernel, density_lags, axes=1) / (2.0 * np.pi)
     for i in range(f.shape[1]):

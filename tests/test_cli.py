@@ -160,6 +160,14 @@ class TestSimulateCommand:
         argv = ["simulate", "--config", str(cfg), "--out", str(out), *flags]
         assert _failed_run(capsys, argv, out) == (2, [f"error [config] {message}"])
 
+    def test_overflowing_symmetry_check_is_a_config_error(self, tmp_path, capsys):
+        # cov - cov' overflows while the spec is built, before the simulate stage's own errstate
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("t = 50\nmaturities = 1, 2, 5\nar = 0.5, 0; 0, 0.5\ninnovation_cov = 1e308, -1e308; 1e308, 1\n")
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        assert _failed_run(capsys, argv, out) == (2, ["error [config] innovation covariance must be symmetric"])
+
     @pytest.mark.parametrize("text, message", [
         ("preset = recovery\nt = 50\n", "preset config admits only 'seed', found: t"),
         ("preset = bogus\n", "unknown preset 'bogus' (expected 'recovery' or 'null')"),
@@ -466,7 +474,8 @@ _LOAD_FAILURES = {  # case: (input, its text or bytes, None for a directory or "
     "macro empty name": ("macro", "X1,\n1.0,2.0\n", "series names must be non-empty"),
     "macro duplicate name": ("macro", "X1,X1\n1.0,2.0\n", "duplicate series name"),
     "macro name with a comma": ("macro", '"a,b",X2\n1.0,2.0\n', "contains a comma"),
-    "macro shorter than yields": ("macro", "X1,X2\n1.0,0.5\n2.0,-1.0\n", "yields has 4 rows, macro 2"),
+    "macro shorter than yields": ("macro", "X1,X2\n1.0,0.5\n2.0,-1.0\n",
+                                  "panel horizons differ: curves have T=4, regressors T=2"),
 }
 _ESTIMATE_FAILURES = {   # case: (yields text, config text, exception analyze raises, message fragment)
     "window holds one knot": (_YIELDS, "b_mu = 0.05\n", None, "-- consider a larger bandwidth"),

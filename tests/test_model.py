@@ -148,7 +148,7 @@ class TestFrequencyGrid:
     def test_phases_match_complex_exp(self, n):
         grid = FrequencyGrid(n)
         lags = np.unique(np.linspace(-n, n, 41).astype(int))
-        oracle = np.exp(-1j * np.outer(grid.nodes, lags))
+        oracle = np.exp(-1j * np.outer(grid.nodes[: n // 2 + 1], lags))     # the nodes k = 0..N/2
         # the oracle itself is off by up to |h omega| * eps, about 3e-12 at N = 4096
         assert np.abs(grid.phases(lags) - oracle).max() <= 1e-11
 
@@ -157,7 +157,7 @@ class TestFrequencyGrid:
         lags = np.arange(-70, 71)
         phases = grid.phases(lags)
         assert np.array_equal(phases[:, ::-1], phases.conj())         # e^{+ih w} = conj(e^{-ih w})
-        assert np.array_equal(grid.phases([0]), np.ones((64, 1)))
+        assert np.array_equal(grid.phases([0]), np.ones((33, 1)))
         assert np.array_equal(phases[:, lags == 64], phases[:, lags == 0])  # period N in h
         assert np.array_equal(grid.phases([1])[[0, 32], 0], [-1.0, 1.0])    # omega = -pi, 0
 
@@ -182,7 +182,7 @@ class TestConfig:
         (dict(n_omega=10), "n_omega"),
         (dict(cond_threshold=float("nan")), "cond_threshold"),
         (dict(cond_threshold=float("inf")), "cond_threshold"),
-        (dict(q=4.5), "q must be an integer"),
+        (dict(q=4.5), "q must be a positive integer, got 4.5"),
         (dict(h_max=2.5), "h_max must be an integer"),
         (dict(n_omega=64.0), "n_omega must be an integer"),
         (dict(n_eval=20.5), "n_eval must be an integer"),
@@ -233,6 +233,9 @@ _RULE_VIOLATIONS = {   # case: (call on a T = 30 curve panel and 1-series regres
     "estimate_autocovariances, q > T": (lambda p, x: estimate_autocovariances(x, 31),
                                         "window span q=31 exceeds the horizon T=30"),
     "bartlett_weights, q = 0": (lambda p, x: bartlett_weights(0), "q must be a positive integer, got 0"),
+    "bartlett_weights, fractional q": (lambda p, x: bartlett_weights(2.5), "q must be a positive integer, got 2.5"),
+    "estimate_autocovariances, fractional q": (lambda p, x: estimate_autocovariances(x, 2.5),
+                                               "q must be a positive integer, got 2.5"),
     "r_squared, 1-row regressors": (lambda p, x: r_squared(p, _fit(p), _rows(x, 1)), _HORIZONS.format(1)),
     "filter_coefficients, h_max = -1": (lambda p, x: filter_coefficients(_response(16), -1),
                                         "h_max must be nonnegative, got -1"),
@@ -279,6 +282,8 @@ class TestInputRules:
 
 
 _INPUT_CHECKS = {   # case: (call on a T = 30 curve panel of 4 maturities and 1-series regressor panel, message)
+    "FrequencyGrid, fractional size": (lambda p, x: FrequencyGrid(64.7), "n_nodes must be an integer, got 64.7"),
+    "FrequencyGrid, size as text": (lambda p, x: FrequencyGrid("64"), "n_nodes must be an integer, got '64'"),
     "MaturityGrid, 2-d maturities": (lambda p, x: MaturityGrid(np.ones((3, 1))),
                                      "maturities must be a one-dimensional sequence"),
     "SparseYieldPanel, 1-d values": (lambda p, x: SparseYieldPanel(np.ones(4), np.ones(4, bool), p.maturity_grid),
@@ -328,8 +333,10 @@ _INPUT_CHECKS = {   # case: (call on a T = 30 curve panel of 4 maturities and 1-
         "innovation covariance must be symmetric"),
     "SyntheticSpec, filter of a missing series": (
         lambda p, x: replace(_spec([[0.5]]), filter_fns={(0, 1): np.ones_like}), "filter series index 1 outside 0..0"),
+    "SyntheticSpec, unit root": (lambda p, x: _spec([[1.0]]),
+                                 "ar_coef spectral radius must be < 1 for stationarity, got 1.0000"),
     "var1_spectral_density, unit root": (lambda p, x: var1_spectral_density([[1.0]], [[1.0]], FrequencyGrid(8)),
-                                         "ar_coef spectral radius must be < 1, got 1.0000"),
+                                         "ar_coef spectral radius must be < 1 for stationarity, got 1.0000"),
     "local_linear_operator, zero bandwidth": (lambda p, x: local_linear_operator(np.ones(4), [0.5], 0.0),
                                               "bandwidth must be positive, got 0.0"),
     "raw_cross_cov, mean curve not at the maturities": (lambda p, x: raw_cross_cov(p, x, np.zeros(3), np.zeros(1), 2),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import sparselag
-from sparselag import (Config, FrequencyResponseField, LaggedRegressionFit, analyze,
+from sparselag import (US_MATURITIES, Config, FrequencyResponseField, LaggedRegressionFit, MaturityGrid, analyze,
                        estimate_autocovariances, r_squared, recovery_spec, simulate_lagged_regression,
                        warp_apply)
+from sparselag.lagreg import _eval_indices
 from sparselag.pipeline import evaluation_grid
 from conftest import random_macro_panel, random_sparse_panel
 
@@ -22,6 +23,17 @@ class TestEvaluationGrid:
     def test_collapses_exact_duplicates(self):
         grid, _ = evaluation_grid(9, 9)
         assert grid.size == 9
+
+    @pytest.mark.parametrize("maturities", [US_MATURITIES, (0.5, 2.0, 10.0), (0.25, 1.0, 2.0, 5.0, 30.0)])
+    def test_lookup_finds_each_knot_once(self, maturities):
+        # n_eval = 99 once kept warped 0.49999999999999994 next to the knot 0.5, and the lookup's
+        # first hit on the US grid was that point, not the knot
+        grid = MaturityGrid(np.array(maturities))
+        for n_eval in range(2, 2001):
+            warped, knot_idx = evaluation_grid(n_eval, grid.n_maturities)
+            r = warped.size
+            fit = LaggedRegressionFit(np.zeros((1, r, 1)), warp_apply(grid, warped), warped, np.zeros(r), np.zeros(1))
+            assert np.array_equal(_eval_indices(fit, grid.maturities), knot_idx), f"n_eval = {n_eval}"
 
 
 class TestAnalyze:
@@ -72,7 +84,7 @@ class TestAnalyze:
         result = analyze(panel, macro)
         d = result.diagnostics
         assert d.truncation_tail_mass >= 0.0
-        assert result.spectral_density.condition_numbers.shape == (512,)
+        assert result.spectral_density.condition_numbers.shape == (257,)     # the nodes k = 0..N/2
         assert d.max_condition_number == 1.0    # scalar regressor
 
     def test_symmetry_invariants_on_random_instances(self, rng):
