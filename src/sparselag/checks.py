@@ -4,15 +4,16 @@ Each check compares an estimator against an independent reference at reduced
 scale: the factorized cross-spectral smoother against per-frequency least
 squares, the filter quadrature against a synthesized trigonometric
 polynomial, the lag-window spectral estimate against the VAR(1) closed form,
-plus warp round trips, symmetry/inverse-transform identities, exact
+plus warp round trips, the lag-window inverse-transform identity, exact
 affine reproduction of the mean smoother, and the bulk number formatter of
-the result files against ``repr`` (summary.json's against ``json.dumps``).
-Tolerances are loose enough to hold across seeds.
+the result files against ``repr``.  Each runs a platform-dependent result
+(numpy, BLAS, float formatting) once, through the library as shipped;
+identities that hold exactly by construction are pinned by the test suite
+instead.  Tolerances are loose enough to hold across seeds.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import cross_spectral, lagreg, mv_spectral, simulate, smoother
 from ._floattext import float_texts
-from .io import summary_json
 from .model import FrequencyGrid, MacroPanel, MaturityGrid, SparseYieldPanel
 from .warp import warp_apply, warp_inverse
 
@@ -111,38 +111,26 @@ def check_var1_closed_form(rng: np.random.Generator) -> CheckResult:
                        f"rel err max = {rel.max():.3f} (tol 0.5), mean = {rel.mean():.3f} (tol 0.15)")
 
 
-def check_bartlett_symmetry(rng: np.random.Generator,
-                            spectral_fn=mv_spectral.spectral_density_matrix) -> CheckResult:
-    """Hermitianity, conjugate symmetry, and inverse-transform recovery.
+def check_inverse_transform(rng: np.random.Generator) -> CheckResult:
+    """Lag-window inverse transform (2pi/N) * sum_k F(omega_k) e^{i h omega_k} = W_h * R_h.
 
-    The inverse-transform identity (2pi/N) * sum_k F(omega_k) e^{i h omega_k}
-    = W_h * R_h distinguishes the e^{-i h omega} convention from its flipped
-    mutant on asymmetric R_h, so a sign error upstream fails here.
+    On asymmetric R_h the identity tells the e^{-i h omega} convention from its
+    flipped mutant, so a sign error upstream fails here.
     """
-    t_len, d, q = 200, 2, 6
+    t_len, d, q, tol = 200, 2, 6, 1e-10
     a = np.array([[0.6, 0.2], [-0.1, 0.4]])
     spec = simulate.SyntheticSpec(
         maturity_grid=MaturityGrid(np.array(simulate.US_MATURITIES)),
         n_times=t_len, ar_coef=a, innovation_cov=np.eye(d),
         macro_mean=np.zeros(d), seed=int(rng.integers(2 ** 31)))
-    macro = simulate.simulate_var1(spec)
-    acov = mv_spectral.estimate_autocovariances(macro, q)
+    acov = mv_spectral.estimate_autocovariances(simulate.simulate_var1(spec), q)
     grid = FrequencyGrid(64)
-    try:
-        field = spectral_fn(acov, grid)
-        mats = field.values
-    except ValueError as exc:
-        return CheckResult("lag-window symmetry and inverse transform", False, str(exc))
-
-    herm = float(np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max())
-    flip = float(np.abs(mats[(-np.arange(grid.n_nodes)) % grid.n_nodes] - np.conj(mats)).max())
-    weights = mv_spectral.bartlett_weights(q)
+    mats = mv_spectral.spectral_density_matrix(acov, grid).values
     recovered = np.einsum("kl,kab->lab",
                           np.exp(1j * np.outer(grid.nodes, acov.lags)), mats) * grid.quadrature_weight
-    inv = float(np.abs(recovered - weights[:, None, None] * acov.matrices).max())
-    worst = max(herm, flip, inv)
-    return CheckResult("lag-window symmetry and inverse transform", worst <= 1e-10,
-                       f"max defect = {worst:.2e} (tol 1e-10)")
+    err = float(np.abs(recovered - mv_spectral.bartlett_weights(q)[:, None, None] * acov.matrices).max())
+    return CheckResult("lag-window inverse transform", err <= tol,
+                       f"max defect = {err:.2e} (tol {tol:.0e})")
 
 
 def check_warp_round_trip(rng: np.random.Generator) -> CheckResult:
@@ -211,25 +199,14 @@ def check_float_text(rng: np.random.Generator) -> CheckResult:
                        f"{wrong} of {len(expected)} values differ")
 
 
-def check_operator_json(rng: np.random.Generator) -> CheckResult:
-    """summary.json's bulk text of a random smoothing operator against ``json.dumps``."""
-    edges = float_edge_cases()
-    weights = rng.choice(edges[np.isfinite(edges)], size=rng.integers(1, 40, size=2))
-    summary = {"smoothing_operator": {"tau": rng.random(3).tolist(), "weights": weights.tolist()}}
-    expected = (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
-    return CheckResult("summary.json operator text equals json.dumps", summary_json(summary) == expected,
-                       "{} x {} operator of edge-case values".format(*weights.shape))
-
-
 def run_builtin_checks(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     return [
         check_cross_spectral_equivalence(rng),
         check_quadrature_round_trip(rng),
         check_var1_closed_form(rng),
-        check_bartlett_symmetry(rng),
+        check_inverse_transform(rng),
         check_warp_round_trip(rng),
         check_affine_reproduction(rng),
         check_float_text(rng),
-        check_operator_json(rng),
     ]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sparselag
-from sparselag import checks, cli, simulate
+from sparselag import checks, cli, mv_spectral, simulate
 from sparselag import io as sio
 from sparselag.cli import main, parse_synthetic_config, read_key_values
 from sparselag.io import sha256_digest
@@ -619,7 +619,7 @@ class TestCheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 8 and "FAIL" not in out
+        assert out.count("PASS") == 7 and "FAIL" not in out
 
     def test_seed_sweep_is_robust(self, capsys):
         for seed in range(10):
@@ -637,9 +637,9 @@ class TestCheckCommand:
                               capture_output=True, text=True, timeout=300,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        assert "8/8 checks passed" in proc.stdout
+        assert "7/7 checks passed" in proc.stdout
 
-    def test_injected_sign_error_is_caught(self, capsys):
+    def test_injected_sign_error_is_caught(self, monkeypatch):
         def mutant_spectral(acov, grid):
             # e^{+i h omega} instead of e^{-i h omega}
             phases = np.exp(+1j * np.outer(grid.nodes, acov.lags))
@@ -647,9 +647,9 @@ class TestCheckCommand:
             mats = np.einsum("kl,lab->kab", phases, weighted) / (2 * np.pi)
             return field_from_values(SpectralDensityField, grid, mats)
 
-        rng = np.random.default_rng(0)
-        result = checks.check_bartlett_symmetry(rng, spectral_fn=mutant_spectral)
-        assert not result.passed
+        assert checks.check_inverse_transform(np.random.default_rng(0)).passed
+        monkeypatch.setattr(mv_spectral, "spectral_density_matrix", mutant_spectral)
+        assert not checks.check_inverse_transform(np.random.default_rng(0)).passed
 
 
 def test_fresh_import_loads_no_scipy():
