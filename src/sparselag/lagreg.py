@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateTotal, IllConditioned
-from .model import LaggedRegressionFit, MacroPanel, SparseYieldPanel, SpectralField, _check_horizons, _check_lag_reach
+from .model import (LaggedRegressionFit, MacroPanel, SparseYieldPanel, SpectralField, _check_cond_threshold,
+                    _check_horizons, _check_lag_reach)
 from .cross_spectral import CrossSpectralField
 from .mv_spectral import SpectralDensityField, summed_product
 
@@ -43,6 +44,7 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
     Hermitian, then B = Z^H, on the knot field of f_hat at the nodes k <= N/2.  Aborts
     with IllConditioned at the worst node whose condition number exceeds the threshold.
     """
+    _check_cond_threshold(cond_threshold)
     if cross.grid != spec.grid:
         raise ValueError("cross-spectral field and spectral density live on different grids")
     if cross.n_series != spec.n_series:

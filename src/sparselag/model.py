@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 
-# Three construction facts the value types share, then five input rules: each stated once.
+# Three construction facts the value types share, then six input rules: each stated once.
 
 def _frozen(values, dtype=None):
     """The read-only copy of an array field: a new C-ordered array (of dtype, if given) that no caller
@@ -66,10 +66,9 @@ def _store_lags(instance, name: str, stack: np.ndarray, counts=None) -> None:
     vars(instance).update(max_lag=h, lags=lags)
 
 
-def _check_integers(instance, *names: str) -> None:
-    """Count and seed fields hold integers (a numpy integer is one)."""
-    for name in names:
-        value = getattr(instance, name)
+def _check_integers(**values) -> None:
+    """Counts and seeds are integers (a numpy integer is one)."""
+    for name, value in values.items():
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
@@ -89,11 +88,18 @@ def _check_span(q: int, n_times: float = math.inf) -> None:
 
 
 def _check_lag_reach(h_max: int, n_omega: int) -> None:
-    """The filter's lags -h_max..h_max fit the quadrature grid: h_max >= 0 and n_omega even, >= 2 h_max + 2."""
+    """The filter's lags -h_max..h_max fit the quadrature grid: integers h_max >= 0 and n_omega even, >= 2 h_max + 2."""
+    _check_integers(h_max=h_max, n_omega=n_omega)
     if h_max < 0:
         raise ValueError(f"h_max must be nonnegative, got {h_max}")
     if n_omega % 2 != 0 or n_omega < 2 * h_max + 2:
         raise ValueError(f"n_omega must be even and >= 2*h_max + 2 = {2 * h_max + 2}, got {n_omega}")
+
+
+def _check_cond_threshold(cond_threshold: float) -> None:
+    """The condition-number ceiling is finite and exceeds 1, so no value switches the guard off or trips it always."""
+    if not (1.0 < cond_threshold < math.inf):
+        raise ValueError(f"cond_threshold must be finite and exceed 1, got {cond_threshold}")
 
 
 def _check_means(means: np.ndarray, d: int, name: str = "macro_means") -> None:
@@ -230,7 +236,7 @@ class FrequencyGrid:
     n_nodes: int
 
     def __post_init__(self):
-        _check_integers(self, "n_nodes")
+        _check_integers(n_nodes=self.n_nodes)
         if self.n_nodes < 2 or self.n_nodes % 2 != 0:
             raise ValueError(f"frequency grid size must be even and >= 2, got {self.n_nodes}")
 
@@ -342,17 +348,16 @@ class Config:
     cond_threshold: float = 1e8
 
     def __post_init__(self):
-        _check_integers(self, "n_omega", "h_max", "n_eval")
         if not (0.0 < self.b_mu <= 1.0):
             raise ValueError(f"b_mu must lie in (0, 1], got {self.b_mu}")
         if not (0.0 < self.b_r <= 1.0):
             raise ValueError(f"b_r must lie in (0, 1], got {self.b_r}")
         _check_span(self.q)
         _check_lag_reach(self.h_max, self.n_omega)
+        _check_integers(n_eval=self.n_eval)
         if self.n_eval < 2:
             raise ValueError(f"n_eval must be at least 2, got {self.n_eval}")
-        if not (1.0 < self.cond_threshold < math.inf):
-            raise ValueError(f"cond_threshold must be finite and exceed 1, got {self.cond_threshold}")
+        _check_cond_threshold(self.cond_threshold)
 
     @classmethod
     def defaults(cls, n_times: int, n_maturities: int, **overrides) -> "Config":

@@ -24,6 +24,7 @@ that a coupled A keeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -32,18 +33,29 @@ import numpy as np
 from .model import (FrequencyGrid, LaggedRegressionFit, MacroPanel, MaturityGrid, SparseYieldPanel, _ArrayHolder,
                     _check_integers, _store)
 
-_BURN_IN = 500  # spectral radius <= 0.95 decays below 1e-10 well within this
+_BURN_IN = 500          # the fewest steps a path discards; radius 0.95 decays below 1e-10 within them
+_MAX_RADIUS = 0.9999    # decays below 1e-10 within 230,247 steps
 
 US_MATURITIES = (1 / 12, 6 / 12, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 30.0)
 
 CurveFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _check_stationary(a: np.ndarray) -> None:
-    """A VAR(1) coefficient matrix is stationary: its spectral radius is below 1."""
+def _check_stationary(a: np.ndarray) -> float:
+    """A VAR(1) coefficient matrix is stationary: its spectral radius is below 1.  Returns the radius."""
     rho = float(np.abs(np.linalg.eigvals(a)).max())
     if rho >= 1.0:
         raise ValueError(f"ar_coef spectral radius must be < 1 for stationarity, got {rho:.4f}")
+    return rho
+
+
+def _burn_in(rho: float) -> int:
+    """Steps a path of spectral radius rho <= _MAX_RADIUS discards: the fewest n >= _BURN_IN with rho^n <= 1e-10,
+    so its zero start weighs at most 1e-10 on the first kept value."""
+    if rho > _MAX_RADIUS:
+        raise ValueError(f"ar_coef spectral radius must be <= {_MAX_RADIUS} for a bounded burn-in, got {rho:.6g}")
+    steps = math.log(1e-10) / math.log(rho) if rho > 0 else 0.0
+    return max(_BURN_IN, math.ceil(steps))
 
 
 def _zero_mean(t):
@@ -62,7 +74,8 @@ class SyntheticSpec(_ArrayHolder):
 
     ``filter_fns`` pairs (lag h, series j) with the coefficient function of the warped coordinate,
     as a dict or ((h, j), fn) pairs; ``mean_fn`` is the mean curve in warped coordinates.  Series indices
-    are zero-based.  The spec holds read-only copies of its arrays, its terms as a tuple in the order given.
+    are zero-based.  The spec holds read-only copies of its arrays, its terms as a tuple in the order given,
+    and ``burn_in``, the steps each path discards, sized from the spectral radius of ``ar_coef``.
     """
 
     maturity_grid: MaturityGrid
@@ -83,7 +96,7 @@ class SyntheticSpec(_ArrayHolder):
         d = a.shape[0]
         if a.shape != (d, d) or cov.shape != (d, d) or mean.shape != (d,):
             raise ValueError("ar_coef, innovation_cov and macro_mean disagree on the dimension d")
-        _check_integers(self, "n_times", "seed")
+        _check_integers(n_times=self.n_times, seed=self.seed)
         if self.n_times < 1:
             raise ValueError("n_times must be positive")
         if self.seed < 0:
@@ -93,7 +106,7 @@ class SyntheticSpec(_ArrayHolder):
                 raise ValueError(f"{name} must be finite")
         if not all(np.isfinite(v) and v >= 0 for v in (self.curve_error_scale, self.noise_sd)):
             raise ValueError("noise scales must be finite and nonnegative")
-        _check_stationary(a)
+        vars(self)["burn_in"] = _burn_in(_check_stationary(a))
         if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
             raise ValueError("innovation covariance must be symmetric")
         try:
@@ -125,8 +138,9 @@ def _scalar_ar1(a: float, shocks: Iterable[float]) -> Iterator[float]:
 
 def _var1_deviations(spec: SyntheticSpec, rng: np.random.Generator, n_steps: int) -> np.ndarray:
     chol = np.linalg.cholesky(spec.innovation_cov)
-    shocks = rng.standard_normal((_BURN_IN + n_steps, spec.n_series)) @ chol.T
-    out = np.empty((_BURN_IN + n_steps, spec.n_series))
+    burn_in = spec.burn_in
+    shocks = rng.standard_normal((burn_in + n_steps, spec.n_series)) @ chol.T
+    out = np.empty((burn_in + n_steps, spec.n_series))
     a = spec.ar_coef
     diag = np.diagonal(a)
     if not np.any(a - np.diag(diag)):
@@ -134,12 +148,12 @@ def _var1_deviations(spec: SyntheticSpec, rng: np.random.Generator, n_steps: int
             # a memoryview yields Python floats one at a time, with no list of them
             column = memoryview(np.ascontiguousarray(shocks[:, j]))
             out[:, j] = np.fromiter(_scalar_ar1(a_jj, column), float, count=len(out))
-        return out[_BURN_IN:]
+        return out[burn_in:]
     x = np.zeros(spec.n_series)
-    for t in range(_BURN_IN + n_steps):
+    for t in range(burn_in + n_steps):
         x = spec.ar_coef @ x + shocks[t]
         out[t] = x
-    return out[_BURN_IN:]
+    return out[burn_in:]
 
 
 def simulate_var1(spec: SyntheticSpec) -> MacroPanel:

@@ -47,7 +47,7 @@ def local_linear_operator(knot_weights, eval_warped, bandwidth: float) -> np.nda
     fewer than 2 knots of positive weight, or whose normal matrix is
     numerically singular.
     """
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     w = np.asarray(knot_weights, dtype=float)
     x0 = np.atleast_1d(np.asarray(eval_warped, dtype=float))

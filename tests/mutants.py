@@ -96,7 +96,7 @@ MUTANTS = (
            "det = s0 * s2 - s1 * s1", "det = s0 * s2 + s1 * s1",
            ("test_smoother.py",), "One knot-level local-linear operator"),
     Mutant("grid-size-truncated", "model.py",
-           '_check_integers(self, "n_nodes")', 'object.__setattr__(self, "n_nodes", int(self.n_nodes))',
+           '_check_integers(n_nodes=self.n_nodes)', 'object.__setattr__(self, "n_nodes", int(self.n_nodes))',
            ("test_model.py",), "Each input rule has one raiser"),
     Mutant("span-integer-clause-dropped", "model.py",
            "if not isinstance(q, numbers.Integral) or q < 1:", "if q < 1:",

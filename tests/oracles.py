@@ -11,7 +11,7 @@ and Hermite evaluator to pin the inverse, and ``naive_result_rows`` takes its
 predictions from the full-grid ``predict_panel``, its maturity lookup from
 the library and the knot fields' N nodes from ``FrequencyGrid.mirror``,
 because its subject is the text formatting, which must match bit for bit.  ``loop_var1_deviations`` is the simulator's original
-matrix loop, kept verbatim (with the simulator's burn-in length) to pin the
+matrix loop, kept verbatim (with the spec's ``burn_in``) to pin the
 scalar-recursion path for diagonal A bit for bit.
 """
 
@@ -19,7 +19,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from sparselag.mv_spectral import bartlett_weights
-from sparselag.simulate import _BURN_IN
 
 
 def naive_spectral_density(matrices, lags, weights, nodes):
@@ -96,13 +95,13 @@ def lag_domain_filter(autocov, cross_sums, smoother, n_omega, h_max, reach=300):
 def loop_var1_deviations(spec, rng, n_steps):
     """VAR(1) deviations by one ``A @ x + shock`` matrix step per date."""
     chol = np.linalg.cholesky(spec.innovation_cov)
-    shocks = rng.standard_normal((_BURN_IN + n_steps, spec.n_series)) @ chol.T
-    out = np.empty((_BURN_IN + n_steps, spec.n_series))
+    shocks = rng.standard_normal((spec.burn_in + n_steps, spec.n_series)) @ chol.T
+    out = np.empty((spec.burn_in + n_steps, spec.n_series))
     x = np.zeros(spec.n_series)
-    for t in range(_BURN_IN + n_steps):
+    for t in range(spec.burn_in + n_steps):
         x = spec.ar_coef @ x + shocks[t]
         out[t] = x
-    return out[_BURN_IN:]
+    return out[spec.burn_in:]
 
 
 def lstsq_locallin(x, z, w, x0):

@@ -168,6 +168,14 @@ class TestSimulateCommand:
         argv = ["simulate", "--config", str(cfg), "--out", str(out)]
         assert _failed_run(capsys, argv, out) == (2, ["error [config] innovation covariance must be symmetric"])
 
+    def test_radius_above_the_burn_in_cap_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("t = 50\nmaturities = 1, 2, 5\nar = 0.99999\n")
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        message = "ar_coef spectral radius must be <= 0.9999 for a bounded burn-in, got 0.99999"
+        assert _failed_run(capsys, argv, out) == (2, [f"error [config] {message}"])
+
     @pytest.mark.parametrize("text, message", [
         ("preset = recovery\nt = 50\n", "preset config admits only 'seed', found: t"),
         ("preset = bogus\n", "unknown preset 'bogus' (expected 'recovery' or 'null')"),

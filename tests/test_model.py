@@ -12,8 +12,8 @@ from sparselag import (AutocovarianceSet, Config, CrossSpectralField, FrequencyG
                        LaggedRegressionFit, MacroPanel, MaturityGrid, RawCrossCovariances, SimulationTruth,
                        SparseYieldPanel, SpectralDensityField, SyntheticSpec, US_MATURITIES, analyze,
                        bartlett_weights, estimate_autocovariances, filter_coefficients, frequency_response,
-                       local_linear_operator, predict_panel, r_squared, raw_cross_cov, simulate_var1,
-                       var1_spectral_density)
+                       local_linear_operator, mean_curve_warped, predict_panel, r_squared, raw_cross_cov,
+                       simulate_var1, var1_spectral_density)
 from sparselag.mv_spectral import lag_window_transform, lagged_products
 from conftest import field_from_values, random_macro_panel, random_sparse_panel
 
@@ -212,6 +212,12 @@ def _response(n_omega):
                              np.ones((n_omega, 1, 1), dtype=complex))
 
 
+def _response_at(cond_threshold):
+    """The response solve of a 2-series field on a density whose every node has condition number 1."""
+    cross = CrossSpectralField.from_knots(FrequencyGrid(8), np.ones((5, 2, 2)), np.eye(2))
+    return frequency_response(cross, _HOLDERS["SpectralDensityField"](False)[0], cond_threshold)
+
+
 _HORIZONS = "panel horizons differ: curves have T=30, regressors T={}"
 _EVEN_STACK = "{} must have 3 axes, the first an odd number of lags (2H+1 lags -H..H), got shape {}"
 _RULE_VIOLATIONS = {   # case: (call on a T = 30 curve panel and 1-series regressor panel, message)
@@ -241,6 +247,22 @@ _RULE_VIOLATIONS = {   # case: (call on a T = 30 curve panel and 1-series regres
                                         "h_max must be nonnegative, got -1"),
     "filter_coefficients, N < 2 h_max + 2": (lambda p, x: filter_coefficients(_response(16), 8),
                                              "n_omega must be even and >= 2*h_max + 2 = 18, got 16"),
+    "filter_coefficients, fractional h_max": (lambda p, x: filter_coefficients(_response(16), 2.5),
+                                              "h_max must be an integer, got 2.5"),
+    "filter_coefficients, h_max as text": (lambda p, x: filter_coefficients(_response(16), "3"),
+                                           "h_max must be an integer, got '3'"),
+    "frequency_response, NaN cond_threshold": (lambda p, x: _response_at(np.nan),
+                                               "cond_threshold must be finite and exceed 1, got nan"),
+    "frequency_response, infinite cond_threshold": (lambda p, x: _response_at(np.inf),
+                                                    "cond_threshold must be finite and exceed 1, got inf"),
+    "frequency_response, cond_threshold 1": (lambda p, x: _response_at(1.0),
+                                             "cond_threshold must be finite and exceed 1, got 1.0"),
+    "frequency_response, cond_threshold below 1": (lambda p, x: _response_at(0.5),
+                                                   "cond_threshold must be finite and exceed 1, got 0.5"),
+    "local_linear_operator, NaN bandwidth": (lambda p, x: local_linear_operator(np.ones(4), [0.5], np.nan),
+                                             "bandwidth must be positive, got nan"),
+    "mean_curve_warped, NaN bandwidth": (lambda p, x: mean_curve_warped(p, np.nan, [0.5]),
+                                         "bandwidth must be positive, got nan"),
     "AutocovarianceSet, even lag count": (lambda p, x: AutocovarianceSet(np.zeros((2, 1, 1)), np.zeros(1)),
                                           _EVEN_STACK.format("matrices", (2, 1, 1))),
     "RawCrossCovariances, even lag count": (lambda p, x: RawCrossCovariances(np.ones((4, 3, 1)), np.ones((4, 3))),
@@ -268,10 +290,11 @@ _RULE_VIOLATIONS = {   # case: (call on a T = 30 curve panel and 1-series regres
 
 
 class TestInputRules:
-    """Each input rule (equal horizons, window span 1 <= q <= T, lag reach h_max >= 0 and
-    n_omega >= 2 h_max + 2, regressor means a finite vector of d values, the lag-stack format:
-    an odd first axis of 2H+1 lags, which the counts of the raw cross-covariances share) raises
-    the same ValueError from every public stage or type that needs it."""
+    """Each input rule (equal horizons, window span 1 <= q <= T, lag reach: integers h_max >= 0 and
+    n_omega >= 2 h_max + 2, a condition-number ceiling 1 < cond_threshold < inf, a positive bandwidth
+    (NaN is not), regressor means a finite vector of d values, the lag-stack format: an odd first
+    axis of 2H+1 lags, which the counts of the raw cross-covariances share) raises the same
+    ValueError from every public stage or type that needs it."""
 
     @pytest.mark.parametrize("case", _RULE_VIOLATIONS)
     def test_stage_raises_the_rules_error(self, rng, case):

@@ -78,6 +78,32 @@ class TestSimulateVar1:
         assert np.array_equal(as_numpy.values, simulate_var1(_spec(n_times=50, seed=3)).values)
 
 
+class TestBurnIn:
+    """A path discards the fewest n >= 500 steps with rho^n <= 1e-10 (rho the spectral radius), up to a cap."""
+
+    @pytest.mark.parametrize("ar, steps", [(0.0, 500), (0.7, 500), (-0.95, 500), (0.96, 565), (0.999, 23015),
+                                           (0.9999, 230247), ([[0.5, 0.9], [0.0, 0.96]], 565)])
+    def test_steps_follow_the_spectral_radius(self, ar, steps):
+        d = len(np.atleast_2d(ar))
+        assert _spec(ar_coef=ar, innovation_cov=np.eye(d), macro_mean=np.zeros(d)).burn_in == steps
+
+    def test_radius_above_the_cap_is_rejected_before_any_path_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_var1_deviations", None)    # building the spec must not simulate
+        message = "ar_coef spectral radius must be <= 0.9999 for a bounded burn-in, got 0.99999"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _spec(ar_coef=np.array([[0.99999]]))
+
+    def test_first_value_has_the_stationary_variance_near_a_unit_root(self):
+        # After a zero start and n steps the first kept value is N(0, (1 - rho^(2n+2)) / (1 - rho^2)); the stationary
+        # variance at rho = 0.999 is 500.25.  The mean of 400 squares of N(0, v) draws has relative standard deviation
+        # sqrt(2/400) = 0.071, so the band is 4 of those either side of 1; a 500-step burn-in (variance 316) lies
+        # 5.2 of them below it.
+        rho, n_seeds = 0.999, 400
+        spec = _spec(ar_coef=np.array([[rho]]), n_times=1)
+        first = np.array([simulate_var1(replace(spec, seed=seed)).values[0, 0] for seed in range(n_seeds)])
+        assert abs(np.mean(first ** 2) * (1.0 - rho ** 2) - 1.0) <= 4.0 * np.sqrt(2.0 / n_seeds)
+
+
 class TestDiagonalFastPath:
     """A diagonal A runs as scalar recursions; outputs must equal the matrix loop."""
 
