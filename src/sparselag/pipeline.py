@@ -21,8 +21,7 @@ from .warp import warp_apply
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Numerical health indicators collected along the pipeline.  The filter quadrature is a real sum
-    over the half spectrum, so it discards no imaginary part to report."""
+    """Numerical health indicators collected along the pipeline."""
 
     truncation_tail_mass: float       # sum of ||b_h|| over the two outermost lag pairs
     max_condition_number: float       # max over the nodes of cond(F_hat)

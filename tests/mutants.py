@@ -144,6 +144,34 @@ MUTANTS = (
     Mutant("root-half-inexact", "model.py",
            "half[-1] = -1.0", "half[-1] = half[-1]",
            ("test_model.py",), "inexact root N/2"),
+    Mutant("phase-sign-flipped", "model.py",
+           "half = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)",
+           "half = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)",
+           ("test_cli.py",), "the flipped phase sign"),
+    Mutant("check-inverse-transform-conjugated", "checks.py",
+           "np.exp(1j * np.outer(grid.nodes, acov.lags))", "np.exp(-1j * np.outer(grid.nodes, acov.lags))",
+           ("test_cli.py",), "lag-window inverse transform"),
+    Mutant("response-threshold-unchecked", "lagreg.py",
+           "    _check_cond_threshold(cond_threshold)\n", "",
+           ("test_model.py",), "One owner per stage rule"),
+    Mutant("threshold-one-accepted", "model.py",
+           "if not (1.0 < cond_threshold < math.inf):", "if not (1.0 <= cond_threshold < math.inf):",
+           ("test_model.py",), "One owner per stage rule"),
+    Mutant("lag-reach-integer-clause-dropped", "model.py",
+           "    _check_integers(h_max=h_max, n_omega=n_omega)\n", "",
+           ("test_model.py",), "One owner per stage rule"),
+    Mutant("bandwidth-nan-passes", "smoother.py",
+           "if not bandwidth > 0:", "if bandwidth <= 0:",
+           ("test_model.py",), "One owner per stage rule"),
+    Mutant("burn-in-floor-dropped", "simulate.py",
+           "return max(_BURN_IN, math.ceil(steps))", "return math.ceil(steps)",
+           ("test_simulate.py",), "burn-in sized from the spectral radius"),
+    Mutant("burn-in-cap-dropped", "simulate.py",
+           "if rho > _MAX_RADIUS:", "if False:",
+           ("test_simulate.py",), "burn-in sized from the spectral radius"),
+    Mutant("burn-in-fixed", "simulate.py",
+           "burn_in = spec.burn_in", "burn_in = _BURN_IN",
+           ("test_simulate.py",), "burn-in sized from the spectral radius"),
 )
 
 

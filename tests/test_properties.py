@@ -2,8 +2,9 @@
 half-spectrum transform, conditioning, solve and quadrature against the same
 steps on all N nodes, the knot-level field checks against the value-level
 ones, the response solve and quadrature against the lag-domain normal
-equations, the whole estimator's equivariance under relabelling and
-rescaling, and the simulator's
+equations, the whole estimator's equivariance under relabelling,
+recombination and time reversal of the regressors, rescaling and location
+shifts, and the simulator's
 scalar VAR(1) recursion for diagonal A against the matrix loop.
 
 Hypothesis draws the panel shape, the window span, the bandwidth and the
@@ -23,7 +24,7 @@ from sparselag import (AutocovarianceSet, Config, CrossSpectralField, FrequencyG
                        SpectralDensityField, SyntheticSpec, US_MATURITIES, analyze, bartlett_weights,
                        cross_spectral_density, estimate_autocovariances, evaluation_grid, filter_coefficients,
                        frequency_response, local_linear_operator, mean_curve_warped,
-                       naive_cross_spectral_density, raw_cross_cov, spectral_density_matrix)
+                       naive_cross_spectral_density, predict_panel, raw_cross_cov, spectral_density_matrix)
 from sparselag.mv_spectral import lag_window_transform
 from sparselag.simulate import _var1_deviations
 from conftest import random_macro_panel
@@ -109,6 +110,47 @@ def test_regressor_permutation_permutes_the_filter(instance):
     assert np.abs(result.fit.filter_coef - base.fit.filter_coef[..., perm]).max() <= 1e-10 * scale
     assert np.array_equal(result.fit.mean_curve, base.fit.mean_curve)
     assert abs(result.r_squared - base.r_squared) <= 1e-10
+
+
+_EPS = np.finfo(float).eps
+
+
+@_SETTINGS
+@given(regression_instances(), st.integers(0, 2**32 - 1))
+def test_regressor_recombination_maps_the_filter_through_the_inverse_transpose(instance, seed):
+    """X -> X M gives F -> M' F M and f -> f M, so B -> B M^-T and b_h -> b_h M^-T: the same predictions and R^2."""
+    panel, macro, _ = instance
+    rng = np.random.default_rng(seed)
+    orthogonal, _ = np.linalg.qr(rng.standard_normal((macro.n_series, macro.n_series)))
+    mixing = orthogonal * rng.uniform(0.5, 2.0, size=macro.n_series)      # cond(M) <= 4
+    config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=32, n_eval=11, h_max=6)
+    mixed = MacroPanel(values=macro.values @ mixing, series_names=macro.series_names)
+    base, result = analyze(panel, macro, config), analyze(panel, mixed, config)
+    # Each fit solves systems conditioned like its F_hat and rounds to a few eps per unit of cond(F_hat)
+    # (measured: at most 1.5 eps over 200 examples); predictions and R^2 inherit the filter's rounding.
+    tol = 8 * _EPS * max(base.diagnostics.max_condition_number, result.diagnostics.max_condition_number)
+    assert _rel(result.fit.filter_coef, base.fit.filter_coef @ np.linalg.inv(mixing).T) <= tol
+    assert np.array_equal(result.fit.mean_curve, base.fit.mean_curve)
+    assert _rel(predict_panel(result.fit, mixed), predict_panel(base.fit, macro)) <= tol
+    assert abs(result.r_squared - base.r_squared) <= tol
+
+
+@_SETTINGS
+@given(regression_instances())
+def test_time_reversal_reverses_the_filter(instance):
+    """Reversing both panels in time turns R_h into R_-h and C_h into C_-h, so b_h into b_-h."""
+    panel, macro, _ = instance
+    config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=32, n_eval=11, h_max=6)
+    reversed_panel = SparseYieldPanel(values=panel.values[::-1], observed=panel.observed[::-1],
+                                      maturity_grid=panel.maturity_grid)
+    reversed_macro = MacroPanel(values=macro.values[::-1], series_names=macro.series_names)
+    base, result = analyze(panel, macro, config), analyze(reversed_panel, reversed_macro, config)
+    # The sums run over the same terms in another order: a few eps of rounding each (measured: at most 4 eps
+    # for the mean curve and 1.6 eps per unit of cond(F_hat) for the filter over 200 examples).
+    tol = 8 * _EPS * base.diagnostics.max_condition_number
+    assert _rel(result.fit.filter_coef, base.fit.filter_coef[::-1]) <= tol
+    assert _rel(result.fit.mean_curve, base.fit.mean_curve) <= 16 * _EPS
+    assert abs(result.r_squared - base.r_squared) <= tol
 
 
 @st.composite
@@ -249,10 +291,11 @@ def test_knot_level_solve_and_quadrature_match_materialised_fields(problem):
     assert _rel(coef, quadrature.real / grid.n_nodes) <= 1e-12
 
 
-def _scaled_results(panel, macro, a, c, config):
-    scaled_panel = SparseYieldPanel(values=a * panel.values, observed=panel.observed,
+def _scaled_results(panel, macro, a, c, config, shift=0.0, macro_shift=0.0):
+    """The fits of (Y, X) and of (a (Y + shift), c (X + macro_shift))."""
+    scaled_panel = SparseYieldPanel(values=a * (panel.values + shift), observed=panel.observed,
                                     maturity_grid=panel.maturity_grid)
-    scaled_macro = MacroPanel(values=c * macro.values, series_names=macro.series_names)
+    scaled_macro = MacroPanel(values=c * (macro.values + macro_shift), series_names=macro.series_names)
     return analyze(panel, macro, config), analyze(scaled_panel, scaled_macro, config)
 
 
@@ -269,14 +312,23 @@ def test_power_of_two_rescaling_is_bit_exact(instance, log_a, log_c):
 
 
 @_SETTINGS
-@given(regression_instances(), st.floats(0.01, 100.0), st.floats(0.01, 100.0))
-def test_rescaling_scales_filter_and_mean_and_keeps_r_squared(instance, a, c):
+@given(regression_instances(), st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.floats(-100.0, 100.0),
+       st.floats(-100.0, 100.0))
+def test_rescaling_scales_filter_and_mean_and_keeps_r_squared(instance, a, c, shift, macro_shift):
+    """Y -> a (Y + shift), X -> c (X + macro_shift): the centring removes the shifts, so b -> b a / c,
+    mu_Y -> a (mu_Y + shift) and R^2 stays."""
     panel, macro, _ = instance
     config = Config.defaults(panel.n_times, panel.n_maturities, n_omega=32, n_eval=11, h_max=6)
-    base, result = _scaled_results(panel, macro, a, c, config)
-    assert _rel(result.fit.filter_coef, base.fit.filter_coef * (a / c)) <= 1e-10
-    assert _rel(result.fit.mean_curve, base.fit.mean_curve * a) <= 1e-10
-    assert abs(result.r_squared - base.r_squared) <= 1e-10
+    base, result = _scaled_results(panel, macro, a, c, config, shift, macro_shift)
+    curve_reach = np.nanmax(np.abs(panel.values)) + abs(shift)
+    macro_reach = np.abs(macro.values).max() + abs(macro_shift)
+    # Centring subtracts means of the size of the largest |value| from data of unit spread, so each centred
+    # value is off by an eps of that size, and the solve multiplies it by cond(F_hat) (measured: at most
+    # 0.15 eps over 300 examples).  The mean smoother averages the values: a few eps of the largest (measured 2.4).
+    tol = 2 * _EPS * base.diagnostics.max_condition_number * (curve_reach + macro_reach)
+    assert _rel(result.fit.filter_coef, base.fit.filter_coef * (a / c)) <= tol
+    assert np.abs(result.fit.mean_curve - a * (base.fit.mean_curve + shift)).max() <= 16 * _EPS * a * curve_reach
+    assert abs(result.r_squared - base.r_squared) <= tol
 
 
 @st.composite
