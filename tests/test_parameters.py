@@ -86,14 +86,14 @@ def calls(tree):
         yield name, positional, keywords
 
 
-def never_passed(library: dict[str, str], callers: dict[str, str]) -> list[str]:
+def never_passed(library: list[str], callers: list[str]) -> list[str]:
     """'callee.parameter' for each defaulted parameter of the library sources that no caller source passes."""
     params = {}
-    for source in library.values():
+    for source in library:
         for callee, found in defaulted_parameters(ast.parse(source)).items():
             params.setdefault(callee, set()).update(found)
     passed = set()
-    for source in callers.values():
+    for source in callers:
         for callee, positional, keywords in calls(ast.parse(source)):
             for name, i in params.get(callee, ()):
                 if keywords is None or name in keywords or (i is not None and i < positional):
@@ -102,8 +102,8 @@ def never_passed(library: dict[str, str], callers: dict[str, str]) -> list[str]:
                   if (callee, name) not in passed)
 
 
-def _sources(*dirs: str) -> dict[str, str]:
-    return {str(path): path.read_text(encoding="utf-8") for d in dirs for path in sorted((ROOT / d).rglob("*.py"))}
+def _sources(*dirs: str) -> list[str]:
+    return [path.read_text(encoding="utf-8") for d in dirs for path in sorted((ROOT / d).rglob("*.py"))]
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
@@ -144,7 +144,7 @@ class E:
 
 def unused(z=3): pass
 '''
-    callers = {"lib": library, "caller": '''
+    caller = '''
 f(1, c=3)
 g(1, 2)
 partial(h, 1, 2)
@@ -153,5 +153,5 @@ D.make(1)
 E.make()
 args = ()
 unused(*args)
-'''}
-    assert never_passed({"lib": library}, callers) == ["D.r", "f.b", "method.v"]
+'''
+    assert never_passed([library], [library, caller]) == ["D.r", "f.b", "method.v"]
