@@ -38,16 +38,11 @@ def _random_instance(rng: np.random.Generator):
     t_len = int(rng.integers(12, 31))
     d = int(rng.integers(1, 3))
     q = int(rng.integers(1, 5))
-    maturities = np.sort(rng.uniform(0.1, 30.0, size=n_mat))
-    while np.any(np.diff(maturities) < 1e-3):
-        maturities = np.sort(rng.uniform(0.1, 30.0, size=n_mat))
-    grid = MaturityGrid(maturities)
+    grid = MaturityGrid(0.1 + np.cumsum(rng.uniform(1e-3, 29.9 / n_mat, size=n_mat)))   # gaps of at least 1e-3
 
     observed = rng.uniform(size=(t_len, n_mat)) > 0.15
-    for t in np.flatnonzero(~observed.any(axis=1)):
-        observed[t, rng.integers(n_mat)] = True
-    for i in np.flatnonzero(~observed.any(axis=0)):
-        observed[rng.integers(t_len), i] = True
+    observed[np.arange(t_len), rng.integers(n_mat, size=t_len)] = True   # every row and every column
+    observed[rng.integers(t_len, size=n_mat), np.arange(n_mat)] = True   # keeps an observation
     values = np.where(observed, rng.standard_normal((t_len, n_mat)) + 5.0, np.nan)
     panel = SparseYieldPanel(values=values, observed=observed, maturity_grid=grid)
     macro = MacroPanel(values=rng.standard_normal((t_len, d)),

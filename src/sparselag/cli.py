@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 import typing
 from dataclasses import asdict
@@ -89,8 +90,8 @@ def parse_synthetic_config(path, seed_flag=None) -> sim.SyntheticSpec:
 
     Either ``preset = recovery`` / ``preset = null`` (optionally with seed),
     or explicit keys: t, maturities, ar, innovation_cov, macro_mean,
-    mean_poly, filter_h{H}_j{J} (J one-based, polynomial coefficients in the
-    warped coordinate), curve_error_scale, noise_sd, seed.
+    mean_poly, filter_h{H}_j{J} (H, J plain integers, J one-based; polynomial
+    coefficients in the warped coordinate), curve_error_scale, noise_sd, seed.
     """
     raw = read_key_values(path)
     seed = int(raw.pop("seed", 0))
@@ -121,17 +122,13 @@ def parse_synthetic_config(path, seed_flag=None) -> sim.SyntheticSpec:
     noise_sd = float(raw.pop("noise_sd", 0.0))
 
     filter_fns = {}
-    for key in list(raw):
-        if key.startswith("filter_h"):
-            body = key[len("filter_h"):]
-            lag_text, _, j_text = body.partition("_j")
-            try:
-                h, j = int(lag_text), int(j_text)
-            except ValueError:
-                raise ValueError(f"cannot parse filter key {key!r}") from None
-            if not 1 <= j <= d:
-                raise ValueError(f"filter key {key!r}: series index must lie in 1..{d}")
-            filter_fns[(h, j - 1)] = _poly_fn(_parse_vector(raw.pop(key)))
+    for key in [key for key in raw if key.startswith("filter_h")]:
+        if not (match := re.fullmatch(r"filter_h(0|-?[1-9][0-9]*)_j([1-9][0-9]*)", key)):   # one spelling per term
+            raise ValueError(f"cannot parse filter key {key!r}")
+        h, j = int(match[1]), int(match[2])
+        if not 1 <= j <= d:
+            raise ValueError(f"filter key {key!r}: series index must lie in 1..{d}")
+        filter_fns[(h, j - 1)] = _poly_fn(_parse_vector(raw.pop(key)))
     if raw:
         raise ValueError(f"unknown simulate config keys: {', '.join(sorted(raw))}")
 

@@ -60,26 +60,11 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
-def _parse_cells_one_by_one(rows, n_cols: int, missing_ok: bool) -> np.ndarray:
-    """``_parse_cells`` cell by cell: raises the ParseError of the first bad row or cell."""
-    values = np.full((len(rows) - 1, n_cols), np.nan)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != n_cols:
-            raise ParseError(f"expected {n_cols} cells, found {len(row)}", row=r)
-        for c, cell in enumerate(row):
-            cell = cell.strip()
-            if cell:
-                values[r - 2, c] = _parse_float(cell, r, c + 1)
-            elif not missing_ok:
-                raise ParseError("missing value in regressor panel", row=r, column=c + 1)
-    return values
-
-
 def _parse_cells(rows, n_cols: int, missing_ok: bool) -> np.ndarray:
     """The rows after the header as a float matrix; an empty cell is NaN if ``missing_ok``.
 
-    Parses every non-empty cell in one pass with ``float``; on any error the
-    cell-by-cell parse runs again to raise the ParseError that locates it.
+    Parses every non-empty cell in one pass with ``float``; on any error a walk
+    over the rows raises the ParseError of the first bad row or cell.
     """
     body = rows[1:]
     if all(len(row) == n_cols for row in body):
@@ -91,7 +76,15 @@ def _parse_cells(rows, n_cols: int, missing_ok: bool) -> np.ndarray:
                 values = np.full(len(cells), np.nan)
                 values[present] = found
                 return values.reshape(len(body), n_cols)
-    return _parse_cells_one_by_one(rows, n_cols, missing_ok)
+    for r, row in enumerate(body, start=2):
+        if len(row) != n_cols:
+            raise ParseError(f"expected {n_cols} cells, found {len(row)}", row=r)
+        for c, cell in enumerate(map(str.strip, row), start=1):
+            if cell:
+                _parse_float(cell, r, c)
+            elif not missing_ok:
+                raise ParseError("missing value in regressor panel", row=r, column=c)
+    raise AssertionError("the one-pass parse fails only where the walk raises")
 
 
 def load_yields_csv(path) -> SparseYieldPanel:

@@ -172,6 +172,45 @@ MUTANTS = (
     Mutant("burn-in-fixed", "simulate.py",
            "burn_in = spec.burn_in", "burn_in = _BURN_IN",
            ("test_simulate.py",), "burn-in sized from the spectral radius"),
+    Mutant("walk-row-length-unchecked", "io.py",
+           "if len(row) != n_cols:", "if False:",
+           ("test_io.py",), "a walk over the rows that builds nothing"),
+    Mutant("walk-missing-ok-ignored", "io.py",
+           "elif not missing_ok:", "else:",
+           ("test_io.py", "test_cli.py"), "a walk over the rows that builds nothing"),
+    Mutant("one-pass-finiteness-dropped", "io.py",
+           "if np.isfinite(found).all() and (missing_ok or present.all()):", "if missing_ok or present.all():",
+           ("test_io.py",), "`_parse_cells` parses a table's stripped non-empty cells"),
+    Mutant("one-pass-missing-rule-dropped", "io.py",
+           "if np.isfinite(found).all() and (missing_ok or present.all()):", "if np.isfinite(found).all():",
+           ("test_io.py",), "`_parse_cells` parses a table's stripped non-empty cells"),
+    Mutant("parse-float-finiteness-dropped", "io.py",
+           "if not math.isfinite(value):", "if False:",
+           ("test_io.py",), "`io._parse_float` uses `math.isfinite`"),
+    Mutant("csv-byte-order-mark-kept", "io.py",
+           'encoding="utf-8-sig") as fh', 'encoding="utf-8") as fh',
+           ("test_io.py",), "a UTF-8 byte-order mark"),
+    Mutant("config-byte-order-mark-kept", "cli.py",
+           'read_text(encoding="utf-8-sig")', 'read_text(encoding="utf-8")',
+           ("test_cli.py",), "a UTF-8 byte-order mark"),
+    Mutant("config-repeated-key-accepted", "cli.py",
+           "if key in seen_at:", "if False:",
+           ("test_cli.py",), "rejects a key set twice"),
+    Mutant("config-unknown-key-accepted", "cli.py",
+           "if unknown:", "if False:",
+           ("test_cli.py",), "config failures (unknown key"),
+    Mutant("filter-lag-leading-zero", "cli.py",
+           "(0|-?[1-9][0-9]*)_j", "(-?[0-9]+)_j",
+           ("test_cli.py",), "one spelling per filter term"),
+    Mutant("filter-series-leading-zero", "cli.py",
+           "_j([1-9][0-9]*)", "_j([0-9]+)",
+           ("test_cli.py",), "one spelling per filter term"),
+    Mutant("filter-series-bound-off-by-one", "cli.py",
+           "if not 1 <= j <= d:", "if not 1 <= j <= d + 1:",
+           ("test_cli.py",), "one spelling per filter term"),
+    Mutant("parse-error-column-dropped", "errors.py",
+           'message += f" (row {row}, column {column})"', 'message += f" (row {row})"',
+           ("test_io.py",), "with every `ParseError` message and location unchanged"),
 )
 
 

@@ -191,6 +191,25 @@ class TestSimulateCommand:
         argv = ["simulate", "--config", str(cfg), "--out", str(out)]
         assert _failed_run(capsys, argv, out) == (2, [f"error [config] {message}"])
 
+    @pytest.mark.parametrize("keys, bad", [
+        ("filter_h0_j1 = 1\nfilter_h+0_j1 = 2\nfilter_h-0_j01 = 3\n", "filter_h+0_j1"),
+        ("filter_h1_j1 = 1\nfilter_h01_j1 = 2\n", "filter_h01_j1"),
+        ("filter_h0_j1 = 1\nfilter_h-0_j1 = 2\n", "filter_h-0_j1"),
+        ("filter_h0_j1 = 1\nfilter_h0_j01 = 2\n", "filter_h0_j01"),
+    ], ids=["signed-zero-lag", "leading-zero-lag", "minus-zero-lag", "leading-zero-series"])
+    def test_a_filter_term_has_one_spelling(self, tmp_path, capsys, keys, bad):
+        """Two spellings of one term once exited 0, and the term kept the last key's coefficients."""
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("t = 50\nmaturities = 1, 2, 5\nar = 0.5\n" + keys)
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        assert _failed_run(capsys, argv, out) == (2, [f"error [config] cannot parse filter key {bad!r}"])
+
+    def test_negative_and_multi_digit_filter_keys_parse(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("t = 50\nmaturities = 1, 2, 5\nar = 0.5, 0; 0, 0.5\nfilter_h-2_j1 = 1\nfilter_h10_j2 = 2\n")
+        assert sorted(dict(parse_synthetic_config(cfg).filter_fns)) == [(-2, 0), (10, 1)]
+
     def test_recovery_files_equal_the_matrix_loop_files(self, sim_dir, tmp_path, monkeypatch):
         monkeypatch.setattr(simulate, "_var1_deviations", loop_var1_deviations)
         cfg = tmp_path / "loop.cfg"
@@ -477,9 +496,12 @@ _LOAD_FAILURES = {  # case: (input, its text or bytes, None for a directory or "
     "cell not a number": ("yields", "1,2,3\n1,oops,3\n", "row 2, column 2"),
     "ragged row": ("yields", "1,2,3\n1,2\n", "expected 3 cells"),
     "row with no quote": ("yields", "1,2,3\n1,2,3\n,,\n", "row 2 is empty"),
+    "cell not a number after a missing quote": ("yields", "1,2,3\n1,,3\n1,oops,3\n", "row 3, column 2"),
+    "bad header and bad body": ("yields", "1,two,3\n1,oops,3\n", "row 1, column 2"),
     "macro file missing": ("macro", "absent", "file not found"),
     "macro missing cell": ("macro", "X1,X2\n1.0,\n", "missing value in regressor panel"),
     "macro empty name": ("macro", "X1,\n1.0,2.0\n", "series names must be non-empty"),
+    "macro empty name and missing cell": ("macro", "X1,\n1.0,\n", "series names must be non-empty"),
     "macro duplicate name": ("macro", "X1,X1\n1.0,2.0\n", "duplicate series name"),
     "macro name with a comma": ("macro", '"a,b",X2\n1.0,2.0\n', "contains a comma"),
     "macro shorter than yields": ("macro", "X1,X2\n1.0,0.5\n2.0,-1.0\n",

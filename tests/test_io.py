@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -67,7 +68,7 @@ class TestLoadYields:
             load_yields_csv(tmp_path / "absent.csv")
 
 
-    def test_one_pass_parse_equals_the_cell_by_cell_parse(self, tmp_path):
+    def test_odd_cells_parse_like_float(self, tmp_path):
         # missing cells, cells padded with spaces, exponent notation, signs and underscores
         text = ("0.25, 1 ,5e0\n"
                 "1.5e-3,,  -2.5E+2\n"
@@ -76,12 +77,12 @@ class TestLoadYields:
                 "+7,.5,3.\n")
         path = tmp_path / "y.csv"
         path.write_text(text)
-        rows = sio._read_rows(path)
-        fast = sio._parse_cells(rows, 3, missing_ok=True)
-        slow = sio._parse_cells_one_by_one(rows, 3, missing_ok=True)
-        assert np.array_equal(_bits(fast), _bits(slow))
-        assert np.isnan(fast).sum() == 3 and fast[2, 0] == 1000.0
-        assert np.array_equal(load_yields_csv(path).values, slow, equal_nan=True)
+        header, *body = ([float(cell) if cell.strip() else np.nan for cell in line.split(",")]
+                         for line in text.splitlines())
+        panel = load_yields_csv(path)
+        assert np.array_equal(_bits(panel.maturity_grid.maturities), _bits(header))
+        assert np.array_equal(_bits(panel.values), _bits(body))
+        assert np.isnan(panel.values).sum() == 3 and panel.values[2, 0] == 1000.0
 
 
 class TestLoadMacro:
@@ -121,6 +122,67 @@ def test_utf8_byte_order_mark_is_skipped(tmp_path, load, text):
         assert loaded.series_names == expected.series_names == ("IP", "INF")
     else:
         assert np.array_equal(loaded.maturity_grid.maturities, expected.maturity_grid.maturities)
+
+
+# cell texts float reads, and one text per kind of bad cell with the message that names it
+_CELL_TEXTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                        st.sampled_from(("5e0", "-2.5E+2", "1_000", "+7", ".5", "3.", " 4 ", "1.5e-3  ")))
+_BAD_CELLS = {"unparseable": ("1 2", "cannot parse '1 2' as a number"),
+              "non-finite": ("1e999", "non-finite value '1e999'"),
+              "missing": (" ", "missing value in regressor panel")}
+
+
+@st.composite
+def tables(draw):
+    """A loader, the header and body cells of a table it accepts, and the table with defects
+    as (row, column or 0 for the row's length, message fragment): the first in reading order,
+    header first, is the one to report."""
+    yields = draw(st.booleans())
+    n_cols, n_rows = draw(st.integers(3 if yields else 1, 5)), draw(st.integers(1, 6))
+    header = [f" {c} " if yields else f"s{c}" for c in range(1, n_cols + 1)]
+    present = draw(arrays(bool, (n_rows, n_cols))) if yields else np.ones((n_rows, n_cols), bool)
+    present[np.arange(n_rows), np.arange(n_rows) % n_cols] = True
+    present[np.arange(n_cols) % n_rows, np.arange(n_cols)] = True
+    body = [[draw(_CELL_TEXTS) if cell else draw(st.sampled_from(("", "  "))) for cell in row]
+            for row in present]
+    bad, defects, lengths = [row.copy() for row in [header, *body]], {}, {}
+    for _ in range(draw(st.integers(1, 2))):
+        r, c = draw(st.integers(1, n_rows + 1)), draw(st.integers(1, n_cols))
+        if r == 1:
+            bad[0][c - 1] = "x" if yields else " "
+            defects[1, c if yields else 0] = "cannot parse 'x'" if yields else "names must be non-empty"
+        elif draw(st.booleans()):
+            kind = draw(st.sampled_from(sorted(_BAD_CELLS)[yields:]))   # a missing quote is no defect
+            bad[r - 1][c - 1], defects[r, c] = _BAD_CELLS[kind]
+        else:
+            lengths[r] = n_cols + draw(st.sampled_from((-1, 1)))
+            defects[r, 0] = f"expected {n_cols} cells, found {lengths[r]}"
+    for r, length in lengths.items():
+        bad[r - 1] = (bad[r - 1] + ["1"])[:length]
+    first = min(defects)
+    return load_yields_csv if yields else load_macro_csv, header, body, bad, (*first, defects[first])
+
+
+def _load_text(load, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        return load(path)
+
+
+class TestReaderContract:
+    """Every valid table loads to the per-cell ``float`` reference; a table with defects reports
+    the first in reading order, the header before the body."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(tables())
+    def test_valid_tables_load_to_the_reference_and_defects_are_located(self, table):
+        load, header, body, bad, (row, column, fragment) = table
+        reference = [[float(cell) if cell.strip() else np.nan for cell in cells] for cells in body]
+        assert np.array_equal(_bits(_load_text(load, [header, *body]).values), _bits(reference))
+        with pytest.raises(ParseError, match=re.escape(fragment)) as caught:
+            _load_text(load, bad)
+        assert (caught.value.row, caught.value.column) == (row, column or None)
 
 
 class TestRoundTrips:

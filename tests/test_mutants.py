@@ -18,3 +18,8 @@ def test_mutant_applies_once_to_its_file(mutant):
     assert mutant.new != mutant.old
     assert all((ROOT / "tests" / name).is_file() for name in mutant.tests)
     assert mutant.source in Path(ROOT / "CHANGES.md").read_text(encoding="utf-8")
+
+
+def test_every_module_has_a_mutant():
+    modules = {path.name for path in (ROOT / "src" / "sparselag").glob("*.py")} - {"__init__.py", "__main__.py"}
+    assert modules - {mutant.file for mutant in MUTANTS} == set()
