@@ -63,10 +63,11 @@ def _read_rows(path) -> list[list[str]]:
 def _parse_cells(rows, n_cols: int, missing_ok: bool) -> np.ndarray:
     """The rows after the header as a float matrix; an empty cell is NaN if ``missing_ok``.
 
-    Parses every non-empty cell in one pass with ``float``; on any error a walk
-    over the rows raises the ParseError of the first bad row or cell.
+    A blank line, which ``csv.reader`` reads as no cells, is one empty cell.  Parses every
+    non-empty cell in one pass with ``float``; on any error a walk over the rows raises the
+    ParseError of the first bad row or cell.
     """
-    body = rows[1:]
+    body = [row or [""] for row in rows[1:]]
     if all(len(row) == n_cols for row in body):
         cells = [cell.strip() for row in body for cell in row]
         present = np.fromiter(map(bool, cells), bool, len(cells))
@@ -78,7 +79,7 @@ def _parse_cells(rows, n_cols: int, missing_ok: bool) -> np.ndarray:
                 return values.reshape(len(body), n_cols)
     for r, row in enumerate(body, start=2):
         if len(row) != n_cols:
-            raise ParseError(f"expected {n_cols} cells, found {len(row)}", row=r)
+            raise ParseError("blank line" if not rows[r - 1] else f"expected {n_cols} cells, found {len(row)}", row=r)
         for c, cell in enumerate(map(str.strip, row), start=1):
             if cell:
                 _parse_float(cell, r, c)

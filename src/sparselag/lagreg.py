@@ -11,10 +11,10 @@ coefficients come back to the time domain by rectangle-rule quadrature,
     b_hat_h = (1/N) * sum_k B_hat(omega_k) * e^{i h omega_k},
 
 which is exact for trigonometric polynomials of degree < N - |h|.  For real
-series B_hat(-omega) = conj(B_hat(omega)), so node N - k adds the conjugate of
-node k's term and the sum is the real one over the nodes k <= N/2 that the
-field holds, with weight 1 at the self-paired nodes omega = -pi, 0 and 2
-elsewhere.  Both steps are linear in f_hat = L Z(omega) with a real,
+series B_hat(-omega) = conj(B_hat(omega)), so the nodes k <= N/2 that the
+field holds determine the sum, and since e^{i h omega_k} = (-1)^h e^{2 pi i h k/N}
+it is (-1)^h times the real inverse FFT (``np.fft.irfft``) of the held nodes at
+index h mod N.  Both steps are linear in f_hat = L Z(omega) with a real,
 frequency-free smoother L, so they run on the I maturity knots
 (B_hat = L Z F_hat^-1) and L is applied afterwards.
 """
@@ -27,7 +27,7 @@ from .errors import DegenerateTotal, IllConditioned
 from .model import (LaggedRegressionFit, MacroPanel, SparseYieldPanel, SpectralField, _check_cond_threshold,
                     _check_horizons, _check_lag_reach)
 from .cross_spectral import CrossSpectralField
-from .mv_spectral import SpectralDensityField, summed_product
+from .mv_spectral import SpectralDensityField
 
 
 class FrequencyResponseField(SpectralField):
@@ -61,15 +61,14 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
 def filter_coefficients(resp: FrequencyResponseField, h_max: int) -> np.ndarray:
     """Quadrature back to lag space: the real coefficients[l, r, j] for lags -h_max..h_max.
 
-    Integrated at the knots over the nodes k <= N/2: Re sum_k c_k e^{i h omega_k} Z_k / N,
-    with c_k = 1 at the self-paired nodes k = 0, N/2 and 2 elsewhere, then the operator.
+    Integrated at the knots, sum_k e^{i h omega_k} Z_k / N over all N nodes (``irfft`` mirrors the
+    held ones and takes the real part of the self-paired nodes omega = -pi, 0), then the operator.
     """
     n = resp.grid.n_nodes
     _check_lag_reach(h_max, n)
-    # conjugate of the lag-to-frequency kernel: e^{+i h omega}, shape (2H+1, N/2+1)
-    kernel = resp.grid.phases(np.arange(-h_max, h_max + 1)).conj().T
-    kernel[:, 1:-1] *= 2.0
-    return resp.operator @ (summed_product(kernel, resp.knot_values).real / n)
+    lags = np.arange(-h_max, h_max + 1)
+    coef = np.fft.irfft(resp.knot_values, n, axis=0)[lags % n]
+    return resp.operator @ ((-1.0) ** lags * coef.T).T
 
 
 def _eval_indices(fit: LaggedRegressionFit, eval_points) -> np.ndarray:

@@ -248,19 +248,6 @@ class FrequencyGrid:
     def quadrature_weight(self) -> float:
         return 2.0 * np.pi / self.n_nodes
 
-    def phases(self, lags) -> np.ndarray:
-        """Fourier kernel e^{-i h omega_k} on the nodes k = 0..N/2 a field holds, shape (N/2+1, len(lags)).
-
-        The one sign convention shared by both spectral estimates (lag to
-        frequency); the filter quadrature integrates back with its conjugate.
-        Entry (k, h) is e^{-2 pi i m / N} at m = h (k - N/2) mod N; roots m, N - m are conjugates,
-        so ``mirror`` of the kernel is the kernel at all N nodes.
-        """
-        n = self.n_nodes
-        half = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
-        half[-1] = -1.0                  # e^{-i pi} exactly, so root N/2 is its own conjugate
-        return self.mirror(half).take(np.outer(np.arange(n // 2 + 1) - n // 2, lags), mode="wrap")
-
     def mirror(self, half: np.ndarray) -> np.ndarray:
         """All N nodes (axis 0), read-only, from nodes k = 0..N/2: node N - k is the conjugate of node k."""
         full = np.concatenate([half, np.conj(half[-2:0:-1])])

@@ -8,14 +8,16 @@ the lag-window (Bartlett) formula with a triangular window of span Q:
 
 where R_hat_h is the empirical lag-h autocovariance with divisor T (not
 T - h), and R_hat_{-h} = R_hat_h' by construction.  The sum runs over the
-2Q - 1 lags with nonzero weight and is one product of the weighted phase
-matrix with the stacked lag values, at the nodes k = 0..N/2 that determine a
-spectrum of real series.  The matrix depends on (N, Q) alone, so an 8-entry
-cache keeps it, read-only, for both estimates and later runs.  The estimate is
-the same field type as the cross-spectral and response fields, checked on the
-nodes it holds: its knot values are the half, its operator the identity.  It
-is Hermitian by construction: above the diagonal it holds the conjugate of
-the transform below it, and on the diagonal the transform's real part.
+2Q - 1 lags with nonzero weight.  Since e^{-i h omega_k} = (-1)^h e^{-2 pi i h k/N}
+on the nodes omega_k = -pi + 2 pi k/N, it is the real FFT (``np.fft.rfft``) of
+the signed, weighted lags placed at h mod N, which gives the nodes k = 0..N/2
+that determine a spectrum of real series; lags that meet modulo N are added in
+lag order first.  The FFT calls no BLAS, so its sums do not depend on the
+thread count.  The estimate is the same field type as the cross-spectral and
+response fields, checked on the nodes it holds: its knot values are the half,
+its operator the identity.  It is Hermitian by construction: above the
+diagonal it holds the conjugate of the transform below it, and on the
+diagonal the transform's real part.
 
 Two primitives serve both spectral estimates: :func:`lagged_products` builds
 the lag-h product sums of two panels over the same T periods, one
@@ -29,7 +31,7 @@ any stack of lag values to frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -37,15 +39,8 @@ from .model import (FrequencyGrid, MacroPanel, SpectralField, _ArrayHolder, _che
                     _frozen, _max_lag, _store, _store_lags)
 
 
-# OpenBLAS runs a dot product of at most 10,000 terms on one thread and, at 0.3.31 (Haswell kernels), sums
-# a complex matrix product of at most 128 terms alike on any thread count; longer sums go in such parts, in order.
-CHUNK, TERMS = 8192, 128     # terms per dot product of the lag sums; per entry of a complex matrix product
-
-
-def summed_product(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``np.tensordot(kernel, values, axes=1)`` as one product per TERMS terms of the sum, added in order."""
-    return reduce(np.add, (np.tensordot(kernel[:, k:k + TERMS], values[k:k + TERMS], axes=1)
-                           for k in range(0, len(values), TERMS)))
+# OpenBLAS runs a dot product of at most 10,000 terms on one thread; longer lag sums go in such parts, in order.
+CHUNK = 8192     # terms per dot product of the lag sums
 
 
 def lagged_products(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -75,19 +70,18 @@ def bartlett_weights(q: int) -> np.ndarray:
     return 1.0 - np.abs(h) / q
 
 
-@lru_cache(maxsize=8)
-def lag_window_kernel(grid: FrequencyGrid, q: int) -> np.ndarray:
-    """The read-only (N/2+1, 2q-1) weighted phases W_h e^{-i h omega_k}, h = 1-q..q-1, k <= N/2."""
-    return _frozen(grid.phases(np.arange(1 - q, q)) * bartlett_weights(q))
-
-
 def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """sum_h W_h e^{-i h omega_k} M_h for a stack M of 2q-1 real lags, h = 1-q..q-1.
 
-    Returns shape (N/2+1, *lag_values.shape[1:]), nodes k <= N/2, without the 1/2pi factor.
+    Returns shape (N/2+1, *lag_values.shape[1:]), nodes k <= N/2, without the 1/2pi factor:
+    the ``rfft`` of the N-periodic sequence (-1)^h W_h M_h, placed at h mod N.
     """
     q = _max_lag("lag values", lag_values) + 1
-    return summed_product(lag_window_kernel(grid, q), lag_values)
+    lags = np.arange(1 - q, q)
+    weights = (-1.0) ** lags * bartlett_weights(q)
+    sequence = np.zeros((grid.n_nodes, *lag_values.shape[1:]))
+    np.add.at(sequence, lags % grid.n_nodes, (weights * lag_values.T).T)    # lags that meet modulo N add up
+    return np.fft.rfft(sequence, axis=0)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,8 @@
 
 Everything here is deliberately naive (plain loops, library least-squares
 and root finding) and shares no code with the production paths it checks.
-The three exceptions take library pieces because their subject is another
-step: ``full_grid_reference`` takes the library's phase table and window
-weights, because its subject is the restriction of the spectral steps to the
-nodes k = 0..N/2, which must match all N nodes bit for bit;
-``brentq_warp_inverse`` evaluates phi with the library's knots, slopes
+The two exceptions take library pieces because their subject is another
+step: ``brentq_warp_inverse`` evaluates phi with the library's knots, slopes
 and Hermite evaluator to pin the inverse, and ``naive_result_rows`` takes its
 predictions from the full-grid ``predict_panel``, its maturity lookup from
 the library and the knot fields' N nodes from ``FrequencyGrid.mirror``,
@@ -17,8 +14,6 @@ scalar-recursion path for diagonal A bit for bit.
 
 import numpy as np
 from scipy.optimize import brentq
-
-from sparselag.mv_spectral import bartlett_weights
 
 
 def naive_spectral_density(matrices, lags, weights, nodes):
@@ -39,14 +34,15 @@ def naive_spectral_density(matrices, lags, weights, nodes):
 def full_grid_reference(grid, cross_lags, density_lags):
     """The spectral steps on all N nodes: (Z, F, cond, B).
 
-    Z is the lag-window transform of the cross lags with the (N, 2q-1) kernel, the mirrored phases,
+    Z is the lag-window transform of the cross lags with the (N, 2q-1) kernel W_h e^{-i h omega_k},
     F that of the density lags over 2pi, made Hermitian as the estimator makes
     it (the conjugate of the lower triangle above the diagonal, the real part
     on it), cond the per-node |eigenvalue| ratio of F (inf where singular) and
     B the response knots solving B F = Z.
     """
     q = (len(cross_lags) + 1) // 2
-    kernel = grid.mirror(grid.phases(np.arange(1 - q, q))) * bartlett_weights(q)
+    lags = np.arange(1 - q, q)
+    kernel = np.exp(-1j * np.outer(grid.nodes, lags)) * (1.0 - np.abs(lags) / q)
     z = np.tensordot(kernel, cross_lags, axes=1)
     f = np.tensordot(kernel, density_lags, axes=1) / (2.0 * np.pi)
     for i in range(f.shape[1]):

@@ -672,9 +672,9 @@ class TestCheckCommand:
     def test_injected_sign_error_is_caught(self, monkeypatch):
         def mutant_spectral(acov, grid):
             # e^{+i h omega} instead of e^{-i h omega}
-            phases = np.exp(+1j * np.outer(grid.nodes, acov.lags))
+            kernel = np.exp(+1j * np.outer(grid.nodes, acov.lags))
             weighted = bartlett_weights(acov.q)[:, None, None] * acov.matrices
-            mats = np.einsum("kl,lab->kab", phases, weighted) / (2 * np.pi)
+            mats = np.einsum("kl,lab->kab", kernel, weighted) / (2 * np.pi)
             return field_from_values(SpectralDensityField, grid, mats)
 
         assert checks.check_inverse_transform(np.random.default_rng(0)).passed
@@ -682,15 +682,23 @@ class TestCheckCommand:
         assert not checks.check_inverse_transform(np.random.default_rng(0)).passed
 
 
-def test_fresh_import_loads_no_scipy():
+def _after_fresh_import(expression):
+    """What ``expression`` prints in a fresh interpreter after ``import sys, sparselag, sparselag.cli``."""
     src = str(Path(sparselag.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, sparselag, sparselag.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    proc = subprocess.run([sys.executable, "-c", f"import sys, sparselag, sparselag.cli; print({expression})"],
+                          capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_fresh_import_loads_no_scipy():
+    assert _after_fresh_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+
+
+def test_fresh_import_leaves_numpy_fft_unloaded():
+    """numpy loads ``numpy.fft`` on first use, and the spectral steps reach it as ``np.fft`` when they run."""
+    assert _after_fresh_import("'numpy.fft' in sys.modules") == "False"
 
 
 class TestConfigParsing:

@@ -4,7 +4,8 @@ Two fixed simulated panel pairs (d = 1 and d = 3, 10% missing quotes,
 ``n_omega = 64``) go through the CLI, and each of the seven result files must
 match its pinned digest byte for byte; the d = 3 files must match with one
 BLAS thread and with two, and so must those of a T = 12,000 panel at the
-default settings.  The three files of ``sparselag simulate`` with
+default settings, under the kernel set OpenBLAS picks and under its Haswell
+kernels.  The three files of ``sparselag simulate`` with
 ``preset = recovery``, seed 0, are pinned the same way.  A refactor that
 promises identical outputs is checked here; a change that alters outputs on
 purpose re-records the digests and says so in CHANGES.md.
@@ -32,21 +33,21 @@ from sparselag.io import sha256_digest
 GOLDEN = {
     1: {
         "mean_curve.csv": "4fe450214b5aabccc8603a9c72667e7184fb0fef2be18fea816493c598b6cd59",
-        "filter_coefficients.csv": "ab933425defcbdee87ec083b1b5415b17edd0440c7ea6437be8ee1b22049c12a",
-        "spectral_density.csv": "c96df14e3b66bfdabe25c4d0c29b5c53f5a6a666c8134b976a357a2c05a63e54",
-        "cross_spectral.csv": "9b5a69a66732e1f6fe316d18813fd41609da6d703b59bf28675fd9c521807c1a",
-        "frequency_response.csv": "047b247cad67f8124cddc94e5f0387ad96436b23f4a4c5f8c3f6b24057cf3266",
-        "fitted.csv": "ce13f8be66e8889ca1201aa1b2619fc08c145e38944ec65a82456a228a67116d",
-        "summary.json": "9daba9950f40b50d1316ff8a21837600bda087bb662e029099958da988cdb2ac",
+        "filter_coefficients.csv": "486da43d7f995bf47b43f431c348668f848655a1e7392383b2c775cf0ff209ef",
+        "spectral_density.csv": "dd37c748c9c0939d0784f2fd30c27654fd6ca9d14400049ac9d31fc0fcc3aff5",
+        "cross_spectral.csv": "decceb38baf63c51e3ec339b9f45ab888281feb52bd51f9595f2b359e8f75c38",
+        "frequency_response.csv": "16cdaf9669be3dd7b8b4e5654166fb8eab1652023142e509fffe0240a6a1a963",
+        "fitted.csv": "6f9cc4db279b09acba8c9fd5c15033f45aceb23ab86b1d25f75a7679f7c6ec14",
+        "summary.json": "92a09efd8241769c766f658e778e97166ed0ecebeb407bab26d682eea106f298",
     },
     3: {
         "mean_curve.csv": "411746a8ea0707ba690678fbd1255af79324ebf7aceb1c941f45c57891699d5b",
-        "filter_coefficients.csv": "6e97aba51b02d9883c83d72ab6559b74d382b555f6bcac3bf9576f5d837810bb",
-        "spectral_density.csv": "5317ad16481473d1cd9092e646a07b5c32a10802cfc0919f3817a46999aed602",
-        "cross_spectral.csv": "f1229490d36c4c9020b324f1b5ba2ff8fdc3662a5db571f612419dc16b40073d",
-        "frequency_response.csv": "4702513c0f1acda3ccd4086a2bd00946da3997a644361f27da20919e1b4ea030",
-        "fitted.csv": "d77758f144e2f5da55511dd0da91eb11d309820ce5de5b5b7f7cd087824bb786",
-        "summary.json": "b6ed7669c36c23f50ad918fe187a2c3b7deb6b9caf8d5d711ce3f8e9ec5e73b7",
+        "filter_coefficients.csv": "104fc14cb14b92a7065c4909788bd0c9ee84a51a2f66e7638b3544e634d97dc5",
+        "spectral_density.csv": "2501b33d3722736fde45642d212786acbfd1332d6f3b66f405ff114ae2c9337a",
+        "cross_spectral.csv": "0ed62a7d7c948dc0e35241f8195d7f518a2df9c4a59289b468462eac0d1306f0",
+        "frequency_response.csv": "bb8c69b74343699b38aea3c2adcde3068c89cf71497f275d39886cec10850095",
+        "fitted.csv": "743c997e8b19f21a62e9d06e042c1250468b78664a70af8570355ab0b89dbd93",
+        "summary.json": "c1519e53decce7bb9fbfefb1010b027969b7d103e091460d16701650b2e13f80",
     },
 }
 
@@ -100,28 +101,59 @@ def test_result_files_match_pinned_digests(n_series, tmp_path):
         assert digests[name] == digest, name
 
 
-def test_result_files_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """``python -m sparselag analyze`` under 1 and 2 OpenBLAS/OpenMP threads, on the d = 3 panel and on a
-    T = 12,000 one whose lag sums, lag-window transform and filter quadrature each take more than one part
-    (``mv_spectral.CHUNK`` and ``TERMS``)."""
+def _thread_invariant_digests(work_root, n_times, config, coretype=None):
+    """``python -m sparselag analyze`` on a d = 3 panel of n_times periods under 1 and 2 OpenBLAS/OpenMP threads,
+    with the OpenBLAS kernel set ``coretype`` if given.  Asserts that both runs write the same files; returns
+    their digests.  At T = 12,000 the lag sums take more than one part (``mv_spectral.CHUNK``)."""
     src = str(Path(sparselag.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for n_times, config, pinned in ((150, "n_omega = 64\n", GOLDEN[3]), (12000, "", None)):
-        work = tmp_path / f"T{n_times}"
-        work.mkdir()
-        _write_panels(3, work, n_times, config)
-        digests = []
-        for threads in ("1", "2"):
-            out = work / f"threads{threads}"
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-            proc = subprocess.run([sys.executable, "-m", "sparselag", "analyze",
-                                   "--yields", str(work / "yields.csv"), "--macro", str(work / "macro.csv"),
-                                   "--config", str(work / "analyze.cfg"), "--out", str(out)],
-                                  capture_output=True, text=True, timeout=120, env=env)
-            assert proc.returncode == 0, proc.stderr
-            digests.append({p.name: sha256_digest(p) for p in out.iterdir()})
-        assert digests[0] == digests[1], n_times
-        assert pinned is None or digests[0] == pinned
+    kernels = {} if coretype is None else {"OPENBLAS_CORETYPE": coretype}
+    work = work_root / f"T{n_times}"
+    work.mkdir()
+    _write_panels(3, work, n_times, config)
+    digests = []
+    for threads in ("1", "2"):
+        out = work / f"threads{threads}"
+        env = {**os.environ, **kernels, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "sparselag", "analyze",
+                               "--yields", str(work / "yields.csv"), "--macro", str(work / "macro.csv"),
+                               "--config", str(work / "analyze.cfg"), "--out", str(out)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append({p.name: sha256_digest(p) for p in out.iterdir()})
+    assert digests[0] == digests[1], n_times
+    return digests[0]
+
+
+def test_result_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    assert _thread_invariant_digests(tmp_path, 150, "n_omega = 64\n") == GOLDEN[3]
+    _thread_invariant_digests(tmp_path, 12000, "")
+
+
+def _haswell_kernels_missing():
+    """Why OPENBLAS_CORETYPE=Haswell cannot be tried here, or an empty string."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):       # a numpy before 1.26 has no config dictionary
+        blas = None
+    if blas != "scipy-openblas":
+        return "numpy's BLAS is not scipy-openblas, whose DYNAMIC_ARCH build reads OPENBLAS_CORETYPE"
+    try:
+        flags = Path("/proc/cpuinfo").read_text(encoding="utf-8").split()
+    except OSError:
+        return "/proc/cpuinfo is not readable, so AVX2 support is unknown"
+    return "" if "avx2" in flags else "the CPU lacks AVX2, which the Haswell kernels need"
+
+
+_NO_HASWELL = _haswell_kernels_missing()
+
+
+@pytest.mark.skipif(bool(_NO_HASWELL), reason=_NO_HASWELL)
+def test_result_files_do_not_depend_on_the_blas_thread_count_on_haswell_kernels(tmp_path):
+    """The thread counts agree on a second kernel set too, the one where split BLAS products once differed.
+    Its files need not match the pinned digests, which belong to the kernel set OpenBLAS picks itself."""
+    _thread_invariant_digests(tmp_path, 150, "n_omega = 64\n", "Haswell")
+    _thread_invariant_digests(tmp_path, 12000, "", "Haswell")
 
 
 def test_simulate_files_match_pinned_digests(tmp_path):

@@ -159,6 +159,9 @@ def tables(draw):
             defects[r, 0] = f"expected {n_cols} cells, found {lengths[r]}"
     for r, length in lengths.items():
         bad[r - 1] = (bad[r - 1] + ["1"])[:length]
+        if not length:      # a blank line, in a one-column table: one empty cell
+            del defects[r, 0]
+            defects[r, 1] = _BAD_CELLS["missing"][1]
     first = min(defects)
     return load_yields_csv if yields else load_macro_csv, header, body, bad, (*first, defects[first])
 
@@ -183,6 +186,18 @@ class TestReaderContract:
         with pytest.raises(ParseError, match=re.escape(fragment)) as caught:
             _load_text(load, bad)
         assert (caught.value.row, caught.value.column) == (row, column or None)
+
+    @pytest.mark.parametrize("load, text, message", [
+        (load_macro_csv, "X\n1\n\n3\n", "missing value in regressor panel (row 3, column 1)"),
+        (load_yields_csv, "1,2,3\n1,2,3\n2,3,4\n\n", "blank line (row 4)"),
+        (load_macro_csv, "a,b\n1,2\n\n3,4\n", "blank line (row 3)"),
+    ], ids=["one-column", "trailing", "inner"])
+    def test_a_blank_line_is_one_empty_cell(self, tmp_path, load, text, message):
+        """``csv.reader`` reads a blank line as no cells; one empty cell fills a one-column row only."""
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load(path)
 
 
 class TestRoundTrips:

@@ -5,12 +5,14 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from sparselag import (DegenerateTotal, FrequencyGrid, FrequencyResponseField,
+from sparselag import (AutocovarianceSet, DegenerateTotal, FrequencyGrid, FrequencyResponseField,
                        IllConditioned, LaggedRegressionFit, MacroPanel,
                        SparseYieldPanel, SpectralDensityField, analyze,
-                       filter_coefficients, frequency_response, predict_panel, r_squared)
+                       filter_coefficients, frequency_response, predict_panel, r_squared,
+                       spectral_density_matrix)
 from sparselag.cross_spectral import CrossSpectralField
 from sparselag.lagreg import _eval_indices
+from sparselag.mv_spectral import lag_window_transform
 from conftest import field_from_values, random_macro_panel
 from oracles import loop_prediction
 
@@ -24,8 +26,8 @@ def _random_hpd_field(rng, grid, d):
     lags = np.arange(-2, 3)
     base = rng.standard_normal((lags.size, d, d))
     base = base + np.transpose(base[::-1], (0, 2, 1))        # R_{-h} = R_h'
-    phases = np.exp(-1j * np.outer(grid.nodes, lags))
-    mats = np.einsum("kl,lab->kab", phases, base)
+    kernel = np.exp(-1j * np.outer(grid.nodes, lags))
+    mats = np.einsum("kl,lab->kab", kernel, base)
     mats = mats + 8.0 * np.eye(d)                             # push to positive definite
     return field_from_values(SpectralDensityField, grid, mats)
 
@@ -229,6 +231,22 @@ class TestFilterCoefficients:
         resp = field_from_values(FrequencyResponseField, grid, values)
         recovered = filter_coefficients(resp, 2)
         assert np.abs(recovered - coef).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_folded_lags_match_the_full_node_sum(self, rng, d):
+        # 2q - 1 = 13 lags on N = 8 nodes, through the lag-window transform, the solve and the quadrature
+        grid, q, h_max = FrequencyGrid(8), 7, 3
+        base = rng.standard_normal((2 * q - 1, d, d))
+        base = base + np.transpose(base[::-1], (0, 2, 1))           # R_{-h} = R_h'
+        base[q - 1] += (np.abs(base).sum() + 1.0) * np.eye(d)       # positive definite at every node
+        spec = spectral_density_matrix(AutocovarianceSet(base, np.zeros(d)), grid)
+        knots = lag_window_transform(rng.standard_normal((2 * q - 1, 4, d)), grid)
+        cross = CrossSpectralField.from_knots(grid, knots, rng.standard_normal((6, 4)))
+        resp = frequency_response(cross, spec, 1e8)
+        lags = np.arange(-h_max, h_max + 1)
+        full = np.einsum("lk,krd->lrd", np.exp(1j * np.outer(lags, grid.nodes)), resp.values) / grid.n_nodes
+        assert np.abs(full.imag).max() <= 1e-14 * np.abs(resp.values).max()
+        assert np.abs(filter_coefficients(resp, h_max) - full.real).max() <= 1e-14 * np.abs(resp.values).max()
 
     def test_grid_too_coarse_rejected(self):
         grid = FrequencyGrid(16)

@@ -144,23 +144,6 @@ class TestFrequencyGrid:
             mirrored = grid.mirror(values[: n // 2 + 1])
             assert np.array_equal(mirrored, values) and not mirrored.flags.writeable
 
-    @pytest.mark.parametrize("n", [2, 8, 512, 4096])
-    def test_phases_match_complex_exp(self, n):
-        grid = FrequencyGrid(n)
-        lags = np.unique(np.linspace(-n, n, 41).astype(int))
-        oracle = np.exp(-1j * np.outer(grid.nodes[: n // 2 + 1], lags))     # the nodes k = 0..N/2
-        # the oracle itself is off by up to |h omega| * eps, about 3e-12 at N = 4096
-        assert np.abs(grid.phases(lags) - oracle).max() <= 1e-11
-
-    def test_phases_are_exact_roots_of_unity(self):
-        grid = FrequencyGrid(64)
-        lags = np.arange(-70, 71)
-        phases = grid.phases(lags)
-        assert np.array_equal(phases[:, ::-1], phases.conj())         # e^{+ih w} = conj(e^{-ih w})
-        assert np.array_equal(grid.phases([0]), np.ones((33, 1)))
-        assert np.array_equal(phases[:, lags == 64], phases[:, lags == 0])  # period N in h
-        assert np.array_equal(grid.phases([1])[[0, 32], 0], [-1.0, 1.0])    # omega = -pi, 0
-
 
 class TestConfig:
     def test_defaults_follow_sqrt_rule(self):

@@ -10,7 +10,7 @@ from sparselag import (AutocovarianceSet, FrequencyGrid, MacroPanel, SpectralDen
                        bartlett_weights, estimate_autocovariances,
                        spectral_density_matrix, simulate_var1, var1_spectral_density,
                        SyntheticSpec, MaturityGrid, US_MATURITIES)
-from sparselag.mv_spectral import CHUNK, TERMS, lag_window_kernel, lag_window_transform, lagged_products, summed_product
+from sparselag.mv_spectral import CHUNK, lag_window_transform, lagged_products
 from conftest import field_from_values, random_macro_panel
 from oracles import loop_autocovariance, naive_spectral_density
 
@@ -127,32 +127,31 @@ class TestLagWindowTransform:
         assert half.shape == (9, 1)
         assert np.abs(grid.mirror(half)[:, 0] - expected).max() <= 1e-15
 
-    @pytest.mark.parametrize("terms", [TERMS - 1, TERMS, TERMS + 1, 2 * TERMS + 1])
-    @pytest.mark.parametrize("complex_values", [False, True])
-    def test_summed_product_adds_every_term(self, rng, terms, complex_values):
-        kernel = rng.standard_normal((5, terms)) + 1j * rng.standard_normal((5, terms))
-        values = rng.standard_normal((terms, 2, 3)) + 1j * complex_values * rng.standard_normal((terms, 2, 3))
-        product = summed_product(kernel, values)
-        assert product.shape == (5, 2, 3)
-        for k, i, j in np.ndindex(product.shape):
-            a, b = kernel[k], values[:, i, j]
-            for part, terms_of in ((product.real, (a.real * b.real, -a.imag * b.imag)),
-                                   (product.imag, (a.real * b.imag, a.imag * b.real))):
-                every = np.concatenate(terms_of)
-                # recursive summation of n terms errs by at most n eps sum|terms| (Higham 2002, 4.2)
-                assert abs(part[k, i, j] - math.fsum(every)) <= len(every) * 2.0 ** -52 * np.abs(every).sum()
+    @pytest.mark.parametrize("n", [2, 8, 512, 4096])
+    def test_single_lags_match_complex_exp(self, n):
+        grid, lags = FrequencyGrid(n), np.unique(np.linspace(-n, n, 41).astype(int))
+        q = n + 1                      # every lag has a nonzero weight, and lags +-n fold onto lag 0
+        stack = np.zeros((2 * q - 1, lags.size))
+        stack[lags + q - 1, np.arange(lags.size)] = 1.0
+        oracle = bartlett_weights(q)[lags + q - 1] * np.exp(-1j * np.outer(grid.nodes[: n // 2 + 1], lags))
+        # the oracle itself is off by up to |h omega| * eps, about 3e-12 at N = 4096
+        assert np.abs(lag_window_transform(stack, grid) - oracle).max() <= 1e-11
 
-    def test_kernel_is_built_once_per_grid_and_span(self):
-        grid, q = FrequencyGrid(64), 7
-        kernel = lag_window_kernel(grid, q)
-        assert not kernel.flags.writeable
-        lags = np.arange(1 - q, q)
-        assert np.array_equal(kernel, grid.phases(lags) * bartlett_weights(q))    # the nodes k = 0..N/2
-        full = np.exp(-1j * np.outer(grid.nodes, lags)) * bartlett_weights(q)
-        assert np.abs(grid.mirror(kernel) - full).max() <= 1e-13                # all N nodes
-        assert lag_window_kernel(FrequencyGrid(64), q) is kernel
-        for other in (lag_window_kernel(FrequencyGrid(32), q), lag_window_kernel(grid, q + 1)):
-            assert other is not kernel and other.shape != kernel.shape
+    def test_self_paired_nodes_are_real(self, rng):
+        grid, q = FrequencyGrid(64), 40                   # 2q - 1 > N: lags fold
+        half = lag_window_transform(rng.standard_normal((2 * q - 1, 3, 2)), grid)
+        assert np.array_equal(half[[0, -1]].imag, np.zeros((2, 3, 2)))    # omega = -pi, 0
+        unit = np.zeros((2 * q - 1, 1))
+        unit[q] = 1.0                                                        # lag 1
+        assert np.array_equal(lag_window_transform(unit, grid)[[0, -1], 0], [-(1 - 1 / q), 1 - 1 / q])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lags_beyond_the_grid_fold_modulo_n(self, rng, d):
+        # 2q - 1 = 13 lags on N = 8 nodes: lags h and h +- 8 land on one node term (Gray 2006)
+        grid, q = FrequencyGrid(8), 7
+        mats = rng.standard_normal((2 * q - 1, d, d))
+        naive = naive_spectral_density(mats, np.arange(1 - q, q), bartlett_weights(q), grid.nodes[:5])
+        assert np.abs(lag_window_transform(mats, grid) / (2 * np.pi) - naive).max() <= 1e-14 * np.abs(mats).sum()
 
 
 class TestBartlettWeights:
@@ -207,8 +206,8 @@ class TestSpectralDensityMatrix:
         grid = FrequencyGrid(2 * q + 4)
         field = spectral_density_matrix(acov, grid)
         weights = bartlett_weights(q)
-        phases = np.exp(1j * np.outer(grid.nodes, acov.lags))
-        recovered = np.einsum("kl,kab->lab", phases, field.values) * grid.quadrature_weight
+        kernel = np.exp(1j * np.outer(grid.nodes, acov.lags))
+        recovered = np.einsum("kl,kab->lab", kernel, field.values) * grid.quadrature_weight
         assert np.abs(recovered - weights[:, None, None] * acov.matrices).max() <= 1e-10
 
     def test_real_nonnegative_diagonal(self, rng):
@@ -288,7 +287,7 @@ class TestConditionNumbers:
         lags = np.arange(-2, 3)
         base = rng.standard_normal((lags.size, d, d))
         base = base + np.transpose(base[::-1], (0, 2, 1))        # R_{-h} = R_h'
-        mats = np.tensordot(grid.mirror(grid.phases(lags)), base, axes=1)
+        mats = np.tensordot(np.exp(-1j * np.outer(grid.nodes, lags)), base, axes=1)
         shift = np.abs(np.linalg.eigvalsh(mats)).max() + rng.uniform(0.05, 2.0)
         return field_from_values(SpectralDensityField, grid, mats + shift * np.eye(d))
 

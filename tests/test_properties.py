@@ -201,16 +201,23 @@ def real_lag_problems(draw):
 @_SETTINGS
 @given(real_lag_problems())
 def test_half_spectrum_steps_mirror_to_the_full_grid_reference(problem):
+    """The FFT steps on the nodes k <= N/2, mirrored, match the direct sums on all N nodes.
+
+    Each transform entry errs by a few eps times the sum of its |terms| (the FFT's and the
+    reference's own rounding of e^{-i h omega}); cond(F) and the solve B F = Z add a factor cond(F).
+    """
     grid, cross_lags, acov, operator, _ = problem
     z, f, cond, b = full_grid_reference(grid, cross_lags, acov.matrices)
+    tol, weights = 64 * np.finfo(float).eps, bartlett_weights(acov.q)
     knots = lag_window_transform(cross_lags, grid)
     assert knots.shape[0] == grid.n_nodes // 2 + 1
-    assert np.array_equal(grid.mirror(knots), z)
+    assert (np.abs(grid.mirror(knots) - z) <= tol * np.einsum("h,hij->ij", weights, np.abs(cross_lags))).all()
     spec = spectral_density_matrix(acov, grid)
-    assert np.array_equal(spec.values, f)
-    assert np.array_equal(grid.mirror(spec.condition_numbers), cond)
+    density_terms = np.einsum("h,hab->ab", weights, np.abs(acov.matrices)) / (2.0 * np.pi)
+    assert (np.abs(spec.values - f) <= tol * density_terms).all()
+    assert _rel(grid.mirror(spec.condition_numbers), cond) <= tol * cond.max()
     resp = frequency_response(CrossSpectralField.from_knots(grid, knots, operator), spec, 1e12)
-    assert np.array_equal(grid.mirror(resp.knot_values), b)
+    assert _rel(grid.mirror(resp.knot_values), b) <= tol * cond.max()
 
 
 @st.composite
