@@ -19,7 +19,7 @@ from .smoother import (epanechnikov, estimate_mean_curve, local_linear_operator,
 from .mv_spectral import (AutocovarianceSet, SpectralDensityField, bartlett_weights,
                           estimate_autocovariances, spectral_density_matrix)
 from .cross_spectral import (CrossSpectralField, RawCrossCovariances, cross_spectral_density,
-                             naive_cross_spectral_density, raw_cross_cov)
+                             naive_cross_spectral_density, raw_cross_cov, smoothing_operator)
 from .lagreg import (FrequencyResponseField, filter_coefficients, frequency_response,
                      predict_panel, r_squared)
 from .simulate import (SimulationTruth, SyntheticSpec, US_MATURITIES, recovery_spec,
@@ -42,7 +42,7 @@ __all__ = [
     "filter_coefficients", "frequency_response", "load_macro_csv", "load_yields_csv",
     "local_linear_operator", "mean_curve_warped", "naive_cross_spectral_density",
     "predict_panel", "r_squared", "raw_cross_cov", "recovery_spec",
-    "simulate_lagged_regression", "simulate_var1", "spectral_density_matrix",
+    "simulate_lagged_regression", "simulate_var1", "smoothing_operator", "spectral_density_matrix",
     "var1_spectral_density", "warp_apply", "warp_inverse", "write_macro_csv",
     "write_results", "write_yields_csv",
 ]

@@ -61,7 +61,8 @@ def check_cross_spectral_equivalence(rng: np.random.Generator) -> CheckResult:
             panel, 2.0 / (panel.n_maturities - 1), np.linspace(0, 1, panel.n_maturities))
         macro_means = macro.values.mean(axis=0)
         raw = cross_spectral.raw_cross_cov(panel, macro, mean_curve, macro_means, q)
-        fast = cross_spectral.cross_spectral_density(raw, b_r, grid, eval_warped)
+        fast = cross_spectral.cross_spectral_density(
+            raw, grid, cross_spectral.smoothing_operator(raw, b_r, eval_warped))
         naive = cross_spectral.naive_cross_spectral_density(
             panel, macro, mean_curve, macro_means, b_r, q, grid, eval_warped)
         worst = max(worst, float(np.abs(fast.values - naive).max()))

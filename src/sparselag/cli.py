@@ -65,7 +65,8 @@ def read_key_values(path) -> dict[str, str]:
 
 def _build_config(n_times: int, n_maturities: int, path) -> Config:
     raw = read_key_values(path) if path else {}
-    casters = typing.get_type_hints(Config)     # each setting's int or float
+    # each setting's int or float; Optional[int] (n_omega, chosen per run when no file sets it) casts as int
+    casters = {key: (typing.get_args(hint) or (hint,))[0] for key, hint in typing.get_type_hints(Config).items()}
     unknown = set(raw) - set(casters)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -153,8 +154,8 @@ def run_analyze(args) -> int:
         bundle = sio.build_result_bundle(result, panel, macro, digests)
         manifest = sio.write_results(bundle, args.out)
 
-    print(f"T={panel.n_times} I={panel.n_maturities} d={macro.n_series} "
-          f"q={config.q} b_mu={config.b_mu:.4g} b_r={config.b_r:.4g} h_max={config.h_max}")
+    print(f"T={panel.n_times} I={panel.n_maturities} d={macro.n_series} q={config.q} b_mu={config.b_mu:.4g} "
+          f"b_r={config.b_r:.4g} h_max={config.h_max} n_omega={result.spectral_density.grid.n_nodes}")
     print(f"r_squared={result.r_squared:.4f}")
     print("diagnostics:", *(f"{name}={value:.3e}" for name, value in asdict(result.diagnostics).items()))
     print(f"wrote {len(manifest)} files to {Path(args.out).resolve()}")

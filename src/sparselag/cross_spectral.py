@@ -85,14 +85,17 @@ class CrossSpectralField(SpectralField):
     _symmetry = (1e-10, "cross-spectral field must satisfy f(-omega) = conj(f(omega))")
 
 
-def cross_spectral_density(raw: RawCrossCovariances, b_r: float, grid: FrequencyGrid,
-                           eval_warped) -> CrossSpectralField:
-    """Smoothed cross-spectral density: the knot operator applied to the knot field."""
+def smoothing_operator(raw: RawCrossCovariances, b_r: float, eval_warped) -> np.ndarray:
+    """The real, frequency-free (R, I) operator (q/2pi) L that smooths the knot field onto eval_warped."""
     eval_warped = np.atleast_1d(np.asarray(eval_warped, dtype=float))
     q = raw.max_lag + 1
-    operator = local_linear_operator(bartlett_weights(q) @ raw.counts, eval_warped, b_r)
+    return q / (2.0 * np.pi) * local_linear_operator(bartlett_weights(q) @ raw.counts, eval_warped, b_r)
+
+
+def cross_spectral_density(raw: RawCrossCovariances, grid: FrequencyGrid, operator) -> CrossSpectralField:
+    """Smoothed cross-spectral density on grid: the knot operator (``smoothing_operator``) applied to the knot field."""
     knot_field = lag_window_transform(raw.sums, grid)   # (N/2+1, I, d): sum_l W_l e^{-i h_l omega} A_l
-    return CrossSpectralField.from_knots(grid, knot_field, q / (2.0 * np.pi) * operator)
+    return CrossSpectralField.from_knots(grid, knot_field, operator)
 
 
 def naive_cross_spectral_density(panel: SparseYieldPanel, macro: MacroPanel, mean_curve,

@@ -195,7 +195,7 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
         "n_maturities": panel.n_maturities,
         "n_series": macro.n_series,
         "series_names": list(macro.series_names),
-        "config": asdict(result.config),
+        "config": {**asdict(result.config), "n_omega": density.grid.n_nodes},     # the grid the run used
         "diagnostics": asdict(result.diagnostics),
         "input_digests": input_digests or {},
         "smoothing_operator": {"tau": fit.eval_tau.tolist(), "knot_tau": maturities.tolist(),

@@ -21,6 +21,8 @@ frequency-free smoother L, so they run on the I maturity knots
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DegenerateTotal, IllConditioned
@@ -31,9 +33,27 @@ from .mv_spectral import SpectralDensityField
 
 
 class FrequencyResponseField(SpectralField):
-    """Complex response values on (frequency, evaluation point, series)."""
+    """Complex response values on (frequency, evaluation point, series).  Its knot-level ``lag_sequence``,
+    which the quadrature reads, and the ``aliasing_edge_ratio`` read from it are computed on first read."""
 
     _symmetry = (1e-8, "frequency response must satisfy B(-omega) = conj(B(omega))")
+
+    @cached_property
+    def lag_sequence(self) -> np.ndarray:
+        """The ``irfft`` of the held nodes, (N, I, d), real and read-only: it mirrors them and takes the real part of
+        the self-paired nodes omega = -pi, 0, so its entry h mod N is (-1)^h c_h, c_h = sum_k e^{i h omega_k} Z_k / N
+        over all N nodes."""
+        sequence = np.fft.irfft(self.knot_values, self.grid.n_nodes, axis=0)
+        sequence.flags.writeable = False
+        return sequence
+
+    @cached_property
+    def aliasing_edge_ratio(self) -> float:
+        """max |c_h| at h = +-(N/2 - 1) over max_h |c_h|, 0 for a zero response.  The rectangle rule folds
+        the response's lag sequence modulo N (Gray 2006), and this ratio tracks the error the fold leaves."""
+        magnitude = np.abs(self.lag_sequence)
+        peak, edge = magnitude.max(), self.grid.n_nodes // 2 - 1
+        return float(magnitude[[edge, -edge]].max() / peak) if peak > 0 else 0.0
 
 
 def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
@@ -61,13 +81,13 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
 def filter_coefficients(resp: FrequencyResponseField, h_max: int) -> np.ndarray:
     """Quadrature back to lag space: the real coefficients[l, r, j] for lags -h_max..h_max.
 
-    Integrated at the knots, sum_k e^{i h omega_k} Z_k / N over all N nodes (``irfft`` mirrors the
-    held ones and takes the real part of the self-paired nodes omega = -pi, 0), then the operator.
+    Integrated at the knots, the response's ``lag_sequence`` read at h mod N and signed by (-1)^h, then the
+    operator.
     """
     n = resp.grid.n_nodes
     _check_lag_reach(h_max, n)
     lags = np.arange(-h_max, h_max + 1)
-    coef = np.fft.irfft(resp.knot_values, n, axis=0)[lags % n]
+    coef = resp.lag_sequence[lags % n]
     return resp.operator @ ((-1.0) ** lags * coef.T).T
 
 

@@ -87,11 +87,15 @@ def _check_span(q: int, n_times: float = math.inf) -> None:
         raise ValueError(f"window span q={q} exceeds the horizon T={n_times}")
 
 
-def _check_lag_reach(h_max: int, n_omega: int) -> None:
-    """The filter's lags -h_max..h_max fit the quadrature grid: integers h_max >= 0 and n_omega even, >= 2 h_max + 2."""
-    _check_integers(h_max=h_max, n_omega=n_omega)
+def _check_lag_reach(h_max: int, n_omega: Optional[int]) -> None:
+    """The filter's lags -h_max..h_max fit the quadrature grid: an integer h_max >= 0 and, unless n_omega is None
+    (a grid that ``analyze`` chooses, which fits by construction), an even integer n_omega >= 2 h_max + 2."""
+    _check_integers(h_max=h_max)
     if h_max < 0:
         raise ValueError(f"h_max must be nonnegative, got {h_max}")
+    if n_omega is None:
+        return
+    _check_integers(n_omega=n_omega)
     if n_omega % 2 != 0 or n_omega < 2 * h_max + 2:
         raise ValueError(f"n_omega must be even and >= 2*h_max + 2 = {2 * h_max + 2}, got {n_omega}")
 
@@ -319,7 +323,9 @@ class Config:
     b_mu, b_r      mean / cross-covariance smoother bandwidths, in warped
                    coordinates (fractions of [0, 1])
     q              spectral lag-window span (weights vanish for |h| >= q)
-    n_omega        frequency grid size
+    n_omega        frequency grid size N, even and >= 2 h_max + 2, used as
+                   given; None (the default): ``analyze`` chooses N per run
+                   from the quadrature's aliasing (``sparselag.pipeline``)
     h_max          filter truncation lag: coefficients kept for |h| <= h_max
     n_eval         number of curve evaluation points (equispaced in warped
                    coordinates)
@@ -329,7 +335,7 @@ class Config:
     b_mu: float
     b_r: float
     q: int
-    n_omega: int = 512
+    n_omega: Optional[int] = None
     h_max: int = 12
     n_eval: int = 101
     cond_threshold: float = 1e8

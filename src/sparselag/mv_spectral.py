@@ -11,13 +11,13 @@ T - h), and R_hat_{-h} = R_hat_h' by construction.  The sum runs over the
 2Q - 1 lags with nonzero weight.  Since e^{-i h omega_k} = (-1)^h e^{-2 pi i h k/N}
 on the nodes omega_k = -pi + 2 pi k/N, it is the real FFT (``np.fft.rfft``) of
 the signed, weighted lags placed at h mod N, which gives the nodes k = 0..N/2
-that determine a spectrum of real series; lags that meet modulo N are added in
-lag order first.  The FFT calls no BLAS, so its sums do not depend on the
-thread count.  The estimate is the same field type as the cross-spectral and
-response fields, checked on the nodes it holds: its knot values are the half,
-its operator the identity.  It is Hermitian by construction: above the
-diagonal it holds the conjugate of the transform below it, and on the
-diagonal the transform's real part.
+that determine a spectrum of real series; when 2Q - 1 > N, lags that meet
+modulo N are added first, as N-row blocks of one zero buffer.  The FFT calls
+no BLAS, so its sums do not depend on the thread count.  The estimate is the
+same field type as the cross-spectral and response fields, checked on the
+nodes it holds: its knot values are the half, its operator the identity.  It
+is Hermitian by construction: above the diagonal it holds the conjugate of the
+transform below it, and on the diagonal the transform's real part.
 
 Two primitives serve both spectral estimates: :func:`lagged_products` builds
 the lag-h product sums of two panels over the same T periods, one
@@ -74,14 +74,16 @@ def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndar
     """sum_h W_h e^{-i h omega_k} M_h for a stack M of 2q-1 real lags, h = 1-q..q-1.
 
     Returns shape (N/2+1, *lag_values.shape[1:]), nodes k <= N/2, without the 1/2pi factor:
-    the ``rfft`` of the N-periodic sequence (-1)^h W_h M_h, placed at h mod N.
+    the ``rfft`` of the N-periodic sequence (-1)^h W_h M_h, placed at h mod N.  The weighted lags sit
+    at h mod mN in a zero buffer of m N-row blocks, mN >= 2q - 1, and the blocks are added in order.
     """
     q = _max_lag("lag values", lag_values) + 1
     lags = np.arange(1 - q, q)
     weights = (-1.0) ** lags * bartlett_weights(q)
-    sequence = np.zeros((grid.n_nodes, *lag_values.shape[1:]))
-    np.add.at(sequence, lags % grid.n_nodes, (weights * lag_values.T).T)    # lags that meet modulo N add up
-    return np.fft.rfft(sequence, axis=0)
+    n, blocks = grid.n_nodes, -(-lags.size // grid.n_nodes)
+    buffer = np.zeros((blocks * n, *lag_values.shape[1:]))
+    buffer[lags % len(buffer)] += (weights * lag_values.T).T     # += makes a weighted -0.0 a 0.0
+    return np.fft.rfft(reduce(np.add, buffer.reshape(blocks, n, *lag_values.shape[1:])), axis=0)
 
 
 @dataclass(frozen=True)

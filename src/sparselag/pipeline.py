@@ -1,11 +1,20 @@
 """End-to-end estimation: panels in, fitted lagged regression out.
 
-Stage order: mean-curve smoothing, regressor spectral density, raw
-cross-covariances, cross-spectral smoothing, frequency-response solve, filter
-quadrature, warp of the evaluation grid to maturities, prediction and R^2.
-The curve evaluation grid is the requested equispaced warped grid joined with
-the warped maturity knots, so predictions at the observed maturities never
-interpolate.
+Stage order: mean-curve smoothing, regressor autocovariances, raw
+cross-covariances and their smoothing operator, then on a frequency grid the
+regressor spectral density, the cross-spectral knot field, the
+frequency-response solve and the filter quadrature; last, the warp of the
+evaluation grid to maturities, prediction and R^2.  The curve evaluation grid
+is the requested equispaced warped grid joined with the warped maturity knots,
+so predictions at the observed maturities never interpolate.
+
+The two spectral estimates are trigonometric polynomials, exact on any grid;
+the only error that depends on the grid size N is the quadrature's fold of the
+response's lag sequence modulo N (Gray 2006).  Unless ``Config.n_omega`` fixes
+N, the grid starts at the smallest power of two >= max(2 h_max + 2,
+START_FACTOR (q + h_max)) and doubles, at most MAX_DOUBLINGS times, while the
+response's aliasing edge ratio exceeds ALIASING_LEVEL; only the steps on the
+grid run again.
 """
 
 from __future__ import annotations
@@ -18,6 +27,10 @@ from . import cross_spectral, lagreg, mv_spectral, smoother
 from .model import Config, FrequencyGrid, LaggedRegressionFit, MacroPanel, SparseYieldPanel, _check_horizons
 from .warp import warp_apply
 
+ALIASING_LEVEL = 1e-9   # at or below it, filters stayed within 8e-16 of 8,192-node runs (max-abs relative)
+START_FACTOR = 8        # nodes per lag of q + h_max on the first grid
+MAX_DOUBLINGS = 2
+
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -25,11 +38,12 @@ class Diagnostics:
 
     truncation_tail_mass: float       # sum of ||b_h|| over the two outermost lag pairs
     max_condition_number: float       # max over the nodes of cond(F_hat)
+    aliasing_edge_ratio: float        # the response's, on the grid the run used
 
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    config: Config
+    config: Config                    # as given; each field's grid holds the N the run used
     fit: LaggedRegressionFit
     r_squared: float                  # in-sample R^2 of fit on the analyzed panels
     spectral_density: mv_spectral.SpectralDensityField
@@ -55,26 +69,34 @@ def _tail_mass(fit: LaggedRegressionFit) -> float:
     return float(per_lag.sum())
 
 
+def _first_grid_size(q: int, h_max: int) -> int:
+    """The smallest power of two >= max(2 h_max + 2, START_FACTOR (q + h_max))."""
+    return 1 << (max(2 * h_max + 2, START_FACTOR * (q + h_max)) - 1).bit_length()
+
+
 def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = None) -> AnalysisResult:
     """Run the full lagged-regression estimation on a pair of panels."""
     _check_horizons(panel.n_times, macro.n_times)
     if config is None:
         config = Config.defaults(panel.n_times, panel.n_maturities)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the next finiteness check
-        grid = FrequencyGrid(config.n_omega)
         eval_warped, knot_idx = evaluation_grid(config.n_eval, panel.n_maturities)
 
         mean_curve = smoother.mean_curve_warped(panel, config.b_mu, eval_warped)
-        mean_at_knots = mean_curve[knot_idx]
-
         acov = mv_spectral.estimate_autocovariances(macro, config.q)
-        spec_density = mv_spectral.spectral_density_matrix(acov, grid)
+        raw = cross_spectral.raw_cross_cov(panel, macro, mean_curve[knot_idx], acov.mean, config.q)
+        operator = cross_spectral.smoothing_operator(raw, config.b_r, eval_warped)
 
-        raw = cross_spectral.raw_cross_cov(panel, macro, mean_at_knots, acov.mean, config.q)
-        cross = cross_spectral.cross_spectral_density(raw, config.b_r, grid, eval_warped)
-
-        response = lagreg.frequency_response(cross, spec_density, config.cond_threshold)
-        coef = lagreg.filter_coefficients(response, config.h_max)
+        chosen = config.n_omega is None
+        first = _first_grid_size(config.q, config.h_max) if chosen else config.n_omega
+        for doublings in range(MAX_DOUBLINGS + 1 if chosen else 1):
+            grid = FrequencyGrid(first << doublings)
+            spec_density = mv_spectral.spectral_density_matrix(acov, grid)
+            cross = cross_spectral.cross_spectral_density(raw, grid, operator)
+            response = lagreg.frequency_response(cross, spec_density, config.cond_threshold)
+            coef = lagreg.filter_coefficients(response, config.h_max)
+            if response.aliasing_edge_ratio <= ALIASING_LEVEL:
+                break
 
         fit = LaggedRegressionFit(
             filter_coef=coef,
@@ -87,6 +109,7 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
         diagnostics = Diagnostics(
             truncation_tail_mass=_tail_mass(fit),
             max_condition_number=float(spec_density.condition_numbers.max()),
+            aliasing_edge_ratio=response.aliasing_edge_ratio,
         )
     return AnalysisResult(
         config=config,

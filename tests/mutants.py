@@ -68,6 +68,9 @@ MUTANTS = (
     Mutant("autocovariance-mirror-untransposed", "mv_spectral.py",
            "mats[: q - 1] = np.swapaxes(mats[: q - 1: -1], 1, 2)", "mats[: q - 1] = mats[: q - 1: -1]",
            ("test_mv_spectral.py",), "One lagged-product kernel and one Fourier convention"),
+    Mutant("cross-counts-all-observed", "cross_spectral.py",
+           "np.cumsum(panel.observed, axis=0", "np.cumsum(np.ones_like(panel.observed), axis=0",
+           ("test_statistics.py",), "The sparse regime the paper is named for"),
     Mutant("cross-counts-shifted", "cross_spectral.py",
            "seen[panel.n_times + np.minimum(h, 0)] - seen[np.maximum(h, 0)]",
            "seen[panel.n_times + np.minimum(h, 0) - 1] - seen[np.maximum(h, 0)]",
@@ -82,6 +85,19 @@ MUTANTS = (
     Mutant("staged-file-left-behind", "io.py",
            "                path.unlink()", "                pass",
            ("test_io.py", "test_cli.py"), "writes every file into a temporary sibling"),
+    Mutant("grid-never-doubled", "pipeline.py",
+           "if response.aliasing_edge_ratio <= ALIASING_LEVEL:", "if True:",
+           ("test_pipeline.py",), "A frequency grid chosen per run"),
+    Mutant("grid-edge-read-at-half", "lagreg.py",
+           "peak, edge = magnitude.max(), self.grid.n_nodes // 2 - 1",
+           "peak, edge = magnitude.max(), self.grid.n_nodes // 2",
+           ("test_pipeline.py",), "A frequency grid chosen per run"),
+    Mutant("grid-start-at-lag-reach", "pipeline.py",
+           "max(2 * h_max + 2, START_FACTOR * (q + h_max))", "(2 * h_max + 2)",
+           ("test_pipeline.py",), "A frequency grid chosen per run"),
+    Mutant("explicit-grid-doubled", "pipeline.py",
+           "range(MAX_DOUBLINGS + 1 if chosen else 1)", "range(MAX_DOUBLINGS + 1)",
+           ("test_pipeline.py",), "A frequency grid chosen per run"),
     Mutant("warp-domain-nan", "warp.py",
            "if not np.all((t_arr >= -_DOMAIN_TOL) & (t_arr <= 1.0 + _DOMAIN_TOL)):",
            "if np.any((t_arr < -_DOMAIN_TOL) | (t_arr > 1.0 + _DOMAIN_TOL)):",
@@ -138,14 +154,13 @@ MUTANTS = (
            "mags = np.abs(np.linalg.eigvalsh(self.half))", "mags = np.linalg.eigvalsh(self.half)",
            ("test_mv_spectral.py",), "signed eigenvalues"),
     Mutant("phase-sign-flipped", "mv_spectral.py",
-           "np.add.at(sequence, lags % grid.n_nodes,", "np.add.at(sequence, -lags % grid.n_nodes,",
+           "buffer[lags % len(buffer)]", "buffer[-lags % len(buffer)]",
            ("test_cli.py",), "the flipped phase sign"),
     Mutant("transform-sign-dropped", "mv_spectral.py",
            "weights = (-1.0) ** lags * bartlett_weights(q)", "weights = bartlett_weights(q)",
            ("test_mv_spectral.py",), "The spectral transforms are numpy FFTs"),
     Mutant("transform-fold-dropped", "mv_spectral.py",
-           "np.add.at(sequence, lags % grid.n_nodes, (weights * lag_values.T).T)",
-           "sequence[lags % grid.n_nodes] = (weights * lag_values.T).T",
+           "reduce(np.add, buffer.reshape(blocks, n, *lag_values.shape[1:]))", "buffer[:n]",
            ("test_mv_spectral.py",), "The spectral transforms are numpy FFTs"),
     Mutant("check-inverse-transform-conjugated", "checks.py",
            "np.exp(1j * np.outer(grid.nodes, acov.lags))", "np.exp(-1j * np.outer(grid.nodes, acov.lags))",
@@ -157,7 +172,7 @@ MUTANTS = (
            "if not (1.0 < cond_threshold < math.inf):", "if not (1.0 <= cond_threshold < math.inf):",
            ("test_model.py",), "One owner per stage rule"),
     Mutant("lag-reach-integer-clause-dropped", "model.py",
-           "    _check_integers(h_max=h_max, n_omega=n_omega)\n", "",
+           "    _check_integers(n_omega=n_omega)\n", "",
            ("test_model.py",), "One owner per stage rule"),
     Mutant("bandwidth-nan-passes", "smoother.py",
            "if not bandwidth > 0:", "if bandwidth <= 0:",

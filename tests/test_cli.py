@@ -248,6 +248,7 @@ class TestAnalyzeCommand:
         assert "q=45" in printed and "r_squared=" in printed
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_times"] == 2000 and summary["config"]["q"] == 45
+        assert summary["config"]["n_omega"] == 512 and "n_omega=512" in printed     # the grid the run chose
         assert summary["r_squared"] > 0.9
         assert set(summary["input_digests"]) == {"yields", "macro"}
         names = [f.name for f in dataclasses.fields(Diagnostics)]
@@ -537,6 +538,8 @@ _RULE_FAILURES = {       # case: (config text, the whole stderr line) for the sp
     "odd n_omega": ("n_omega = 25\n", "error [config] n_omega must be even and >= 2*h_max + 2 = 26, got 25"),
     "n_omega below the default reach": ("n_omega = 16\n",
                                         "error [config] n_omega must be even and >= 2*h_max + 2 = 26, got 16"),
+    "n_omega = 0": ("n_omega = 0\n", "error [config] n_omega must be even and >= 2*h_max + 2 = 26, got 0"),
+    "negative n_omega": ("n_omega = -64\n", "error [config] n_omega must be even and >= 2*h_max + 2 = 26, got -64"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from sparselag import (FrequencyGrid, MacroPanel, MaturityGrid, RawCrossCovariances,
                        SparseYieldPanel, cross_spectral_density, mean_curve_warped,
-                       naive_cross_spectral_density, raw_cross_cov)
+                       naive_cross_spectral_density, raw_cross_cov, smoothing_operator)
 from sparselag.mv_spectral import lagged_products
 from conftest import random_macro_panel, random_sparse_panel
 
@@ -99,7 +99,7 @@ class TestCrossSpectralDensity:
         panel, macro = _toy_setup()
         flat = SparseYieldPanel.from_values(np.full((3, 3), 2.0), panel.maturity_grid)
         raw = raw_cross_cov(flat, macro, np.full(3, 2.0), np.zeros(1), 2)
-        field = cross_spectral_density(raw, 0.8, FrequencyGrid(16), np.linspace(0, 1, 5))
+        field = cross_spectral_density(raw, FrequencyGrid(16), smoothing_operator(raw, 0.8, np.linspace(0, 1, 5)))
         assert np.abs(field.values).max() == 0.0
 
     def test_only_lag_zero_makes_field_flat_in_frequency(self, rng):
@@ -108,7 +108,7 @@ class TestCrossSpectralDensity:
         panel = random_sparse_panel(rng, 10, 4, missing_frac=0.0)
         macro = random_macro_panel(rng, 10, 1)
         raw = raw_cross_cov(panel, macro, np.zeros(4), np.zeros(1), 1)
-        field = cross_spectral_density(raw, 0.7, FrequencyGrid(16), np.array([0.3, 0.6]))
+        field = cross_spectral_density(raw, FrequencyGrid(16), smoothing_operator(raw, 0.7, np.array([0.3, 0.6])))
         spread = np.abs(field.values - field.values[:1]).max()
         assert spread <= 1e-14
 
@@ -126,7 +126,7 @@ class TestCrossSpectralDensity:
             eval_warped = rng.uniform(size=3)
             b_r = float(rng.uniform(1.2, 2.5)) / (n_mat - 1)
             raw = raw_cross_cov(panel, macro, mean_curve, mu_x, q)
-            fast = cross_spectral_density(raw, b_r, grid, eval_warped)
+            fast = cross_spectral_density(raw, grid, smoothing_operator(raw, b_r, eval_warped))
             naive = naive_cross_spectral_density(panel, macro, mean_curve, mu_x,
                                                  b_r, q, grid, eval_warped)
             assert np.abs(fast.values - naive).max() <= 1e-10
@@ -136,7 +136,7 @@ class TestCrossSpectralDensity:
         macro = random_macro_panel(rng, 30, 2)
         mean_curve = mean_curve_warped(panel, 0.5, np.linspace(0, 1, 5))
         raw = raw_cross_cov(panel, macro, mean_curve, macro.values.mean(axis=0), 4)
-        field = cross_spectral_density(raw, 0.5, FrequencyGrid(32), np.linspace(0, 1, 7))
+        field = cross_spectral_density(raw, FrequencyGrid(32), smoothing_operator(raw, 0.5, np.linspace(0, 1, 7)))
         flipped = field.values[(-np.arange(32)) % 32]
         assert np.abs(flipped - np.conj(field.values)).max() <= 1e-10
 
@@ -155,7 +155,7 @@ class TestCrossSpectralDensity:
             mean_curve = mean_curve_warped(scaled_panel, 0.7, np.linspace(0, 1, 4))
             raw = raw_cross_cov(scaled_panel, scaled_macro, mean_curve,
                                 scaled_macro.values.mean(axis=0), 3)
-            return cross_spectral_density(raw, 0.7, grid, eval_warped).values
+            return cross_spectral_density(raw, grid, smoothing_operator(raw, 0.7, eval_warped)).values
 
         base = field_for(1.0, 1.0)
         scaled = field_for(alpha, beta)
@@ -176,7 +176,7 @@ class TestCrossSpectralDensity:
             panel = SparseYieldPanel.from_values(vals, grid)
             mean_curve = np.nanmean(vals, axis=0)
             raw = raw_cross_cov(panel, macro, mean_curve, macro.values.mean(axis=0), 3)
-            return cross_spectral_density(raw, b_r, fgrid, eval_warped).values
+            return cross_spectral_density(raw, fgrid, smoothing_operator(raw, b_r, eval_warped)).values
 
         a = field_with_last_column(values[:, -1])
         b = field_with_last_column(values[:, -1] + 17.0)

@@ -2,7 +2,8 @@
 
 Two fixed simulated panel pairs (d = 1 and d = 3, 10% missing quotes,
 ``n_omega = 64``) go through the CLI, and each of the seven result files must
-match its pinned digest byte for byte; the d = 3 files must match with one
+match its pinned digest byte for byte, as must the six tables of a T = 192,
+d = 3 panel on 512 nodes; the d = 3 files must match with one
 BLAS thread and with two, and so must those of a T = 12,000 panel at the
 default settings, under the kernel set OpenBLAS picks and under its Haswell
 kernels.  The three files of ``sparselag simulate`` with
@@ -38,7 +39,7 @@ GOLDEN = {
         "cross_spectral.csv": "decceb38baf63c51e3ec339b9f45ab888281feb52bd51f9595f2b359e8f75c38",
         "frequency_response.csv": "16cdaf9669be3dd7b8b4e5654166fb8eab1652023142e509fffe0240a6a1a963",
         "fitted.csv": "6f9cc4db279b09acba8c9fd5c15033f45aceb23ab86b1d25f75a7679f7c6ec14",
-        "summary.json": "92a09efd8241769c766f658e778e97166ed0ecebeb407bab26d682eea106f298",
+        "summary.json": "dec1f2e0fa516ccd88a14623cecf4002f4bdd4921ffac3c0d4d29bfd1d35ceee",
     },
     3: {
         "mean_curve.csv": "411746a8ea0707ba690678fbd1255af79324ebf7aceb1c941f45c57891699d5b",
@@ -47,8 +48,20 @@ GOLDEN = {
         "cross_spectral.csv": "0ed62a7d7c948dc0e35241f8195d7f518a2df9c4a59289b468462eac0d1306f0",
         "frequency_response.csv": "bb8c69b74343699b38aea3c2adcde3068c89cf71497f275d39886cec10850095",
         "fitted.csv": "743c997e8b19f21a62e9d06e042c1250468b78664a70af8570355ab0b89dbd93",
-        "summary.json": "c1519e53decce7bb9fbfefb1010b027969b7d103e091460d16701650b2e13f80",
+        "summary.json": "f2b35ff1a39e6717192790b9f0eec9c7eccd77bab89bd86550ec712117625e09",
     },
+}
+
+# The six tables of a case-study-shape run (T = 192, d = 3) with n_omega = 512 in its config file, the grid every
+# run used before analyze chose one per run.  They are the bytes that release wrote, so n_omega = 512 reproduces
+# its tables; summary.json is not pinned here, as it gained diagnostics.aliasing_edge_ratio.
+GOLDEN_512_NODES = {
+    "mean_curve.csv": "ba044e5a6d7d99569858aea178172a6e29212cf3e2179da816488a6ac0003d42",
+    "filter_coefficients.csv": "b9869f0d35a6caccef319e7be99c6b2ed96eadd2e9305768616bfd983b12c579",
+    "spectral_density.csv": "1cc8ca237b752547f364a72bef60767dcc71900d1278970dcc47a61592269f3c",
+    "cross_spectral.csv": "73a41e7c293b73abc38e4ba7bc940bfc6d63ad3b8759ccaefcf1ec617add4d29",
+    "frequency_response.csv": "41844d1814f7a7c35da4e0080bec46f364c496bf147a4737ba1d5caabf70a59d",
+    "fitted.csv": "a011bb6ab58ded059d2aa198c21fdc76a7e5433ec384896f5d42c30dc1e76c3e",
 }
 
 SIMULATE_GOLDEN = {
@@ -75,9 +88,9 @@ def _write_panels(n_series, out_dir, n_times=150, config="n_omega = 64\n"):
     (out_dir / "analyze.cfg").write_text(config, encoding="utf-8")
 
 
-def _analyze_digests(n_series, work_dir):
+def _analyze_digests(n_series, work_dir, n_times=150, config="n_omega = 64\n"):
     """The digest of every file ``sparselag analyze`` writes for the d = n_series panel pair, by name."""
-    _write_panels(n_series, work_dir)
+    _write_panels(n_series, work_dir, n_times, config)
     out = work_dir / "results"
     assert main(["analyze", "--yields", str(work_dir / "yields.csv"),
                  "--macro", str(work_dir / "macro.csv"),
@@ -99,6 +112,11 @@ def test_result_files_match_pinned_digests(n_series, tmp_path):
     assert sorted(digests) == sorted(GOLDEN[n_series])
     for name, digest in GOLDEN[n_series].items():
         assert digests[name] == digest, name
+
+
+def test_case_study_tables_on_512_nodes_match_pinned_digests(tmp_path):
+    digests = _analyze_digests(3, tmp_path, 192, "n_omega = 512\n")
+    assert {name: digests[name] for name in GOLDEN_512_NODES} == GOLDEN_512_NODES
 
 
 def _thread_invariant_digests(work_root, n_times, config, coretype=None):

@@ -321,7 +321,7 @@ class TestWriteResults:
         assert summary["config"]["q"] == result.config.q
         assert summary["input_digests"]["yields"] == "sha"
         assert 0.0 < summary["r_squared"] <= 1.0
-        assert sorted(summary["diagnostics"]) == ["max_condition_number", "truncation_tail_mass"]
+        assert sorted(summary["diagnostics"]) == ["aliasing_edge_ratio", "max_condition_number", "truncation_tail_mass"]
 
     def test_zeroed_filter_reports_r_squared_zero(self, small_analysis, tmp_path):
         result, panel, macro = small_analysis

@@ -184,7 +184,8 @@ class TestFieldsAreImmutable:
     def test_no_attribute_can_be_set_or_deleted(self, read_first):
         arrays = ["knot_values", "operator", "half", "values"]
         for field in self._fields():
-            names = arrays + (["condition_numbers"] if isinstance(field, SpectralDensityField) else [])
+            names = arrays + {SpectralDensityField: ["condition_numbers"],
+                              FrequencyResponseField: ["lag_sequence"]}.get(type(field), [])
             if read_first:                  # the lazy attributes, cached or not, stay read-only
                 before = {name: getattr(field, name) for name in names}
             for name in names + ["grid", "n_series", "undeclared"]:
@@ -247,6 +248,10 @@ class TestFilterCoefficients:
         full = np.einsum("lk,krd->lrd", np.exp(1j * np.outer(lags, grid.nodes)), resp.values) / grid.n_nodes
         assert np.abs(full.imag).max() <= 1e-14 * np.abs(resp.values).max()
         assert np.abs(filter_coefficients(resp, h_max) - full.real).max() <= 1e-14 * np.abs(resp.values).max()
+
+    def test_zero_response_reads_a_zero_edge_ratio(self):
+        resp = FrequencyResponseField.from_knots(FrequencyGrid(16), np.zeros((9, 3, 2)), np.eye(3))
+        assert resp.aliasing_edge_ratio == 0.0 and np.array_equal(filter_coefficients(resp, 4), np.zeros((9, 3, 2)))
 
     def test_grid_too_coarse_rejected(self):
         grid = FrequencyGrid(16)

@@ -151,7 +151,7 @@ class TestConfig:
         assert cfg.q == 14
         assert cfg.b_mu == pytest.approx(0.25)
         assert cfg.b_r == pytest.approx(0.25)
-        assert cfg.n_omega == 512 and cfg.h_max == 12 and cfg.n_eval == 101
+        assert cfg.n_omega is None and cfg.h_max == 12 and cfg.n_eval == 101     # None: analyze chooses N
         assert cfg.cond_threshold == 1e8
 
     @pytest.mark.parametrize("kwargs, phrase", [

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import sparselag
-from sparselag import (US_MATURITIES, Config, FrequencyResponseField, LaggedRegressionFit, MaturityGrid, analyze,
-                       estimate_autocovariances, r_squared, recovery_spec, simulate_lagged_regression,
-                       warp_apply)
+from sparselag import (US_MATURITIES, Config, FrequencyResponseField, LaggedRegressionFit, MaturityGrid,
+                       SparseYieldPanel, SyntheticSpec, analyze, estimate_autocovariances, lagreg, r_squared,
+                       recovery_spec, simulate_lagged_regression, warp_apply)
 from sparselag.lagreg import _eval_indices
-from sparselag.pipeline import evaluation_grid
+from sparselag.pipeline import ALIASING_LEVEL, evaluation_grid
 from conftest import random_macro_panel, random_sparse_panel
 
 
@@ -84,7 +84,8 @@ class TestAnalyze:
         result = analyze(panel, macro)
         d = result.diagnostics
         assert d.truncation_tail_mass >= 0.0
-        assert result.spectral_density.condition_numbers.shape == (257,)     # the nodes k = 0..N/2
+        assert result.spectral_density.grid.n_nodes == 256      # q = 13, h_max = 12: 8 (q + h_max) = 200
+        assert result.spectral_density.condition_numbers.shape == (129,)     # the nodes k = 0..N/2
         assert d.max_condition_number == 1.0    # scalar regressor
 
     def test_symmetry_invariants_on_random_instances(self, rng):
@@ -148,7 +149,8 @@ class TestAnalyze:
         # the fit is the model alone; the result scores it on the analyzed panels
         assert "r_squared" not in [f.name for f in fields(LaggedRegressionFit)]
         assert type(result.r_squared) is float and result.r_squared == r_squared(panel, result.fit, macro)
-        assert [f.name for f in fields(result.diagnostics)] == ["truncation_tail_mass", "max_condition_number"]
+        assert [f.name for f in fields(result.diagnostics)] == ["truncation_tail_mass", "max_condition_number",
+                                                             "aliasing_edge_ratio"]
         assert not hasattr(result.spectral_density, "matrices")
         assert not hasattr(sparselag, "empirical_mean") and "empirical_mean" not in sparselag.__all__
         assert not hasattr(sparselag.mv_spectral, "empirical_mean")
@@ -167,3 +169,84 @@ class TestAnalyze:
         for _ in range(3):
             analyze(panel, macro, Config.defaults(40, 4, n_omega=32))
         assert len(built) == 3
+
+
+def _bench_panel(t_len, d, seed):
+    """The benchmark's panels: the 9 US maturities, d AR(1) regressors, the last driving the curves at lag 0
+    through 1 - tau~, and about 10% of the cells missing, each month keeping one."""
+    spec = SyntheticSpec(maturity_grid=MaturityGrid(np.array(US_MATURITIES)), n_times=t_len,
+                         ar_coef=np.diag([0.8, 0.7, 0.9, 0.6, 0.75][:d]), innovation_cov=np.eye(d),
+                         macro_mean=np.zeros(d), filter_fns={(0, d - 1): lambda t: 1.0 - t},
+                         curve_error_scale=0.3, noise_sd=0.1, seed=seed)
+    panel, macro, _ = simulate_lagged_regression(spec)
+    rng = np.random.default_rng([seed, 1])
+    missing = rng.random(panel.values.shape) < 0.1
+    empty = np.flatnonzero(missing.all(axis=1))
+    missing[empty, rng.integers(0, panel.n_maturities, size=empty.size)] = False
+    return SparseYieldPanel.from_values(np.where(missing, np.nan, panel.values), panel.maturity_grid), macro
+
+
+class TestFrequencyGridChoice:
+    """Without an n_omega, analyze starts at the power of two >= max(2 h_max + 2, 8 (q + h_max)) and doubles, at
+    most twice, while the response's aliasing edge ratio exceeds ALIASING_LEVEL; an explicit n_omega is used as
+    given.  A pass is one frequency-response solve."""
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes, solve = [], lagreg.frequency_response
+        monkeypatch.setattr(lagreg, "frequency_response", lambda *args: passes.append(args) or solve(*args))
+        return passes
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_case_study_shape_takes_256_nodes_in_one_pass(self, monkeypatch, seed):
+        passes = self._count_passes(monkeypatch)
+        result = analyze(*_bench_panel(192, 3, seed))        # q = 14, h_max = 12: 8 (q + h_max) = 208
+        assert result.spectral_density.grid.n_nodes == 256 and len(passes) == 1
+        assert result.diagnostics.aliasing_edge_ratio <= ALIASING_LEVEL
+
+    def test_recovery_spec_takes_512_nodes_in_one_pass(self, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        panel, macro, _ = simulate_lagged_regression(recovery_spec(0))
+        result = analyze(panel, macro)                       # q = 45: 8 (q + h_max) = 456
+        assert result.spectral_density.grid.n_nodes == 512 and len(passes) == 1
+
+    def test_an_edge_above_the_level_doubles_the_grid(self, monkeypatch):
+        panel, macro = _bench_panel(192, 3, 18)
+        fixed = {n: analyze(panel, macro, Config.defaults(192, 9, n_omega=n)) for n in (256, 512)}
+        assert fixed[256].diagnostics.aliasing_edge_ratio > ALIASING_LEVEL     # measured 3.7e-9
+        passes = self._count_passes(monkeypatch)
+        result = analyze(panel, macro)
+        assert result.spectral_density.grid.n_nodes == 512 and len(passes) == 2
+        assert [args[0].grid.n_nodes for args in passes] == [256, 512]
+        assert result.diagnostics == fixed[512].diagnostics
+        assert result.diagnostics.aliasing_edge_ratio <= ALIASING_LEVEL
+        assert np.array_equal(result.fit.filter_coef, fixed[512].fit.filter_coef)
+
+    def test_a_panel_that_never_meets_the_level_stops_at_the_cap(self, monkeypatch):
+        # a regressor near a unit root and q = 2: F^-1 decays slowly in lag; 16 nodes at first
+        panel, macro, _ = simulate_lagged_regression(replace(recovery_spec(0), n_times=300, ar_coef=[[0.95]]))
+        passes = self._count_passes(monkeypatch)
+        result = analyze(panel, macro, Config.defaults(300, 9, q=2, h_max=0))
+        assert [args[0].grid.n_nodes for args in passes] == [16, 32, 64]
+        assert result.spectral_density.grid.n_nodes == 64
+        assert result.diagnostics.aliasing_edge_ratio > ALIASING_LEVEL           # measured 1.9e-8
+
+    def test_an_explicit_grid_never_doubles(self, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        result = analyze(*_bench_panel(192, 3, 18), Config.defaults(192, 9, n_omega=256))
+        assert result.spectral_density.grid.n_nodes == 256 and len(passes) == 1
+        assert result.diagnostics.aliasing_edge_ratio > ALIASING_LEVEL
+
+    def test_edge_ratio_reads_the_quadrature_lag_sequence(self):
+        response = analyze(*_bench_panel(192, 3, 7919)).frequency_response
+        n = response.grid.n_nodes
+        lags = np.abs(np.fft.irfft(response.knot_values, n, axis=0))
+        assert response.aliasing_edge_ratio == max(lags[n // 2 - 1].max(), lags[n // 2 + 1].max()) / lags.max()
+        assert np.array_equal(response.lag_sequence, np.fft.irfft(response.knot_values, n, axis=0))
+
+    @pytest.mark.parametrize("shape, seed", [((192, 3), 0), ((192, 3), 18), ((60, 5), 0), ((500, 3), 7919)])
+    def test_filter_matches_an_8192_node_grid(self, shape, seed):
+        panel, macro = _bench_panel(*shape, seed)
+        result = analyze(panel, macro)
+        fine = analyze(panel, macro, replace(result.config, n_omega=8192)).fit.filter_coef
+        assert np.abs(result.fit.filter_coef - fine).max() <= 2e-15 * np.abs(fine).max()

@@ -24,7 +24,8 @@ from sparselag import (AutocovarianceSet, Config, CrossSpectralField, FrequencyG
                        SpectralDensityField, SyntheticSpec, US_MATURITIES, analyze, bartlett_weights,
                        cross_spectral_density, estimate_autocovariances, evaluation_grid, filter_coefficients,
                        frequency_response, local_linear_operator, mean_curve_warped,
-                       naive_cross_spectral_density, predict_panel, raw_cross_cov, spectral_density_matrix)
+                       naive_cross_spectral_density, predict_panel, raw_cross_cov, smoothing_operator,
+                       spectral_density_matrix)
 from sparselag.mv_spectral import lag_window_transform
 from sparselag.simulate import _var1_deviations
 from conftest import random_macro_panel
@@ -59,7 +60,7 @@ def test_cross_spectral_density_matches_naive_path(instance, d):
     grid = FrequencyGrid(16)
     eval_warped = rng.uniform(size=3)
     raw = raw_cross_cov(panel, macro, mean_curve, mu_x, q)
-    fast = cross_spectral_density(raw, b_r, grid, eval_warped)
+    fast = cross_spectral_density(raw, grid, smoothing_operator(raw, b_r, eval_warped))
     naive = naive_cross_spectral_density(panel, macro, mean_curve, mu_x,
                                          b_r, q, grid, eval_warped)
     assert np.abs(fast.values - naive).max() <= 1e-10
