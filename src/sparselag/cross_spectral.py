@@ -87,7 +87,6 @@ class CrossSpectralField(SpectralField):
 
 def smoothing_operator(raw: RawCrossCovariances, b_r: float, eval_warped) -> np.ndarray:
     """The real, frequency-free (R, I) operator (q/2pi) L that smooths the knot field onto eval_warped."""
-    eval_warped = np.atleast_1d(np.asarray(eval_warped, dtype=float))
     q = raw.max_lag + 1
     return q / (2.0 * np.pi) * local_linear_operator(bartlett_weights(q) @ raw.counts, eval_warped, b_r)
 

@@ -33,8 +33,8 @@ from .mv_spectral import SpectralDensityField
 
 
 class FrequencyResponseField(SpectralField):
-    """Complex response values on (frequency, evaluation point, series).  Its knot-level ``lag_sequence``,
-    which the quadrature reads, and the ``aliasing_edge_ratio`` read from it are computed on first read."""
+    """Complex response values on (frequency, evaluation point, series).  Its knot-level ``lag_sequence``, which
+    the quadrature and the pipeline's aliasing edge ratio read, is computed on first read."""
 
     _symmetry = (1e-8, "frequency response must satisfy B(-omega) = conj(B(omega))")
 
@@ -46,14 +46,6 @@ class FrequencyResponseField(SpectralField):
         sequence = np.fft.irfft(self.knot_values, self.grid.n_nodes, axis=0)
         sequence.flags.writeable = False
         return sequence
-
-    @cached_property
-    def aliasing_edge_ratio(self) -> float:
-        """max |c_h| at h = +-(N/2 - 1) over max_h |c_h|, 0 for a zero response.  The rectangle rule folds
-        the response's lag sequence modulo N (Gray 2006), and this ratio tracks the error the fold leaves."""
-        magnitude = np.abs(self.lag_sequence)
-        peak, edge = magnitude.max(), self.grid.n_nodes // 2 - 1
-        return float(magnitude[[edge, -edge]].max() / peak) if peak > 0 else 0.0
 
 
 def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,

@@ -88,8 +88,8 @@ def lag_window_transform(lag_values: np.ndarray, grid: FrequencyGrid) -> np.ndar
 
 @dataclass(frozen=True)
 class AutocovarianceSet(_ArrayHolder):
-    """Autocovariances for lags -(q-1)..(q-1), plus the empirical mean; ``lags``, ``max_lag`` = q - 1 and q
-    are read from matrices."""
+    """Autocovariances for lags -(q-1)..(q-1), plus the empirical mean; ``lags`` and ``max_lag`` = q - 1 are read
+    from matrices."""
 
     matrices: np.ndarray    # (2q-1, d, d)
     mean: np.ndarray        # (d,)
@@ -117,10 +117,6 @@ class AutocovarianceSet(_ArrayHolder):
         if not np.linalg.eigvalsh(0.5 * (r0 + r0.T)).min() >= -1e-10 * scale:
             raise ValueError("lag-0 autocovariance must be positive semidefinite")
         _store(self, matrices=mats, mean=mean)
-
-    @property
-    def q(self) -> int:
-        return self.max_lag + 1
 
 
 def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:

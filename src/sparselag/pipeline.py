@@ -11,10 +11,10 @@ so predictions at the observed maturities never interpolate.
 The two spectral estimates are trigonometric polynomials, exact on any grid;
 the only error that depends on the grid size N is the quadrature's fold of the
 response's lag sequence modulo N (Gray 2006).  Unless ``Config.n_omega`` fixes
-N, the grid starts at the smallest power of two >= max(2 h_max + 2,
-START_FACTOR (q + h_max)) and doubles, at most MAX_DOUBLINGS times, while the
-response's aliasing edge ratio exceeds ALIASING_LEVEL; only the steps on the
-grid run again.
+N, the grid starts at the smallest power of two >= START_FACTOR (q + h_max)
+and doubles, at most MAX_DOUBLINGS times, while the response's aliasing edge
+ratio exceeds ALIASING_LEVEL; only the two lag-window transforms and the
+response solve run again, and the quadrature runs once, on the grid kept.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ from .warp import warp_apply
 ALIASING_LEVEL = 1e-9   # at or below it, filters stayed within 8e-16 of 8,192-node runs (max-abs relative)
 START_FACTOR = 8        # nodes per lag of q + h_max on the first grid
 MAX_DOUBLINGS = 2
+
+
+def _aliasing_edge_ratio(response: lagreg.FrequencyResponseField) -> float:
+    """max |c_h| at h = +-(N/2 - 1) over max_h |c_h| of the response's ``lag_sequence``, 0 for a zero response.  The
+    rectangle rule folds that sequence modulo N (Gray 2006), and this ratio tracks the error the fold leaves."""
+    magnitude = np.abs(response.lag_sequence)
+    peak, edge = magnitude.max(), response.grid.n_nodes // 2 - 1
+    return float(magnitude[[edge, -edge]].max() / peak) if peak > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -69,9 +77,9 @@ def _tail_mass(fit: LaggedRegressionFit) -> float:
     return float(per_lag.sum())
 
 
-def _first_grid_size(q: int, h_max: int) -> int:
-    """The smallest power of two >= max(2 h_max + 2, START_FACTOR (q + h_max))."""
-    return 1 << (max(2 * h_max + 2, START_FACTOR * (q + h_max)) - 1).bit_length()
+def _grid_sizes(q: int, h_max: int) -> list[int]:
+    """The smallest power of two >= START_FACTOR (q + h_max), then its doublings, MAX_DOUBLINGS of them."""
+    return [(1 << (START_FACTOR * (q + h_max) - 1).bit_length()) << k for k in range(MAX_DOUBLINGS + 1)]
 
 
 def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = None) -> AnalysisResult:
@@ -87,20 +95,17 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
         raw = cross_spectral.raw_cross_cov(panel, macro, mean_curve[knot_idx], acov.mean, config.q)
         operator = cross_spectral.smoothing_operator(raw, config.b_r, eval_warped)
 
-        chosen = config.n_omega is None
-        first = _first_grid_size(config.q, config.h_max) if chosen else config.n_omega
-        for doublings in range(MAX_DOUBLINGS + 1 if chosen else 1):
-            grid = FrequencyGrid(first << doublings)
+        sizes = _grid_sizes(config.q, config.h_max) if config.n_omega is None else [config.n_omega]
+        for grid in map(FrequencyGrid, sizes):
             spec_density = mv_spectral.spectral_density_matrix(acov, grid)
             cross = cross_spectral.cross_spectral_density(raw, grid, operator)
             response = lagreg.frequency_response(cross, spec_density, config.cond_threshold)
-            coef = lagreg.filter_coefficients(response, config.h_max)
-            if response.aliasing_edge_ratio <= ALIASING_LEVEL:
+            if _aliasing_edge_ratio(response) <= ALIASING_LEVEL:
                 break
 
         fit = LaggedRegressionFit(
-            filter_coef=coef,
-            eval_tau=np.asarray(warp_apply(panel.maturity_grid, eval_warped), dtype=float),
+            filter_coef=lagreg.filter_coefficients(response, config.h_max),
+            eval_tau=warp_apply(panel.maturity_grid, eval_warped),
             eval_warped=eval_warped,
             mean_curve=mean_curve,
             macro_means=acov.mean,
@@ -109,7 +114,7 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
         diagnostics = Diagnostics(
             truncation_tail_mass=_tail_mass(fit),
             max_condition_number=float(spec_density.condition_numbers.max()),
-            aliasing_edge_ratio=response.aliasing_edge_ratio,
+            aliasing_edge_ratio=_aliasing_edge_ratio(response),
         )
     return AnalysisResult(
         config=config,

@@ -83,6 +83,4 @@ def mean_curve_warped(panel: SparseYieldPanel, b_mu: float, eval_warped) -> np.n
 
 def estimate_mean_curve(panel: SparseYieldPanel, b_mu: float, eval_points) -> np.ndarray:
     """Mean curve mu_Y(tau) at the given maturities (smoothing happens in the panel grid's warped space)."""
-    eval_points = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    eval_warped = np.asarray(warp_inverse(panel.maturity_grid, eval_points), dtype=float)
-    return mean_curve_warped(panel, b_mu, eval_warped)
+    return mean_curve_warped(panel, b_mu, warp_inverse(panel.maturity_grid, eval_points))

@@ -86,17 +86,20 @@ MUTANTS = (
            "                path.unlink()", "                pass",
            ("test_io.py", "test_cli.py"), "writes every file into a temporary sibling"),
     Mutant("grid-never-doubled", "pipeline.py",
-           "if response.aliasing_edge_ratio <= ALIASING_LEVEL:", "if True:",
+           "if _aliasing_edge_ratio(response) <= ALIASING_LEVEL:", "if True:",
            ("test_pipeline.py",), "A frequency grid chosen per run"),
-    Mutant("grid-edge-read-at-half", "lagreg.py",
-           "peak, edge = magnitude.max(), self.grid.n_nodes // 2 - 1",
-           "peak, edge = magnitude.max(), self.grid.n_nodes // 2",
+    Mutant("grid-always-doubled", "pipeline.py",
+           "if _aliasing_edge_ratio(response) <= ALIASING_LEVEL:", "if False:",
+           ("test_pipeline.py",), "The frequency-grid choice has one owner"),
+    Mutant("grid-edge-read-at-half", "pipeline.py",
+           "peak, edge = magnitude.max(), response.grid.n_nodes // 2 - 1",
+           "peak, edge = magnitude.max(), response.grid.n_nodes // 2",
            ("test_pipeline.py",), "A frequency grid chosen per run"),
     Mutant("grid-start-at-lag-reach", "pipeline.py",
-           "max(2 * h_max + 2, START_FACTOR * (q + h_max))", "(2 * h_max + 2)",
+           "START_FACTOR * (q + h_max)", "(2 * h_max + 2)",
            ("test_pipeline.py",), "A frequency grid chosen per run"),
     Mutant("explicit-grid-doubled", "pipeline.py",
-           "range(MAX_DOUBLINGS + 1 if chosen else 1)", "range(MAX_DOUBLINGS + 1)",
+           "else [config.n_omega]", "else [config.n_omega << k for k in range(MAX_DOUBLINGS + 1)]",
            ("test_pipeline.py",), "A frequency grid chosen per run"),
     Mutant("warp-domain-nan", "warp.py",
            "if not np.all((t_arr >= -_DOMAIN_TOL) & (t_arr <= 1.0 + _DOMAIN_TOL)):",

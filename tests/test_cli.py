@@ -676,7 +676,7 @@ class TestCheckCommand:
         def mutant_spectral(acov, grid):
             # e^{+i h omega} instead of e^{-i h omega}
             kernel = np.exp(+1j * np.outer(grid.nodes, acov.lags))
-            weighted = bartlett_weights(acov.q)[:, None, None] * acov.matrices
+            weighted = bartlett_weights(acov.max_lag + 1)[:, None, None] * acov.matrices
             mats = np.einsum("kl,lab->kab", kernel, weighted) / (2 * np.pi)
             return field_from_values(SpectralDensityField, grid, mats)
 

@@ -249,10 +249,6 @@ class TestFilterCoefficients:
         assert np.abs(full.imag).max() <= 1e-14 * np.abs(resp.values).max()
         assert np.abs(filter_coefficients(resp, h_max) - full.real).max() <= 1e-14 * np.abs(resp.values).max()
 
-    def test_zero_response_reads_a_zero_edge_ratio(self):
-        resp = FrequencyResponseField.from_knots(FrequencyGrid(16), np.zeros((9, 3, 2)), np.eye(3))
-        assert resp.aliasing_edge_ratio == 0.0 and np.array_equal(filter_coefficients(resp, 4), np.zeros((9, 3, 2)))
-
     def test_grid_too_coarse_rejected(self):
         grid = FrequencyGrid(16)
         resp = field_from_values(FrequencyResponseField, grid, np.ones((16, 1, 1), dtype=complex))

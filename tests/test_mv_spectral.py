@@ -348,12 +348,13 @@ class TestAutocovarianceSet:
 
 
 class TestAutocovarianceSpan:
-    """The span q and the lags -(q-1)..q-1 are read from the odd first axis of ``matrices``."""
+    """The lags -(q-1)..q-1 and max_lag = q - 1 are read from the odd first axis of ``matrices``; the span is
+    max_lag + 1, not an attribute of its own."""
 
     @pytest.mark.parametrize("q", [1, 2, 5])
     def test_derived_span_and_lags(self, rng, q):
         acov = estimate_autocovariances(random_macro_panel(rng, 20, 2), q)
-        assert acov.q == q and type(acov.q) is int and acov.max_lag == q - 1
+        assert acov.max_lag + 1 == q and type(acov.max_lag) is int and not hasattr(acov, "q")
         assert np.array_equal(acov.lags, np.arange(1 - q, q)) and acov.lags.dtype == int
         assert acov.lags is acov.lags and not acov.lags.flags.writeable
         for name in ("lags", "max_lag", "q"):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import sparselag
-from sparselag import (US_MATURITIES, Config, FrequencyResponseField, LaggedRegressionFit, MaturityGrid,
+from sparselag import (US_MATURITIES, Config, FrequencyGrid, FrequencyResponseField, LaggedRegressionFit, MaturityGrid,
                        SparseYieldPanel, SyntheticSpec, analyze, estimate_autocovariances, lagreg, r_squared,
                        recovery_spec, simulate_lagged_regression, warp_apply)
 from sparselag.lagreg import _eval_indices
-from sparselag.pipeline import ALIASING_LEVEL, evaluation_grid
+from sparselag.pipeline import ALIASING_LEVEL, _aliasing_edge_ratio, _grid_sizes, evaluation_grid
 from conftest import random_macro_panel, random_sparse_panel
 
 
@@ -187,15 +187,33 @@ def _bench_panel(t_len, d, seed):
 
 
 class TestFrequencyGridChoice:
-    """Without an n_omega, analyze starts at the power of two >= max(2 h_max + 2, 8 (q + h_max)) and doubles, at
-    most twice, while the response's aliasing edge ratio exceeds ALIASING_LEVEL; an explicit n_omega is used as
-    given.  A pass is one frequency-response solve."""
+    """``pipeline`` owns the grid choice.  Without an n_omega, analyze starts at the smallest power of two
+    >= 8 (q + h_max) and doubles, at most twice, while ``_aliasing_edge_ratio`` of the response exceeds
+    ALIASING_LEVEL; an explicit n_omega is used as given.  A pass is one frequency-response solve; the quadrature
+    runs once, on the response of the last pass."""
 
     @staticmethod
-    def _count_passes(monkeypatch):
-        passes, solve = [], lagreg.frequency_response
-        monkeypatch.setattr(lagreg, "frequency_response", lambda *args: passes.append(args) or solve(*args))
+    def _count_passes(monkeypatch, stage="frequency_response"):
+        passes, call = [], getattr(lagreg, stage)
+        monkeypatch.setattr(lagreg, stage, lambda *args: passes.append(args) or call(*args))
         return passes
+
+    def test_start_is_the_power_of_two_at_eight_nodes_per_lag(self):
+        for q in range(1, 201):
+            for h_max in range(61):
+                sizes = _grid_sizes(q, h_max)
+                first = sizes[0]
+                assert first & (first - 1) == 0 and first // 2 < 8 * (q + h_max) <= first, (q, h_max)
+                assert first >= 2 * h_max + 2 and sizes == [first, 2 * first, 4 * first]
+
+    @pytest.mark.parametrize("seed", [5, 18])
+    def test_a_doubled_grid_runs_one_quadrature(self, monkeypatch, seed):
+        passes = self._count_passes(monkeypatch)
+        quadratures = self._count_passes(monkeypatch, "filter_coefficients")
+        result = analyze(*_bench_panel(192, 3, seed))
+        assert [args[0].grid.n_nodes for args in passes] == [256, 512]
+        assert len(quadratures) == 1 and quadratures[0][0] is result.frequency_response
+        assert result.frequency_response.grid.n_nodes == 512
 
     @pytest.mark.parametrize("seed", [0, 7919])
     def test_case_study_shape_takes_256_nodes_in_one_pass(self, monkeypatch, seed):
@@ -238,11 +256,36 @@ class TestFrequencyGridChoice:
         assert result.diagnostics.aliasing_edge_ratio > ALIASING_LEVEL
 
     def test_edge_ratio_reads_the_quadrature_lag_sequence(self):
-        response = analyze(*_bench_panel(192, 3, 7919)).frequency_response
+        result = analyze(*_bench_panel(192, 3, 7919))
+        response = result.frequency_response
         n = response.grid.n_nodes
         lags = np.abs(np.fft.irfft(response.knot_values, n, axis=0))
-        assert response.aliasing_edge_ratio == max(lags[n // 2 - 1].max(), lags[n // 2 + 1].max()) / lags.max()
+        ratio = max(lags[n // 2 - 1].max(), lags[n // 2 + 1].max()) / lags.max()
+        assert _aliasing_edge_ratio(response) == ratio == result.diagnostics.aliasing_edge_ratio
         assert np.array_equal(response.lag_sequence, np.fft.irfft(response.knot_values, n, axis=0))
+        # the diagnostics hold the figure; the response does not carry a copy
+        assert not hasattr(response, "aliasing_edge_ratio")
+
+    def test_zero_response_reads_a_zero_edge_ratio(self):
+        resp = FrequencyResponseField.from_knots(FrequencyGrid(16), np.zeros((9, 3, 2)), np.eye(3))
+        assert _aliasing_edge_ratio(resp) == 0.0
+        assert np.array_equal(lagreg.filter_coefficients(resp, 4), np.zeros((9, 3, 2)))
+
+    @pytest.mark.parametrize("shape", [(192, 3), (2000, 5), (12000, 3)])
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_edge_ratio_bounds_the_filter_error(self, shape, seed):
+        # the max-abs filter error against a 4,096-node run, relative to max |b|, is at most the edge ratio
+        # wherever it is above rounding; measured smallest margin 1.2x, at (12000, 3), seed 7919, N = 64
+        panel, macro = _bench_panel(*shape, seed)
+        fine = analyze(panel, macro, Config.defaults(shape[0], 9, n_omega=4096)).fit.filter_coef
+        above_rounding = []
+        for n in (64, 128, 256, 512):
+            result = analyze(panel, macro, Config.defaults(shape[0], 9, n_omega=n))
+            error = np.abs(result.fit.filter_coef - fine).max() / np.abs(fine).max()
+            if error > 1e-14:
+                above_rounding.append(n)
+                assert error <= result.diagnostics.aliasing_edge_ratio, (n, error)
+        assert 64 in above_rounding
 
     @pytest.mark.parametrize("shape, seed", [((192, 3), 0), ((192, 3), 18), ((60, 5), 0), ((500, 3), 7919)])
     def test_filter_matches_an_8192_node_grid(self, shape, seed):

@@ -209,7 +209,7 @@ def test_half_spectrum_steps_mirror_to_the_full_grid_reference(problem):
     """
     grid, cross_lags, acov, operator, _ = problem
     z, f, cond, b = full_grid_reference(grid, cross_lags, acov.matrices)
-    tol, weights = 64 * np.finfo(float).eps, bartlett_weights(acov.q)
+    tol, weights = 64 * np.finfo(float).eps, bartlett_weights(acov.max_lag + 1)
     knots = lag_window_transform(cross_lags, grid)
     assert knots.shape[0] == grid.n_nodes // 2 + 1
     assert (np.abs(grid.mirror(knots) - z) <= tol * np.einsum("h,hij->ij", weights, np.abs(cross_lags))).all()
