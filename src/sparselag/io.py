@@ -158,11 +158,11 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
     Every spectral field f of a real-valued panel satisfies
     f(omega_{(-k) mod N}) = conj f(omega_k), so the three spectral tables
     hold only nodes k = 0..N/2 (omega in [-pi, 0]); ``FrequencyGrid.mirror``
-    rebuilds the other nodes.  The regressor density is written as its
-    ``half``.  The cross-spectral and response fields are written as their
-    ``knot_values`` Z at the I quoted maturities; ``summary["smoothing_operator"]``
-    holds the real (R, I) operator L they share, so that their half at the R
-    evaluation maturities is L @ Z (``SpectralField.from_knots``).
+    rebuilds the other nodes.  Every spectral table writes its field's
+    ``knot_values``: the regressor density's are its nodes themselves, and the
+    cross-spectral and response fields' are Z at the I quoted maturities;
+    ``summary["smoothing_operator"]`` holds the real (R, I) operator L they share,
+    so that their nodes at the R evaluation maturities are L @ Z (``SpectralField.from_knots``).
 
     Each table is an array written in C order, one row per entry, after one
     label column per axis; ``_floattext.lines`` lays both out.  Every number of
@@ -171,11 +171,11 @@ def build_result_bundle(result: AnalysisResult, panel: SparseYieldPanel, macro: 
     """
     fit, density = result.fit, result.spectral_density
     maturities = panel.maturity_grid.maturities
-    halves = (density.half, result.cross_spectral.knot_values, result.frequency_response.knot_values)
+    stored = (density.knot_values, result.cross_spectral.knot_values, result.frequency_response.knot_values)
     omegas, taus, knot_taus, warped, mean, coef, observed, fitted, *parts = encode(
-        density.grid.nodes[:len(density.half)], fit.eval_tau, maturities, fit.eval_warped, fit.mean_curve,
+        density.grid.nodes[:len(density.knot_values)], fit.eval_tau, maturities, fit.eval_warped, fit.mean_curve,
         fit.filter_coef.transpose(2, 0, 1), panel.values, predict_panel(fit, macro, maturities),
-        *(part for half in halves for part in (half.real, half.imag)))
+        *(part for knots in stored for part in (knots.real, knots.imag)))
     omega_texts, tau_texts, knot_texts = (lines(grid).splitlines() for grid in (omegas, taus, knot_taus))
     names = [name.encode() for name in macro.series_names]
     t_texts, lag_texts = [b"%d" % t for t in range(1, panel.n_times + 1)], [b"%d" % h for h in fit.lags]

@@ -66,7 +66,7 @@ def frequency_response(cross: CrossSpectralField, spec: SpectralDensityField,
     if not np.all(np.isfinite(conds)) or conds[worst] > cond_threshold:
         raise IllConditioned(float(spec.grid.nodes[worst]), float(conds[worst]), cond_threshold)
     rhs = np.conj(np.swapaxes(cross.knot_values, 1, 2))    # (N/2+1, d, I)
-    z = np.swapaxes(np.linalg.solve(spec.half, rhs), 1, 2)  # (N/2+1, I, d)
+    z = np.swapaxes(np.linalg.solve(spec.knot_values, rhs), 1, 2)  # (N/2+1, I, d)
     return FrequencyResponseField.from_knots(cross.grid, np.conj(z), cross.operator)
 
 

@@ -261,12 +261,12 @@ class FrequencyGrid:
 
 class SpectralField(_ArrayHolder):
     """Spectral field (N, R, d) of real series, held on the nodes k = 0..N/2 as the (N/2+1, I, d)
-    knot values Z at I maturity knots and a real (R, I) operator L; half = L @ Z and values =
-    grid.mirror(half), all N nodes, are built on first read.  ``Cls.from_knots(grid, Z, L)`` is
+    knot values Z at I maturity knots and a real (R, I) operator L; values = grid.mirror(L @ Z),
+    all N nodes, is built on first read.  ``Cls.from_knots(grid, Z, L)`` is
     the one constructor.  It checks shapes, that Z and L are finite, then the self-paired nodes
     omega = -pi, 0, whose gap |v(-omega) - conj v(omega)| = 2 |L Im Z| <= ||L||_inf * 2 max |Im Z|
     must stay within tol; every other node pairs with a conjugate.  A subclass sets ``_symmetry`` = (tolerance, message) and may override ``_verify_nodes``, which
-    ``from_knots`` calls once the knot values are finite.  Instances are immutable."""
+    ``from_knots`` calls with Z and L once both are finite.  Instances are immutable."""
 
     _symmetry: tuple[float, str]
 
@@ -282,20 +282,17 @@ class SpectralField(_ArrayHolder):
             raise ValueError(f"{cls.__name__} knot values not finite at omega = {omega!r}")
         if not np.all(np.isfinite(operator)):
             raise ValueError(f"{cls.__name__} operator not finite")
-        identity = operator.shape[0] == operator.shape[1] and np.array_equal(operator, np.eye(len(operator)))
-        cls._verify_nodes(knot_values, identity)
+        cls._verify_nodes(knot_values, operator)
         self_paired = 2.0 * np.abs(knot_values[[0, -1]].imag).max()
         if not np.abs(operator).sum(axis=1).max() * self_paired <= cls._symmetry[0]:
             raise ValueError(cls._symmetry[1])
         field = cls.__new__(cls)
         vars(field).update(grid=grid, knot_values=knot_values, operator=operator)
-        if identity:
-            vars(field)["half"] = knot_values
         return field
 
     @classmethod
-    def _verify_nodes(cls, nodes: np.ndarray, identity: bool) -> None:
-        """A subclass's check of the nodes a field is built from; identity: is its operator the identity."""
+    def _verify_nodes(cls, nodes: np.ndarray, operator: np.ndarray) -> None:
+        """A subclass's check of the nodes a field is built from and of its operator."""
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
@@ -303,13 +300,10 @@ class SpectralField(_ArrayHolder):
     __delattr__ = __setattr__
 
     @cached_property
-    def half(self) -> np.ndarray:
+    def values(self) -> np.ndarray:
         # a real operator: one real product over the interleaved real and imaginary parts
         product = self.operator @ self.knot_values.view(float)
-        product.flags.writeable = False
-        return product.view(complex)
-
-    values = cached_property(lambda self: self.grid.mirror(self.half))
+        return self.grid.mirror(product.view(complex))
 
     @property
     def n_series(self) -> int:

@@ -15,7 +15,7 @@ that determine a spectrum of real series; when 2Q - 1 > N, lags that meet
 modulo N are added first, as N-row blocks of one zero buffer.  The FFT calls
 no BLAS, so its sums do not depend on the thread count.  The estimate is the
 same field type as the cross-spectral and response fields, checked on the
-nodes it holds: its knot values are the half, its operator the identity.  It
+nodes it holds: its knot values are those nodes, its operator the identity.  It
 is Hermitian by construction: above the diagonal it holds the conjugate of the
 transform below it, and on the diagonal the transform's real part.
 
@@ -131,15 +131,16 @@ def estimate_autocovariances(panel: MacroPanel, q: int) -> AutocovarianceSet:
 
 class SpectralDensityField(SpectralField):
     """d x d complex spectral density matrices on a frequency grid.
-    ``from_knots(grid, half, I)`` takes the nodes k <= N/2 as knot values and rejects any operator
+    ``from_knots(grid, F, I)`` takes the nodes k <= N/2 as knot values and rejects any operator
     but the identity; once they are finite it checks that they are square and Hermitian (eigvalsh
     reads one triangle).  ``condition_numbers`` is computed on first read."""
 
     _symmetry = (1e-12, "spectral density must satisfy F(-omega) = conj(F(omega))")
+    values = cached_property(lambda self: self.grid.mirror(self.knot_values))   # no product through I: -0.0 stays
 
     @classmethod
-    def _verify_nodes(cls, nodes, identity):
-        if not identity:
+    def _verify_nodes(cls, nodes, operator):
+        if not np.array_equal(operator, np.eye(nodes.shape[1])):
             raise ValueError(f"{cls.__name__} operator must be the identity: its knot values are its half")
         if nodes.shape[1] != nodes.shape[2]:
             raise ValueError("knot values must have shape (n_nodes/2 + 1, d, d)")
@@ -150,7 +151,7 @@ class SpectralDensityField(SpectralField):
     @cached_property
     def condition_numbers(self) -> np.ndarray:
         """cond_2 per node k <= N/2 (node N - k has the same), read-only: max/min |eigenvalue|, inf if singular."""
-        mags = np.abs(np.linalg.eigvalsh(self.half))
+        mags = np.abs(np.linalg.eigvalsh(self.knot_values))
         lo, hi = mags.min(axis=1), mags.max(axis=1)
         return _frozen(np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0))
 

@@ -44,7 +44,7 @@ def _aliasing_edge_ratio(response: lagreg.FrequencyResponseField) -> float:
 class Diagnostics:
     """Numerical health indicators collected along the pipeline."""
 
-    truncation_tail_mass: float       # sum of ||b_h|| over the two outermost lag pairs
+    truncation_tail_mass: float       # sum of ||b_h|| over the two outermost lag pairs (one at h_max = 1)
     max_condition_number: float       # max over the nodes of cond(F_hat)
     aliasing_edge_ratio: float        # the response's, on the grid the run used
 
@@ -71,7 +71,7 @@ def evaluation_grid(n_eval: int, n_maturities: int):
 
 
 def _tail_mass(fit: LaggedRegressionFit) -> float:
-    """Truncation diagnostic: sum of RMS filter norms at |h| in {h_max-1, h_max}."""
+    """Truncation diagnostic: sum of RMS filter norms at |h| in {h_max-1, h_max} but h = 0 (at h_max = 1, h = +-1)."""
     edge = np.abs(fit.lags) >= max(fit.max_lag - 1, 1)     # none when h_max = 0
     per_lag = np.sqrt(np.mean(fit.filter_coef[edge] ** 2, axis=(1, 2)))
     return float(per_lag.sum())
@@ -100,7 +100,8 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
             spec_density = mv_spectral.spectral_density_matrix(acov, grid)
             cross = cross_spectral.cross_spectral_density(raw, grid, operator)
             response = lagreg.frequency_response(cross, spec_density, config.cond_threshold)
-            if _aliasing_edge_ratio(response) <= ALIASING_LEVEL:
+            aliasing = _aliasing_edge_ratio(response)
+            if aliasing <= ALIASING_LEVEL:
                 break
 
         fit = LaggedRegressionFit(
@@ -114,7 +115,7 @@ def analyze(panel: SparseYieldPanel, macro: MacroPanel, config: Config | None = 
         diagnostics = Diagnostics(
             truncation_tail_mass=_tail_mass(fit),
             max_condition_number=float(spec_density.condition_numbers.max()),
-            aliasing_edge_ratio=_aliasing_edge_ratio(response),
+            aliasing_edge_ratio=aliasing,
         )
     return AnalysisResult(
         config=config,

@@ -86,10 +86,10 @@ MUTANTS = (
            "                path.unlink()", "                pass",
            ("test_io.py", "test_cli.py"), "writes every file into a temporary sibling"),
     Mutant("grid-never-doubled", "pipeline.py",
-           "if _aliasing_edge_ratio(response) <= ALIASING_LEVEL:", "if True:",
+           "if aliasing <= ALIASING_LEVEL:", "if True:",
            ("test_pipeline.py",), "A frequency grid chosen per run"),
     Mutant("grid-always-doubled", "pipeline.py",
-           "if _aliasing_edge_ratio(response) <= ALIASING_LEVEL:", "if False:",
+           "if aliasing <= ALIASING_LEVEL:", "if False:",
            ("test_pipeline.py",), "The frequency-grid choice has one owner"),
     Mutant("grid-edge-read-at-half", "pipeline.py",
            "peak, edge = magnitude.max(), response.grid.n_nodes // 2 - 1",
@@ -153,8 +153,14 @@ MUTANTS = (
     Mutant("condition-singular-divided", "mv_spectral.py",
            "where=lo > 0", "where=lo >= 0",
            ("test_mv_spectral.py",), "`where=lo >= 0`"),
+    Mutant("density-operator-unchecked", "mv_spectral.py",
+           "if not np.array_equal(operator, np.eye(nodes.shape[1])):", "if False:",
+           ("test_mv_spectral.py",), "One derived form per spectral field"),
+    Mutant("density-values-through-product", "mv_spectral.py",
+           "    values = cached_property(lambda self: self.grid.mirror(self.knot_values))", "",
+           ("test_pipeline.py", "test_io.py"), "One derived form per spectral field"),
     Mutant("condition-signed-eigenvalues", "mv_spectral.py",
-           "mags = np.abs(np.linalg.eigvalsh(self.half))", "mags = np.linalg.eigvalsh(self.half)",
+           "mags = np.abs(np.linalg.eigvalsh(self.knot_values))", "mags = np.linalg.eigvalsh(self.knot_values)",
            ("test_mv_spectral.py",), "signed eigenvalues"),
     Mutant("phase-sign-flipped", "mv_spectral.py",
            "buffer[lags % len(buffer)]", "buffer[-lags % len(buffer)]",

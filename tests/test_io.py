@@ -438,7 +438,7 @@ def _table_entries(result, panel):
     """The number of entries of the array behind each table: one line each."""
     return {"mean_curve": result.fit.mean_curve.size,
             "filter_coefficients": result.fit.filter_coef.size,
-            "spectral_density": result.spectral_density.half.size,
+            "spectral_density": result.spectral_density.knot_values.size,
             "cross_spectral": result.cross_spectral.knot_values.size,
             "frequency_response": result.frequency_response.knot_values.size,
             "fitted": panel.values.size}
@@ -525,13 +525,12 @@ class TestHalfSpectrumTables:
                 taus = [float(row[1]) for row in list(csv.reader(fh))[1:][::macro.n_series]]
             assert taus[:panel.n_maturities] == smoothing["knot_tau"], name
             rebuilt = type(field).from_knots(grid, knots, operator)
-            assert np.array_equal(rebuilt.half, field.half), name
             assert np.array_equal(rebuilt.values, field.values), name
 
     def test_bundle_writes_the_stored_halves_without_the_full_fields(self):
         result, panel, macro = _sparse_analysis(3, 6)
         bundle = build_result_bundle(result, panel, macro)
-        fields = {"spectral_density": result.spectral_density.half,
+        fields = {"spectral_density": result.spectral_density.knot_values,
                   "cross_spectral": result.cross_spectral.knot_values,
                   "frequency_response": result.frequency_response.knot_values}
         for name, stored in fields.items():
@@ -541,9 +540,9 @@ class TestHalfSpectrumTables:
             written = np.array([complex(float(row[-2]), float(row[-1])) for row in rows])
             assert np.array_equal(written, stored.ravel()), name
         assert bundle.summary["smoothing_operator"]["weights"] == result.cross_spectral.operator.tolist()
-        # the writer never built the (N/2+1, R, d) products L @ Z nor the (N, R, d) fields
-        for field in (result.cross_spectral, result.frequency_response):
-            assert "half" not in vars(field) and "values" not in vars(field)
+        # the writer built no field's N-node values: neither the products L @ Z mirrored nor the density's mirror
+        for field in (result.spectral_density, result.cross_spectral, result.frequency_response):
+            assert "values" not in vars(field)
         assert "matrices" not in vars(result.spectral_density)
 
 

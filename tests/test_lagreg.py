@@ -182,7 +182,7 @@ class TestFieldsAreImmutable:
 
     @pytest.mark.parametrize("read_first", [False, True])
     def test_no_attribute_can_be_set_or_deleted(self, read_first):
-        arrays = ["knot_values", "operator", "half", "values"]
+        arrays = ["knot_values", "operator", "values"]
         for field in self._fields():
             names = arrays + {SpectralDensityField: ["condition_numbers"],
                               FrequencyResponseField: ["lag_sequence"]}.get(type(field), [])

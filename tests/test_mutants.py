@@ -1,5 +1,6 @@
 """The mutant catalogue (``tests/mutants.py``) stays live: every entry still applies to the source."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,11 @@ def test_mutant_applies_once_to_its_file(mutant):
     assert mutant.new != mutant.old
     assert all((ROOT / "tests" / name).is_file() for name in mutant.tests)
     assert mutant.source in Path(ROOT / "CHANGES.md").read_text(encoding="utf-8")
+
+
+def test_readme_counts_the_catalogue():
+    sentence = re.search(r"All (\d+) of them take", (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert sentence is not None and int(sentence.group(1)) == len(MUTANTS)
 
 
 def test_every_module_has_a_mutant():

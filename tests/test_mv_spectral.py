@@ -247,12 +247,12 @@ class TestHalfPath:
         field = spectral_density_matrix(acov, grid)
         assert calls == []
         below = np.tril(np.ones((3, 3), bool), -1)
-        assert np.array_equal(field.half[:, below], half[:, below]) and field.half is field.knot_values
+        assert np.array_equal(field.knot_values[:, below], half[:, below])
         # Hermitian by construction: a real diagonal, the conjugate of the lower triangle above it
-        diagonal = np.einsum("kii->ki", field.half)
+        diagonal = np.einsum("kii->ki", field.knot_values)
         assert np.array_equal(diagonal.real, np.einsum("kii->ki", half).real) and not diagonal.imag.any()
-        assert np.array_equal(field.half, np.conj(np.swapaxes(field.half, 1, 2)))
-        assert not field.half[[0, -1]].imag.any()           # omega = -pi, 0
+        assert np.array_equal(field.knot_values, np.conj(np.swapaxes(field.knot_values, 1, 2)))
+        assert not field.knot_values[[0, -1]].imag.any()    # omega = -pi, 0
         assert np.array_equal(field.operator, np.eye(3)) and not field.operator.flags.writeable
 
     @pytest.mark.parametrize("k", range(1, 8))
@@ -273,10 +273,12 @@ class TestHalfPath:
             SpectralDensityField.from_knots(grid, half, np.eye(3))
 
     def test_operator_other_than_the_identity_raises(self):
-        # the knots are checked as the half, which only the identity operator leaves them as
-        with pytest.raises(ValueError, match="operator must be the identity"):
-            SpectralDensityField.from_knots(FrequencyGrid(8), np.tile(np.eye(2, dtype=complex), (5, 1, 1)),
-                                            [[1, 1], [0, 1]])
+        # the knots are checked as the nodes k <= N/2, which only the identity operator leaves them as;
+        # a non-square (3, 2) operator for d = 2 is no identity either
+        for operator in ([[1, 1], [0, 1]], [[1, 0], [0, 1], [0, 0]]):
+            with pytest.raises(ValueError, match="operator must be the identity"):
+                SpectralDensityField.from_knots(FrequencyGrid(8), np.tile(np.eye(2, dtype=complex), (5, 1, 1)),
+                                                operator)
 
 
 class TestConditionNumbers:
@@ -295,7 +297,7 @@ class TestConditionNumbers:
     def test_match_svd_condition_numbers(self, rng, d):
         for _ in range(5):
             field = self._hermitian_pd(rng, 32, d)
-            expected = np.linalg.cond(field.half)
+            expected = np.linalg.cond(field.knot_values)
             assert np.abs(field.condition_numbers / expected - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("singular", [np.diag([2.0, 0.0]), np.diag([0.0, -3.0]),

@@ -5,8 +5,8 @@ import pytest
 
 import sparselag
 from sparselag import (US_MATURITIES, Config, FrequencyGrid, FrequencyResponseField, LaggedRegressionFit, MaturityGrid,
-                       SparseYieldPanel, SyntheticSpec, analyze, estimate_autocovariances, lagreg, r_squared,
-                       recovery_spec, simulate_lagged_regression, warp_apply)
+                       SparseYieldPanel, SyntheticSpec, analyze, estimate_autocovariances, lagreg, pipeline,
+                       r_squared, recovery_spec, simulate_lagged_regression, warp_apply)
 from sparselag.lagreg import _eval_indices
 from sparselag.pipeline import ALIASING_LEVEL, _aliasing_edge_ratio, _grid_sizes, evaluation_grid
 from conftest import random_macro_panel, random_sparse_panel
@@ -109,24 +109,37 @@ class TestAnalyze:
         panel, macro, _ = simulate_lagged_regression(spec)
         result = analyze(panel, macro, Config.defaults(150, panel.n_maturities, n_omega=64))
         for field in (result.cross_spectral, result.frequency_response):
-            assert "values" not in vars(field) and "half" not in vars(field)
+            assert "values" not in vars(field)
             assert field.knot_values.shape[0] == 33            # the nodes k = 0..N/2
             values = field.values
-            assert not values.flags.writeable and not field.half.flags.writeable
+            assert not values.flags.writeable
             assert not field.operator.flags.writeable
             # the real operator applied to the interleaved real and imaginary parts
             product = (field.operator @ field.knot_values.view(float)).view(complex)
-            assert np.array_equal(field.half, product)
             assert np.array_equal(values, field.grid.mirror(product))
             assert field.values is values
-        # the density's knots are its half, as are those of any field with the identity operator,
-        # which is read-only too
+        # the knots of the density, and of any field with the identity operator, are read-only,
+        # as is that operator
         density, b = result.spectral_density, result.frequency_response
-        identity_built = FrequencyResponseField.from_knots(density.grid, b.half, np.eye(b.half.shape[1]))
+        knots = b.values[:33]
+        identity_built = FrequencyResponseField.from_knots(density.grid, knots, np.eye(knots.shape[1]))
         for field in (density, identity_built):
-            assert field.half is field.knot_values and not field.half.flags.writeable
+            assert not field.knot_values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 field.operator[0, 0] = 5.0
+
+    def test_values_mirror_the_stored_nodes_bit_for_bit(self):
+        result = analyze(*_bench_panel(192, 3, 0))
+        density, signs = result.spectral_density, lambda z: np.signbit(z.view(float))
+        # the density mirrors its knots as they are; a product through the identity would read their -0.0 as +0.0
+        knots = density.knot_values
+        assert np.signbit(knots.imag[knots.imag == 0]).any()
+        expected = {density: density.grid.mirror(knots)}
+        for field in (result.cross_spectral, result.frequency_response):
+            expected[field] = field.grid.mirror((field.operator @ field.knot_values.view(float)).view(complex))
+        for field, values in expected.items():
+            assert np.array_equal(field.values, values) and np.array_equal(signs(field.values), signs(values))
+            assert not hasattr(field, "half")
 
     def test_condition_numbers_are_read_only(self, rng):
         panel = random_sparse_panel(rng, 60, 4)
@@ -254,6 +267,17 @@ class TestFrequencyGridChoice:
         result = analyze(*_bench_panel(192, 3, 18), Config.defaults(192, 9, n_omega=256))
         assert result.spectral_density.grid.n_nodes == 256 and len(passes) == 1
         assert result.diagnostics.aliasing_edge_ratio > ALIASING_LEVEL
+
+    @pytest.mark.parametrize("seed, n_passes", [(0, 1), (5, 2), (18, 2)])
+    def test_the_aliasing_figure_is_computed_once_per_pass(self, monkeypatch, seed, n_passes):
+        figures = []
+        def counted(response):
+            figures.append((response, _aliasing_edge_ratio(response)))
+            return figures[-1][1]
+        monkeypatch.setattr(pipeline, "_aliasing_edge_ratio", counted)
+        result = analyze(*_bench_panel(192, 3, seed))
+        assert len(figures) == n_passes and figures[-1][0] is result.frequency_response
+        assert result.diagnostics.aliasing_edge_ratio == figures[-1][1]
 
     def test_edge_ratio_reads_the_quadrature_lag_sequence(self):
         result = analyze(*_bench_panel(192, 3, 7919))
